@@ -1,16 +1,14 @@
 """Command-line interface: construct, verify, gap, oracle, nibble-bench, weights.
 
 Every run is reproducible from its master seed: outputs are byte-identical
-across repeated invocations and across --threads settings (execution is
-serial; the flag only caps worker pools and is deliberately excluded from
-output manifests).  Exit codes: 0 success, 2 usage, 3 verification failure,
-4 infeasible or budget exhausted.
+across repeated invocations.  Exit codes: 0 success, 2 usage error or an
+unreadable or invalid input file, 3 verification failure, 4 infeasible or
+budget exhausted.
 """
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -258,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gapsieve",
         description="Covering systems of residue classes for long composite runs",
     )
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("GAPSIEVE_THREADS", "0")),
-                    help="cap worker pools (execution is serial; accepted for "
-                         "interface stability, outputs never depend on it)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="run the staged pipeline and save the system")
@@ -329,6 +323,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except (ValueError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exhaustive ground-truth engines and the benchmark harness.
+"""Exhaustive ground-truth engines, smooth-number tests and a concentration check.
 
 exact_Y finds, by complete backtracking search, the longest prefix [1, y]
 coverable by one residue class per prime up to x.  jacobsthal scans a full
@@ -7,15 +7,11 @@ through exact_Y(x) = jacobsthal(primorial(x)) - 1 and are implemented
 independently so each checks the other.
 """
 
-import csv
-import io
-import time
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
-from .primes import primes_up_to
+from .primes import factorize, primes_up_to
 from .residues import ResidueSystem
 
 EXACT_Y_CUTOFF = 17
@@ -127,78 +123,56 @@ def jacobsthal(n: int, cutoff: int = JACOBSTHAL_CUTOFF) -> int:
         raise InfeasibleError(f"n = {n} exceeds the period-scan cutoff {cutoff}")
     if n == 1:
         return 1
-    ps = sorted(_distinct_prime_factors(n))
+    ps = sorted(factorize(n))
     segment = 1 << 22
     max_gap = 0
-    prev = None
+    prev = None  # last coprime position of the previous segments
     for lo in range(1, n + 2, segment):
         hi = min(lo + segment - 1, n + 1)
         flags = np.ones(hi - lo + 1, dtype=bool)
         for p in ps:
-            start = (-lo) % p
-            flags[start::p] = False
-        for idx in np.flatnonzero(flags):
-            pos = int(idx) + lo
-            if prev is not None:
-                max_gap = max(max_gap, pos - prev)
-            prev = pos
+            flags[(-lo) % p :: p] = False
+        # never empty: segments outlast any coprime gap below the cutoff,
+        # and n + 1 (coprime to n) lies in the last one
+        pos = np.flatnonzero(flags)
+        if prev is not None:
+            max_gap = max(max_gap, int(pos[0]) + lo - prev)
+        if len(pos) > 1:
+            max_gap = max(max_gap, int(np.diff(pos).max()))
+        prev = int(pos[-1]) + lo
     return max_gap
 
 
-def _distinct_prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+def smooth_mask(values, z: int) -> np.ndarray:
+    """True where every prime factor of the value is <= z (1 is smooth).
 
-
-def smooth_count(y: int, z: int, segment: int = 1 << 20) -> int:
-    """#{1 <= n <= y : every prime factor of n is <= z}.
-
-    Divides out all primes up to z segment by segment; n is smooth exactly
-    when the remaining cofactor is 1.
+    Divides out each prime up to z from the values it divides; a value is
+    smooth exactly when its remaining cofactor is 1.  Values must be
+    positive integers.
     """
+    rem = np.array(values, dtype=np.int64)
+    if rem.size and rem.min() < 1:
+        raise ValueError("values must be positive")
+    for p in primes_up_to(max(z, 1)):
+        hit = np.flatnonzero(rem % p == 0)
+        while len(hit):
+            rem[hit] //= p
+            hit = hit[rem[hit] % p == 0]
+    return rem == 1
+
+
+def smooth_count(y: int, z: int) -> int:
+    """#{1 <= n <= y : every prime factor of n is <= z}, segment by segment."""
     if y < 1:
         return 0
     if z >= y:
         return y
+    segment = 1 << 20
     total = 0
-    ps = [int(p) for p in primes_up_to(max(z, 1))]
     for lo in range(1, y + 1, segment):
         hi = min(lo + segment - 1, y)
-        rem = np.arange(lo, hi + 1, dtype=np.int64)
-        for p in ps:
-            start = (-lo) % p
-            sl = rem[start::p]
-            while True:
-                m = sl % p == 0
-                if not m.any():
-                    break
-                sl[m] //= p
-        total += int((rem == 1).sum())
+        total += int(smooth_mask(np.arange(lo, hi + 1), z).sum())
     return total
-
-
-def smooth_flags(lo: int, hi: int, z: int) -> np.ndarray:
-    """Boolean z-smooth indicator for each n in [lo, hi]."""
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in primes_up_to(max(z, 1)):
-        p = int(p)
-        start = (-lo) % p
-        sl = rem[start::p]
-        while True:
-            m = sl % p == 0
-            if not m.any():
-                break
-            sl[m] //= p
-    return rem == 1
 
 
 # -- second-moment concentration test utility ----------------------------------
@@ -239,80 +213,3 @@ def chebyshev_check(paired_samples, alpha: float, epsilon: float, theta: float,
         predicted_bound=bound,
         passed=freq <= max(bound, 0.0) + 1e-12,
     )
-
-
-# -- strategy benchmark ----------------------------------------------------------
-
-COMPARE_SCHEMA_VERSION = 1
-COMPARE_COLUMNS = ("x", "seed", "method", "achieved_y", "residual_count", "runtime_s")
-
-
-def compare_strategies(xs, seeds, methods, **config_kwargs):
-    """Run the staged pipeline over a grid and tabulate the outcomes.
-
-    Returns (rows, summary): rows follow COMPARE_COLUMNS; the summary has
-    per-method means plus paired nibble-minus-independent differences with a
-    normal-theory 95% confidence interval when both methods are present.
-    """
-    from .pipeline import StagedConfig, run_pipeline
-
-    rows = []
-    for x in xs:
-        for seed in seeds:
-            for method in methods:
-                cfg = StagedConfig(x=x, seed=seed, stage3_method=method, **config_kwargs)
-                t0 = time.perf_counter()
-                report, _ = run_pipeline(cfg)
-                dt = time.perf_counter() - t0
-                rows.append(
-                    {
-                        "x": x,
-                        "seed": seed,
-                        "method": method,
-                        "achieved_y": report.achieved_y,
-                        "residual_count": report.residual_after_stage3,
-                        "runtime_s": dt,
-                    }
-                )
-
-    summary = {"schema_version": COMPARE_SCHEMA_VERSION, "methods": {}}
-    for method in methods:
-        sub = [r for r in rows if r["method"] == method]
-        if sub:
-            summary["methods"][method] = {
-                "mean_achieved_y": float(np.mean([r["achieved_y"] for r in sub])),
-                "mean_residual": float(np.mean([r["residual_count"] for r in sub])),
-                "runs": len(sub),
-            }
-    if "nibble" in methods and "independent" in methods:
-        diffs = []
-        for x in xs:
-            for seed in seeds:
-                pair = {
-                    r["method"]: r
-                    for r in rows
-                    if r["x"] == x and r["seed"] == seed
-                }
-                if "nibble" in pair and "independent" in pair:
-                    diffs.append(
-                        pair["nibble"]["achieved_y"] - pair["independent"]["achieved_y"]
-                    )
-        if diffs:
-            mean = float(np.mean(diffs))
-            sd = float(np.std(diffs, ddof=1)) if len(diffs) > 1 else 0.0
-            half = 1.96 * sd / sqrt(len(diffs)) if len(diffs) > 1 else 0.0
-            summary["paired_achieved_y_diff"] = {
-                "mean": mean,
-                "ci95": [mean - half, mean + half],
-                "n": len(diffs),
-            }
-    return rows, summary
-
-
-def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(COMPARE_COLUMNS))
-    writer.writeheader()
-    for r in rows:
-        writer.writerow({k: r[k] for k in COMPARE_COLUMNS})
-    return buf.getvalue()

@@ -20,9 +20,12 @@ reachable sizes.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import nibble as nib
+from .oracle import smooth_mask
 from .primes import admissible_tuple, primes_up_to, sieve_interval
 from .residues import ResidueSystem, sift
 from .rng import stream
@@ -54,12 +57,7 @@ class StagedConfig:
     seed: int = 0
     stage3_method: str = "nibble"  # "independent" | "greedy" | "nibble" | "none"
     C_extra: float = 10.0
-    r: int = 0  # 0 = formula default
-    tuple_style: str = "auto"
     weights: str = "uniform"  # "uniform" | "sieve"
-    nibble_rounds: int = 0  # 0 = formula default
-    filter_atypical: bool = False
-    filter_tol: float = 0.0  # 0 = 1/log^3 x
 
     def validate(self):
         if self.x < 100:
@@ -177,23 +175,21 @@ def survivors_after_small(cfg: StagedConfig, sys12: ResidueSystem) -> SurvivorSp
     """Sift (x, y] by stages 1-2 and classify survivors.
 
     Survivors are split into primes of (x, y], z-smooth numbers (every
-    prime factor <= z, counted exactly by trial removal), and the rest.
+    prime factor <= z, tested exactly on the non-prime survivors only), and
+    the rest.
     """
     th = thresholds(cfg)
     interval = sift(sys12, cfg.x + 1, th.y)
-    prime_set = set(int(p) for p in sieve_interval(cfg.x + 1, th.y))
-    small = [int(p) for p in primes_up_to(int(th.z))]
-    primes_out, smooth_out, other_out = [], [], []
-    for n in interval.survivor_list():
-        if n in prime_set:
-            primes_out.append(n)
-            continue
-        m = n
-        for p in small:
-            while m % p == 0:
-                m //= p
-        (smooth_out if m == 1 else other_out).append(n)
-    return SurvivorSplit(interval=interval, primes=primes_out, smooth=smooth_out, other=other_out)
+    survivors = np.flatnonzero(interval.survivors) + interval.lo
+    is_q = np.isin(survivors, sieve_interval(cfg.x + 1, th.y), assume_unique=True)
+    composite = survivors[~is_q]
+    smooth = smooth_mask(composite, int(th.z))
+    return SurvivorSplit(
+        interval=interval,
+        primes=survivors[is_q].tolist(),
+        smooth=composite[smooth].tolist(),
+        other=composite[~smooth].tolist(),
+    )
 
 
 @dataclass
@@ -212,15 +208,14 @@ class PipelineInstance:
     anchors: list  # index id -> {edge -> representative n}
     offsets: tuple
     C_measured: float
-    skipped_primes: list  # primes with no nonempty edge (or filtered out)
+    skipped_primes: list  # primes with no nonempty edge
 
 
 def _sieving_primes(cfg: StagedConfig):
     return [int(p) for p in sieve_interval(cfg.x // 2 + 1, cfg.x) if p > cfg.x / 2]
 
 
-def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit,
-                             weight_ctx: PairWeightContext = None) -> PipelineInstance:
+def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> PipelineInstance:
     """For each sieving prime, the distribution of its survivor edge.
 
     An anchor n yields the edge {n + h_i p} intersected with the surviving
@@ -230,15 +225,14 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit,
     """
     cfg.validate()
     th = thresholds(cfg)
-    r = cfg.r or default_r(cfg.x)
-    offsets = admissible_tuple(r, cfg.tuple_style).offsets
+    offsets = admissible_tuple(default_r(cfg.x)).offsets
     values = sorted(split.primes)
     vmap = {q: i for i, q in enumerate(values)}
     if not values:
         raise ValueError("no surviving primes to cover")
 
-    if cfg.weights == "sieve" and weight_ctx is None:
-        weight_ctx = PairWeightContext(offsets, cfg.x)
+    sieve = cfg.weights == "sieve"
+    weight_ctx = PairWeightContext(offsets, cfg.x) if sieve else None
 
     index_primes = []
     anchors = []
@@ -260,28 +254,20 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit,
             skipped.append(p)
             continue
 
+        # uniform mode: weight 1 on every anchor with a nonempty edge
+        total = weight_ctx.sum_over_support(p, th.y) if sieve else len(edge_by_anchor)
         merged = {}  # edge -> (representative anchor, probability mass)
-        if cfg.weights == "uniform":
-            mass = 1.0 / len(edge_by_anchor)
+        if total > 0:
             for n in sorted(edge_by_anchor):
-                e = edge_by_anchor[n]
-                rep, q_acc = merged.get(e, (n, 0.0))
-                merged[e] = (min(rep, n), q_acc + mass)
-        else:
-            total = weight_ctx.sum_over_support(p, th.y)
-            if total <= 0:
-                skipped.append(p)
-                continue
-            for n in sorted(edge_by_anchor):
-                w = weight_ctx.weight(p, n, th.y)
+                w = weight_ctx.weight(p, n, th.y) if sieve else 1.0
                 if w <= 0:
                     continue
                 e = edge_by_anchor[n]
                 rep, q_acc = merged.get(e, (n, 0.0))
                 merged[e] = (min(rep, n), q_acc + w / total)
-            if not merged:
-                skipped.append(p)
-                continue
+        if not merged:
+            skipped.append(p)
+            continue
 
         atoms = [(e, q) for e, (rep, q) in sorted(merged.items(), key=lambda kv: kv[1][0])]
         idx = len(index_primes)
@@ -321,29 +307,6 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit,
         C_measured=C_measured,
         skipped_primes=skipped,
     )
-
-
-def _filter_atypical(cfg: StagedConfig, pinst: PipelineInstance, sys2: ResidueSystem):
-    """Optional emulation of the proof's conditioning: drop primes whose
-    all-shifts-survive probability strays from sigma^r.  Experimental."""
-    small = sys2.entries
-    sigma = sigma_of(sorted(small))
-    r = len(pinst.offsets)
-    tol = cfg.filter_tol or 1.0 / math.log(cfg.x) ** 3
-    target = sigma**r
-    keep = []
-    for idx, p in enumerate(pinst.index_primes):
-        X_p = 0.0
-        for e, q in pinst.cover.dist[idx].atoms:
-            n = pinst.anchors[idx][e]
-            if all(
-                all((n + h * p) % s != a for s, a in small.items())
-                for h in pinst.offsets
-            ):
-                X_p += q
-        if abs(X_p / target - 1) <= tol:
-            keep.append(idx)
-    return keep
 
 
 def _paper_round_lengths(C: float, m: int):
@@ -400,7 +363,7 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
         return chosen_n
 
     # nibble: round membership via the geometric interval recipe
-    m = cfg.nibble_rounds or default_rounds(cfg.x)
+    m = default_rounds(cfg.x)
     lengths = _paper_round_lengths(pinst.C_measured, m)
     bounds = []
     acc = 0.0
@@ -525,33 +488,6 @@ def run_pipeline(cfg: StagedConfig):
     C_measured = 0.0
     if cfg.stage3_method != "none" and split.primes:
         pinst = build_edge_distributions(cfg, split)
-        if cfg.filter_atypical:
-            keep = set(_filter_atypical(cfg, pinst, s2))
-            dropped = [
-                pinst.index_primes[i]
-                for i in range(len(pinst.index_primes))
-                if i not in keep
-            ]
-            filtered_map = {i: pinst.cover.dist[i] for i in keep}
-            if keep:
-                kept_sorted = sorted(keep)
-                remap = {old: new for new, old in enumerate(kept_sorted)}
-                pinst = PipelineInstance(
-                    cover=nib.CoverInstance(
-                        n_vertices=pinst.cover.n_vertices,
-                        rounds=[[remap[i] for i in kept_sorted]],
-                        dist={remap[i]: filtered_map[i] for i in kept_sorted},
-                        params=pinst.cover.params,
-                    ),
-                    values=pinst.values,
-                    index_primes=[pinst.index_primes[i] for i in kept_sorted],
-                    anchors=[pinst.anchors[i] for i in kept_sorted],
-                    offsets=pinst.offsets,
-                    C_measured=pinst.C_measured,
-                    skipped_primes=pinst.skipped_primes + dropped,
-                )
-            else:
-                pinst = replace(pinst, skipped_primes=pinst.skipped_primes + dropped)
         n_indices = len(pinst.index_primes)
         C_measured = pinst.C_measured
         chosen_n = stage3_select(cfg, pinst)

@@ -13,23 +13,6 @@ import numpy as np
 SEGMENT_SIZE = 1 << 20
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes <= limit, strictly increasing."""
-
-    limit: int
-    primes: tuple
-
-    def __len__(self):
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def count(self) -> int:
-        return len(self.primes)
-
-
 def _small_sieve(limit: int) -> np.ndarray:
     """Plain sieve up to limit (inclusive); returns array of primes."""
     if limit < 2:
@@ -64,12 +47,11 @@ def sieve_interval(lo: int, hi: int, segment_size: int = SEGMENT_SIZE) -> np.nda
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
-def primes_up_to(x: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
-    """Table of all primes <= x (x >= 0)."""
+def primes_up_to(x: int) -> tuple:
+    """All primes <= x (x >= 0), increasing."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    ps = sieve_interval(2, x, segment_size)
-    return PrimeTable(limit=x, primes=tuple(int(p) for p in ps))
+    return tuple(int(p) for p in sieve_interval(2, x))
 
 
 def primorial(x: int) -> int:
@@ -78,6 +60,21 @@ def primorial(x: int) -> int:
     for p in primes_up_to(x):
         result *= p
     return result
+
+
+def factorize(n: int) -> dict:
+    """{prime: exponent} for |n| by trial division, primes increasing."""
+    n = abs(n)
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def is_prime(n: int) -> bool:
@@ -181,20 +178,13 @@ def odd_squares_tuple(r: int) -> AdmissibleTuple:
     return AdmissibleTuple(offsets=tuple((2 * i + 1) ** 2 for i in range(r)))
 
 
-def admissible_tuple(r: int, style: str = "auto") -> AdmissibleTuple:
+def admissible_tuple(r: int) -> AdmissibleTuple:
     """Admissible r-tuple with offsets in [2r^2].
 
-    style "primes" takes the first r primes > r, "odd-squares" the odd
-    squares, "auto" takes primes but falls back to odd squares when the
+    Takes the first r primes > r, falling back to odd squares when the
     largest offset exceeds 2r^2 (checked, not assumed).
     """
-    if style == "odd-squares":
-        return odd_squares_tuple(r)
     t = first_r_primes_tuple(r)
-    if style == "primes":
+    if t.offsets[-1] <= 2 * r * r:
         return t
-    if style == "auto":
-        if t.offsets[-1] <= 2 * r * r:
-            return t
-        return odd_squares_tuple(r)
-    raise ValueError(f"unknown tuple style {style!r}")
+    return odd_squares_tuple(r)

@@ -17,12 +17,11 @@ cutoff with a reported tail estimate.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
-from .primes import primes_up_to
+from .primes import factorize, is_prime, primes_up_to
 
 
 class InadmissibleError(ValueError):
@@ -42,29 +41,15 @@ class LinearForm:
         return self.l1 * n + self.l2
 
 
-def _factorize(n: int) -> dict:
-    n = abs(n)
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _euler_phi(n: int) -> int:
     out = n
-    for p in _factorize(n):
+    for p in factorize(n):
         out = out // p * (p - 1)
     return out
 
 
 def _is_squarefree(n: int) -> bool:
-    return all(e == 1 for e in _factorize(n).values())
+    return all(e == 1 for e in factorize(n).values())
 
 
 @dataclass(frozen=True)
@@ -88,9 +73,10 @@ class FormSystem:
         self.k = len(self.forms)
         if self.k < 1:
             raise ValueError("need at least one form")
-        if B != 1 and not _is_prime_small(B):
+        if B != 1 and not is_prime(B):
             raise ValueError("B must be 1 or a prime")
         self.B = B
+        self._omega = {}
         self.W = 1
         for p in primes_up_to(2 * self.k * self.k):
             if B % p != 0:
@@ -110,14 +96,16 @@ class FormSystem:
             if self.omega(p).count == p:
                 raise InadmissibleError(f"all classes mod {p} are covered")
 
-    @lru_cache(maxsize=None)
     def omega(self, p: int) -> OmegaData:
         """Roots of prod L_i(n) mod p in [1, p], with least-form assignments.
 
         Each form l1*n + l2 contributes the single root -l2/l1 mod p when
         p does not divide l1, and no root otherwise (fixed divisors are
-        excluded at construction), so the scan is O(k) per prime.
+        excluded at construction), so the scan is O(k) per prime.  Results
+        are cached on the instance.
         """
+        if p in self._omega:
+            return self._omega[p]
         root_to_j = {}
         for j, f in enumerate(self.forms, start=1):
             if f.l1 % p == 0:
@@ -126,11 +114,12 @@ class FormSystem:
             n = n if n else p  # represent classes by [1, p]
             root_to_j.setdefault(n, j)  # ascending j, so first hit is least
         roots = tuple(sorted(root_to_j))
-        return OmegaData(
+        data = self._omega[p] = OmegaData(
             count=len(roots),
             roots=roots,
             j_least=tuple(root_to_j[n] for n in roots),
         )
+        return data
 
     def allowed_positions(self, p: int) -> set:
         """Form indices j (1-based) that a prime p not dividing WB may enter."""
@@ -139,50 +128,26 @@ class FormSystem:
     def phi_omega(self, n: int) -> int:
         """prod over p | n of (p - omega(p))."""
         out = 1
-        for p in _factorize(n):
+        for p in factorize(n):
             out *= p - self.omega(p).count
         return out
 
 
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def singular_series(sys: FormSystem, cutoff: int, exclude: int = None):
+    """Truncated Euler product prod_{p <= cutoff, p !| exclude} (1 - w(p)/p)(1 - 1/p)^-k.
 
-
-def singular_series(sys: FormSystem, cutoff: int):
-    """Truncated Euler product prod_{p <= cutoff, p !| B} (1 - w(p)/p)(1 - 1/p)^-k.
-
-    Returns (value, tail_bound) where tail_bound estimates the multiplicative
-    error from primes beyond the cutoff: the neglected log mass is at most
-    about sum k^2/p^2, summed explicitly to 10*cutoff and integral-estimated
-    beyond.
+    exclude defaults to B; WeightSystem passes W*B for the product over
+    primes coprime to the level.  Returns (value, tail_bound) where
+    tail_bound estimates the multiplicative error from primes beyond the
+    cutoff: the neglected log mass is at most about sum k^2/p^2, summed
+    explicitly to 10*cutoff and integral-estimated beyond.
     """
+    if exclude is None:
+        exclude = sys.B
     value = 1.0
     k = sys.k
     for p in primes_up_to(cutoff):
-        if sys.B % p == 0:
-            continue
-        w = sys.omega(p).count
-        if w == p:
-            raise InadmissibleError(f"all classes mod {p} are covered")
-        value *= (1 - w / p) * (1 - 1 / p) ** (-k)
-    tail = sum(k * k / (p * p) for p in primes_up_to(10 * cutoff) if p > cutoff)
-    tail += k * k / (10 * cutoff * math.log(10 * cutoff))
-    return value, math.expm1(tail)
-
-
-def singular_series_wb(sys: FormSystem, cutoff: int):
-    """Same product restricted to primes not dividing W*B."""
-    value = 1.0
-    k = sys.k
-    for p in primes_up_to(cutoff):
-        if (sys.W * sys.B) % p == 0:
+        if exclude % p == 0:
             continue
         w = sys.omega(p).count
         if w == p:
@@ -211,7 +176,7 @@ def in_Dk(sys: FormSystem, d) -> bool:
     if gcd(prod, sys.W * sys.B) != 1:
         return False
     for j, x in enumerate(d, start=1):
-        for p in _factorize(x):
+        for p in factorize(x):
             if j not in sys.allowed_positions(p):
                 return False
     return True
@@ -244,7 +209,9 @@ class WeightSystem:
         self.F = F if F is not None else simplex_power_cap(system.k)
         self.series_cutoff = series_cutoff
         self.S, self.S_tail = singular_series(system, series_cutoff)
-        self.Swb, self.Swb_tail = singular_series_wb(system, series_cutoff)
+        self.Swb, self.Swb_tail = singular_series(
+            system, series_cutoff, exclude=system.W * system.B
+        )
         self.support = self._enumerate_support()
         self.y_table = {r: self._y_weight(r) for r in self.support}
         self.table = self._lambda_table()
@@ -290,7 +257,7 @@ class WeightSystem:
             for c in sorted(set(choices)):
                 if prod * c > self.R:
                     continue
-                extend(j + 1, tup + [c], prod * c, used | set(_factorize(c)))
+                extend(j + 1, tup + [c], prod * c, used | set(factorize(c)))
 
         extend(1, [], 1, set())
         return sorted(set(out))
@@ -372,7 +339,7 @@ class WeightSystem:
 
 
 def _moebius(n: int) -> int:
-    f = _factorize(n)
+    f = factorize(n)
     if any(e > 1 for e in f.values()):
         return 0
     return -1 if len(f) % 2 else 1
@@ -388,14 +355,6 @@ def _crt_merge(a, b):
     l = m1 // g * m2
     t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
     return (r1 + m1 * t) % l, l
-
-
-def lambda_table(ws: WeightSystem) -> dict:
-    return dict(ws.table)
-
-
-def weight_w(ws: WeightSystem, n: int) -> float:
-    return ws.weight(n)
 
 
 # -- weights for shifted tuples (one system per sieving prime) ----------------
@@ -441,10 +400,6 @@ class PairWeightContext:
 
     def sum_over_support(self, p: int, y: int) -> float:
         return self.weight_system(p).sum_over_interval(-y, y)
-
-
-def pair_weight(ctx: PairWeightContext, p: int, n: int, y: int) -> float:
-    return ctx.weight(p, n, y)
 
 
 # -- numeric integrals over the simplex ----------------------------------------

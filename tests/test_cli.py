@@ -22,16 +22,6 @@ def test_construct_smoke_and_determinism(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_construct_thread_flag_does_not_change_outputs(tmp_path):
-    outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}"
-        assert main(["--threads", threads, "construct", "500", "--seed", "3",
-                     "--out", str(out)]) == 0
-        outs.append((out / "system.json").read_bytes() + (out / "report.json").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_construct_usage_error_below_minimum(tmp_path):
     assert main(["construct", "50", "--out", str(tmp_path / "x")]) == 2
 
@@ -147,6 +137,32 @@ def test_weights_dump_schema(tmp_path):
         assert table[d] == pytest.approx(v, rel=1e-12, abs=1e-12)
     summary = json.loads(out.read_text())
     assert summary["I_k"] > 0 and summary["tau_F_relative"] > 0
+
+
+def test_gap_on_construct_output_is_usage_error(tmp_path, capsys):
+    # construct writes fresh primes above x, which gap does not accept
+    out = tmp_path / "c"
+    assert main(["construct", "1000", "--stage3", "none", "--seed", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["gap", str(out / "system.json")]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds x" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "gap"])
+def test_missing_system_file_is_usage_error(tmp_path, capsys, command):
+    assert main([command, str(tmp_path / "absent.json")]) == 2
+    err = capsys.readouterr().err
+    assert "absent.json" in err and len(err.strip().splitlines()) == 1
+
+
+def test_non_prime_modulus_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text('{"x": 10, "classes": [[2, 0], [9, 1]]}\n')
+    assert main(["verify", str(f), "--interval", "1", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "modulus 9 is not prime" in err and len(err.strip().splitlines()) == 1
 
 
 def test_usage_error_exit_code():

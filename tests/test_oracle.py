@@ -1,19 +1,18 @@
-"""Tests for the exhaustive oracles and the benchmark harness."""
+"""Tests for the exhaustive oracles, smooth-number tests and the concentration check."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gapsieve.oracle import (
     InfeasibleError,
     chebyshev_check,
-    compare_strategies,
     exact_Y,
     jacobsthal,
-    rows_to_csv,
     smooth_count,
-    smooth_flags,
+    smooth_mask,
 )
 from gapsieve.primes import primorial
 from gapsieve.residues import ResidueSystem, covered_prefix_length, sift
@@ -76,23 +75,43 @@ def test_jacobsthal_matches_exact_Y():
         assert exact_Y(x).Y == jacobsthal(primorial(x)) - 1
 
 
+def full_period_coprime_gap(n, prime_factors):
+    """Maximal coprime gap from one unsegmented scan of [1, n + 1]."""
+    coprime = np.ones(n + 2, dtype=bool)
+    coprime[0] = False
+    for p in prime_factors:
+        coprime[::p] = False
+    return int(np.diff(np.flatnonzero(coprime)).max())
+
+
+def test_jacobsthal_across_scan_segments():
+    # both periods exceed two 2^22-position scan segments, so gaps that
+    # straddle a segment boundary are measured too
+    cases = [
+        (primorial(19), (2, 3, 5, 7, 11, 13, 17, 19)),
+        (2**3 * 3**2 * 5 * 7 * 11 * 13 * 29, (2, 3, 5, 7, 11, 13, 29)),
+    ]
+    for n, factors in cases:
+        assert n > 2 * (1 << 22)
+        assert jacobsthal(n) == full_period_coprime_gap(n, factors)
+
+
 def test_jacobsthal_cutoff():
     with pytest.raises(InfeasibleError):
         jacobsthal(10**7, cutoff=10**6)
 
 
+def is_smooth_by_trial_division(n, z):
+    d = 2
+    while d <= z and n > 1:
+        while n % d == 0:
+            n //= d
+        d += 1
+    return n == 1
+
+
 def smooth_by_trial_division(y, z):
-    count = 0
-    for n in range(1, y + 1):
-        m = n
-        d = 2
-        while d <= z and m > 1:
-            while m % d == 0:
-                m //= d
-            d += 1
-        if m == 1:
-            count += 1
-    return count
+    return sum(1 for n in range(1, y + 1) if is_smooth_by_trial_division(n, z))
 
 
 def count_5_smooth(limit):
@@ -137,11 +156,18 @@ def test_smooth_count_monotone():
         assert smooth_count(y, y) == y
 
 
-def test_smooth_flags_consistent_with_count():
-    flags = smooth_flags(1, 500, 7)
+def test_smooth_mask_consistent_with_count():
+    flags = smooth_mask(np.arange(1, 501), 7)
     assert int(flags.sum()) == smooth_count(500, 7)
-    flags_interval = smooth_flags(101, 500, 7)
+    flags_interval = smooth_mask(np.arange(101, 501), 7)
     assert int(flags_interval.sum()) == smooth_count(500, 7) - smooth_count(100, 7)
+    # arbitrary, unordered values, each checked by trial division
+    values = np.array([1, 97 * 2, 2**40, 3**20 * 5, 11, 7 * 7 * 7, 1000003])
+    expect = [is_smooth_by_trial_division(int(v), 7) for v in values]
+    assert expect == [True, False, True, True, False, True, False]
+    assert smooth_mask(values, 7).tolist() == expect
+    with pytest.raises(ValueError):
+        smooth_mask(np.array([0, 4]), 7)
 
 
 def test_chebyshev_constant():
@@ -175,21 +201,3 @@ def test_chebyshev_rademacher_binomial_prediction():
     p = 0.5
     se = math.sqrt(p * (1 - p) / n)
     assert abs(v.deviation_freq - p) <= 3 * se
-
-
-def test_compare_strategies_empty():
-    rows, summary = compare_strategies([], [], ["greedy"])
-    assert rows == []
-    csv_text = rows_to_csv(rows)
-    assert csv_text.splitlines()[0] == "x,seed,method,achieved_y,residual_count,runtime_s"
-
-
-def test_compare_strategies_matches_direct_run():
-    from gapsieve.pipeline import StagedConfig, run_pipeline
-
-    rows, summary = compare_strategies([500], [3], ["greedy"])
-    assert len(rows) == 1
-    report, _ = run_pipeline(StagedConfig(x=500, seed=3, stage3_method="greedy"))
-    assert rows[0]["achieved_y"] == report.achieved_y
-    assert rows[0]["residual_count"] == report.residual_after_stage3
-    assert summary["methods"]["greedy"]["runs"] == 1

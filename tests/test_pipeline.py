@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gapsieve import nibble as nib
-from gapsieve.oracle import smooth_flags
 from gapsieve.pipeline import (
     BudgetError,
     PipelineInstance,
@@ -125,14 +124,19 @@ def test_survivor_split_cross_checked_against_smooth_oracle():
     th = thresholds(cfg)
     sys12 = stage1_zero_classes(cfg).merged(stage2_random_small(cfg))
     split = survivors_after_small(cfg, sys12)
-    flags = smooth_flags(cfg.x + 1, th.y, int(th.z))
     prime_set = set(int(p) for p in sieve_interval(cfg.x + 1, th.y))
-    smooth_expect = [
-        n
-        for n in split.interval.survivor_list()
-        if n not in prime_set and flags[n - cfg.x - 1]
-    ]
-    assert split.smooth == smooth_expect
+    small = [p for p in range(2, int(th.z) + 1) if all(p % d for d in range(2, p))]
+
+    def smooth(n):
+        for p in small:
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    composite = [n for n in split.interval.survivor_list() if n not in prime_set]
+    assert split.primes == [n for n in split.interval.survivor_list() if n in prime_set]
+    assert split.smooth == [n for n in composite if smooth(n)]
+    assert split.other == [n for n in composite if not smooth(n)]
     assert split.total() == len(split.primes) + len(split.smooth) + len(split.other)
 
 
@@ -155,7 +159,7 @@ def test_prime_survivor_count_concentrates():
 
 def test_edge_construction_shifted_tuple():
     # p = 67 with offsets (3, 5): anchor 1 gives the edge {202, 336}
-    cfg = StagedConfig(x=100, r=2, seed=0)
+    cfg = StagedConfig(x=100, seed=0)
     split_primes = [202, 336]  # vertex labels; only arithmetic matters
     split = type("S", (), {"primes": split_primes})()
     pinst = build_edge_distributions(cfg, split)
@@ -171,7 +175,7 @@ def test_edge_construction_shifted_tuple():
 def test_edge_single_survivor_gets_full_mass():
     # one survivor, one sieving prime: every nonempty edge is {q}, so the
     # merged edge carries the whole conditional mass
-    cfg = StagedConfig(x=100, r=2, seed=0)
+    cfg = StagedConfig(x=100, seed=0)
     split = type("S", (), {"primes": [260]})()
     pinst = build_edge_distributions(cfg, split)
     for idx, p in enumerate(pinst.index_primes):
@@ -354,13 +358,6 @@ def test_run_pipeline_sieve_weights_mode():
     report, system = run_pipeline(StagedConfig(x=500, seed=2, weights="sieve"))
     assert sift(system, 501, report.achieved_y).count() == 0
     assert report.stage3_indices > 0
-
-
-def test_run_pipeline_filter_flag_smoke():
-    report, system = run_pipeline(
-        StagedConfig(x=500, seed=2, filter_atypical=True, filter_tol=10.0)
-    )
-    assert sift(system, 501, report.achieved_y).count() == 0
 
 
 def test_default_parameters():

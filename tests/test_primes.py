@@ -45,20 +45,20 @@ def trial_division_is_prime(n):
 
 
 def test_primes_up_to_small():
-    assert primes_up_to(10).primes == (2, 3, 5, 7)
-    assert primes_up_to(1).primes == ()
-    assert primes_up_to(0).primes == ()
-    assert primes_up_to(2).primes == (2,)
+    assert primes_up_to(10) == (2, 3, 5, 7)
+    assert primes_up_to(1) == ()
+    assert primes_up_to(0) == ()
+    assert primes_up_to(2) == (2,)
 
 
 def test_primes_up_to_million_cross_checked():
     table = primes_up_to(10**6)
-    assert len(table.primes) == 78498
+    assert len(table) == 78498
     # full cross-check against an independently written sieve
-    assert list(table.primes) == naive_sieve(10**6)
+    assert list(table) == naive_sieve(10**6)
     # trial-division recount on random samples
     rng = random.Random(12345)
-    prime_set = set(table.primes)
+    prime_set = set(table)
     for _ in range(1000):
         n = rng.randrange(2, 10**6)
         assert (n in prime_set) == trial_division_is_prime(n)
@@ -131,7 +131,7 @@ def test_first_primes_tuples_admissible_to_200():
 
 def test_span_bound_and_fallback():
     # record the smallest r from which h_r <= 2r^2 holds for first-r-primes;
-    # the auto style must satisfy the bound everywhere via the fallback
+    # admissible_tuple must satisfy the bound everywhere via the fallback
     violations = [
         r for r in range(1, 201) if first_r_primes_tuple(r).offsets[-1] > 2 * r * r
     ]
@@ -141,7 +141,7 @@ def test_span_bound_and_fallback():
         for r in range(first_ok, 201)
     )
     for r in range(1, 101):
-        t = admissible_tuple(r, "auto")
+        t = admissible_tuple(r)
         assert t.offsets[-1] <= 2 * r * r
         assert is_admissible(t)
 

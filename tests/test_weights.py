@@ -6,7 +6,9 @@ and the y-weight expansion of the inner sum (Moebius route), both living in
 this file only.
 """
 
+import gc
 import math
+import weakref
 from math import gcd
 
 import pytest
@@ -21,13 +23,10 @@ from gapsieve.weights import (
     WeightSystem,
     in_Dk,
     integrals_IJ,
-    lambda_table,
-    pair_weight,
     simplex_power_cap,
     singular_series,
     tau_u,
     uniformity_diagnostics,
-    weight_w,
 )
 
 
@@ -114,6 +113,19 @@ def test_singular_series_tail_bound_on_doubling():
             2 * k * k / (p * p) for p in primes_up_to(2 * cutoff) if p > cutoff
         )
         assert abs(math.log(v2) - math.log(v1)) <= bound
+
+
+def test_singular_series_excluded_modulus():
+    fs = FormSystem([LinearForm(1, 0), LinearForm(1, 2)], B=3)
+    v_wb, _ = singular_series(fs, 1000, exclude=fs.W * fs.B)
+    v_b, _ = singular_series(fs, 1000)
+    # W is the product of the primes up to 2k^2 = 8 other than B = 3, so
+    # excluding W*B also divides out the local factors at 2, 5 and 7
+    assert fs.W == 2 * 5 * 7
+    factor = 1.0
+    for p in (2, 5, 7):
+        factor *= (1 - fs.omega(p).count / p) * (1 - 1 / p) ** (-2)
+    assert v_wb == pytest.approx(v_b / factor)
 
 
 def test_singular_series_B_excludes_prime():
@@ -248,7 +260,7 @@ def test_lambda_table_degenerate_R():
     assert set(ws.table) == {(1, 1)}
     lam = ws.table[(1, 1)]
     for n in (0, 1, 7, 100):
-        assert weight_w(ws, n) == pytest.approx(lam * lam)
+        assert ws.weight(n) == pytest.approx(lam * lam)
 
 
 def test_lambda_table_matches_independent_evaluator():
@@ -324,7 +336,7 @@ def test_weight_nonnegative_and_moebius_consistent():
     for R in (30, 35, 50):
         ws = WeightSystem(fs, R=R)
         for n in range(1, 1001):
-            w = weight_w(ws, n)
+            w = ws.weight(n)
             assert w >= 0
             assert w == pytest.approx(y_expansion_weight(ws, n), abs=1e-9, rel=1e-9)
 
@@ -350,22 +362,31 @@ def test_pair_weight_support_clamp():
     ctx = PairWeightContext(admissible_tuple(2).offsets, x=10**5)
     p = 50021
     y = 1000
-    assert pair_weight(ctx, p, y + 1, y) == 0.0
-    assert pair_weight(ctx, p, -(y + 1), y) == 0.0
+    assert ctx.weight(p, y + 1, y) == 0.0
+    assert ctx.weight(p, -(y + 1), y) == 0.0
     for n in (-y, -1, 0, 1, y):
-        assert pair_weight(ctx, p, n, y) >= 0.0
+        assert ctx.weight(p, n, y) >= 0.0
 
 
 def test_pair_lambda_tables_agree_up_to_scalar():
     ctx = PairWeightContext(admissible_tuple(2).offsets, x=10**5)
     p1, p2 = 50021, 99991
-    t1 = lambda_table(ctx.weight_system(p1))
-    t2 = lambda_table(ctx.weight_system(p2))
+    t1 = ctx.weight_system(p1).table
+    t2 = ctx.weight_system(p2).table
     assert set(t1) == set(t2)
     s1 = ctx.weight_system(p1).Swb
     s2 = ctx.weight_system(p2).Swb
     for d in t1:
         assert t1[d] * s2 == pytest.approx(t2[d] * s1, rel=1e-9, abs=1e-9)
+
+
+def test_form_system_freed_with_its_context():
+    ctx = PairWeightContext(admissible_tuple(2).offsets, x=10**5)
+    ref = weakref.ref(ctx.weight_system(50021).system)
+    assert ref() is not None
+    del ctx
+    gc.collect()
+    assert ref() is None
 
 
 def test_pair_weight_omega_invariant_small():
