@@ -638,28 +638,34 @@ def instance_to_json(inst: CoverInstance) -> str:
 
 
 def instance_from_json(text: str) -> CoverInstance:
+    """Parse an instance file; a missing key or a wrong shape is a ValueError."""
     import json
 
     doc = json.loads(text)
-    params = NibbleParams(
-        delta=float(doc["params"]["delta"]),
-        r_max=int(doc["params"]["r_max"]),
-        A=float(doc["params"]["A"]),
-        D=float(doc["params"]["D"]),
-        kappa=float(doc["params"]["kappa"]),
-    )
-    dist = {}
-    for key, atoms in doc["dist"].items():
-        dist[int(key)] = EdgeDist(
-            atoms=[(frozenset(int(v) for v in e), float(q)) for e, q in atoms]
+    try:
+        params = NibbleParams(
+            delta=float(doc["params"]["delta"]),
+            r_max=int(doc["params"]["r_max"]),
+            A=float(doc["params"]["A"]),
+            D=float(doc["params"]["D"]),
+            kappa=float(doc["params"]["kappa"]),
         )
-    inst = CoverInstance(
-        n_vertices=int(doc["vertices"]),
-        rounds=[[int(i) for i in block] for block in doc["rounds"]],
-        dist=dist,
-        params=params,
-    )
-    inst.validate()
+        dist = {}
+        for key, atoms in doc["dist"].items():
+            dist[int(key)] = EdgeDist(
+                atoms=[(frozenset(int(v) for v in e), float(q)) for e, q in atoms]
+            )
+        inst = CoverInstance(
+            n_vertices=int(doc["vertices"]),
+            rounds=[[int(i) for i in block] for block in doc["rounds"]],
+            dist=dist,
+            params=params,
+        )
+        inst.validate()
+    except KeyError as exc:
+        raise ValueError(f"cover instance: missing key {exc}") from None
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"cover instance: wrong shape ({exc})") from None
     return inst
 
 

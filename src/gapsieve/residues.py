@@ -176,14 +176,23 @@ def system_to_json(x: int, sys: ResidueSystem) -> str:
     return json.dumps({"x": int(x), "classes": classes}, separators=(",", ":")) + "\n"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def system_from_json(text: str):
     doc = json.loads(text)
     if not isinstance(doc, dict) or "x" not in doc or "classes" not in doc:
         raise ValueError("expected {\"x\": ..., \"classes\": [[p, a], ...]}")
-    x = int(doc["x"])
+    x, classes = doc["x"], doc["classes"]
+    if not _is_int(x):
+        raise ValueError("\"x\" must be an integer")
+    if not isinstance(classes, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(map(_is_int, c)) for c in classes
+    ):
+        raise ValueError("\"classes\" must be a list of [p, a] integer pairs")
     entries = {}
-    for item in doc["classes"]:
-        p, a = int(item[0]), int(item[1])
+    for p, a in classes:
         if p in entries:
             raise ValueError(f"duplicate modulus {p}")
         if not 0 <= a < p:

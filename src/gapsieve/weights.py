@@ -201,12 +201,12 @@ def simplex_power_cap(k: int):
 class WeightSystem:
     """Lambda table and weight evaluation for one admissible form system."""
 
-    def __init__(self, system: FormSystem, R: float, F=None, series_cutoff: int = 10**4):
+    def __init__(self, system: FormSystem, R: float, series_cutoff: int = 10**4):
         if R < 1:
             raise ValueError("R must be >= 1")
         self.system = system
         self.R = float(R)
-        self.F = F if F is not None else simplex_power_cap(system.k)
+        self.F = simplex_power_cap(system.k)
         self.series_cutoff = series_cutoff
         self.S, self.S_tail = singular_series(system, series_cutoff)
         self.Swb, self.Swb_tail = singular_series(
@@ -295,20 +295,20 @@ class WeightSystem:
 
     # -- evaluation ----------------------------------------------------------
 
-    def inner_sum(self, n: int) -> float:
-        forms = self.system.forms
-        vals = [f(n) for f in forms]
+    # m multiplies the constant terms: the table runs against l1*n + m*l2
+    def inner_sum(self, n: int, m: int = 1) -> float:
+        vals = [f.l1 * n + m * f.l2 for f in self.system.forms]
         total = 0.0
         for d, lam in self.table.items():
             if lam and all(v % di == 0 for di, v in zip(d, vals)):
                 total += lam
         return total
 
-    def weight(self, n: int) -> float:
-        s = self.inner_sum(n)
+    def weight(self, n: int, m: int = 1) -> float:
+        s = self.inner_sum(n, m)
         return s * s
 
-    def sum_over_interval(self, lo: int, hi: int) -> float:
+    def sum_over_interval(self, lo: int, hi: int, m: int = 1) -> float:
         """Exact sum of w(n) for n in [lo, hi] via pairwise lambda expansion.
 
         Requires every form to be monic (l1 = 1); the divisibility
@@ -319,7 +319,7 @@ class WeightSystem:
             raise ValueError("interval sums require monic forms")
         if hi < lo:
             return 0.0
-        shifts = [f.l2 for f in self.system.forms]
+        shifts = [m * f.l2 for f in self.system.forms]
         items = [(d, lam) for d, lam in self.table.items() if lam]
         total = 0.0
         for d, lam_d in items:
@@ -357,49 +357,48 @@ def _crt_merge(a, b):
     return (r1 + m1 * t) % l, l
 
 
-# -- weights for shifted tuples (one system per sieving prime) ----------------
+# -- weights for shifted tuples -----------------------------------------------
 
 
 class PairWeightContext:
     """Weights w(p, n) for the shifted forms n + h_i * p, clamped to [-y, y].
 
     R is fixed to (x/4)^(1/9) (theta = 1/3 with the R = x^(theta/3) choice).
-    Lambda tables are cached per prime; they agree across primes up to the
-    singular-series scalar, but each is computed honestly from its own
-    system.
+    One lambda table for the base forms n + h_i serves every prime p > R:
+    p divides no table coordinate and multiplying by p permutes the roots
+    mod every q != p, so only the singular series' Euler factor at p differs
+    (omega(p) drops to 1), and weights carry its squared ratio.
+
+    Sieve mode covers almost nothing at desk scale: k = default_r(x) = 2 for
+    x < e^243, so W = 210 and coordinates need primes in [11, R], none of
+    which exist below x = 4 * 11^9 (about 9.4e9).  The table is then
+    {(1, 1)}, w(p, .) is constant on [-y, y], and each sieving prime draws a
+    nonempty edge with probability (#nonempty anchors) / (2y + 1), about
+    0.083 at x = 2000.
     """
 
-    def __init__(self, offsets, x: int, B: int = 1, F=None, series_cutoff: int = 10**4):
+    def __init__(self, offsets, x: int):
         self.offsets = tuple(offsets)
-        self.x = x
-        self.B = B
-        self.F = F
-        self.series_cutoff = series_cutoff
         self.R = (x / 4) ** (1.0 / 9.0)
-        self._cache = {}
+        forms = [LinearForm(1, h) for h in self.offsets]
+        self.ws = WeightSystem(FormSystem(forms), R=max(self.R, 1.0))
 
-    @property
-    def k(self) -> int:
-        return len(self.offsets)
-
-    def weight_system(self, p: int) -> WeightSystem:
-        if p not in self._cache:
-            forms = [LinearForm(1, h * p) for h in self.offsets]
-            self._cache[p] = WeightSystem(
-                FormSystem(forms, B=self.B),
-                R=max(self.R, 1.0),
-                F=self.F,
-                series_cutoff=self.series_cutoff,
-            )
-        return self._cache[p]
+    def _euler_ratio(self, p: int) -> float:
+        """Squared ratio of the per-p singular series to the shared one."""
+        if p <= self.R:
+            raise ValueError(f"sieving prime {p} must exceed R = {self.R:.3g}")
+        if p > self.ws.series_cutoff or self.ws.system.W % p == 0:
+            return 1.0
+        ratio = (1 - 1 / p) / (1 - self.ws.system.omega(p).count / p)
+        return ratio * ratio
 
     def weight(self, p: int, n: int, y: int) -> float:
         if abs(n) > y:
             return 0.0
-        return self.weight_system(p).weight(n)
+        return self.ws.weight(n, p) * self._euler_ratio(p)
 
     def sum_over_support(self, p: int, y: int) -> float:
-        return self.weight_system(p).sum_over_interval(-y, y)
+        return self.ws.sum_over_interval(-y, y, p) * self._euler_ratio(p)
 
 
 # -- numeric integrals over the simplex ----------------------------------------

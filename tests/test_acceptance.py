@@ -308,6 +308,7 @@ def test_criterion_8_moebius_consistency():
 def test_criterion_9_weight_structure():
     from gapsieve.primes import primes_up_to
     from gapsieve.weights import PairWeightContext
+    from test_weights import per_prime_system
 
     x = 10**5
     offsets = admissible_tuple(3).offsets
@@ -322,14 +323,38 @@ def test_criterion_9_weight_structure():
             ok = ok and ctx.weight(p, n, y) == 0.0
         for n in range(-y, y + 1, 97):
             ok = ok and ctx.weight(p, n, y) >= 0.0
-        fs = ctx.weight_system(p).system
+        fs = per_prime_system(ctx, p).system
         for s in primes_up_to(1000):
             if s == p:
                 continue
             ok = ok and fs.omega(s).count == len({h % s for h in offsets})
+
+    # the shared table against per-prime systems: k = 2 with a trivial and a
+    # nontrivial table (R = 11.07 at x = 1e10), k = 3, and primes on both
+    # sides of the series cutoff 1e4
+    worst = 0.0
+    tables = []
+    cases = [(2, 2000, (1009, 1999)), (2, 10**10, (13, 1009, 10007, 50021)),
+             (3, 10**5, (13, 1009, 10007, 50021))]
+    for k, xx, primes in cases:
+        shared = PairWeightContext(admissible_tuple(k).offsets, xx)
+        tables.append(len(shared.ws.table))
+        for p in primes:
+            ref = per_prime_system(shared, p)
+            ok = ok and set(ref.table) == set(shared.ws.table)
+            for yy in (60, 600):
+                pairs = [(shared.sum_over_support(p, yy), ref.sum_over_interval(-yy, yy))]
+                pairs += [(shared.weight(p, n, yy), ref.weight(n))
+                          for n in range(-yy, yy + 1, 7)]
+                for got, want in pairs:
+                    ok = ok and (got == want == 0.0 or want > 0)
+                    if want:
+                        worst = max(worst, abs(got - want) / want)
+    ok = ok and worst <= 1e-12 and tables[1] > 1
     report(9, ok,
            f"w(p,n) >= 0, support in [-y,y], and omega(s) = #offsets mod s "
-           f"for s <= 1000 over 10 sampled p at x={x}, r=3")
+           f"for s <= 1000 over 10 sampled p at x={x}, r=3; shared table "
+           f"(sizes {tables}) vs per-prime systems: rel err {worst:.1e} (<=1e-12)")
 
 
 def test_criterion_10_admissibility_and_integrals():
@@ -359,8 +384,18 @@ def test_criterion_11_cli_determinism(tmp_path):
         blobs.append(
             (out / "system.json").read_bytes() + (out / "report.json").read_bytes()
         )
-    identical = blobs[0] == blobs[1]
+    sieve_blobs = []
+    for tag in ("sa", "sb"):
+        out = tmp_path / tag
+        code = main(["construct", "2000", "--mode", "paper-formula",
+                     "--weights", "sieve", "--stage3", "independent",
+                     "--seed", "11", "--out", str(out)])
+        assert code == 0
+        sieve_blobs.append(
+            (out / "system.json").read_bytes() + (out / "report.json").read_bytes()
+        )
+    identical = blobs[0] == blobs[1] and sieve_blobs[0] == sieve_blobs[1]
     x, system = read_system_file(tmp_path / "a" / "system.json")
     report(11, identical,
            f"construct outputs byte-identical across repeats "
-           f"({len(system.entries)} classes for x={x})")
+           f"({len(system.entries)} classes for x={x}; sieve weights at x=2000)")

@@ -165,6 +165,23 @@ def test_non_prime_modulus_is_usage_error(tmp_path, capsys):
     assert "modulus 9 is not prime" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, classes", [("verify", "[[2]]"), ("gap", "7")])
+def test_malformed_classes_is_usage_error(tmp_path, capsys, command, classes):
+    f = tmp_path / "bad.json"
+    f.write_text('{"x": 10, "classes": %s}\n' % classes)
+    assert main([command, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "classes" in err and len(err.strip().splitlines()) == 1
+
+
+def test_nibble_bench_malformed_instance_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "inst.json"
+    f.write_text('{"vertices": 3}\n')
+    assert main(["nibble-bench", str(f), "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "params" in err and len(err.strip().splitlines()) == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["construct"])  # missing x

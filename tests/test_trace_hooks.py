@@ -55,3 +55,18 @@ def test_traced_pipeline_yields_layer_metrics(tracing):
     assert metrics["pipeline.edge_atoms"] > 0
     assert metrics["nibble.round_us_per_index"] > 0
     assert report.stage3_indices > 0
+
+
+def test_traced_sieve_pipeline_builds_one_weight_system(tracing):
+    import gapsieve.pipeline as pipeline
+
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        report, _ = pipeline.run_pipeline(
+            pipeline.StagedConfig(x=500, seed=2, weights="sieve")
+        )
+    metrics, spans = tracing.layer_metrics(tracer, 1, {})
+    assert spans["weights.system_build"][0] == 1
+    assert spans["weights.sum_over_support"][0] == report.stage3_indices
+    assert spans["weights.weight"][0] >= 1
+    assert metrics["weights.systems_built"] == 1

@@ -366,23 +366,32 @@ def test_pair_weight_support_clamp():
     assert ctx.weight(p, -(y + 1), y) == 0.0
     for n in (-y, -1, 0, 1, y):
         assert ctx.weight(p, n, y) >= 0.0
+    with pytest.raises(ValueError):  # 3 <= R = 3.08: the shared table is unsound
+        ctx.weight(3, 0, y)
+
+
+def per_prime_system(ctx, p):
+    """The honest reference: a weight system built for the forms n + h_i * p."""
+    forms = [LinearForm(1, h * p) for h in ctx.offsets]
+    return WeightSystem(FormSystem(forms), R=max(ctx.R, 1.0))
 
 
 def test_pair_lambda_tables_agree_up_to_scalar():
     ctx = PairWeightContext(admissible_tuple(2).offsets, x=10**5)
     p1, p2 = 50021, 99991
-    t1 = ctx.weight_system(p1).table
-    t2 = ctx.weight_system(p2).table
-    assert set(t1) == set(t2)
-    s1 = ctx.weight_system(p1).Swb
-    s2 = ctx.weight_system(p2).Swb
+    ws1, ws2 = per_prime_system(ctx, p1), per_prime_system(ctx, p2)
+    t1, t2 = ws1.table, ws2.table
+    assert set(t1) == set(t2) == set(ctx.ws.table)
+    s1 = ws1.Swb
+    s2 = ws2.Swb
     for d in t1:
         assert t1[d] * s2 == pytest.approx(t2[d] * s1, rel=1e-9, abs=1e-9)
 
 
 def test_form_system_freed_with_its_context():
     ctx = PairWeightContext(admissible_tuple(2).offsets, x=10**5)
-    ref = weakref.ref(ctx.weight_system(50021).system)
+    ctx.weight(50021, 0, 10)  # fills the FormSystem's omega cache
+    ref = weakref.ref(ctx.ws.system)
     assert ref() is not None
     del ctx
     gc.collect()
@@ -393,7 +402,7 @@ def test_pair_weight_omega_invariant_small():
     offsets = admissible_tuple(3).offsets
     ctx = PairWeightContext(offsets, x=10**5)
     p = 50021
-    fs = ctx.weight_system(p).system
+    fs = per_prime_system(ctx, p).system
     for s in primes_up_to(1000):
         if s != p:
             assert fs.omega(s).count == len({h % s for h in offsets})
