@@ -88,7 +88,7 @@ def cmd_construct(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     system_path = out / "system.json"
-    write_system_file(system_path, cfg.x, system)
+    write_system_file(system_path, cfg.x, system, (cfg.x + 1, report.achieved_y))
     manifest = _manifest(
         "construct",
         {
@@ -111,9 +111,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    x, system = read_system_file(args.system)
+    x, system, claimed = read_system_file(args.system)
     if args.interval:
         lo, hi = args.interval
+    elif claimed is not None:
+        lo, hi = claimed
     else:
         lo, hi = 1, max(covered_prefix_length(system), 1)
     res = sift(system, lo, hi)
@@ -134,7 +136,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    x, system = read_system_file(args.system)
+    x, system, _ = read_system_file(args.system)
     if args.x:
         x = args.x
     try:
@@ -184,7 +186,7 @@ def cmd_oracle(args) -> int:
         "nodes_explored": res.nodes_explored,
     }
     if args.witness:
-        text = system_to_json(args.x, res.witness)
+        text = system_to_json(args.x, res.witness, (1, res.Y) if res.Y else None)
         Path(args.witness).write_text(text)
         doc["witness_file"] = str(args.witness)
         doc["witness_sha256"] = hashlib.sha256(text.encode()).hexdigest()
@@ -272,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a residue-system file covers an interval")
     p.add_argument("system")
-    p.add_argument("--interval", nargs=2, type=int, metavar=("LO", "HI"))
+    p.add_argument("--interval", nargs=2, type=int, metavar=("LO", "HI"),
+                   help="default: the file's recorded interval, else its covered prefix")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

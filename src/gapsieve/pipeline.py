@@ -410,7 +410,7 @@ def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
     if not residual:
         return ResidueSystem({})
     hi = int(cfg.C_extra * cfg.x)
-    fresh = [int(p) for p in sieve_interval(cfg.x + 1, hi)]
+    fresh = sieve_interval(cfg.x + 1, hi)
     if len(residual) > len(fresh):
         # estimate the budget that would work: primes thin out slowly, so
         # scale the span proportionally with slack
@@ -420,10 +420,7 @@ def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
             available=len(fresh),
             required_C_extra=cfg.C_extra * needed_ratio * 1.5,
         )
-    entries = {}
-    for n, p in zip(residual, fresh):
-        entries[p] = n % p
-    return ResidueSystem(entries)
+    return ResidueSystem({p: n % p for n, p in zip(residual, fresh[: len(residual)].tolist())})
 
 
 # -- orchestration ---------------------------------------------------------------

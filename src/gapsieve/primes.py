@@ -1,4 +1,4 @@
-"""Prime generation, primorials, gap scanning, and admissible tuples.
+"""Prime generation, batch primality, primorials, gap scanning, admissible tuples.
 
 All sieving is done with a segmented sieve of Eratosthenes (numpy bool
 segments, default segment size 2**20 entries) so intervals up to 1e8 stay
@@ -99,6 +99,28 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_mask(values) -> np.ndarray:
+    """Exact primality of each integer in values, as a bool array in input order.
+
+    Dense inputs are read from one segmented sieve over their span [lo, hi];
+    sparse or huge ones go through is_prime value by value.  The sieve is
+    taken when its cost, the span plus 64 table writes per base-prime
+    candidate up to isqrt(hi) per segment, is within 2**20 plus 64 per
+    value, so time and memory stay linear in the number of values.
+    """
+    values = list(map(int, values))
+    if not values:
+        return np.zeros(0, dtype=bool)
+    lo, hi = min(values), max(values)
+    span = hi - lo + 1
+    segments = -(-span // SEGMENT_SIZE)
+    if span + 64 * isqrt(max(hi, 0)) * segments > SEGMENT_SIZE + 64 * len(values):
+        return np.fromiter((is_prime(v) for v in values), dtype=bool, count=len(values))
+    table = np.zeros(span, dtype=bool)
+    table[sieve_interval(lo, hi) - lo] = True
+    return table[np.array(values, dtype=np.int64) - lo]
 
 
 def max_gap_below(X: int):

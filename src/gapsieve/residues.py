@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from .primes import is_prime
+from .primes import prime_mask
 
 
 class CoverageError(Exception):
@@ -31,9 +31,11 @@ class ResidueSystem:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        moduli = list(self.entries)
+        composite = np.flatnonzero(~prime_mask(moduli))
+        if len(composite):
+            raise ValueError(f"modulus {moduli[composite[0]]} is not prime")
         for p, a in self.entries.items():
-            if p < 2 or not is_prime(p):
-                raise ValueError(f"modulus {p} is not prime")
             if not 0 <= a < p:
                 raise ValueError(f"residue {a} out of range for modulus {p}")
 
@@ -46,9 +48,6 @@ class ResidueSystem:
         if overlap:
             raise ValueError(f"moduli assigned twice: {sorted(overlap)}")
         return ResidueSystem({**self.entries, **other.entries})
-
-    def covers(self, n: int) -> bool:
-        return any(n % p == a for p, a in self.entries.items())
 
 
 @dataclass
@@ -168,12 +167,17 @@ def assemble_gap(sys: ResidueSystem, x: int) -> GapCertificate:
 
 # -- residue-system file format ---------------------------------------------
 #
-# One JSON document: {"x": int, "classes": [[p, a_p], ...]} sorted by p.
+# One JSON document: {"x": int, "interval": [lo, hi], "classes": [[p, a_p], ...]}
+# with classes sorted by p.  "interval" is optional: the range [lo, hi]
+# (lo <= hi) the system claims to cover, which `verify` checks by default.
 
 
-def system_to_json(x: int, sys: ResidueSystem) -> str:
-    classes = [[int(p), int(a)] for p, a in sorted(sys.entries.items())]
-    return json.dumps({"x": int(x), "classes": classes}, separators=(",", ":")) + "\n"
+def system_to_json(x: int, sys: ResidueSystem, interval=None) -> str:
+    doc = {"x": int(x)}
+    if interval is not None:
+        doc["interval"] = [int(interval[0]), int(interval[1])]
+    doc["classes"] = [[int(p), int(a)] for p, a in sorted(sys.entries.items())]
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def _is_int(v) -> bool:
@@ -181,12 +185,19 @@ def _is_int(v) -> bool:
 
 
 def system_from_json(text: str):
+    """(x, system, interval) from a system file; interval is None when absent."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or "x" not in doc or "classes" not in doc:
         raise ValueError("expected {\"x\": ..., \"classes\": [[p, a], ...]}")
     x, classes = doc["x"], doc["classes"]
     if not _is_int(x):
         raise ValueError("\"x\" must be an integer")
+    interval = doc.get("interval")
+    if interval is not None:
+        if not (isinstance(interval, list) and len(interval) == 2
+                and all(map(_is_int, interval)) and interval[0] <= interval[1]):
+            raise ValueError("\"interval\" must be [lo, hi] with integers lo <= hi")
+        interval = tuple(interval)
     if not isinstance(classes, list) or not all(
         isinstance(c, list) and len(c) == 2 and all(map(_is_int, c)) for c in classes
     ):
@@ -198,12 +209,12 @@ def system_from_json(text: str):
         if not 0 <= a < p:
             raise ValueError(f"residue {a} out of range for modulus {p}")
         entries[p] = a
-    return x, ResidueSystem(entries)
+    return x, ResidueSystem(entries), interval
 
 
-def write_system_file(path, x: int, sys: ResidueSystem) -> None:
+def write_system_file(path, x: int, sys: ResidueSystem, interval=None) -> None:
     with open(path, "w") as fh:
-        fh.write(system_to_json(x, sys))
+        fh.write(system_to_json(x, sys, interval))
 
 
 def read_system_file(path):

@@ -395,7 +395,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             (out / "system.json").read_bytes() + (out / "report.json").read_bytes()
         )
     identical = blobs[0] == blobs[1] and sieve_blobs[0] == sieve_blobs[1]
-    x, system = read_system_file(tmp_path / "a" / "system.json")
+    x, system, _ = read_system_file(tmp_path / "a" / "system.json")
     report(11, identical,
            f"construct outputs byte-identical across repeats "
            f"({len(system.entries)} classes for x={x}; sieve weights at x=2000)")

@@ -54,6 +54,24 @@ def test_verify_witness_and_tampered(tmp_path):
     assert 1 <= doc["first_uncovered"] <= 9
 
 
+def test_verify_defaults_to_the_interval_the_file_claims(tmp_path):
+    out = tmp_path / "c"
+    assert main(["construct", "1000", "--stage3", "none", "--seed", "1",
+                 "--out", str(out)]) == 0
+    y = json.loads((out / "report.json").read_text())["report"]["achieved_y"]
+    verdict = tmp_path / "v.json"
+    assert main(["verify", str(out / "system.json"), "--out", str(verdict)]) == 0
+    doc = json.loads(verdict.read_text())
+    assert doc["interval"] == [1001, y] and doc["covered"] and doc["survivors"] == 0
+
+    # a file without the key still verifies its covered prefix
+    wfile = tmp_path / "w7.json"
+    write_system_file(wfile, 7, exact_Y(7).witness)
+    assert "interval" not in wfile.read_text()
+    assert main(["verify", str(wfile), "--out", str(verdict)]) == 0
+    assert json.loads(verdict.read_text())["interval"] == [1, 9]
+
+
 def test_verify_empty_system_reports_position_one(tmp_path):
     f = tmp_path / "empty.json"
     f.write_text('{"x": 2, "classes": []}\n')
@@ -93,6 +111,10 @@ def test_oracle_command(tmp_path):
     assert doc["Y"] == 9
     assert doc["cross_check_ok"]
     assert main(["verify", str(wfile), "--interval", "1", "9"]) == 0
+    verdict = tmp_path / "v.json"
+    assert main(["verify", str(wfile), "--out", str(verdict)]) == 0
+    assert json.loads(verdict.read_text())["interval"] == [1, 9]
+    assert json.loads(wfile.read_text())["interval"] == [1, 9]
 
 
 def test_oracle_infeasible_exit_code(tmp_path):

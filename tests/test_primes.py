@@ -14,6 +14,7 @@ from gapsieve.primes import (
     is_prime,
     max_gap_below,
     odd_squares_tuple,
+    prime_mask,
     primes_up_to,
     primorial,
     sieve_interval,
@@ -170,3 +171,26 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial_division_is_prime(n)
     assert is_prime(2**61 - 1)  # Mersenne prime
     assert not is_prime(2**61 + 1)
+
+
+def test_prime_mask_matches_is_prime():
+    for values in (range(-5, 5000), [3, 2**61 - 1, 2**61 + 1, 10**12 + 39]):
+        mask = prime_mask(values)
+        assert mask.dtype == bool
+        assert mask.tolist() == [is_prime(v) for v in values]
+    assert prime_mask([]).shape == (0,)
+
+
+def test_prime_mask_dense_run_uses_one_sieve(monkeypatch):
+    import gapsieve.primes as primes
+
+    values = [int(p) for p in sieve_interval(2, 1_100_000)]
+    values[1000:1000] = [561, 1009**2]
+    expected = [is_prime(v) for v in values]
+    assert expected.count(False) == 2
+
+    def refuse(n):
+        raise AssertionError("dense input went through is_prime")
+
+    monkeypatch.setattr(primes, "is_prime", refuse)
+    assert prime_mask(values).tolist() == expected

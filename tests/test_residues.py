@@ -161,11 +161,16 @@ def test_full_gap_realization_x13():
 def test_system_file_roundtrip():
     sys = ResidueSystem({2: 1, 3: 2, 13: 5})
     text = system_to_json(13, sys)
-    x, back = system_from_json(text)
+    x, back, interval = system_from_json(text)
     assert x == 13
     assert back.entries == sys.entries
+    assert interval is None and "interval" not in text
     # classes must come out sorted by modulus
     assert text.index("[2,") < text.index("[3,") < text.index("[13,")
+    text = system_to_json(13, sys, (14, 20))
+    assert text.startswith('{"x":13,"interval":[14,20],"classes":')
+    x, back, interval = system_from_json(text)
+    assert (x, back.entries, interval) == (13, sys.entries, (14, 20))
 
 
 def test_system_file_rejects_bad_documents():
@@ -175,6 +180,27 @@ def test_system_file_rejects_bad_documents():
         system_from_json('{"x": 5, "classes": [[3, 3]]}')  # out of range
     with pytest.raises(ValueError):
         system_from_json('[1, 2, 3]')
+    for interval in ("[5, 4]", "[1]", "[1, true]", "[1, 2.5]", '"1-9"'):
+        with pytest.raises(ValueError, match="interval"):
+            system_from_json('{"x": 5, "interval": %s, "classes": [[3, 1]]}' % interval)
+
+
+def test_residue_system_names_composite_among_sieve_primes():
+    primes = [int(p) for p in sieve_interval(2, 480_000)]
+    assert len(primes) > 39_000
+    entries = {p: 0 for p in primes[:20_000]}
+    entries[691**2] = 1  # a prime square inside the span of the sieve primes
+    entries.update({p: 1 for p in primes[20_000:]})
+    with pytest.raises(ValueError, match=f"modulus {691**2} is not prime"):
+        ResidueSystem(entries)
+    with pytest.raises(ValueError, match="modulus 561 is not prime"):
+        ResidueSystem({**{p: 1 for p in primes[20_000:]}, 561: 0})  # below the rest
+
+
+def test_residue_system_proves_huge_moduli():
+    assert ResidueSystem({3: 0, 2**61 - 1: 5}).entries == {3: 0, 2**61 - 1: 5}
+    with pytest.raises(ValueError, match=f"modulus {2**61 + 1} is not prime"):
+        ResidueSystem({2**61 + 1: 0})
 
 
 def test_coverage_error_names_position():

@@ -70,3 +70,15 @@ def test_traced_sieve_pipeline_builds_one_weight_system(tracing):
     assert spans["weights.sum_over_support"][0] == report.stage3_indices
     assert spans["weights.weight"][0] >= 1
     assert metrics["weights.systems_built"] == 1
+
+
+def test_traced_pipeline_proves_moduli_without_miller_rabin(tracing):
+    import gapsieve.pipeline as pipeline
+
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        pipeline.run_pipeline(pipeline.StagedConfig(x=5000, stage3_method="none", seed=1))
+    metrics, spans = tracing.layer_metrics(tracer, 1, {})
+    assert spans["residues.system_init"][0] >= 4
+    assert spans["primes.is_prime"][0] == 0
+    assert metrics["primes.is_prime_calls"] == 0
