@@ -62,29 +62,16 @@ def _dump(doc: dict, path=None) -> None:
 
 
 def cmd_construct(args) -> int:
-    try:
-        cfg = StagedConfig(
-            x=args.x,
-            c=args.c,
-            mode=args.mode,
-            seed=args.seed,
-            stage3_method=args.stage3,
-            C_extra=args.c_extra,
-            weights=args.weights,
-        )
-        cfg.validate()
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report, system = run_pipeline(cfg)
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except VerificationError as exc:
-        print(f"verification error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-
+    cfg = StagedConfig(
+        x=args.x,
+        c=args.c,
+        mode=args.mode,
+        seed=args.seed,
+        stage3_method=args.stage3,
+        C_extra=args.c_extra,
+        weights=args.weights,
+    )
+    report, system = run_pipeline(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     system_path = out / "system.json"
@@ -139,11 +126,7 @@ def cmd_gap(args) -> int:
     x, system, _ = read_system_file(args.system)
     if args.x:
         x = args.x
-    try:
-        cert = assemble_gap(system, x)
-    except CoverageError as exc:
-        print(f"verification error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    cert = assemble_gap(system, x)
     doc = {
         "manifest": _manifest("gap", {"system": str(args.system), "x": x}),
         "x": x,
@@ -174,11 +157,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        res = exact_Y(args.x, cutoff=args.cutoff)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    res = exact_Y(args.x, cutoff=args.cutoff)
     doc = {
         "manifest": _manifest("oracle", {"x": args.x}),
         "x": args.x,
@@ -323,7 +302,7 @@ def main(argv=None) -> int:
     except (BudgetError, InfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except VerificationError as exc:
+    except (VerificationError, CoverageError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, OSError) as exc:

@@ -312,11 +312,10 @@ class CoverResult:
     profile: DegreeProfile
 
 
-def run_cover(inst: CoverInstance, rng, tol=None, profile=None) -> CoverResult:
+def run_cover(inst: CoverInstance, rng, tol=None) -> CoverResult:
     """Run all m rounds; m = 0 leaves every vertex uncovered (vacuous case)."""
     inst.validate()
-    if profile is None:
-        profile = degree_profile(inst)
+    profile = degree_profile(inst)
     if tol is None:
         tol = default_tol(inst.params, inst.m)
     state = NibbleState(W=set(range(inst.n_vertices)))
@@ -392,11 +391,10 @@ class HypothesisReport:
         )
 
 
-def check_hypotheses(inst: CoverInstance, profile=None) -> HypothesisReport:
+def check_hypotheses(inst: CoverInstance) -> HypothesisReport:
     inst.validate()
     p = inst.params
-    if profile is None:
-        profile = degree_profile(inst)
+    profile = degree_profile(inst)
 
     max_size = 0
     max_sparsity = 0.0

@@ -12,8 +12,9 @@ Whatever survives is matched to fresh primes above x, one each, which
 completes the cover of (x, y].
 
 Thresholds come in two modes.  The paper-formula mode uses the asymptotic
-expressions (the very-small bound log^20 x is clamped to x^(1/4) with a
-warning, since it exceeds x for every feasible x); the desk preset uses
+expressions (the very-small bound log^20 x is clamped to x^(1/4), since it
+exceeds x for every feasible x, and `Thresholds.clamped` records when the
+clamp applies); the desk preset uses
 plain powers x^v_exp and x^z_exp, preserving the staged structure at
 reachable sizes.
 """
@@ -58,6 +59,9 @@ class StagedConfig:
     stage3_method: str = "nibble"  # "independent" | "greedy" | "nibble" | "none"
     C_extra: float = 10.0
     weights: str = "uniform"  # "uniform" | "sieve"
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.x < 100:
@@ -149,15 +153,12 @@ def stage1_zero_classes(cfg: StagedConfig) -> ResidueSystem:
     return ResidueSystem(entries)
 
 
-def stage2_random_small(cfg: StagedConfig, rng=None) -> ResidueSystem:
+def stage2_random_small(cfg: StagedConfig) -> ResidueSystem:
     """One uniform class per small prime; stream-per-prime keeps the draw
     independent of iteration order."""
     th = thresholds(cfg)
-    entries = {}
-    for s in th.small_primes():
-        r = rng if rng is not None else stream(cfg.seed, "stage2", s)
-        entries[s] = r.randrange(s)
-    return ResidueSystem(entries)
+    return ResidueSystem({s: stream(cfg.seed, "stage2", s).randrange(s)
+                          for s in th.small_primes()})
 
 
 @dataclass
@@ -212,7 +213,7 @@ class PipelineInstance:
 
 
 def _sieving_primes(cfg: StagedConfig):
-    return [int(p) for p in sieve_interval(cfg.x // 2 + 1, cfg.x) if p > cfg.x / 2]
+    return sieve_interval(cfg.x // 2 + 1, cfg.x).tolist()
 
 
 def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> PipelineInstance:
@@ -222,75 +223,71 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     primes.  In uniform mode anchors with nonempty edges are equally likely;
     in sieve mode anchor probabilities are proportional to the pair weight
     w(p, n), whose mass on empty-edge anchors becomes an explicit remainder.
+    Anchors with equal edges merge into one atom, listed by its smallest
+    anchor, and each distinct edge is one frozenset shared by every prime.
     """
-    cfg.validate()
     th = thresholds(cfg)
     offsets = admissible_tuple(default_r(cfg.x)).offsets
     values = sorted(split.primes)
-    vmap = {q: i for i, q in enumerate(values)}
     if not values:
         raise ValueError("no surviving primes to cover")
+    Q = np.array(values, dtype=np.int64)
+    H = np.array(offsets, dtype=np.int64)
+    weight_ctx = PairWeightContext(offsets, cfg.x) if cfg.weights == "sieve" else None
 
-    sieve = cfg.weights == "sieve"
-    weight_ctx = PairWeightContext(offsets, cfg.x) if sieve else None
-
+    edges = {}  # sorted member row (-1 = no member) -> the edge's one frozenset
     index_primes = []
     anchors = []
     dists = {}
     skipped = []
-    rounds_flat = []
+    degree = np.zeros(len(values))
+    max_vertex_prob = 0.0
     for p in _sieving_primes(cfg):
-        edge_by_anchor = {}
-        for q in values:
-            for h in offsets:
-                n = q - h * p
-                if n in edge_by_anchor:
-                    continue
-                edge = frozenset(
-                    vmap[n + hh * p] for hh in offsets if (n + hh * p) in vmap
-                )
-                edge_by_anchor[n] = edge
-        if not edge_by_anchor:
+        ns = np.unique(Q[:, None] - H * p)  # every anchor with a nonempty edge
+        if weight_ctx is None:  # uniform mode: weight 1 on every anchor
+            w, total = np.ones(len(ns)), len(ns)
+        else:
+            total = weight_ctx.sum_over_support(p, th.y)
+            w = np.array([weight_ctx.weight(p, n, th.y) for n in ns.tolist()]
+                         if total > 0 else [])
+        keep = w > 0
+        if not keep.any():
             skipped.append(p)
             continue
+        ns, w = ns[keep], w[keep]
 
-        # uniform mode: weight 1 on every anchor with a nonempty edge
-        total = weight_ctx.sum_over_support(p, th.y) if sieve else len(edge_by_anchor)
-        merged = {}  # edge -> (representative anchor, probability mass)
-        if total > 0:
-            for n in sorted(edge_by_anchor):
-                w = weight_ctx.weight(p, n, th.y) if sieve else 1.0
-                if w <= 0:
-                    continue
-                e = edge_by_anchor[n]
-                rep, q_acc = merged.get(e, (n, 0.0))
-                merged[e] = (min(rep, n), q_acc + w / total)
-        if not merged:
-            skipped.append(p)
-            continue
+        members = ns[:, None] + H * p
+        ids = np.searchsorted(Q, members)
+        hit = Q[np.minimum(ids, len(Q) - 1)] == members
+        rows = np.sort(np.where(hit, ids, -1), axis=1)
+        uniq, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # atoms by representative anchor
+        mass = np.bincount(inverse.ravel(), weights=w / total)[order]
+        uniq = uniq[order]
+        flat = uniq.ravel()
+        present = flat >= 0
+        vec = np.bincount(flat[present], weights=np.repeat(mass, len(offsets))[present],
+                          minlength=len(values))  # P(v in e_p), summed in atom order
+        degree += vec
+        max_vertex_prob = max(max_vertex_prob, float(vec.max()))
 
-        atoms = [(e, q) for e, (rep, q) in sorted(merged.items(), key=lambda kv: kv[1][0])]
+        atom_edges = []
+        for row in map(tuple, uniq.tolist()):
+            if row not in edges:
+                edges[row] = frozenset(v for v in row if v >= 0)
+            atom_edges.append(edges[row])
         idx = len(index_primes)
         index_primes.append(p)
-        anchors.append({e: rep for e, (rep, q) in merged.items()})
-        dists[idx] = nib.EdgeDist(atoms=atoms)
-        rounds_flat.append(idx)
+        anchors.append(dict(zip(atom_edges, ns[first[order]].tolist())))
+        dists[idx] = nib.EdgeDist(atoms=list(zip(atom_edges, mass.tolist())))
 
     if not index_primes:
         raise ValueError("every sieving prime has an empty edge distribution")
 
-    degree = [0.0] * len(values)
-    max_vertex_prob = 0.0
-    for idx, p in enumerate(index_primes):
-        for v, q in dists[idx].vertex_probs().items():
-            degree[v] += q
-            max_vertex_prob = max(max_vertex_prob, q)
-    C_measured = sum(degree) / len(degree)
-
     r_max = len(offsets)
     cover = nib.CoverInstance(
         n_vertices=len(values),
-        rounds=[rounds_flat],
+        rounds=[list(range(len(index_primes)))],
         dist=dists,
         # delta records the measured sparsity witness max P(v in e_p); the
         # full hypothesis extremes come from check_hypotheses on demand
@@ -304,7 +301,7 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
         index_primes=index_primes,
         anchors=anchors,
         offsets=offsets,
-        C_measured=C_measured,
+        C_measured=sum(degree.tolist()) / len(values),
         skipped_primes=skipped,
     )
 
@@ -320,7 +317,6 @@ def _paper_round_lengths(C: float, m: int):
 
 def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
     """Choose an anchor n_p (or skip) for every sieving prime."""
-    cfg.validate()
     method = cfg.stage3_method
     chosen_n = {p: None for p in pinst.skipped_primes}
 
@@ -466,7 +462,6 @@ def run_pipeline(cfg: StagedConfig):
     The combined system is re-verified from scratch: a full sift of
     (x, achieved_y] must leave zero survivors.
     """
-    cfg.validate()
     th = thresholds(cfg)
     l1, l2, l3 = _iterated_logs(cfg.x)
 
@@ -494,11 +489,13 @@ def run_pipeline(cfg: StagedConfig):
             else:
                 stage3_entries[p] = n % p
     sys3 = ResidueSystem(stage3_entries)
-    sys123 = sys12.merged(sys3)
 
-    residual = sift(sys123, cfg.x + 1, th.y).survivor_list()
+    # only the stage-3 classes are sifted here; stages 1-2 are in split
+    after3 = sift(sys3, cfg.x + 1, th.y)
+    after3.survivors &= split.interval.survivors
+    residual = after3.survivor_list()
     ext = final_matching(cfg, residual)
-    combined = sys123.merged(ext)
+    combined = sys12.merged(sys3).merged(ext)
 
     check = sift(combined, cfg.x + 1, th.y)
     if check.count() != 0:

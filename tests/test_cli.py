@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from gapsieve import cli
 from gapsieve import nibble as nib
 from gapsieve.cli import main
 from gapsieve.oracle import exact_Y
-from gapsieve.residues import system_to_json, write_system_file
+from gapsieve.residues import CoverageError, system_to_json, write_system_file
 from gapsieve.weights import FormSystem, LinearForm, WeightSystem
 
 
@@ -202,6 +203,25 @@ def test_nibble_bench_malformed_instance_is_usage_error(tmp_path, capsys):
     assert main(["nibble-bench", str(f), "--seeds", "1"]) == 2
     err = capsys.readouterr().err
     assert "params" in err and len(err.strip().splitlines()) == 1
+
+
+def test_construct_budget_exhausted_is_infeasible(tmp_path, capsys):
+    # (1000, 1010] holds one fresh prime, far fewer than the residual
+    assert main(["construct", "1000", "--c-extra", "1.01", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "fresh primes" in err and len(err.strip().splitlines()) == 1
+
+
+def test_gap_coverage_failure_is_verification_error(tmp_path, capsys, monkeypatch):
+    def uncovered(system, x):
+        raise CoverageError(5)
+
+    f = tmp_path / "w.json"
+    write_system_file(f, 7, exact_Y(7).witness)
+    monkeypatch.setattr(cli, "assemble_gap", uncovered)
+    assert main(["gap", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert "position 5" in err and len(err.strip().splitlines()) == 1
 
 
 def test_usage_error_exit_code():

@@ -1,5 +1,6 @@
 """Tests for the staged pipeline: thresholds, stages, matching, full runs."""
 
+import dataclasses
 import math
 from itertools import product
 
@@ -11,6 +12,7 @@ from gapsieve.pipeline import (
     BudgetError,
     PipelineInstance,
     StagedConfig,
+    _sieving_primes,
     build_edge_distributions,
     default_r,
     default_rounds,
@@ -24,8 +26,9 @@ from gapsieve.pipeline import (
     survivors_after_small,
     thresholds,
 )
-from gapsieve.primes import primes_up_to, sieve_interval
-from gapsieve.residues import sift
+from gapsieve.primes import admissible_tuple, primes_up_to, sieve_interval
+from gapsieve.residues import ResidueSystem, sift
+from gapsieve.weights import PairWeightContext
 
 
 def test_config_validation():
@@ -38,6 +41,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StagedConfig(x=500, stage3_method="magic").validate()
     StagedConfig(x=500).validate()
+    # an invalid config cannot be constructed at all
+    with pytest.raises(ValueError, match="x must be"):
+        StagedConfig(x=50)
+    with pytest.raises(ValueError, match="weights"):
+        dataclasses.replace(StagedConfig(x=500), weights="magic")
 
 
 def test_desk_thresholds_examples():
@@ -204,6 +212,128 @@ def test_edge_codegree_at_most_one_prime_per_pair():
         assert len(owners) <= 1
         for p in owners:
             assert (q1 - q2) % p == 0
+
+
+def reference_edge_distributions(cfg, split):
+    """The per-anchor builder that build_edge_distributions replaced.
+
+    Loops over survivors x offsets in Python, one dict of anchor -> edge per
+    sieving prime, merged edge by edge; kept as the oracle for the array
+    build.  Returns the fields the array build must reproduce exactly.
+    """
+    th = thresholds(cfg)
+    offsets = admissible_tuple(default_r(cfg.x)).offsets
+    values = sorted(split.primes)
+    vmap = {q: i for i, q in enumerate(values)}
+    weight_ctx = PairWeightContext(offsets, cfg.x) if cfg.weights == "sieve" else None
+
+    index_primes, anchors, dists, skipped = [], [], [], []
+    for p in _sieving_primes(cfg):
+        edge_by_anchor = {}
+        for q in values:
+            for h in offsets:
+                n = q - h * p
+                if n in edge_by_anchor:
+                    continue
+                edge_by_anchor[n] = frozenset(
+                    vmap[n + hh * p] for hh in offsets if (n + hh * p) in vmap
+                )
+        total = (weight_ctx.sum_over_support(p, th.y) if weight_ctx
+                 else len(edge_by_anchor))
+        merged = {}  # edge -> (representative anchor, probability mass)
+        if total > 0:
+            for n in sorted(edge_by_anchor):
+                w = weight_ctx.weight(p, n, th.y) if weight_ctx else 1.0
+                if w <= 0:
+                    continue
+                e = edge_by_anchor[n]
+                rep, q_acc = merged.get(e, (n, 0.0))
+                merged[e] = (min(rep, n), q_acc + w / total)
+        if not merged:
+            skipped.append(p)
+            continue
+        index_primes.append(p)
+        anchors.append({e: rep for e, (rep, q) in merged.items()})
+        dists.append(nib.EdgeDist(
+            atoms=[(e, q) for e, (rep, q) in sorted(merged.items(), key=lambda kv: kv[1][0])]
+        ))
+
+    degree = [0.0] * len(values)
+    max_vertex_prob = 0.0
+    for dist in dists:
+        for v, q in dist.vertex_probs().items():
+            degree[v] += q
+            max_vertex_prob = max(max_vertex_prob, q)
+    return {
+        "values": values,
+        "offsets": offsets,
+        "index_primes": index_primes,
+        "skipped_primes": skipped,
+        "atoms": [d.atoms for d in dists],
+        "anchors": [list(a.items()) for a in anchors],
+        "C_measured": sum(degree) / len(degree),
+        "delta": max_vertex_prob,
+    }
+
+
+def _split(cfg):
+    return survivors_after_small(cfg, stage1_zero_classes(cfg).merged(stage2_random_small(cfg)))
+
+
+@pytest.mark.parametrize("cfg", [
+    *(StagedConfig(x=x, seed=seed) for x in (100, 1000, 5000) for seed in (0, 1, 2)),
+    StagedConfig(x=3000, mode="paper-formula", seed=1),
+    StagedConfig(x=500, seed=2, weights="sieve"),
+    StagedConfig(x=2000, mode="paper-formula", seed=1, weights="sieve"),
+], ids=lambda c: f"{c.mode}-{c.x}-{c.weights}-s{c.seed}")
+def test_edge_build_matches_per_anchor_reference(cfg):
+    split = _split(cfg)
+    if not split.primes:  # x = 100, seed 0: stage 2 leaves no prime
+        with pytest.raises(ValueError, match="no surviving primes"):
+            build_edge_distributions(cfg, split)
+        return
+    pinst = build_edge_distributions(cfg, split)
+    ref = reference_edge_distributions(cfg, split)
+    assert pinst.values == ref["values"]
+    assert pinst.offsets == ref["offsets"]
+    assert pinst.index_primes == ref["index_primes"]
+    assert pinst.skipped_primes == ref["skipped_primes"]
+    assert pinst.cover.rounds == [list(range(len(ref["index_primes"])))]
+    # atom order, edges and masses, all compared with ==
+    assert [pinst.cover.dist[i].atoms for i in range(len(pinst.index_primes))] \
+        == ref["atoms"]
+    assert [list(a.items()) for a in pinst.anchors] == ref["anchors"]
+    assert pinst.C_measured == ref["C_measured"]
+    assert pinst.cover.params.delta == ref["delta"]
+    assert type(pinst.cover.params.delta) is float
+    assert all(type(n) is int for a in pinst.anchors for n in a.values())
+    if cfg.mode == "paper-formula":  # pair edges; the desk preset has singletons only
+        assert max(d.max_edge_size() for d in pinst.cover.dist.values()) == 2
+
+
+def test_equal_edges_are_one_shared_object():
+    cfg = StagedConfig(x=1000, seed=2)
+    pinst = build_edge_distributions(cfg, _split(cfg))
+    atom_edges = [e for d in pinst.cover.dist.values() for e, _ in d.atoms]
+    objects = {}
+    for e in atom_edges:
+        assert objects.setdefault(e, e) is e
+    assert len({id(e) for e in atom_edges}) == len(set(atom_edges)) < len(atom_edges)
+    # every anchors key is the atom's own edge object
+    for idx, a in enumerate(pinst.anchors):
+        assert [id(e) for e in a] == [id(e) for e, _ in pinst.cover.dist[idx].atoms]
+
+
+@pytest.mark.parametrize("method", ["none", "independent", "greedy", "nibble"])
+def test_residual_after_stage3_matches_full_sift(method):
+    cfg = StagedConfig(x=2000, seed=3, stage3_method=method)
+    report, system = run_pipeline(cfg)
+    stages123 = ResidueSystem({p: a for p, a in system.entries.items() if p <= cfg.x})
+    residual = sift(stages123, cfg.x + 1, report.y).survivor_list()
+    fresh = sorted(p for p in system.entries if p > cfg.x)
+    assert len(residual) == report.residual_after_stage3 == len(fresh)
+    # the final matching pairs the residual with fresh primes in order
+    assert all(n % p == system.entries[p] for n, p in zip(residual, fresh))
 
 
 def synthetic_instance(edges_by_prime, n_vertices):
