@@ -66,8 +66,13 @@ class StagedConfig:
     def validate(self):
         if self.x < 100:
             raise ValueError("x must be >= 100")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"--c must be positive and finite, got {self.c}")
+        if not 1 < self.C_extra < math.inf:
+            raise ValueError(
+                f"--c-extra must exceed 1 (fresh primes come from (x, C_extra*x]), "
+                f"got {self.C_extra}"
+            )
         if not 0 < self.v_exp < self.z_exp < 0.5:
             raise ValueError("need 0 < v_exp < z_exp < 1/2")
         if self.mode not in ("desk-preset", "paper-formula"):
@@ -76,6 +81,9 @@ class StagedConfig:
             raise ValueError(f"unknown stage3 method {self.stage3_method!r}")
         if self.weights not in ("uniform", "sieve"):
             raise ValueError(f"unknown weights mode {self.weights!r}")
+        y = thresholds(self).y
+        if y <= self.x:
+            raise ValueError(f"--c {self.c} gives y = {y} <= x = {self.x}, an empty interval")
 
 
 def _iterated_logs(x: float):
@@ -220,9 +228,12 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     """For each sieving prime, the distribution of its survivor edge.
 
     An anchor n yields the edge {n + h_i p} intersected with the surviving
-    primes.  In uniform mode anchors with nonempty edges are equally likely;
-    in sieve mode anchor probabilities are proportional to the pair weight
-    w(p, n), whose mass on empty-edge anchors becomes an explicit remainder.
+    primes.  In uniform mode anchors with nonempty edges are equally likely.
+    In sieve mode anchor probabilities are proportional to the pair weight
+    w(p, n), which is one constant on [-y, y] and 0 outside it
+    (`PairWeightContext.constant_weight`), so each anchor with |n| <= y gets
+    w / (sum of w over [-y, y]) and the mass on empty-edge anchors becomes an
+    explicit remainder: one weight evaluation per sieving prime.
     Anchors with equal edges merge into one atom, listed by its smallest
     anchor, and each distinct edge is one frozenset shared by every prime.
     """
@@ -234,6 +245,9 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     Q = np.array(values, dtype=np.int64)
     H = np.array(offsets, dtype=np.int64)
     weight_ctx = PairWeightContext(offsets, cfg.x) if cfg.weights == "sieve" else None
+    # a member row is one int64 key, (ids + 1) in base len(values) + 1
+    key_dims = (len(values) + 1,) * len(offsets)
+    assert math.prod(key_dims) <= np.iinfo(np.int64).max, "member-row keys overflow int64"
 
     edges = {}  # sorted member row (-1 = no member) -> the edge's one frozenset
     index_primes = []
@@ -244,26 +258,26 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     max_vertex_prob = 0.0
     for p in _sieving_primes(cfg):
         ns = np.unique(Q[:, None] - H * p)  # every anchor with a nonempty edge
-        if weight_ctx is None:  # uniform mode: weight 1 on every anchor
-            w, total = np.ones(len(ns)), len(ns)
+        if weight_ctx is None:  # uniform mode: every anchor equally likely
+            unit = 1.0 / len(ns)
         else:
             total = weight_ctx.sum_over_support(p, th.y)
-            w = np.array([weight_ctx.weight(p, n, th.y) for n in ns.tolist()]
-                         if total > 0 else [])
-        keep = w > 0
-        if not keep.any():
+            unit = weight_ctx.constant_weight(p, th.y) / total
+            ns = ns[np.abs(ns) <= th.y]
+        if not len(ns):
             skipped.append(p)
             continue
-        ns, w = ns[keep], w[keep]
 
         members = ns[:, None] + H * p
         ids = np.searchsorted(Q, members)
         hit = Q[np.minimum(ids, len(Q) - 1)] == members
         rows = np.sort(np.where(hit, ids, -1), axis=1)
-        uniq, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        # keys sort like the rows, so atoms and their order match a row-wise unique
+        key = np.ravel_multi_index((rows + 1).T, key_dims)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         order = np.argsort(first)  # atoms by representative anchor
-        mass = np.bincount(inverse.ravel(), weights=w / total)[order]
-        uniq = uniq[order]
+        mass = np.bincount(inverse, weights=np.full(len(ns), unit))[order]
+        uniq = rows[first[order]]
         flat = uniq.ravel()
         present = flat >= 0
         vec = np.bincount(flat[present], weights=np.repeat(mass, len(offsets))[present],

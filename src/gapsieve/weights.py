@@ -372,9 +372,9 @@ class PairWeightContext:
     Sieve mode covers almost nothing at desk scale: k = default_r(x) = 2 for
     x < e^243, so W = 210 and coordinates need primes in [11, R], none of
     which exist below x = 4 * 11^9 (about 9.4e9).  The table is then
-    {(1, 1)}, w(p, .) is constant on [-y, y], and each sieving prime draws a
-    nonempty edge with probability (#nonempty anchors) / (2y + 1), about
-    0.083 at x = 2000.
+    {(1, 1)}, w(p, .) is constant on [-y, y] (`constant_weight`), and each
+    sieving prime draws a nonempty edge with probability
+    (#nonempty anchors) / (2y + 1), about 0.083 at x = 2000.
     """
 
     def __init__(self, offsets, x: int):
@@ -399,6 +399,17 @@ class PairWeightContext:
 
     def sum_over_support(self, p: int, y: int) -> float:
         return self.ws.sum_over_interval(-y, y, p) * self._euler_ratio(p)
+
+    def constant_weight(self, p: int, y: int) -> float:
+        """w(p, n), the same for every n in [-y, y] while the table is {(1, ..., 1)}.
+
+        Raises ValueError for a larger table, where w(p, .) depends on n.
+        """
+        if len(self.ws.table) != 1:
+            raise ValueError(
+                f"lambda table has {len(self.ws.table)} entries, so w(p, n) is not constant"
+            )
+        return self.weight(p, 0, y)
 
 
 # -- numeric integrals over the simplex ----------------------------------------
@@ -460,61 +471,3 @@ def tau_u(ws: WeightSystem, x: int, ij: IntegralEstimates):
     tau = 2 * (sysm.B / phi_B) ** k * ws.S * logR**k * logx**k * ij.I
     u = (phi_B / sysm.B) * (logR / logx) * k * ij.J / (2 * ij.I)
     return tau, u
-
-
-# -- distribution diagnostics ---------------------------------------------------
-
-
-def uniformity_diagnostics(ctx: PairWeightContext, x: int, y: int, sample_ps, sample_qs, off_h=None):
-    """Reported (never asserted) distribution statistics of w(p, .).
-
-    Row sums across sampled p, column sums across sampled q and shifts,
-    the off-tuple column sum for a shift h outside the tuple, the largest
-    observed weight, and the discriminant ratio for the off-tuple form.
-    """
-    sample_ps = list(sample_ps)
-    sample_qs = list(sample_qs)
-    row_sums = [ctx.sum_over_support(p, y) for p in sample_ps]
-    mean_row = float(np.mean(row_sums)) if row_sums else 0.0
-    cv_row = float(np.std(row_sums) / mean_row) if row_sums and mean_row else 0.0
-
-    col_sums = {}
-    for i, h in enumerate(ctx.offsets, start=1):
-        vals = []
-        for q in sample_qs:
-            vals.append(
-                math.fsum(ctx.weight(p, q - h * p, y) for p in sample_ps)
-            )
-        col_sums[i] = float(np.mean(vals)) if vals else 0.0
-
-    report = {
-        "sampled_ps": len(sample_ps),
-        "sampled_qs": len(sample_qs),
-        "row_sum_mean": mean_row,
-        "row_sum_cv": cv_row,
-        "col_sum_means": col_sums,
-    }
-
-    if off_h is not None:
-        if off_h in ctx.offsets:
-            raise ValueError("off_h must lie outside the tuple")
-        off_vals = [
-            math.fsum(ctx.weight(p, q - off_h * p, y) for p in sample_ps)
-            for q in sample_qs
-        ]
-        report["off_tuple_h"] = off_h
-        report["off_tuple_sum_mean"] = float(np.mean(off_vals)) if off_vals else 0.0
-        if sample_ps:
-            p0 = sample_ps[0]
-            delta = 1
-            for h in ctx.offsets:
-                delta *= abs(h * p0 - off_h * p0)
-            report["discriminant_ratio"] = delta / _euler_phi(delta) if delta else 0.0
-
-    max_w = 0.0
-    for p in sample_ps:
-        for n in range(-y, y + 1, max(1, (2 * y) // 64)):
-            max_w = max(max_w, ctx.weight(p, n, y))
-    report["max_sampled_w"] = max_w
-    report["crude_bound_shape"] = x ** (2.0 / 9.0)
-    return report

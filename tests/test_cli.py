@@ -212,6 +212,15 @@ def test_construct_budget_exhausted_is_infeasible(tmp_path, capsys):
     assert "fresh primes" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("option, value", [("--c-extra", "0"), ("--c", "0.3")])
+def test_construct_bad_budget_or_scale_is_usage_error(tmp_path, capsys, option, value):
+    # --c-extra 0 leaves no fresh primes; --c 0.3 gives y = 91 <= x = 100
+    assert main(["construct", "100", option, value, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{option} " in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "system.json").exists()
+
+
 def test_gap_coverage_failure_is_verification_error(tmp_path, capsys, monkeypatch):
     def uncovered(system, x):
         raise CoverageError(5)

@@ -46,6 +46,14 @@ def test_config_validation():
         StagedConfig(x=50)
     with pytest.raises(ValueError, match="weights"):
         dataclasses.replace(StagedConfig(x=500), weights="magic")
+    # no fresh primes in (x, C_extra*x], and an empty interval (x, y]
+    for bad in (0.0, 1.0, -3.0):
+        with pytest.raises(ValueError, match="--c-extra"):
+            StagedConfig(x=500, C_extra=bad)
+    StagedConfig(x=500, C_extra=1.01)
+    assert thresholds(StagedConfig(x=100, c=0.34)).y > 100
+    with pytest.raises(ValueError, match=r"--c 0\.3 gives y = 91 <= x = 100"):
+        StagedConfig(x=100, c=0.3)
 
 
 def test_desk_thresholds_examples():

@@ -69,6 +69,8 @@ def test_traced_sieve_pipeline_builds_one_weight_system(tracing):
     assert spans["weights.system_build"][0] == 1
     assert spans["weights.sum_over_support"][0] == report.stage3_indices
     assert spans["weights.weight"][0] >= 1
+    # one weight evaluation per sieving prime, not one per anchor
+    assert spans["weights.weight"][0] == spans["weights.sum_over_support"][0]
     assert metrics["weights.systems_built"] == 1
 
 

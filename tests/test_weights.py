@@ -13,7 +13,8 @@ from math import gcd
 
 import pytest
 
-from gapsieve.primes import admissible_tuple, primes_up_to
+from gapsieve.pipeline import StagedConfig, default_r, thresholds
+from gapsieve.primes import admissible_tuple, primes_up_to, sieve_interval
 from gapsieve.weights import (
     FormSystem,
     InadmissibleError,
@@ -26,7 +27,6 @@ from gapsieve.weights import (
     simplex_power_cap,
     singular_series,
     tau_u,
-    uniformity_diagnostics,
 )
 
 
@@ -370,6 +370,28 @@ def test_pair_weight_support_clamp():
         ctx.weight(3, 0, y)
 
 
+@pytest.mark.parametrize("x", [500, 2000])
+def test_constant_weight_is_the_weight_on_the_support(x):
+    y = thresholds(StagedConfig(x=x)).y
+    ctx = PairWeightContext(admissible_tuple(default_r(x)).offsets, x)
+    sieving = sieve_interval(x // 2 + 1, x).tolist()
+    ns = sorted({-y, -1, 0, 1, y, *range(-y, y + 1, 97)})
+    for p in sieving[:: max(1, len(sieving) // 12)] + sieving[-1:]:
+        w = ctx.constant_weight(p, y)
+        assert w > 0
+        for n in ns:
+            assert ctx.weight(p, n, y) == w
+        assert ctx.weight(p, y + 1, y) == 0.0
+        assert ctx.weight(p, -(y + 1), y) == 0.0
+
+
+def test_constant_weight_refuses_a_nontrivial_table():
+    ctx = PairWeightContext(admissible_tuple(2).offsets, 10**10)
+    assert len(ctx.ws.table) > 1  # R = 11.07 admits the coordinate prime 11
+    with pytest.raises(ValueError, match="not constant"):
+        ctx.constant_weight(50021, 1000)
+
+
 def per_prime_system(ctx, p):
     """The honest reference: a weight system built for the forms n + h_i * p."""
     forms = [LinearForm(1, h * p) for h in ctx.offsets]
@@ -449,15 +471,3 @@ def test_tau_u_structure():
     ij2 = IntegralEstimates(I=0.01, J=0.004, se_I=0.0, se_J=0.0, samples=1)
     _, u2 = tau_u(ws, 10**5, ij2)
     assert u2 == pytest.approx(2 * u)
-
-
-def test_uniformity_diagnostics_degenerate_rows_identical():
-    offsets = admissible_tuple(2).offsets
-    ctx = PairWeightContext(offsets, x=10**5)
-    ps = [50021, 50023, 50033]
-    report = uniformity_diagnostics(ctx, 10**5, 500, ps, [100003, 100019], off_h=offsets[-1] + 2)
-    # degenerate tables make every row sum a constant multiple of (2y+1)
-    assert report["row_sum_cv"] == pytest.approx(0.0, abs=1e-9)
-    assert report["off_tuple_sum_mean"] >= 0
-    assert report["discriminant_ratio"] >= 1
-    assert report["max_sampled_w"] >= 0
