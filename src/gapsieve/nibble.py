@@ -22,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -280,13 +281,8 @@ def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, 
         if key not in cache:
             atoms, rem = _reweighted_atoms(dist, profile, j, W)
             weights = [w for _, w in atoms]
-            X = (math.fsum(weights) if weights else 0.0) + rem
-            cum = []
-            acc = 0.0
-            for w in weights:
-                acc += w
-                cum.append(acc)
-            cache[key] = (atoms, cum, X)
+            X = math.fsum(weights) + rem
+            cache[key] = (atoms, list(accumulate(weights)), X)
         atoms, cum, X = cache[key]
         passed = abs(X - 1) <= tol
         if not passed:
@@ -309,7 +305,6 @@ class CoverResult:
     chosen: dict  # index -> frozenset (EMPTY = no edge)
     leftover: set
     stats: list
-    profile: DegreeProfile
 
 
 def run_cover(inst: CoverInstance, rng, tol=None) -> CoverResult:
@@ -321,9 +316,7 @@ def run_cover(inst: CoverInstance, rng, tol=None) -> CoverResult:
     state = NibbleState(W=set(range(inst.n_vertices)))
     for j in range(1, inst.m + 1):
         nibble_round(inst, profile, state, j, rng, tol)
-    return CoverResult(
-        chosen=state.chosen, leftover=state.W, stats=state.round_log, profile=profile
-    )
+    return CoverResult(chosen=state.chosen, leftover=state.W, stats=state.round_log)
 
 
 def independent_select(inst: CoverInstance, rng) -> dict:
@@ -335,12 +328,7 @@ def independent_select(inst: CoverInstance, rng) -> dict:
             dist = inst.dist[i]
             key = id(dist)
             if key not in cum_cache:
-                cum = []
-                acc = 0.0
-                for _, q in dist.atoms:
-                    acc += float(q)
-                    cum.append(acc)
-                cum_cache[key] = cum
+                cum_cache[key] = list(accumulate(float(q) for _, q in dist.atoms))
             cum = cum_cache[key]
             u = rng.random()
             pos = bisect_right(cum, u)

@@ -4,10 +4,10 @@ Stage 1 fixes the class 0 mod p for very small primes (p <= v) and medium
 primes (z < p <= x/2): their multiples blanket most of the interval.
 Stage 2 draws one uniform class per small prime in (v, z].  The survivors
 are mostly the primes of (x, y] plus a sprinkling of z-smooth numbers and
-small-times-large composites.  Stage 3 spends the primes of (x/2, x]: each
-p picks an anchor n_p so that the class n_p mod p swallows several
-surviving primes at once (shifted by an admissible tuple), with the anchor
-chosen independently, greedily, or through the nibble covering engine.
+small-times-large composites.  Stage 3 spends the primes of (x/2, x]: an
+anchor n gives p the edge of surviving primes n + h_i p (h an admissible
+tuple), each p picks one edge independently, greedily, or through the
+nibble covering engine, and takes the class its members share, q mod p.
 Whatever survives is matched to fresh primes above x, one each, which
 completes the cover of (x, y].
 
@@ -21,7 +21,9 @@ reachable sizes.
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -207,15 +209,13 @@ class PipelineInstance:
 
     The cover instance works on vertex ids 0..len(values)-1; values maps ids
     back to surviving primes.  Each index belongs to one sieving prime p,
-    and every support edge remembers the smallest anchor n that realizes it
-    (distinct anchors can intersect the survivor set identically).
+    and every member q of one of its edges is n + h_i p for the same anchor
+    n, so any member fixes the class q mod p that the edge stands for.
     """
 
     cover: nib.CoverInstance
     values: list  # vertex id -> surviving prime q
     index_primes: list  # index id -> sieving prime p
-    anchors: list  # index id -> {edge -> representative n}
-    offsets: tuple
     C_measured: float
     skipped_primes: list  # primes with no nonempty edge
 
@@ -251,7 +251,6 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
 
     edges = {}  # sorted member row (-1 = no member) -> the edge's one frozenset
     index_primes = []
-    anchors = []
     dists = {}
     skipped = []
     degree = np.zeros(len(values))
@@ -292,7 +291,6 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
             atom_edges.append(edges[row])
         idx = len(index_primes)
         index_primes.append(p)
-        anchors.append(dict(zip(atom_edges, ns[first[order]].tolist())))
         dists[idx] = nib.EdgeDist(atoms=list(zip(atom_edges, mass.tolist())))
 
     if not index_primes:
@@ -313,8 +311,6 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
         cover=cover,
         values=values,
         index_primes=index_primes,
-        anchors=anchors,
-        offsets=offsets,
         C_measured=sum(degree.tolist()) / len(values),
         skipped_primes=skipped,
     )
@@ -330,19 +326,14 @@ def _paper_round_lengths(C: float, m: int):
 
 
 def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
-    """Choose an anchor n_p (or skip) for every sieving prime."""
+    """Choose an edge for every sieving prime: {p: edge}, EMPTY for a skip."""
     method = cfg.stage3_method
-    chosen_n = {p: None for p in pinst.skipped_primes}
-
-    if method == "none":
-        for p in pinst.index_primes:
-            chosen_n[p] = None
-        return chosen_n
+    chosen = {p: nib.EMPTY for p in pinst.skipped_primes}
 
     if method == "independent":
         for idx, p in enumerate(pinst.index_primes):
             rng = stream(cfg.seed, "stage3", p)
-            pick = nib.independent_select(
+            chosen[p] = nib.independent_select(
                 nib.CoverInstance(
                     n_vertices=pinst.cover.n_vertices,
                     rounds=[[idx]],
@@ -351,62 +342,38 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
                 ),
                 rng,
             )[idx]
-            chosen_n[p] = pinst.anchors[idx][pick] if pick else None
-        return chosen_n
+        return chosen
 
     if method == "greedy":
         order = list(range(len(pinst.index_primes)))
         stream(cfg.seed, "stage3-order").shuffle(order)
         uncovered = set(range(pinst.cover.n_vertices))
         for idx in order:
-            p = pinst.index_primes[idx]
-            best = None
-            for e, q in pinst.cover.dist[idx].atoms:
-                gain = len(e & uncovered)
-                rep = pinst.anchors[idx][e]
-                key = (-gain, rep)
-                if best is None or key < best[0]:
-                    best = (key, e, rep)
-            _, edge, rep = best
+            # atoms are listed by anchor, so ties go to the smallest anchor
+            edge, _ = max(pinst.cover.dist[idx].atoms, key=lambda a: len(a[0] & uncovered))
             uncovered -= edge
-            chosen_n[p] = rep
-        return chosen_n
+            chosen[pinst.index_primes[idx]] = edge
+        return chosen
 
-    # nibble: round membership via the geometric interval recipe
+    # nibble: round membership via the geometric interval recipe; primes
+    # outside every membership interval keep EMPTY
     m = default_rounds(cfg.x)
-    lengths = _paper_round_lengths(pinst.C_measured, m)
-    bounds = []
-    acc = 0.0
-    for l in lengths:
-        acc += l
-        bounds.append(acc)
+    bounds = list(accumulate(_paper_round_lengths(pinst.C_measured, m)))
     rounds = [[] for _ in range(m)]
     for idx, p in enumerate(pinst.index_primes):
-        t = stream(cfg.seed, "stage3-round", p).random()
-        for j, b in enumerate(bounds):
-            if t < b:
-                rounds[j].append(idx)
-                break
-        else:
-            chosen_n[p] = None  # outside every membership interval
-    rounds = [blk for blk in rounds if blk]
-    if not rounds:
-        for p in pinst.index_primes:
-            chosen_n.setdefault(p, None)
-        return chosen_n
+        j = bisect_right(bounds, stream(cfg.seed, "stage3-round", p).random())
+        if j < m:
+            rounds[j].append(idx)
     inst = nib.CoverInstance(
         n_vertices=pinst.cover.n_vertices,
-        rounds=rounds,
+        rounds=[blk for blk in rounds if blk],
         dist=pinst.cover.dist,
         params=pinst.cover.params,
     )
     result = nib.run_cover(inst, stream(cfg.seed, "stage3-nibble"))
-    for blk in rounds:
-        for idx in blk:
-            p = pinst.index_primes[idx]
-            pick = result.chosen[idx]
-            chosen_n[p] = pinst.anchors[idx][pick] if pick else None
-    return chosen_n
+    for idx, p in enumerate(pinst.index_primes):
+        chosen[p] = result.chosen.get(idx, nib.EMPTY)
+    return chosen
 
 
 def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
@@ -496,12 +463,11 @@ def run_pipeline(cfg: StagedConfig):
         pinst = build_edge_distributions(cfg, split)
         n_indices = len(pinst.index_primes)
         C_measured = pinst.C_measured
-        chosen_n = stage3_select(cfg, pinst)
-        for p, n in chosen_n.items():
-            if n is None:
-                skips += 1
+        for p, edge in stage3_select(cfg, pinst).items():
+            if edge:  # every member is n + h_i p for the edge's anchor n
+                stage3_entries[p] = pinst.values[min(edge)] % p
             else:
-                stage3_entries[p] = n % p
+                skips += 1
     sys3 = ResidueSystem(stage3_entries)
 
     # only the stage-3 classes are sifted here; stages 1-2 are in split

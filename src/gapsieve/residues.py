@@ -62,7 +62,7 @@ class SiftedInterval:
         return int(self.survivors.sum())
 
     def survivor_list(self) -> list:
-        return [int(i) + self.lo for i in np.flatnonzero(self.survivors)]
+        return (np.flatnonzero(self.survivors) + self.lo).tolist()
 
     def first_survivor(self):
         idx = np.flatnonzero(self.survivors)

@@ -463,6 +463,8 @@ def tau_u(ws: WeightSystem, x: int, ij: IntegralEstimates):
     u = (phi(B)/B) (log R / log x) k J_k / (2 I_k); both are relative to the
     chosen cap F, which the report labels.
     """
+    if x < 2:
+        raise ValueError(f"x must be >= 2 (tau and u divide by log x), got {x}")
     sysm = ws.system
     k = sysm.k
     phi_B = _euler_phi(sysm.B)

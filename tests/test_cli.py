@@ -162,6 +162,13 @@ def test_weights_dump_schema(tmp_path):
     assert summary["I_k"] > 0 and summary["tau_F_relative"] > 0
 
 
+@pytest.mark.parametrize("x", ["0", "1"])
+def test_weights_scale_below_two_is_usage_error(capsys, x):
+    assert main(["weights", "2", "35", x, "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"got {x}" in err
+
+
 def test_gap_on_construct_output_is_usage_error(tmp_path, capsys):
     # construct writes fresh primes above x, which gap does not accept
     out = tmp_path / "c"

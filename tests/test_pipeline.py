@@ -179,11 +179,12 @@ def test_edge_construction_shifted_tuple():
     split_primes = [202, 336]  # vertex labels; only arithmetic matters
     split = type("S", (), {"primes": split_primes})()
     pinst = build_edge_distributions(cfg, split)
-    assert pinst.offsets == (3, 5)
+    assert admissible_tuple(default_r(cfg.x)).offsets == (3, 5)
     idx = pinst.index_primes.index(67)
     full_edge = frozenset({0, 1})
-    assert full_edge in pinst.anchors[idx]
-    assert pinst.anchors[idx][full_edge] == 1  # 202 - 3*67 = 1 = 336 - 5*67
+    assert full_edge in [e for e, _ in pinst.cover.dist[idx].atoms]
+    # 202 - 3*67 = 1 = 336 - 5*67: both members carry the anchor's class
+    assert [pinst.values[v] % 67 for v in sorted(full_edge)] == [1, 1]
     total = sum(q for _, q in pinst.cover.dist[idx].atoms)
     assert total == pytest.approx(1.0)
 
@@ -227,7 +228,8 @@ def reference_edge_distributions(cfg, split):
 
     Loops over survivors x offsets in Python, one dict of anchor -> edge per
     sieving prime, merged edge by edge; kept as the oracle for the array
-    build.  Returns the fields the array build must reproduce exactly.
+    build.  Returns the fields the array build must reproduce exactly, plus
+    each atom's smallest anchor, whose class every member of the edge shares.
     """
     th = thresholds(cfg)
     offsets = admissible_tuple(default_r(cfg.x)).offsets
@@ -274,7 +276,6 @@ def reference_edge_distributions(cfg, split):
             max_vertex_prob = max(max_vertex_prob, q)
     return {
         "values": values,
-        "offsets": offsets,
         "index_primes": index_primes,
         "skipped_primes": skipped,
         "atoms": [d.atoms for d in dists],
@@ -303,18 +304,19 @@ def test_edge_build_matches_per_anchor_reference(cfg):
     pinst = build_edge_distributions(cfg, split)
     ref = reference_edge_distributions(cfg, split)
     assert pinst.values == ref["values"]
-    assert pinst.offsets == ref["offsets"]
     assert pinst.index_primes == ref["index_primes"]
     assert pinst.skipped_primes == ref["skipped_primes"]
     assert pinst.cover.rounds == [list(range(len(ref["index_primes"])))]
     # atom order, edges and masses, all compared with ==
     assert [pinst.cover.dist[i].atoms for i in range(len(pinst.index_primes))] \
         == ref["atoms"]
-    assert [list(a.items()) for a in pinst.anchors] == ref["anchors"]
+    # every member of an edge carries its anchor's class, the class stage 3 reads
+    for p, anchors in zip(ref["index_primes"], ref["anchors"]):
+        for e, rep in anchors:
+            assert {pinst.values[v] % p for v in e} == {rep % p}
     assert pinst.C_measured == ref["C_measured"]
     assert pinst.cover.params.delta == ref["delta"]
     assert type(pinst.cover.params.delta) is float
-    assert all(type(n) is int for a in pinst.anchors for n in a.values())
     if cfg.mode == "paper-formula":  # pair edges; the desk preset has singletons only
         assert max(d.max_edge_size() for d in pinst.cover.dist.values()) == 2
 
@@ -327,9 +329,6 @@ def test_equal_edges_are_one_shared_object():
     for e in atom_edges:
         assert objects.setdefault(e, e) is e
     assert len({id(e) for e in atom_edges}) == len(set(atom_edges)) < len(atom_edges)
-    # every anchors key is the atom's own edge object
-    for idx, a in enumerate(pinst.anchors):
-        assert [id(e) for e in a] == [id(e) for e, _ in pinst.cover.dist[idx].atoms]
 
 
 @pytest.mark.parametrize("method", ["none", "independent", "greedy", "nibble"])
@@ -347,7 +346,6 @@ def test_residual_after_stage3_matches_full_sift(method):
 def synthetic_instance(edges_by_prime, n_vertices):
     """Hand-built PipelineInstance over explicit anchor->edge maps."""
     index_primes = []
-    anchors = []
     dists = {}
     for idx, (p, anchor_edges) in enumerate(sorted(edges_by_prime.items())):
         index_primes.append(p)
@@ -357,7 +355,6 @@ def synthetic_instance(edges_by_prime, n_vertices):
             e = frozenset(e)
             rep, q = merged.get(e, (n, 0.0))
             merged[e] = (min(rep, n), q + mass)
-        anchors.append({e: rep for e, (rep, q) in merged.items()})
         dists[idx] = nib.EdgeDist(atoms=[(e, q) for e, (rep, q) in merged.items()])
     cover = nib.CoverInstance(
         n_vertices=n_vertices,
@@ -373,8 +370,6 @@ def synthetic_instance(edges_by_prime, n_vertices):
         cover=cover,
         values=list(range(n_vertices)),
         index_primes=index_primes,
-        anchors=anchors,
-        offsets=(1, 2),
         C_measured=sum(deg) / n_vertices,
         skipped_primes=[],
     )
@@ -385,7 +380,7 @@ def test_stage3_single_option_chosen_by_all_methods():
     for method in ("independent", "greedy", "nibble"):
         cfg = StagedConfig(x=500, seed=1, stage3_method=method)
         chosen = stage3_select(cfg, pinst)
-        assert chosen == {101: 4}
+        assert chosen == {101: frozenset({0, 1})}
 
 
 def test_stage3_greedy_maximizes_residual_coverage():
@@ -398,12 +393,7 @@ def test_stage3_greedy_maximizes_residual_coverage():
     pinst = synthetic_instance(edges, 5)
     cfg = StagedConfig(x=500, seed=9, stage3_method="greedy")
     chosen = stage3_select(cfg, pinst)
-    cover = set()
-    for idx, p in enumerate(pinst.index_primes):
-        if chosen[p] is not None:
-            for e, rep in pinst.anchors[idx].items():
-                if rep == chosen[p]:
-                    cover |= e
+    cover = set().union(*chosen.values())
     best = 0
     for pick1, pick2 in product(edges[101].values(), edges[103].values()):
         best = max(best, len(set(pick1) | set(pick2)))
@@ -417,7 +407,7 @@ def test_stage3_nibble_round_recipe_covers_all_when_scaled():
     pinst = build_edge_distributions(cfg, split)
     chosen = stage3_select(cfg, pinst)
     assert set(chosen) == set(pinst.index_primes) | set(pinst.skipped_primes)
-    assigned = sum(1 for v in chosen.values() if v is not None)
+    assigned = sum(1 for e in chosen.values() if e)
     assert assigned > 0
 
 

@@ -44,6 +44,7 @@ def test_sift_examples():
     assert sift(ResidueSystem({2: 0}), 1, 10).survivor_list() == [1, 3, 5, 7, 9]
     assert sift(ResidueSystem({2: 1, 3: 0}), 1, 10).survivor_list() == [2, 4, 8, 10]
     assert sift(ResidueSystem({2: 1, 3: 2}), 1, 3).survivor_list() == []
+    assert all(type(v) is int for v in sift(ResidueSystem({2: 0}), 1, 10).survivor_list())
 
 
 def test_sift_matches_naive_double_loop():
