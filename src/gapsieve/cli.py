@@ -32,7 +32,14 @@ from .residues import (
     write_system_file,
 )
 from .rng import stream
-from .weights import FormSystem, LinearForm, WeightSystem, integrals_IJ, tau_u
+from .weights import (
+    FormSystem,
+    LinearForm,
+    WeightSystem,
+    check_scale,
+    integrals_IJ,
+    tau_u,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,8 +131,6 @@ def cmd_verify(args) -> int:
 
 def cmd_gap(args) -> int:
     x, system, _ = read_system_file(args.system)
-    if args.x:
-        x = args.x
     cert = assemble_gap(system, x)
     doc = {
         "manifest": _manifest("gap", {"system": str(args.system), "x": x}),
@@ -133,8 +138,15 @@ def cmd_gap(args) -> int:
         "m": cert.m,
         "run_length": cert.run_length,
     }
-    P = primorial(x)
-    if P <= GAP_SCAN_LIMIT:
+    # at least b primes lie below b*b and their product is at least
+    # 2**b > GAP_SCAN_LIMIT, so primorial(min(x, b*b)) passes the limit
+    # whenever primorial(x) does, and equals it otherwise
+    b = GAP_SCAN_LIMIT.bit_length()
+    if primorial(min(x, b * b)) > GAP_SCAN_LIMIT:
+        doc["gap_scan"] = f"skipped: primorial({x}) exceeds {GAP_SCAN_LIMIT}"
+    elif cert.m < 2:
+        doc["gap_scan"] = f"skipped: no prime <= m = {cert.m}"
+    else:
         window = 2 * max(cert.run_length, 10)
         below = above = None
         while below is None or above is None:
@@ -150,8 +162,6 @@ def cmd_gap(args) -> int:
         doc["enclosing_gap"] = [below, above]
         doc["enclosing_gap_length"] = gap_len
         doc["gap_at_least_run"] = gap_len >= cert.run_length + (1 if cert.run_length else 0)
-    else:
-        doc["gap_scan"] = f"skipped: primorial({x}) exceeds {GAP_SCAN_LIMIT}"
     _dump(doc, args.out)
     return EXIT_OK
 
@@ -197,6 +207,7 @@ def cmd_nibble_bench(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    check_scale(args.x)  # before the Monte Carlo, not after it
     offsets = admissible_tuple(args.k).offsets
     system = FormSystem([LinearForm(1, h) for h in offsets], B=args.B)
     ws = WeightSystem(system, R=args.R)
@@ -260,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="assemble the composite run a system certifies")
     p.add_argument("system")
-    p.add_argument("--x", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gap)
 

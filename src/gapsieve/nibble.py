@@ -448,72 +448,38 @@ def uniform_round_counts(n1: int, k: int, m: int) -> list:
 
 
 def build_uniform_instance(n_vertices: int, edges, counts) -> CoverInstance:
-    """Instance where every index draws uniformly from one edge list."""
+    """Instance where every index draws uniformly from one edge list.
+
+    delta, D and kappa are the tightest values the instance satisfies, as
+    check_hypotheses measures them.
+    """
     edges = [frozenset(e) for e in edges]
     if not edges:
         raise ValueError("edge list must be nonempty")
-    n_edges = len(edges)
-    shared = EdgeDist(atoms=[(e, 1.0 / n_edges) for e in edges])
-
-    deg = {}
-    pair = {}
-    for e in edges:
-        verts = sorted(e)
-        for v in verts:
-            deg[v] = deg.get(v, 0) + 1
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                pair[(verts[a], verts[b])] = pair.get((verts[a], verts[b]), 0) + 1
-
-    r_max = max(len(e) for e in edges)
-    m = len(counts)
-    n_max = max(counts)
-    # smallest delta satisfying the per-round sparsity and codegree bounds
-    delta = max(
-        max(deg.values()) * math.sqrt(n_max) / n_edges,
-        (max(pair.values()) if pair else 0) * n_max / n_edges,
-    )
-
+    shared = EdgeDist(atoms=[(e, 1.0 / len(edges)) for e in edges])
     rounds = []
     nxt = 0
-    dist = {}
     for nj in counts:
-        block = list(range(nxt, nxt + nj))
-        for i in block:
-            dist[i] = shared
-        rounds.append(block)
+        rounds.append(list(range(nxt, nxt + nj)))
         nxt += nj
-
+    r_max = max(len(e) for e in edges)
+    A = 2 * r_max * len(counts) + 1
     inst = CoverInstance(
         n_vertices=n_vertices,
         rounds=rounds,
-        dist=dist,
-        params=NibbleParams(delta=delta, r_max=r_max, A=2 * r_max * m + 1, D=1.0, kappa=0.0),
+        dist={i: shared for i in range(nxt)},
+        # delta, D and kappa are placeholders until measured below
+        params=NibbleParams(delta=1.0, r_max=r_max, A=A, D=1.0, kappa=1.0),
     )
-    prof = degree_profile(inst)
-    max_ratio = max(
-        float(np.max(prof.d[j] / prof.P[j - 1])) for j in range(1, m + 1)
-    )
-    kappa = min(float(np.min(prof.P[j])) for j in range(m + 1))
+    hyp = check_hypotheses(inst)
     inst.params = NibbleParams(
-        delta=delta,
+        delta=max(hyp.max_sparsity, hyp.max_codegree),
         r_max=r_max,
-        A=2 * r_max * m + 1,
-        D=max_ratio,
-        kappa=max(kappa, 1e-300),
+        A=A,
+        D=hyp.max_degree_ratio,
+        kappa=max(hyp.min_survival, 1e-300),
     )
     return inst
-
-
-def cover_uniform(n_vertices: int, edges, counts, rng, tol=None):
-    """Nibble-cover with uniformly drawn edges; returns (used edges, leftover, result).
-
-    At most n_1 + ... + n_m nonempty edges are used.
-    """
-    inst = build_uniform_instance(n_vertices, edges, counts)
-    result = run_cover(inst, rng, tol=tol)
-    used = [result.chosen[i] for i in inst.all_indices() if result.chosen[i]]
-    return used, result.leftover, result
 
 
 # -- exact outcome enumeration -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exhaustive ground-truth engines, smooth-number tests and a concentration check.
+"""Exhaustive ground-truth engines and smooth-number tests.
 
 exact_Y finds, by complete backtracking search, the longest prefix [1, y]
 coverable by one residue class per prime up to x.  jacobsthal scans a full
@@ -111,16 +111,16 @@ def exact_Y(x: int, cutoff: int = EXACT_Y_CUTOFF) -> OracleResult:
     )
 
 
-def jacobsthal(n: int, cutoff: int = JACOBSTHAL_CUTOFF) -> int:
+def jacobsthal(n: int) -> int:
     """Maximal gap between consecutive integers coprime to n.
 
     Scans one full period [1, n + 1] with a segmented bit vector; n beyond
-    the cutoff (default 1e9) is rejected rather than attempted.
+    JACOBSTHAL_CUTOFF (1e9) is rejected rather than attempted.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cutoff:
-        raise InfeasibleError(f"n = {n} exceeds the period-scan cutoff {cutoff}")
+    if n > JACOBSTHAL_CUTOFF:
+        raise InfeasibleError(f"n = {n} exceeds the period-scan cutoff {JACOBSTHAL_CUTOFF}")
     if n == 1:
         return 1
     ps = sorted(factorize(n))
@@ -174,42 +174,3 @@ def smooth_count(y: int, z: int) -> int:
         total += int(smooth_mask(np.arange(lo, hi + 1), z).sum())
     return total
 
-
-# -- second-moment concentration test utility ----------------------------------
-
-
-@dataclass(frozen=True)
-class ChebyshevVerdict:
-    first_moment: float
-    second_moment: float
-    deviation_freq: float
-    predicted_bound: float
-    passed: bool
-
-
-def chebyshev_check(paired_samples, alpha: float, epsilon: float, theta: float,
-                    multiplier: float = 3.0) -> ChebyshevVerdict:
-    """Concentration check from paired evaluations (F(X,Y), F(X,Y')).
-
-    Y' is a conditionally independent copy of Y given X, so the pair average
-    estimates the X-conditional mean and the cross product estimates its
-    square.  Reports how often the conditional-mean estimate strays from
-    alpha by more than theta, against the epsilon * alpha^2 / theta^2
-    failure-rate shape (scaled by `multiplier`).
-    """
-    pairs = [(float(a), float(b)) for a, b in paired_samples]
-    if not pairs:
-        raise ValueError("need at least one sample")
-    firsts = [a for a, _ in pairs] + [b for _, b in pairs]
-    first_moment = float(np.mean(firsts))
-    second_moment = float(np.mean([a * b for a, b in pairs]))
-    deviations = [abs((a + b) / 2 - alpha) > theta for a, b in pairs]
-    freq = sum(deviations) / len(pairs)
-    bound = multiplier * epsilon * alpha * alpha / (theta * theta)
-    return ChebyshevVerdict(
-        first_moment=first_moment,
-        second_moment=second_moment,
-        deviation_freq=freq,
-        predicted_bound=bound,
-        passed=freq <= max(bound, 0.0) + 1e-12,
-    )

@@ -14,12 +14,11 @@ completes the cover of (x, y].
 Thresholds come in two modes.  The paper-formula mode uses the asymptotic
 expressions (the very-small bound log^20 x is clamped to x^(1/4), since it
 exceeds x for every feasible x, and `Thresholds.clamped` records when the
-clamp applies); the desk preset uses
-plain powers x^v_exp and x^z_exp, preserving the staged structure at
+clamp applies); the desk preset uses the fixed powers v = x^0.10 and
+z = x^0.35 (DESK_V_EXP, DESK_Z_EXP), preserving the staged structure at
 reachable sizes.
 """
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -33,6 +32,9 @@ from .primes import admissible_tuple, primes_up_to, sieve_interval
 from .residues import ResidueSystem, sift
 from .rng import stream
 from .weights import PairWeightContext
+
+DESK_V_EXP = 0.10  # desk preset: very small primes p <= x^0.10
+DESK_Z_EXP = 0.35  # desk preset: small primes up to x^0.35
 
 
 class BudgetError(RuntimeError):
@@ -55,8 +57,6 @@ class StagedConfig:
     x: int
     c: float = 1.0
     mode: str = "desk-preset"  # "desk-preset" | "paper-formula"
-    v_exp: float = 0.10
-    z_exp: float = 0.35
     seed: int = 0
     stage3_method: str = "nibble"  # "independent" | "greedy" | "nibble" | "none"
     C_extra: float = 10.0
@@ -75,8 +75,6 @@ class StagedConfig:
                 f"--c-extra must exceed 1 (fresh primes come from (x, C_extra*x]), "
                 f"got {self.C_extra}"
             )
-        if not 0 < self.v_exp < self.z_exp < 0.5:
-            raise ValueError("need 0 < v_exp < z_exp < 1/2")
         if self.mode not in ("desk-preset", "paper-formula"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.stage3_method not in ("independent", "greedy", "nibble", "none"):
@@ -127,7 +125,7 @@ def thresholds(cfg: StagedConfig) -> Thresholds:
     l1, l2, l3 = _iterated_logs(x)
     y = math.ceil(cfg.c * x * l1 * max(1.0, l3) / max(1.0, l2))
     if cfg.mode == "desk-preset":
-        return Thresholds(v=x**cfg.v_exp, z=x**cfg.z_exp, y=y, clamped=False)
+        return Thresholds(v=x**DESK_V_EXP, z=x**DESK_Z_EXP, y=y, clamped=False)
     log_v, log_z, clamped = paper_thresholds_log(l1)
     return Thresholds(v=math.exp(log_v), z=math.exp(log_z), y=y, clamped=clamped)
 
@@ -432,9 +430,6 @@ class PipelineReport:
     prime_survivor_ratio: float
     y_formula: float
     achieved_ratio: float
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=False, separators=(",", ":")) + "\n"
 
 
 def run_pipeline(cfg: StagedConfig):

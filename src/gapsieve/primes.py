@@ -1,8 +1,9 @@
 """Prime generation, batch primality, primorials, gap scanning, admissible tuples.
 
 All sieving is done with a segmented sieve of Eratosthenes (numpy bool
-segments, default segment size 2**20 entries) so intervals up to 1e8 stay
-cheap and memory-local.
+segments of SEGMENT_SIZE = 2**20 entries) so intervals up to 1e8 stay
+cheap and memory-local.  The admissible r-tuple is the first r primes
+above r, which always ends at or below 2r^2.
 """
 
 from dataclasses import dataclass
@@ -25,15 +26,15 @@ def _small_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def sieve_interval(lo: int, hi: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
+def sieve_interval(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi] via a segmented sieve."""
     if hi < max(lo, 2):
         return np.empty(0, dtype=np.int64)
     lo = max(lo, 2)
     base = _small_sieve(isqrt(hi))
     out = []
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, hi)
+    for seg_lo in range(lo, hi + 1, SEGMENT_SIZE):
+        seg_hi = min(seg_lo + SEGMENT_SIZE - 1, hi)
         flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
         for p in base:
             p = int(p)
@@ -156,9 +157,6 @@ class AdmissibleTuple:
     def r(self) -> int:
         return len(self.offsets)
 
-    def span(self) -> int:
-        return self.offsets[-1] - self.offsets[0]
-
 
 def is_admissible(t: AdmissibleTuple) -> bool:
     """True iff for every prime p <= r the offsets miss some class mod p.
@@ -175,8 +173,13 @@ def is_admissible(t: AdmissibleTuple) -> bool:
     return True
 
 
-def first_r_primes_tuple(r: int) -> AdmissibleTuple:
-    """The first r primes larger than r, as an admissible r-tuple."""
+def admissible_tuple(r: int) -> AdmissibleTuple:
+    """The first r primes larger than r, as an admissible r-tuple.
+
+    Admissible because no prime p <= r is among the offsets, so none of
+    them lies in the class 0 mod p.  The offsets end at or below 2r^2: the
+    r-th prime above r is at most p_{2r} < 2r(log 2r + log log 2r) (Rosser).
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
     # primes > r; generous sieve bound r*(log r + log log r) + slack
@@ -186,27 +189,3 @@ def first_r_primes_tuple(r: int) -> AdmissibleTuple:
         if len(ps) >= r:
             return AdmissibleTuple(offsets=tuple(ps[:r]))
         hi *= 2
-
-
-def odd_squares_tuple(r: int) -> AdmissibleTuple:
-    """(1^2, 3^2, ..., (2r-1)^2): an admissible r-tuple inside [2r^2].
-
-    Fallback used when the first-r-primes tuple exceeds the 2r^2 span bound.
-    Squares avoid the non-residue classes mod every odd prime and are all
-    odd, so no prime has every class occupied.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return AdmissibleTuple(offsets=tuple((2 * i + 1) ** 2 for i in range(r)))
-
-
-def admissible_tuple(r: int) -> AdmissibleTuple:
-    """Admissible r-tuple with offsets in [2r^2].
-
-    Takes the first r primes > r, falling back to odd squares when the
-    largest offset exceeds 2r^2 (checked, not assumed).
-    """
-    t = first_r_primes_tuple(r)
-    if t.offsets[-1] <= 2 * r * r:
-        return t
-    return odd_squares_tuple(r)

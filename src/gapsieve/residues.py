@@ -15,6 +15,8 @@ import numpy as np
 
 from .primes import prime_mask
 
+PREFIX_SCAN_LIMIT = 10**7
+
 
 class CoverageError(Exception):
     """A position that was supposed to be covered is not."""
@@ -86,23 +88,23 @@ def sift(sys: ResidueSystem, lo: int, hi: int) -> SiftedInterval:
     return SiftedInterval(lo=lo, hi=hi, survivors=flags)
 
 
-def covered_prefix_length(sys: ResidueSystem, max_scan: int = 10**7) -> int:
+def covered_prefix_length(sys: ResidueSystem) -> int:
     """Largest y with no survivor in [1, y]; 0 if 1 itself survives.
 
     Scans in blocks, stopping at the first survivor, so no arbitrary bound
-    has to be guessed ahead of time.  max_scan guards against systems whose
-    first survivor is absurdly far out.
+    has to be guessed ahead of time.  PREFIX_SCAN_LIMIT guards against
+    systems whose first survivor is absurdly far out.
     """
     block = 1024
     lo = 1
-    while lo <= max_scan:
-        hi = min(lo + block - 1, max_scan)
+    while lo <= PREFIX_SCAN_LIMIT:
+        hi = min(lo + block - 1, PREFIX_SCAN_LIMIT)
         first = sift(sys, lo, hi).first_survivor()
         if first is not None:
             return first - 1
         lo = hi + 1
         block *= 2
-    raise RuntimeError(f"no survivor found below {max_scan}")
+    raise RuntimeError(f"no survivor found below {PREFIX_SCAN_LIMIT}")
 
 
 def crt_combine(congruences) -> tuple:

@@ -456,6 +456,12 @@ def integrals_IJ(F, k: int, samples: int, rng) -> IntegralEstimates:
     return IntegralEstimates(I=I, J=J, se_I=se_I, se_J=se_J, samples=samples)
 
 
+def check_scale(x: int) -> None:
+    """Reject a scale x below 2: tau and u divide by log x."""
+    if x < 2:
+        raise ValueError(f"x must be >= 2 (tau and u divide by log x), got {x}")
+
+
 def tau_u(ws: WeightSystem, x: int, ij: IntegralEstimates):
     """The normalization pair (tau, u) for a weight system at scale x.
 
@@ -463,8 +469,7 @@ def tau_u(ws: WeightSystem, x: int, ij: IntegralEstimates):
     u = (phi(B)/B) (log R / log x) k J_k / (2 I_k); both are relative to the
     chosen cap F, which the report labels.
     """
-    if x < 2:
-        raise ValueError(f"x must be >= 2 (tau and u divide by log x), got {x}")
+    check_scale(x)
     sysm = ws.system
     k = sysm.k
     phi_B = _euler_phi(sysm.B)

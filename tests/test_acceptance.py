@@ -19,7 +19,6 @@ from gapsieve.oracle import exact_Y, jacobsthal
 from gapsieve.pipeline import StagedConfig, run_pipeline
 from gapsieve.primes import (
     admissible_tuple,
-    first_r_primes_tuple,
     is_admissible,
     primorial,
     sieve_interval,
@@ -359,7 +358,7 @@ def test_criterion_9_weight_structure():
 
 def test_criterion_10_admissibility_and_integrals():
     for r in range(1, 201):
-        assert is_admissible(first_r_primes_tuple(r)), f"r={r} not admissible"
+        assert is_admissible(admissible_tuple(r)), f"r={r} not admissible"
 
     def cap(t):
         u = t[0]

@@ -1,9 +1,14 @@
 """CLI contract tests: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gapsieve
 from gapsieve import cli
 from gapsieve import nibble as nib
 from gapsieve.cli import main
@@ -167,6 +172,57 @@ def test_weights_scale_below_two_is_usage_error(capsys, x):
     assert main(["weights", "2", "35", x, "--samples", "2"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"got {x}" in err
+
+
+def test_weights_scale_checked_before_monte_carlo(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals_IJ ran before x was checked")
+
+    monkeypatch.setattr(cli, "integrals_IJ", refuse)
+    assert main(["weights", "2", "35", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "got 1" in err
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 13])
+def test_oracle_witness_verify_gap_round_trip(tmp_path, x):
+    w = tmp_path / "w.json"
+    assert main(["oracle", str(x), "--witness", str(w), "--out", str(tmp_path / "o.json")]) == 0
+    Y = json.loads((tmp_path / "o.json").read_text())["Y"]
+    # with no prime <= x the empty witness covers nothing, not even 1
+    assert main(["verify", str(w), "--out", str(tmp_path / "v.json")]) == (0 if Y else 3)
+    # a subprocess with a timeout, so a scan that never ends fails the test
+    # (a healthy run takes well under a second; a runaway scan's window doubles)
+    g = tmp_path / "g.json"
+    src = str(Path(gapsieve.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapsieve.cli", "gap", str(w), "--out", str(g)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=15,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(g.read_text())
+    assert doc["run_length"] == Y
+    if doc["m"] < 2:
+        assert doc["gap_scan"].startswith("skipped: no prime")
+    else:
+        assert doc["gap_at_least_run"]
+
+
+def test_gap_skips_scan_without_primorial_of_huge_x(tmp_path, capsys, monkeypatch):
+    real_primorial = cli.primorial
+
+    def bounded(x):
+        assert x <= 10**4, f"primorial({x}) requested"
+        return real_primorial(x)
+
+    monkeypatch.setattr(cli, "primorial", bounded)
+    f = tmp_path / "w.json"
+    f.write_text('{"x": %d, "classes": [[2, 1], [3, 2]]}\n' % 10**9)
+    out = tmp_path / "g.json"
+    assert main(["gap", str(f), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["run_length"] == 3
+    assert doc["gap_scan"] == f"skipped: primorial({10**9}) exceeds {cli.GAP_SCAN_LIMIT}"
 
 
 def test_gap_on_construct_output_is_usage_error(tmp_path, capsys):

@@ -390,26 +390,25 @@ def test_round1_mean_normalization_identity():
     assert mean_X == expect
 
 
-# -- uniform wrapper -----------------------------------------------------------------
+# -- uniform instances ---------------------------------------------------------------
 
 
 def test_cover_uniform_single_total_edge():
-    used, leftover, res = nib.cover_uniform(
-        4, [frozenset({0, 1, 2, 3})], [1], random.Random(0)
-    )
-    assert leftover == set()
-    assert used == [frozenset({0, 1, 2, 3})]
+    inst = nib.build_uniform_instance(4, [frozenset({0, 1, 2, 3})], [1])
+    res = nib.run_cover(inst, random.Random(0))
+    assert res.leftover == set()
+    assert [e for e in res.chosen.values() if e] == [frozenset({0, 1, 2, 3})]
 
 
 def test_cover_uniform_singletons_coupon_collector():
     n = 200
-    edges = [frozenset({v}) for v in range(n)]
+    inst = nib.build_uniform_instance(n, [frozenset({v}) for v in range(n)], [n])
     exact = n * (1 - 1 / n) ** n  # exact per-vertex miss probability, summed
     obs = []
     for seed in range(100):
-        used, leftover, _ = nib.cover_uniform(n, edges, [n], stream(seed, "cc"))
-        assert len(used) <= n
-        obs.append(len(leftover))
+        res = nib.run_cover(inst, stream(seed, "cc"))
+        assert sum(1 for e in res.chosen.values() if e) <= n
+        obs.append(len(res.leftover))
     mean = sum(obs) / len(obs)
     sd = (sum((o - mean) ** 2 for o in obs) / (len(obs) - 1)) ** 0.5
     assert abs(mean - exact) <= 3 * sd / math.sqrt(len(obs)) + 1e-9
@@ -421,12 +420,13 @@ def test_cover_uniform_respects_budget():
     rng = stream(5, "budget")
     edges = [frozenset(rng.sample(range(60), 3)) for _ in range(80)]
     counts = [10, 6, 4]
-    used, leftover, res = nib.cover_uniform(60, edges, counts, stream(1, "run"))
+    res = nib.run_cover(nib.build_uniform_instance(60, edges, counts), stream(1, "run"))
+    used = [e for e in res.chosen.values() if e]
     assert len(used) <= sum(counts)
     covered = set()
     for e in used:
         covered |= e
-    assert leftover == set(range(60)) - covered
+    assert res.leftover == set(range(60)) - covered
 
 
 def test_round_counts_recipe():

@@ -1,14 +1,13 @@
-"""Tests for the exhaustive oracles, smooth-number tests and the concentration check."""
+"""Tests for the exhaustive oracles and smooth-number tests."""
 
-import math
 import random
 
 import numpy as np
 import pytest
 
 from gapsieve.oracle import (
+    JACOBSTHAL_CUTOFF,
     InfeasibleError,
-    chebyshev_check,
     exact_Y,
     jacobsthal,
     smooth_count,
@@ -98,7 +97,7 @@ def test_jacobsthal_across_scan_segments():
 
 def test_jacobsthal_cutoff():
     with pytest.raises(InfeasibleError):
-        jacobsthal(10**7, cutoff=10**6)
+        jacobsthal(JACOBSTHAL_CUTOFF + 1)
 
 
 def is_smooth_by_trial_division(n, z):
@@ -169,35 +168,3 @@ def test_smooth_mask_consistent_with_count():
     with pytest.raises(ValueError):
         smooth_mask(np.array([0, 4]), 7)
 
-
-def test_chebyshev_constant():
-    samples = [(0.7, 0.7)] * 500
-    v = chebyshev_check(samples, alpha=0.7, epsilon=0.1, theta=0.05)
-    assert v.deviation_freq == 0.0
-    assert v.passed
-    assert v.first_moment == pytest.approx(0.7)
-    assert v.second_moment == pytest.approx(0.49)
-
-
-def test_chebyshev_degenerate_epsilon_zero():
-    samples = [(1.0, 1.0)] * 100
-    v = chebyshev_check(samples, alpha=1.0, epsilon=0.0, theta=0.01)
-    assert v.deviation_freq == 0.0 and v.passed
-
-
-def test_chebyshev_rademacher_binomial_prediction():
-    # F = alpha (1 + eps * Rademacher) i.i.d.: the pair average deviates from
-    # alpha by eps*alpha exactly when the signs agree, probability 1/2
-    rng = random.Random(99)
-    alpha, eps = 1.0, 0.2
-    n = 4000
-    samples = []
-    for _ in range(n):
-        f1 = alpha * (1 + eps * rng.choice([-1, 1]))
-        f2 = alpha * (1 + eps * rng.choice([-1, 1]))
-        samples.append((f1, f2))
-    theta = eps * alpha / 2
-    v = chebyshev_check(samples, alpha=alpha, epsilon=eps, theta=theta)
-    p = 0.5
-    se = math.sqrt(p * (1 - p) / n)
-    assert abs(v.deviation_freq - p) <= 3 * se

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from gapsieve.primes import (
     AdmissibleTuple,
+    SEGMENT_SIZE,
     admissible_tuple,
-    first_r_primes_tuple,
     is_admissible,
     is_prime,
     max_gap_below,
-    odd_squares_tuple,
     prime_mask,
     primes_up_to,
     primorial,
@@ -66,10 +65,13 @@ def test_primes_up_to_million_cross_checked():
 
 
 def test_segmented_interval_matches_naive():
-    ref = naive_sieve(50_000)
-    for lo, hi in [(2, 100), (90, 90), (1234, 6789), (49_000, 50_000), (10, 2)]:
+    top = SEGMENT_SIZE + 50_000
+    ref = naive_sieve(top)
+    # (3, top) spans more than one segment, so it crosses a segment boundary
+    for lo, hi in [(2, 100), (90, 90), (1234, 6789), (49_000, 50_000), (10, 2),
+                   (3, top), (SEGMENT_SIZE - 1000, SEGMENT_SIZE + 1000)]:
         expect = [p for p in ref if lo <= p <= hi]
-        got = [int(p) for p in sieve_interval(lo, hi, segment_size=512)]
+        got = [int(p) for p in sieve_interval(lo, hi)]
         assert got == expect
 
 
@@ -110,11 +112,11 @@ def test_max_gap_nondecreasing():
 
 
 def test_first_r_primes_tuple():
-    assert first_r_primes_tuple(1).offsets == (2,)
-    assert first_r_primes_tuple(2).offsets == (3, 5)
-    assert first_r_primes_tuple(5).offsets == (7, 11, 13, 17, 19)
+    assert admissible_tuple(1).offsets == (2,)
+    assert admissible_tuple(2).offsets == (3, 5)
+    assert admissible_tuple(5).offsets == (7, 11, 13, 17, 19)
     with pytest.raises(ValueError):
-        first_r_primes_tuple(0)
+        admissible_tuple(0)
 
 
 def test_is_admissible_examples():
@@ -127,38 +129,20 @@ def test_is_admissible_examples():
 
 def test_first_primes_tuples_admissible_to_200():
     for r in range(1, 201):
-        assert is_admissible(first_r_primes_tuple(r))
+        assert is_admissible(admissible_tuple(r))
 
 
 def test_span_bound_and_fallback():
-    # record the smallest r from which h_r <= 2r^2 holds for first-r-primes;
-    # admissible_tuple must satisfy the bound everywhere via the fallback
-    violations = [
-        r for r in range(1, 201) if first_r_primes_tuple(r).offsets[-1] > 2 * r * r
-    ]
-    first_ok = (max(violations) + 1) if violations else 1
-    assert all(
-        first_r_primes_tuple(r).offsets[-1] <= 2 * r * r
-        for r in range(first_ok, 201)
-    )
-    for r in range(1, 101):
-        t = admissible_tuple(r)
-        assert t.offsets[-1] <= 2 * r * r
-        assert is_admissible(t)
-
-
-def test_odd_squares_tuple():
-    t = odd_squares_tuple(4)
-    assert t.offsets == (1, 9, 25, 49)
-    assert t.offsets[-1] == (2 * 4 - 1) ** 2 <= 2 * 4**2 * 2
-    for r in (1, 2, 3, 5, 10, 50):
-        assert is_admissible(odd_squares_tuple(r))
+    # the first r primes above r end at or below 2r^2 for every r, so no
+    # fallback tuple is needed
+    for r in range(1, 201):
+        assert admissible_tuple(r).offsets[-1] <= 2 * r * r
 
 
 @given(st.integers(min_value=2, max_value=40), st.data())
 @settings(max_examples=50, deadline=None)
 def test_subsets_of_admissible_stay_admissible(r, data):
-    t = first_r_primes_tuple(r)
+    t = admissible_tuple(r)
     size = data.draw(st.integers(min_value=1, max_value=r))
     subset = tuple(sorted(data.draw(
         st.lists(st.sampled_from(t.offsets), min_size=size, max_size=size, unique=True)
