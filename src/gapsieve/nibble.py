@@ -19,10 +19,10 @@ process can be enumerated exactly.
 """
 
 import math
-from bisect import bisect_right
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -37,13 +37,17 @@ class NibbleParams:
     C0: float = 1.0
 
 
+EMPTY = frozenset()
+
+
 @dataclass
 class EdgeDist:
     """Finite edge distribution: subsets of V with probabilities summing <= 1.
 
-    The missing mass is an explicit remainder on the empty edge.  Instances
-    may share one EdgeDist object across many indices; the engine exploits
-    that to compute per-round normalization factors once per distinct object.
+    The missing mass is an explicit remainder on the empty edge.  This is
+    the exact form: with Fraction probabilities it feeds the enumerator and
+    the hypothesis checks of tiny instances.  The sampler runs on the float
+    arrays of an AtomTable.
     """
 
     atoms: list  # [(frozenset of vertex ids, probability)]
@@ -68,14 +72,107 @@ class EdgeDist:
         return max((len(e) for e, _ in self.atoms), default=0)
 
 
+def _edge(row) -> frozenset:
+    return frozenset(v for v in row if v >= 0)
+
+
+class AtomTable(Mapping):
+    """Every index's atoms in one CSR: the arrays the sampler runs on.
+
+    Index i owns the atoms ptr[s]:ptr[s + 1] of its slot s = slot[i], and
+    indices may share a slot.  members has one row of vertex ids per atom,
+    sorted, -1 for a missing member; probs holds the atom probabilities and
+    total each slot's sum, taken in atom order as EdgeDist.total does.  As a
+    mapping the table gives each index an EdgeDist built from the arrays.
+    """
+
+    def __init__(self, ptr, members, probs, slot):
+        self.ptr = ptr  # int64, one more than the slots
+        self.members = members  # int32, (atoms, r)
+        self.probs = probs  # float64, one per atom
+        self.slot = slot  # index id -> slot
+        bounds = ptr.tolist()
+        self.total = np.array([sum(probs[a:b].tolist()) for a, b in zip(bounds, bounds[1:])])
+
+    @classmethod
+    def pack(cls, dist, n_vertices: int) -> "AtomTable":
+        """Pack {index: EdgeDist}; indices holding one object share a slot."""
+        slot, slot_of_object = {}, {}
+        rows, probs, ptr = [], [], [0]
+        for i, d in dist.items():
+            if id(d) not in slot_of_object:
+                slot_of_object[id(d)] = len(ptr) - 1
+                for e, q in d.atoms:
+                    row = sorted(set(e))  # an edge is a set: repeated members count once
+                    for v in row:
+                        if not 0 <= v < n_vertices:
+                            raise ValueError(f"index {i}: vertex {v} out of range")
+                    rows.append(row)
+                    probs.append(float(q))
+                ptr.append(len(rows))
+            slot[i] = slot_of_object[id(d)]
+        members = np.full((len(rows), max(map(len, rows), default=1) or 1), -1, dtype=np.int32)
+        for k, row in enumerate(rows):
+            members[k, : len(row)] = row
+        return cls(np.array(ptr, dtype=np.int64), members, np.array(probs, dtype=float), slot)
+
+    def __getitem__(self, i) -> EdgeDist:
+        a, b = self.span(i)
+        return EdgeDist(atoms=[(_edge(row), q) for row, q in
+                               zip(self.members[a:b].tolist(), self.probs[a:b].tolist())])
+
+    def __iter__(self):
+        return iter(self.slot)
+
+    def __len__(self):
+        return len(self.slot)
+
+    def span(self, i):
+        """The atom range [a, b) of index i."""
+        s = self.slot[i]
+        return int(self.ptr[s]), int(self.ptr[s + 1])
+
+    def edge(self, k) -> frozenset:
+        return _edge(self.members[k].tolist())
+
+    def draw(self, i, u) -> frozenset:
+        """The edge at u in [0, 1) of index i's raw distribution (EMPTY past its total)."""
+        a, b = self.span(i)
+        pos = int(np.searchsorted(np.cumsum(self.probs[a:b]), u, side="right"))
+        return self.edge(a + pos) if a + pos < b else EMPTY
+
+    def fold(self, op, values, a, b):
+        """op over values[v] for the members v of each atom in [a, b), left to
+        right in member order; a missing member (-1) reads values[-1]."""
+        members = self.members[a:b]
+        out = values[members[:, 0]]
+        for c in range(1, members.shape[1]):  # one column at a time: r is small
+            out = op(out, values[members[:, c]])
+        return out
+
+    def index_of_slot(self, s):
+        return next(i for i, t in self.slot.items() if t == s)
+
+
 @dataclass
 class CoverInstance:
-    """Vertices 0..n_vertices-1, disjoint rounds of indices, one EdgeDist per index."""
+    """Vertices 0..n_vertices-1, disjoint rounds of indices, one EdgeDist per index.
+
+    dist is either {index: EdgeDist}, packed into `atoms` here (objects may
+    be shared), or an AtomTable, which is then `atoms` itself.
+    """
 
     n_vertices: int
     rounds: list  # [[index ids in round 1], [round 2], ...]
-    dist: dict  # index id -> EdgeDist (objects may be shared)
+    dist: Mapping  # index id -> EdgeDist
     params: NibbleParams
+    atoms: AtomTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.dist, AtomTable):
+            self.atoms = self.dist
+        else:
+            self.atoms = AtomTable.pack(self.dist, self.n_vertices)
 
     @property
     def m(self) -> int:
@@ -86,6 +183,8 @@ class CoverInstance:
             yield from block
 
     def validate(self) -> None:
+        """Rounds disjoint and nonempty; every atom of every slot well formed."""
+        t = self.atoms
         seen = set()
         for block in self.rounds:
             if not block:
@@ -93,23 +192,28 @@ class CoverInstance:
             for i in block:
                 if i in seen:
                     raise ValueError(f"index {i} appears in two rounds")
+                if i not in t.slot:
+                    raise ValueError(f"index {i} has no edge distribution")
                 seen.add(i)
-        checked = set()  # shared EdgeDist objects are validated once
-        for i in seen:
-            d = self.dist[i]
-            if id(d) in checked:
-                continue
-            checked.add(id(d))
-            if d.total() > 1 + 1e-12:
-                raise ValueError(f"index {i}: probabilities sum above 1")
-            for e, q in d.atoms:
-                if q < 0:
-                    raise ValueError(f"index {i}: negative probability")
-                if len(e) > self.params.r_max:
-                    raise ValueError(f"index {i}: edge larger than r_max")
-                for v in e:
-                    if not 0 <= v < self.n_vertices:
-                        raise ValueError(f"index {i}: vertex {v} out of range")
+        n, r_max = self.n_vertices, self.params.r_max
+
+        def fail_at(bad, what):
+            s = int(np.searchsorted(t.ptr, np.argmax(bad), side="right")) - 1
+            raise ValueError(f"index {t.index_of_slot(s)}: {what}")
+
+        bad = ~(np.isfinite(t.probs) & (t.probs >= 0))
+        if bad.any():
+            fail_at(bad, "probability not finite and >= 0")
+        if t.members.shape[1] > r_max:
+            bad = (t.members >= 0).sum(axis=1) > r_max
+            if bad.any():
+                fail_at(bad, "edge larger than r_max")
+        if t.members.size and not -1 <= t.members.min() <= t.members.max() < n:
+            fail_at(((t.members < -1) | (t.members >= n)).any(axis=1), "vertex out of range")
+        over = t.total > 1 + 1e-12
+        if over.any():
+            raise ValueError(f"index {t.index_of_slot(int(np.argmax(over)))}: "
+                             "probabilities sum above 1")
 
 
 class DegreeProfile:
@@ -134,33 +238,27 @@ class DegreeProfile:
     def P_vertex(self, j: int, v: int) -> float:
         return float(self.P[j][v])
 
-    def P_edge(self, j: int, edge) -> float:
-        row = self.P[j]
-        out = 1.0
-        for v in edge:
-            out *= row[v]
-        return float(out)
+    def P_row(self, j: int):
+        return self.P[j]
 
 
 def degree_profile(inst: CoverInstance) -> DegreeProfile:
-    """Exact degree sums and the P recursion for an instance."""
-    n = inst.n_vertices
-    vec_cache = {}
+    """Exact degree sums and the P recursion for an instance.
+
+    Per round, each distinct slot's vertex probabilities are summed in atom
+    order and added, times the number of the round's indices that use the
+    slot, in order of first use.
+    """
+    t = inst.atoms
     rows = []
     for block in inst.rounds:
-        row = np.zeros(n)
-        counts = {}
-        for i in block:
-            d = inst.dist[i]
-            counts[id(d)] = (d, counts.get(id(d), (d, 0))[1] + 1)
-        for d, cnt in counts.values():
-            key = id(d)
-            if key not in vec_cache:
-                vec = np.zeros(n)
-                for v, q in d.vertex_probs().items():
-                    vec[v] = float(q)
-                vec_cache[key] = vec
-            row += cnt * vec_cache[key]
+        row = np.zeros(inst.n_vertices)
+        for s, cnt in Counter(t.slot[i] for i in block).items():
+            members = t.members[t.ptr[s] : t.ptr[s + 1]]
+            present = members >= 0
+            q = np.broadcast_to(t.probs[t.ptr[s] : t.ptr[s + 1], None], members.shape)
+            v, inverse = np.unique(members[present], return_inverse=True)
+            row[v] += cnt * np.bincount(inverse, weights=q[present])
         rows.append(row)
     return DegreeProfile(rows)
 
@@ -218,8 +316,10 @@ class ExactProfile:
             out *= self.P_vertex(j, v)
         return out
 
-
-EMPTY = frozenset()
+    def P_row(self, j: int):
+        """P_j rounded to floats, for running the float sampler on these targets."""
+        n = 1 + max((v for _, v in self._P), default=-1)
+        return np.array([float(self.P_vertex(j, v)) for v in range(n)])
 
 
 @dataclass
@@ -249,16 +349,15 @@ def default_tol(params: NibbleParams, m: int) -> float:
     return min(max(params.delta ** (1.0 / (3 * 10**m)), 0.1), 0.999)
 
 
-def _reweighted_atoms(dist: EdgeDist, profile, j: int, W):
-    """In-W atoms with weights P(e)/P_{j-1}(e), plus the remainder weight."""
-    atoms = [(e, q / profile.P_edge(j - 1, e)) for e, q in dist.atoms if e <= W]
-    return atoms, dist.remainder()
-
-
 def normalization_factor(inst: CoverInstance, profile, i, j: int, W) -> float:
-    """X_i(W) for index i in round j: conditioned, reweighted total mass."""
-    atoms, rem = _reweighted_atoms(inst.dist[i], profile, j, W)
-    weights = [w for _, w in atoms]
+    """X_i(W) for index i in round j: conditioned, reweighted total mass.
+
+    Reads the index's EdgeDist, so Fraction probabilities with an
+    ExactProfile give X exactly.
+    """
+    dist = inst.dist[i]
+    weights = [q / profile.P_edge(j - 1, e) for e, q in dist.atoms if e <= W]
+    rem = dist.remainder()
     if any(isinstance(w, Fraction) for w in weights) or isinstance(rem, Fraction):
         return sum(weights, Fraction(0)) + rem
     return math.fsum(weights) + rem
@@ -268,30 +367,37 @@ def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, 
     """Execute round j: sample one edge (or skip) per index, then shrink W.
 
     All indices of the round sample against the same W; the union of their
-    choices is removed only after the whole round has been drawn.
+    choices is removed only after the whole round has been drawn.  Each
+    distinct slot is read once, for its in-W atoms, their weights
+    P(e)/P_{j-1}(e) and X.
     """
     if not tol < 1:
         raise ValueError("tol must be < 1 so that X = 0 always fails the drift test")
     W = state.W
     w_size = len(W)
-    cache = {}
+    t = inst.atoms
+    inside = np.zeros(inst.n_vertices + 1, dtype=bool)
+    inside[np.fromiter(W, dtype=np.int64, count=w_size)] = True
+    inside[-1] = True  # what a missing member (-1) reads
+    P = np.append(profile.P_row(j - 1), 1.0)
+    cache = {}  # slot -> (in-W atoms, cumulative weights, X)
     for i in inst.rounds[j - 1]:
-        dist = inst.dist[i]
-        key = id(dist)
-        if key not in cache:
-            atoms, rem = _reweighted_atoms(dist, profile, j, W)
-            weights = [w for _, w in atoms]
-            X = math.fsum(weights) + rem
-            cache[key] = (atoms, list(accumulate(weights)), X)
-        atoms, cum, X = cache[key]
+        s = t.slot[i]
+        if s not in cache:
+            a, b = t.ptr[s], t.ptr[s + 1]
+            sel = np.flatnonzero(t.fold(np.logical_and, inside, a, b))
+            w = t.probs[a:b][sel] / t.fold(np.multiply, P, a, b)[sel]
+            rem = max(0.0, 1 - float(t.total[s]))
+            cache[s] = (a + sel, np.cumsum(w), math.fsum(w.tolist()) + rem)
+        sel, cum, X = cache[s]
         passed = abs(X - 1) <= tol
         if not passed:
             state.chosen[i] = EMPTY
         else:
             assert X > 0, "X = 0 cannot pass the drift test with tol < 1"
             u = rng.random() * X
-            pos = bisect_right(cum, u)
-            state.chosen[i] = atoms[pos][0] if pos < len(atoms) else EMPTY
+            pos = int(np.searchsorted(cum, u, side="right"))
+            state.chosen[i] = t.edge(sel[pos]) if pos < len(sel) else EMPTY
         state.round_log.append(RoundStats(j, i, float(X), passed, w_size))
     removed = set()
     for i in inst.rounds[j - 1]:
@@ -321,19 +427,7 @@ def run_cover(inst: CoverInstance, rng, tol=None) -> CoverResult:
 
 def independent_select(inst: CoverInstance, rng) -> dict:
     """Baseline: every index samples its raw distribution, no conditioning."""
-    chosen = {}
-    cum_cache = {}
-    for block in inst.rounds:
-        for i in block:
-            dist = inst.dist[i]
-            key = id(dist)
-            if key not in cum_cache:
-                cum_cache[key] = list(accumulate(float(q) for _, q in dist.atoms))
-            cum = cum_cache[key]
-            u = rng.random()
-            pos = bisect_right(cum, u)
-            chosen[i] = dist.atoms[pos][0] if pos < len(dist.atoms) else EMPTY
-    return chosen
+    return {i: inst.atoms.draw(i, rng.random()) for i in inst.all_indices()}
 
 
 def leftover_of(inst: CoverInstance, chosen: dict) -> set:
@@ -616,7 +710,7 @@ def instance_from_json(text: str) -> CoverInstance:
         inst.validate()
     except KeyError as exc:
         raise ValueError(f"cover instance: missing key {exc}") from None
-    except (TypeError, AttributeError, IndexError) as exc:
+    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
         raise ValueError(f"cover instance: wrong shape ({exc})") from None
     return inst
 

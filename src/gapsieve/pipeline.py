@@ -233,7 +233,8 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     w / (sum of w over [-y, y]) and the mass on empty-edge anchors becomes an
     explicit remainder: one weight evaluation per sieving prime.
     Anchors with equal edges merge into one atom, listed by its smallest
-    anchor, and each distinct edge is one frozenset shared by every prime.
+    anchor.  Each prime's atoms are appended to one AtomTable: a sorted row
+    of member ids (-1 for a missing member) and a mass per atom.
     """
     th = thresholds(cfg)
     offsets = admissible_tuple(default_r(cfg.x)).offsets
@@ -247,9 +248,9 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     key_dims = (len(values) + 1,) * len(offsets)
     assert math.prod(key_dims) <= np.iinfo(np.int64).max, "member-row keys overflow int64"
 
-    edges = {}  # sorted member row (-1 = no member) -> the edge's one frozenset
     index_primes = []
-    dists = {}
+    member_rows = []  # per sieving prime: its atoms' sorted member ids
+    masses = []  # per sieving prime: its atoms' probabilities
     skipped = []
     degree = np.zeros(len(values))
     max_vertex_prob = 0.0
@@ -282,23 +283,25 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
         degree += vec
         max_vertex_prob = max(max_vertex_prob, float(vec.max()))
 
-        atom_edges = []
-        for row in map(tuple, uniq.tolist()):
-            if row not in edges:
-                edges[row] = frozenset(v for v in row if v >= 0)
-            atom_edges.append(edges[row])
-        idx = len(index_primes)
         index_primes.append(p)
-        dists[idx] = nib.EdgeDist(atoms=list(zip(atom_edges, mass.tolist())))
+        member_rows.append(uniq.astype(np.int32))
+        masses.append(mass)
 
     if not index_primes:
         raise ValueError("every sieving prime has an empty edge distribution")
 
     r_max = len(offsets)
+    n_indices = len(index_primes)
+    atoms = nib.AtomTable(
+        ptr=np.concatenate(([0], np.cumsum([len(m) for m in masses]))),
+        members=np.concatenate(member_rows),
+        probs=np.concatenate(masses),
+        slot={idx: idx for idx in range(n_indices)},
+    )
     cover = nib.CoverInstance(
         n_vertices=len(values),
-        rounds=[list(range(len(index_primes)))],
-        dist=dists,
+        rounds=[list(range(n_indices))],
+        dist=atoms,
         # delta records the measured sparsity witness max P(v in e_p); the
         # full hypothesis extremes come from check_hypotheses on demand
         params=nib.NibbleParams(
@@ -328,29 +331,24 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
     method = cfg.stage3_method
     chosen = {p: nib.EMPTY for p in pinst.skipped_primes}
 
+    atoms = pinst.cover.atoms
     if method == "independent":
         for idx, p in enumerate(pinst.index_primes):
-            rng = stream(cfg.seed, "stage3", p)
-            chosen[p] = nib.independent_select(
-                nib.CoverInstance(
-                    n_vertices=pinst.cover.n_vertices,
-                    rounds=[[idx]],
-                    dist={idx: pinst.cover.dist[idx]},
-                    params=pinst.cover.params,
-                ),
-                rng,
-            )[idx]
+            chosen[p] = atoms.draw(idx, stream(cfg.seed, "stage3", p).random())
         return chosen
 
     if method == "greedy":
         order = list(range(len(pinst.index_primes)))
         stream(cfg.seed, "stage3-order").shuffle(order)
-        uncovered = set(range(pinst.cover.n_vertices))
+        uncovered = np.ones(pinst.cover.n_vertices + 1, dtype=np.int8)
+        uncovered[-1] = 0  # what a missing member (-1) reads
         for idx in order:
-            # atoms are listed by anchor, so ties go to the smallest anchor
-            edge, _ = max(pinst.cover.dist[idx].atoms, key=lambda a: len(a[0] & uncovered))
-            uncovered -= edge
-            chosen[pinst.index_primes[idx]] = edge
+            a, b = atoms.span(idx)
+            # atoms are listed by anchor and argmax takes the first maximum,
+            # so ties go to the smallest anchor
+            k = a + int(np.argmax(atoms.fold(np.add, uncovered, a, b)))
+            uncovered[atoms.members[k]] = 0
+            chosen[pinst.index_primes[idx]] = atoms.edge(k)
         return chosen
 
     # nibble: round membership via the geometric interval recipe; primes
@@ -365,7 +363,7 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
     inst = nib.CoverInstance(
         n_vertices=pinst.cover.n_vertices,
         rounds=[blk for blk in rounds if blk],
-        dist=pinst.cover.dist,
+        dist=atoms,
         params=pinst.cover.params,
     )
     result = nib.run_cover(inst, stream(cfg.seed, "stage3-nibble"))

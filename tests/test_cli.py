@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -26,6 +27,33 @@ def test_construct_smoke_and_determinism(tmp_path):
                  "--out", str(out2)]) == 0
     assert (out1 / "system.json").read_bytes() == (out2 / "system.json").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+# seed-1 outputs of the benchmark's construct commands and of the three
+# stage-3 methods: sha256 of system.json and the report's residual after
+# stage 3.  A change to how stage 3 stores or samples its instance that
+# keeps the same draws keeps these bytes.
+PINNED_CONSTRUCTS = [
+    ("3000 --mode paper-formula",
+     "d7a3f79714b4880c43f7a12751f14389c1876445fec8de2286c0c436dea5d382", 761),
+    ("2000 --mode paper-formula --weights sieve --stage3 independent",
+     "8c5212a6e415b055436f86ce193964752da7e3fb698e9bfa178e4bf1e915fc66", 630),
+    ("5000 --stage3 nibble",
+     "e03405f02df4d0a82f8767afeea05371543a72948104c14fda8e097f37662ca6", 632),
+    ("5000 --stage3 independent",
+     "c364de31e800e82ef33078af9f8172b31d453c752a0c89f11db5c7d4990f9f1f", 641),
+    ("5000 --stage3 greedy",
+     "c6a0ef2eda85ccfc06d1f5b111fe3567aced6945cc404735758ebf450afa2641", 562),
+]
+
+
+@pytest.mark.parametrize("args, digest, residual", PINNED_CONSTRUCTS,
+                         ids=[a for a, _, _ in PINNED_CONSTRUCTS])
+def test_construct_outputs_pinned(tmp_path, args, digest, residual):
+    assert main(["construct", *args.split(), "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "system.json").read_bytes()).hexdigest() == digest
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["residual_after_stage3"] == residual
 
 
 def test_construct_usage_error_below_minimum(tmp_path):
@@ -266,6 +294,19 @@ def test_nibble_bench_malformed_instance_is_usage_error(tmp_path, capsys):
     assert main(["nibble-bench", str(f), "--seeds", "1"]) == 2
     err = capsys.readouterr().err
     assert "params" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("prob, what", [("NaN", "finite"), ("-0.5", "finite"),
+                                         ("1" + "0" * 400, "too large")],
+                         ids=["nan", "negative", "huge-int"])
+def test_nibble_bench_bad_probability_is_usage_error(tmp_path, capsys, prob, what):
+    f = tmp_path / "inst.json"
+    f.write_text('{"vertices": 3, "rounds": [[0]], "dist": {"0": [[[0, 1], %s], [[2], 0.5]]}, '
+                 '"params": {"delta": 0.5, "r_max": 2, "A": 5, "D": 3, "kappa": 0.01}}\n'
+                 % prob)
+    assert main(["nibble-bench", str(f), "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert what in err and len(err.strip().splitlines()) == 1
 
 
 def test_construct_budget_exhausted_is_infeasible(tmp_path, capsys):

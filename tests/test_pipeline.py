@@ -28,6 +28,7 @@ from gapsieve.pipeline import (
 )
 from gapsieve.primes import admissible_tuple, primes_up_to, sieve_interval
 from gapsieve.residues import ResidueSystem, sift
+from gapsieve.rng import stream
 from gapsieve.weights import PairWeightContext
 
 
@@ -318,14 +319,30 @@ def test_edge_build_matches_per_anchor_reference(cfg):
         assert max(d.max_edge_size() for d in pinst.cover.dist.values()) == 2
 
 
-def test_equal_edges_are_one_shared_object():
+def test_pipeline_instance_holds_atoms_in_arrays():
     cfg = StagedConfig(x=1000, seed=2)
-    pinst = build_edge_distributions(cfg, _split(cfg))
-    atom_edges = [e for d in pinst.cover.dist.values() for e, _ in d.atoms]
-    objects = {}
-    for e in atom_edges:
-        assert objects.setdefault(e, e) is e
-    assert len({id(e) for e in atom_edges}) == len(set(atom_edges)) < len(atom_edges)
+    split = _split(cfg)
+    pinst = build_edge_distributions(cfg, split)
+    ref = reference_edge_distributions(cfg, split)
+    atoms = pinst.cover.atoms
+    assert pinst.cover.dist is atoms
+    n_atoms = sum(len(a) for a in ref["atoms"])
+    assert atoms.members.dtype == np.int32
+    assert atoms.members.shape == (n_atoms, len(admissible_tuple(default_r(cfg.x)).offsets))
+    assert atoms.probs.dtype == np.float64 and atoms.probs.shape == (n_atoms,)
+    assert atoms.ptr.tolist() == [0, *np.cumsum([len(a) for a in ref["atoms"]]).tolist()]
+
+
+def test_instance_file_round_trip_of_pipeline_instance():
+    cfg = StagedConfig(x=1000, mode="paper-formula", seed=1)
+    inst = build_edge_distributions(cfg, _split(cfg)).cover
+    back = nib.instance_from_json(nib.instance_to_json(inst))
+    assert isinstance(back.dist, dict)  # packed from EdgeDists, not the same table
+    a = nib.run_cover(inst, stream(7, "round-trip"))
+    b = nib.run_cover(back, stream(7, "round-trip"))
+    assert any(a.chosen.values())
+    assert a.chosen == b.chosen
+    assert a.leftover == b.leftover
 
 
 @pytest.mark.parametrize("method", ["none", "independent", "greedy", "nibble"])
