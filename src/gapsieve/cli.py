@@ -34,7 +34,6 @@ from .residues import (
 from .rng import stream
 from .weights import (
     FormSystem,
-    LinearForm,
     WeightSystem,
     check_scale,
     integrals_IJ,
@@ -209,7 +208,7 @@ def cmd_nibble_bench(args) -> int:
 def cmd_weights(args) -> int:
     check_scale(args.x)  # before the Monte Carlo, not after it
     offsets = admissible_tuple(args.k).offsets
-    system = FormSystem([LinearForm(1, h) for h in offsets], B=args.B)
+    system = FormSystem(offsets, B=args.B)
     ws = WeightSystem(system, R=args.R)
     doc = {
         "manifest": _manifest(
@@ -230,7 +229,7 @@ def cmd_weights(args) -> int:
     if args.dump:
         table_doc = {
             "k": args.k,
-            "forms": [[f.l1, f.l2] for f in system.forms],
+            "forms": [[1, h] for h in offsets],
             "B": args.B,
             "R": args.R,
             "lambda": [[list(d), val] for d, val in sorted(ws.table.items())],

@@ -34,7 +34,6 @@ class NibbleParams:
     A: float
     D: float
     kappa: float
-    C0: float = 1.0
 
 
 EMPTY = frozenset()
@@ -220,7 +219,8 @@ class DegreeProfile:
     """Normalized degrees d[j] and survival targets P[j] as float arrays.
 
     d[j][v] for j = 1..m (d[0] is zeros); P[j][v] for j = 0..m with
-    P[0] = 1 and P[j+1] = P[j] * exp(-d[j+1] / P[j]).
+    P[0] = 1 and P[j+1] = P[j] * exp(-d[j+1] / P[j]).  A target that has
+    underflowed to 0 stays 0.
     """
 
     def __init__(self, d_rows):
@@ -230,13 +230,9 @@ class DegreeProfile:
         self.P = [np.ones(n)]
         for j in range(1, self.m + 1):
             prev = self.P[j - 1]
-            self.P.append(prev * np.exp(-self.d[j] / prev))
-
-    def d_vertex(self, j: int, v: int) -> float:
-        return float(self.d[j][v])
-
-    def P_vertex(self, j: int, v: int) -> float:
-        return float(self.P[j][v])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = prev * np.exp(-self.d[j] / prev)
+            self.P.append(np.where(prev > 0, step, 0.0))
 
     def P_row(self, j: int):
         return self.P[j]
@@ -272,34 +268,22 @@ class ExactProfile:
     this class directly to inject chosen rational targets.
     """
 
-    def __init__(self, m: int, d: dict, P: dict):
+    def __init__(self, m: int, P: dict):
         self.m = m
-        self._d = d  # (j, v) -> Fraction
         self._P = P  # (j, v) -> Fraction | None
 
     @classmethod
     def from_instance(cls, inst: CoverInstance) -> "ExactProfile":
-        d = {}
         P = {}
         for v in range(inst.n_vertices):
             P[(0, v)] = Fraction(1)
         for j, block in enumerate(inst.rounds, start=1):
-            deg = {}
-            for i in block:
-                for v, q in inst.dist[i].vertex_probs().items():
-                    deg[v] = deg.get(v, Fraction(0)) + Fraction(q)
+            # probabilities are >= 0, so a degree is nonzero iff one term is
+            touched = {v for i in block for v, q in inst.dist[i].vertex_probs().items() if q}
             for v in range(inst.n_vertices):
-                dv = deg.get(v, Fraction(0))
-                d[(j, v)] = dv
                 prev = P[(j - 1, v)]
-                if prev is None or dv != 0:
-                    P[(j, v)] = None
-                else:
-                    P[(j, v)] = prev
-        return cls(len(inst.rounds), d, P)
-
-    def d_vertex(self, j, v):
-        return self._d.get((j, v), Fraction(0))
+                P[(j, v)] = None if prev is None or v in touched else prev
+        return cls(len(inst.rounds), P)
 
     def P_vertex(self, j, v):
         val = self._P[(j, v)]
@@ -349,18 +333,18 @@ def default_tol(params: NibbleParams, m: int) -> float:
     return min(max(params.delta ** (1.0 / (3 * 10**m)), 0.1), 0.999)
 
 
-def normalization_factor(inst: CoverInstance, profile, i, j: int, W) -> float:
-    """X_i(W) for index i in round j: conditioned, reweighted total mass.
+def _exact_law(dist: EdgeDist, profile, j: int, W):
+    """Index law in round j, exactly: the atoms e inside W with their weights
+    q / P_{j-1}(e), the remainder mass and X = their sum plus the remainder."""
+    atoms = [(e, Fraction(q) / profile.P_edge(j - 1, e)) for e, q in dist.atoms if e <= W]
+    rem = Fraction(dist.remainder())
+    return atoms, rem, sum((w for _, w in atoms), Fraction(0)) + rem
 
-    Reads the index's EdgeDist, so Fraction probabilities with an
-    ExactProfile give X exactly.
-    """
-    dist = inst.dist[i]
-    weights = [q / profile.P_edge(j - 1, e) for e, q in dist.atoms if e <= W]
-    rem = dist.remainder()
-    if any(isinstance(w, Fraction) for w in weights) or isinstance(rem, Fraction):
-        return sum(weights, Fraction(0)) + rem
-    return math.fsum(weights) + rem
+
+def normalization_factor(inst: CoverInstance, profile, i, j: int, W) -> Fraction:
+    """X_i(W) for index i in round j: conditioned, reweighted total mass,
+    exact for Fraction probabilities and an ExactProfile."""
+    return _exact_law(inst.dist[i], profile, j, W)[2]
 
 
 def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, tol):
@@ -369,7 +353,8 @@ def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, 
     All indices of the round sample against the same W; the union of their
     choices is removed only after the whole round has been drawn.  Each
     distinct slot is read once, for its in-W atoms, their weights
-    P(e)/P_{j-1}(e) and X.
+    P(e)/P_{j-1}(e) and X.  An atom of positive mass whose target is 0
+    weighs +inf, so its index fails the drift test with X = inf.
     """
     if not tol < 1:
         raise ValueError("tol must be < 1 so that X = 0 always fails the drift test")
@@ -386,7 +371,10 @@ def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, 
         if s not in cache:
             a, b = t.ptr[s], t.ptr[s + 1]
             sel = np.flatnonzero(t.fold(np.logical_and, inside, a, b))
-            w = t.probs[a:b][sel] / t.fold(np.multiply, P, a, b)[sel]
+            q = t.probs[a:b][sel]
+            with np.errstate(divide="ignore", over="ignore"):
+                w = np.divide(q, t.fold(np.multiply, P, a, b)[sel],
+                              out=np.zeros_like(q), where=q > 0)
             rem = max(0.0, 1 - float(t.total[s]))
             cache[s] = (a + sel, np.cumsum(w), math.fsum(w.tolist()) + rem)
         sel, cum, X = cache[s]
@@ -504,17 +492,16 @@ def check_hypotheses(inst: CoverInstance) -> HypothesisReport:
     max_ratio = 0.0
     min_P = 1.0
     for j in range(1, inst.m + 1):
-        prev = profile.P[j - 1]
-        ratio = np.max(profile.d[j] / prev) if inst.n_vertices else 0.0
+        prev, d = profile.P[j - 1], profile.d[j]
+        with np.errstate(divide="ignore", invalid="ignore"):  # d / 0 is inf, 0 / 0 reads 0
+            ratio = np.max(np.where(d > 0, d / prev, 0.0)) if inst.n_vertices else 0.0
         max_ratio = max(max_ratio, float(ratio))
     for j in range(0, inst.m + 1):
         if inst.n_vertices:
             min_P = min(min_P, float(np.min(profile.P[j])))
 
-    # delta <= (kappa^A / (C0 exp(A D)))^(10^(m+2)), compared in logs
-    log_thresh = 10 ** (inst.m + 2) * (
-        p.A * math.log(p.kappa) - math.log(p.C0) - p.A * p.D
-    )
+    # delta <= (kappa^A / exp(A D))^(10^(m+2)), compared in logs
+    log_thresh = 10 ** (inst.m + 2) * (p.A * math.log(p.kappa) - p.A * p.D)
     delta_ok = p.delta > 0 and math.log(p.delta) <= log_thresh
 
     return HypothesisReport(
@@ -613,14 +600,7 @@ def exact_cover_distribution(inst: CoverInstance, tol, profile=None) -> ExactDis
         for (W, picks), prob in states.items():
             options_per_index = []
             for i in block:
-                dist = inst.dist[i]
-                atoms = [
-                    (e, Fraction(q) / profile.P_edge(j - 1, e))
-                    for e, q in dist.atoms
-                    if e <= W
-                ]
-                rem = Fraction(dist.remainder())
-                X = sum((w for _, w in atoms), Fraction(0)) + rem
+                atoms, rem, X = _exact_law(inst.dist[i], profile, j, W)
                 if abs(X - 1) > tol:
                     options_per_index.append([(EMPTY, Fraction(1))])
                 else:

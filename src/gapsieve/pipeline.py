@@ -112,8 +112,12 @@ def paper_thresholds_log(log_x: float):
 class Thresholds:
     v: float
     z: float
-    y: int
+    y_formula: float  # c x log x max(1, log3 x) / max(1, log2 x); y is its ceiling
     clamped: bool
+
+    @property
+    def y(self) -> int:
+        return math.ceil(self.y_formula)
 
     def small_primes(self):
         """The random-class primes: v < s <= z."""
@@ -123,11 +127,12 @@ class Thresholds:
 def thresholds(cfg: StagedConfig) -> Thresholds:
     x = cfg.x
     l1, l2, l3 = _iterated_logs(x)
-    y = math.ceil(cfg.c * x * l1 * max(1.0, l3) / max(1.0, l2))
+    y_formula = cfg.c * x * l1 * max(1.0, l3) / max(1.0, l2)
     if cfg.mode == "desk-preset":
-        return Thresholds(v=x**DESK_V_EXP, z=x**DESK_Z_EXP, y=y, clamped=False)
+        return Thresholds(v=x**DESK_V_EXP, z=x**DESK_Z_EXP, y_formula=y_formula, clamped=False)
     log_v, log_z, clamped = paper_thresholds_log(l1)
-    return Thresholds(v=math.exp(log_v), z=math.exp(log_z), y=y, clamped=clamped)
+    return Thresholds(v=math.exp(log_v), z=math.exp(log_z), y_formula=y_formula,
+                      clamped=clamped)
 
 
 def default_r(x: int) -> int:
@@ -437,7 +442,7 @@ def run_pipeline(cfg: StagedConfig):
     (x, achieved_y] must leave zero survivors.
     """
     th = thresholds(cfg)
-    l1, l2, l3 = _iterated_logs(cfg.x)
+    l1, l2, _ = _iterated_logs(cfg.x)
 
     s1 = stage1_zero_classes(cfg)
     s2 = stage2_random_small(cfg)
@@ -478,7 +483,6 @@ def run_pipeline(cfg: StagedConfig):
     achieved_y = th.y
 
     target_prime_survivors = 80 * cfg.c * cfg.x * l2 / l1
-    y_formula = cfg.c * cfg.x * l1 * max(1.0, l3) / max(1.0, l2)
     report = PipelineReport(
         x=cfg.x,
         y=th.y,
@@ -505,7 +509,7 @@ def run_pipeline(cfg: StagedConfig):
         C_target=1.0 / cfg.c,
         prime_survivor_target=target_prime_survivors,
         prime_survivor_ratio=len(split.primes) / target_prime_survivors,
-        y_formula=y_formula,
-        achieved_ratio=achieved_y / y_formula,
+        y_formula=th.y_formula,
+        achieved_ratio=achieved_y / th.y_formula,
     )
     return report, combined

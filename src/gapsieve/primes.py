@@ -14,24 +14,13 @@ import numpy as np
 SEGMENT_SIZE = 1 << 20
 
 
-def _small_sieve(limit: int) -> np.ndarray:
-    """Plain sieve up to limit (inclusive); returns array of primes."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi] via a segmented sieve."""
+    """Primes in [lo, hi] via a segmented sieve; the base primes up to
+    isqrt(hi) come from the same sieve."""
     if hi < max(lo, 2):
         return np.empty(0, dtype=np.int64)
     lo = max(lo, 2)
-    base = _small_sieve(isqrt(hi))
+    base = sieve_interval(2, isqrt(hi))
     out = []
     for seg_lo in range(lo, hi + 1, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE - 1, hi)

@@ -107,25 +107,37 @@ def covered_prefix_length(sys: ResidueSystem) -> int:
     raise RuntimeError(f"no survivor found below {PREFIX_SCAN_LIMIT}")
 
 
+def crt_merge(a, b):
+    """Merge two congruences (r, m) whose moduli may share factors.
+
+    Returns (r, lcm) with r the class mod lcm(m1, m2) satisfying both, or
+    None when they are incompatible.
+    """
+    r1, m1 = a
+    r2, m2 = b
+    g = gcd(m1, m2)
+    if (r2 - r1) % g != 0:
+        return None
+    l = m1 // g * m2
+    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
+    return (r1 + m1 * t) % l, l
+
+
 def crt_combine(congruences) -> tuple:
     """Combine (residue, modulus) pairs with pairwise coprime moduli.
 
     Returns (r, M) with M the product of the moduli and r the unique class
     mod M satisfying all congruences; arbitrary precision.
     """
-    r, m = 0, 1
+    cls = (0, 1)
     for a, q in congruences:
         if q < 1:
             raise ValueError(f"modulus {q} must be positive")
-        g = gcd(m, q)
+        g = gcd(cls[1], q)
         if g != 1:
             raise ValueError(f"moduli not pairwise coprime (gcd {g})")
-        # r' = r mod m, a mod q
-        inv = pow(m % q, -1, q)
-        r = r + m * ((a - r) % q * inv % q)
-        m *= q
-        r %= m
-    return r, m
+        cls = crt_merge(cls, (a, q))
+    return cls
 
 
 @dataclass(frozen=True)
@@ -208,8 +220,6 @@ def system_from_json(text: str):
     for p, a in classes:
         if p in entries:
             raise ValueError(f"duplicate modulus {p}")
-        if not 0 <= a < p:
-            raise ValueError(f"residue {a} out of range for modulus {p}")
         entries[p] = a
     return x, ResidueSystem(entries), interval
 

@@ -1,9 +1,9 @@
-"""Multidimensional sieve weights for admissible systems of linear forms.
+"""Multidimensional sieve weights for the shifts n + h_i of an admissible tuple.
 
-Given admissible forms L_i(n) = l1*n + l2 the module builds the classical
+Given admissible offsets h_1, ..., h_k the module builds the classical
 squared-divisor-sum weight
 
-    w(n) = ( sum over d with d_i | L_i(n) of lambda_d )^2
+    w(n) = ( sum over d with d_i | n + h_i of lambda_d )^2
 
 where the lambda coefficients come from a smooth cap F on the simplex via
 the y-weight transform.  Everything is computed by direct enumeration over
@@ -21,24 +21,12 @@ from math import gcd
 
 import numpy as np
 
-from .primes import factorize, is_prime, primes_up_to
+from .primes import AdmissibleTuple, factorize, is_admissible, is_prime, primes_up_to
+from .residues import crt_merge
 
 
 class InadmissibleError(ValueError):
     """Some prime divides every value of the form product."""
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    l1: int
-    l2: int
-
-    def __post_init__(self):
-        if self.l1 == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    def __call__(self, n: int) -> int:
-        return self.l1 * n + self.l2
 
 
 def _euler_phi(n: int) -> int:
@@ -48,70 +36,49 @@ def _euler_phi(n: int) -> int:
     return out
 
 
-def _is_squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorize(n).values())
-
-
 @dataclass(frozen=True)
 class OmegaData:
     count: int
-    roots: tuple  # n in [1, p] with p | prod L_i(n), increasing
+    roots: tuple  # n in [1, p] with p | prod (n + h_i), increasing
     j_least: tuple  # for each root, least form index (1-based) it kills
 
 
 class FormSystem:
-    """Admissible linear forms with the exceptional modulus B and level W.
+    """The forms n + h_i of admissible offsets, with exceptional modulus B and level W.
 
     W is the product of primes up to 2k^2 not dividing B; B is 1 (default)
-    or a prime standing in for a possible exceptional modulus.
+    or a prime standing in for a possible exceptional modulus.  Offsets
+    that cover every class mod some prime raise InadmissibleError, and
+    repeated offsets ValueError.
     """
 
-    def __init__(self, forms, B: int = 1):
-        self.forms = tuple(
-            f if isinstance(f, LinearForm) else LinearForm(*f) for f in forms
-        )
-        self.k = len(self.forms)
+    def __init__(self, offsets, B: int = 1):
+        self.offsets = tuple(offsets)
+        self.k = len(self.offsets)
         if self.k < 1:
             raise ValueError("need at least one form")
         if B != 1 and not is_prime(B):
             raise ValueError("B must be 1 or a prime")
+        if not is_admissible(AdmissibleTuple(self.offsets)):
+            raise InadmissibleError(f"offsets {self.offsets} cover every class mod a prime")
         self.B = B
         self._omega = {}
         self.W = 1
         for p in primes_up_to(2 * self.k * self.k):
             if B % p != 0:
                 self.W *= p
-        self._check_admissible()
-
-    def _check_admissible(self):
-        # a single form has a fixed prime divisor iff gcd(l1, l2) > 1
-        # (gcd(l1, 0) = |l1| handles l2 = 0); beyond that only primes
-        # p <= k can have every class covered, since each form kills at
-        # most one class mod p.
-        for f in self.forms:
-            g = gcd(abs(f.l1), abs(f.l2))
-            if g > 1:
-                raise InadmissibleError(f"form {f} has fixed divisor gcd {g}")
-        for p in primes_up_to(self.k):
-            if self.omega(p).count == p:
-                raise InadmissibleError(f"all classes mod {p} are covered")
 
     def omega(self, p: int) -> OmegaData:
-        """Roots of prod L_i(n) mod p in [1, p], with least-form assignments.
+        """Roots of prod (n + h_i) mod p in [1, p], with least-form assignments.
 
-        Each form l1*n + l2 contributes the single root -l2/l1 mod p when
-        p does not divide l1, and no root otherwise (fixed divisors are
-        excluded at construction), so the scan is O(k) per prime.  Results
-        are cached on the instance.
+        Form j has the single root -h_j mod p, so the scan is O(k) per
+        prime.  Results are cached on the instance.
         """
         if p in self._omega:
             return self._omega[p]
         root_to_j = {}
-        for j, f in enumerate(self.forms, start=1):
-            if f.l1 % p == 0:
-                continue  # p | l2 impossible for an admissible form
-            n = (-f.l2 * pow(f.l1, -1, p)) % p
-            n = n if n else p  # represent classes by [1, p]
+        for j, h in enumerate(self.offsets, start=1):
+            n = -h % p or p  # represent classes by [1, p]
             root_to_j.setdefault(n, j)  # ascending j, so first hit is least
         roots = tuple(sorted(root_to_j))
         data = self._omega[p] = OmegaData(
@@ -150,8 +117,6 @@ def singular_series(sys: FormSystem, cutoff: int, exclude: int = None):
         if exclude % p == 0:
             continue
         w = sys.omega(p).count
-        if w == p:
-            raise InadmissibleError(f"all classes mod {p} are covered")
         value *= (1 - w / p) * (1 - 1 / p) ** (-k)
     tail = sum(k * k / (p * p) for p in primes_up_to(10 * cutoff) if p > cutoff)
     tail += k * k / (10 * cutoff * math.log(10 * cutoff))
@@ -171,7 +136,7 @@ def in_Dk(sys: FormSystem, d) -> bool:
     prod = 1
     for x in d:
         prod *= x
-    if not _is_squarefree(prod):
+    if _moebius(prod) == 0:
         return False
     if gcd(prod, sys.W * sys.B) != 1:
         return False
@@ -295,9 +260,9 @@ class WeightSystem:
 
     # -- evaluation ----------------------------------------------------------
 
-    # m multiplies the constant terms: the table runs against l1*n + m*l2
+    # m multiplies the offsets: the table runs against n + m*h_i
     def inner_sum(self, n: int, m: int = 1) -> float:
-        vals = [f.l1 * n + m * f.l2 for f in self.system.forms]
+        vals = [n + m * h for h in self.system.offsets]
         total = 0.0
         for d, lam in self.table.items():
             if lam and all(v % di == 0 for di, v in zip(d, vals)):
@@ -311,15 +276,12 @@ class WeightSystem:
     def sum_over_interval(self, lo: int, hi: int, m: int = 1) -> float:
         """Exact sum of w(n) for n in [lo, hi] via pairwise lambda expansion.
 
-        Requires every form to be monic (l1 = 1); the divisibility
-        constraints then pin n to residue classes combined by CRT, and the
-        class counts in the interval are exact floor arithmetic.
+        The divisibility constraints pin n to residue classes combined by
+        CRT, and the class counts in the interval are exact floor arithmetic.
         """
-        if any(f.l1 != 1 for f in self.system.forms):
-            raise ValueError("interval sums require monic forms")
         if hi < lo:
             return 0.0
-        shifts = [m * f.l2 for f in self.system.forms]
+        shifts = [m * h for h in self.system.offsets]
         items = [(d, lam) for d, lam in self.table.items() if lam]
         total = 0.0
         for d, lam_d in items:
@@ -327,7 +289,7 @@ class WeightSystem:
                 cls = (0, 1)
                 for di, ei, c in zip(d, e, shifts):
                     mod = di * ei // gcd(di, ei)
-                    cls = _crt_merge(cls, ((-c) % mod, mod))
+                    cls = crt_merge(cls, ((-c) % mod, mod))
                     if cls is None:
                         break
                 if cls is None:
@@ -343,18 +305,6 @@ def _moebius(n: int) -> int:
     if any(e > 1 for e in f.values()):
         return 0
     return -1 if len(f) % 2 else 1
-
-
-def _crt_merge(a, b):
-    """Merge congruences allowing common factors; None if incompatible."""
-    r1, m1 = a
-    r2, m2 = b
-    g = gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        return None
-    l = m1 // g * m2
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return (r1 + m1 * t) % l, l
 
 
 # -- weights for shifted tuples -----------------------------------------------
@@ -380,8 +330,7 @@ class PairWeightContext:
     def __init__(self, offsets, x: int):
         self.offsets = tuple(offsets)
         self.R = (x / 4) ** (1.0 / 9.0)
-        forms = [LinearForm(1, h) for h in self.offsets]
-        self.ws = WeightSystem(FormSystem(forms), R=max(self.R, 1.0))
+        self.ws = WeightSystem(FormSystem(self.offsets), R=max(self.R, 1.0))
 
     def _euler_ratio(self, p: int) -> float:
         """Squared ratio of the per-p singular series to the shared one."""

@@ -8,10 +8,10 @@ calibration.
 import math
 import time
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
+from law_oracle import oracle_distribution
 
 from gapsieve import nibble as nib
 from gapsieve.cli import main
@@ -117,54 +117,6 @@ def test_criterion_4_strategy_ordering():
            f"CI95 [{lo:.1f}, {hi:.1f}])")
 
 
-def oracle_enumeration(inst, profile_P, tol):
-    """Independent path enumeration of the reweighted process (rational)."""
-    results = {}
-    survival = {v: F(0) for v in range(inst.n_vertices)}
-
-    def recurse(round_no, W, picks, prob):
-        if round_no > len(inst.rounds):
-            key = tuple(picks)
-            results[key] = results.get(key, F(0)) + prob
-            left = W
-            for v in left:
-                survival[v] += prob
-            return
-        laws = []
-        for i in inst.rounds[round_no - 1]:
-            atoms = inst.dist[i].atoms
-            rem = 1 - sum(F(q) for _, q in atoms)
-            inside = []
-            X = rem
-            for e, q in atoms:
-                pe = F(1)
-                for v in e:
-                    pe *= profile_P[(round_no - 1, v)]
-                if set(e) <= W:
-                    X += F(q) / pe
-                    inside.append((e, F(q) / pe))
-            if abs(X - 1) > tol:
-                laws.append([(frozenset(), F(1))])
-            else:
-                law = [(e, w / X) for e, w in inside]
-                if rem:
-                    law.append((frozenset(), rem / X))
-                laws.append(law)
-        for combo in product(*laws):
-            p2 = prob
-            removed = set()
-            sel = []
-            for e, q in combo:
-                p2 *= q
-                removed |= e
-                sel.append(e)
-            if p2:
-                recurse(round_no + 1, W - removed, picks + sel, p2)
-
-    recurse(1, set(range(inst.n_vertices)), [], F(1))
-    return results, survival
-
-
 def test_criterion_5_nibble_exactness_tiny():
     t0 = time.time()
 
@@ -202,9 +154,9 @@ def test_criterion_5_nibble_exactness_tiny():
         (inst_a, prof_a, F(9, 10), 1),
         (inst_b, prof_b, F(99, 100), 2),
     ):
-        profile = nib.ExactProfile(m, {}, prof_P)
+        profile = nib.ExactProfile(m, prof_P)
         got = nib.exact_cover_distribution(inst, tol, profile=profile)
-        outcomes, survival = oracle_enumeration(inst, prof_P, tol)
+        _, outcomes, survival = oracle_distribution(inst, prof_P, tol)
         assert len(got.outcomes) <= 2**12, "instance exceeds 12 binary outcomes"
         # (i) support containment, exact
         supports = {
@@ -276,16 +228,16 @@ def test_criterion_6_nibble_calibration():
 def test_criterion_7_degree_profile_fixture():
     rows = [[5 ** (1 - j) * math.log(5)] for j in range(1, 7)]
     prof = nib.DegreeProfile(rows)
-    worst = max(abs(prof.P_vertex(j, 0) - 5.0 ** (-j)) for j in range(7))
+    worst = max(abs(prof.P[j][0] - 5.0 ** (-j)) for j in range(7))
     report(7, worst < 1e-9, f"P_j = 5^-j for j <= 6, max deviation {worst:.2e}")
 
 
 def test_criterion_8_moebius_consistency():
     t0 = time.time()
-    from gapsieve.weights import FormSystem, LinearForm, WeightSystem
+    from gapsieve.weights import FormSystem, WeightSystem
     from test_weights import reference_lambda_table, y_expansion_weight
 
-    fs = FormSystem([LinearForm(1, 0), LinearForm(1, 2)])
+    fs = FormSystem([0, 2])
     worst_w = 0.0
     worst_lam = 0.0
     for R in (30, 35, 50):

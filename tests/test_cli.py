@@ -15,7 +15,7 @@ from gapsieve import nibble as nib
 from gapsieve.cli import main
 from gapsieve.oracle import exact_Y
 from gapsieve.residues import CoverageError, system_to_json, write_system_file
-from gapsieve.weights import FormSystem, LinearForm, WeightSystem
+from gapsieve.weights import FormSystem, WeightSystem
 
 
 def test_construct_smoke_and_determinism(tmp_path):
@@ -54,6 +54,28 @@ def test_construct_outputs_pinned(tmp_path, args, digest, residual):
     assert hashlib.sha256((tmp_path / "system.json").read_bytes()).hexdigest() == digest
     report = json.loads((tmp_path / "report.json").read_text())["report"]
     assert report["residual_after_stage3"] == residual
+
+
+# sha256 of the summary and of the --dump table of two `weights` runs; the
+# summary names its dump file, so both are written relative to one directory
+PINNED_WEIGHTS = [
+    ("2 35 100000 --samples 20000", 15,
+     "298509e7618ec5fa99ba983507a18e6c15536565057e59edc4b7cbb9b6813f85",
+     "5e9d18baee08bce976a098efbed3cbd40b056255f3eef9d0b636a44c6acccfa4"),
+    ("3 120 1000000 --B 19 --samples 20000", 67,
+     "03d6b188fe3eed121f8069fe08d181225fea92929eec3106e6433c5857a219ea",
+     "a0bfe0096c4846839d2e39404fe168009b22145556bf855e88976ee0eed5b784"),
+]
+
+
+@pytest.mark.parametrize("args, entries, summary_digest, dump_digest", PINNED_WEIGHTS)
+def test_weights_outputs_pinned(tmp_path, monkeypatch, args, entries, summary_digest,
+                                dump_digest):
+    monkeypatch.chdir(tmp_path)
+    assert main(["weights", *args.split(), "--dump", "table.json", "--out", "summary.json"]) == 0
+    assert len(json.loads(Path("table.json").read_text())["lambda"]) == entries
+    assert hashlib.sha256(Path("summary.json").read_bytes()).hexdigest() == summary_digest
+    assert hashlib.sha256(Path("table.json").read_bytes()).hexdigest() == dump_digest
 
 
 def test_construct_usage_error_below_minimum(tmp_path):
@@ -177,6 +199,30 @@ def test_nibble_bench(tmp_path):
     assert stats.read_text().startswith("round,index,X,F_passed,W_size")
 
 
+def test_nibble_bench_underflowed_targets_stay_quiet(tmp_path):
+    # 800 indices share the certain edge {0}, so P_1(0) = exp(-800) underflows
+    # to 0; round 2 divides by that target and round 3, where vertex 0 has
+    # degree 0, divides 0 by it
+    dist = {i: nib.EdgeDist([(frozenset({0}), 1.0)]) for i in range(800)}
+    dist[800] = nib.EdgeDist([(frozenset({0}), 0.5)])
+    dist[801] = nib.EdgeDist([(frozenset({1}), 0.5)])
+    inst = nib.CoverInstance(
+        n_vertices=2, rounds=[list(range(800)), [800], [801]], dist=dist,
+        params=nib.NibbleParams(delta=1.0, r_max=1, A=3, D=800, kappa=1e-300),
+    )
+    ifile = tmp_path / "inst.json"
+    ifile.write_text(nib.instance_to_json(inst))
+    stats = tmp_path / "stats.csv"
+    src = str(Path(gapsieve.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapsieve.cli", "nibble-bench", str(ifile), "--seeds", "2",
+         "--tol", "0.5", "--out", str(tmp_path / "bench.csv"), "--stats", str(stats)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(stats.read_text().splitlines()) == 1 + 802
+
+
 def test_weights_dump_schema(tmp_path):
     dump = tmp_path / "table.json"
     out = tmp_path / "w.json"
@@ -186,7 +232,7 @@ def test_weights_dump_schema(tmp_path):
     assert set(doc) == {"k", "forms", "B", "R", "lambda"}
     assert doc["k"] == 2
     assert doc["forms"] == [[1, 3], [1, 5]]
-    ws = WeightSystem(FormSystem([LinearForm(1, 3), LinearForm(1, 5)]), R=35)
+    ws = WeightSystem(FormSystem([3, 5]), R=35)
     table = {tuple(d): v for d, v in doc["lambda"]}
     assert set(table) == set(ws.table)
     for d, v in ws.table.items():

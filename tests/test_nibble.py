@@ -1,16 +1,18 @@
 """Tests for the covering engine: profiles, reweighted sampling, enumeration.
 
-The exact-law tests pit the engine's enumerator against an oracle written
-from scratch in this file; both work in rational arithmetic, so agreement
+The exact-law tests pit the engine's enumerator against the from-scratch
+oracle in law_oracle.py; both work in rational arithmetic, so agreement
 is exact equality, not approximate.
 """
 
 import math
 import random
+import warnings
 from fractions import Fraction
-from itertools import product
 
+import numpy as np
 import pytest
+from law_oracle import oracle_distribution
 
 from gapsieve import nibble as nib
 from gapsieve.rng import stream
@@ -19,7 +21,7 @@ F = Fraction
 
 
 def make_params(**kw):
-    base = dict(delta=0.5, r_max=4, A=9.0, D=4.0, kappa=0.01, C0=1.0)
+    base = dict(delta=0.5, r_max=4, A=9.0, D=4.0, kappa=0.01)
     base.update(kw)
     return nib.NibbleParams(**base)
 
@@ -39,77 +41,13 @@ def make_instance(n, rounds_atoms, **params):
     return nib.CoverInstance(n_vertices=n, rounds=rounds, dist=dist, params=make_params(**params))
 
 
-# -- independent oracle -------------------------------------------------------
-
-
-def oracle_distribution(inst, profile_P, tol):
-    """From-scratch enumeration of the reweighted process law.
-
-    profile_P maps (j, vertex) -> Fraction survival target.  Written
-    independently of the engine: plain dict walking, no shared helpers.
-    """
-
-    def P_edge(j, e):
-        out = F(1)
-        for v in e:
-            out *= profile_P[(j, v)]
-        return out
-
-    index_order = [i for blk in inst.rounds for i in blk]
-    results = {}
-
-    def recurse(round_no, W, picks, prob):
-        if round_no > len(inst.rounds):
-            results[tuple(picks)] = results.get(tuple(picks), F(0)) + prob
-            return
-        block = inst.rounds[round_no - 1]
-        laws = []
-        for i in block:
-            atoms = inst.dist[i].atoms
-            rem = 1 - sum(F(q) for _, q in atoms)
-            X = rem + sum(
-                F(q) / P_edge(round_no - 1, e) for e, q in atoms if set(e) <= W
-            )
-            if abs(X - 1) > tol:
-                laws.append([(frozenset(), F(1))])
-            else:
-                law = [
-                    (e, F(q) / P_edge(round_no - 1, e) / X)
-                    for e, q in atoms
-                    if set(e) <= W
-                ]
-                if rem:
-                    law.append((frozenset(), rem / X))
-                laws.append([(e, q) for e, q in law if q])
-        for combo in product(*laws):
-            p = prob
-            removed = set()
-            sel = []
-            for e, q in combo:
-                p *= q
-                removed |= e
-                sel.append(e)
-            recurse(round_no + 1, W - removed, picks + sel, p)
-
-    recurse(1, set(range(inst.n_vertices)), [], F(1))
-    survival = {v: F(0) for v in range(inst.n_vertices)}
-    for picks, p in results.items():
-        covered = set()
-        for e in picks:
-            covered |= e
-        for v in range(inst.n_vertices):
-            if v not in covered:
-                survival[v] += p
-    return index_order, results, survival
-
-
 def flat_profile(inst, values):
     """Injected rational profile: values[j] applies to every vertex."""
     P = {}
     for j, val in enumerate(values):
         for v in range(inst.n_vertices):
             P[(j, v)] = F(val)
-    prof = nib.ExactProfile(len(values) - 1, {}, P)
+    prof = nib.ExactProfile(len(values) - 1, P)
     return prof, P
 
 
@@ -120,14 +58,14 @@ def test_profile_untouched_vertex():
     inst = make_instance(3, [[[({0}, 1.0)]], [[({0}, 0.5)]]])
     prof = nib.degree_profile(inst)
     for j in range(3):
-        assert prof.d_vertex(j, 2) == 0.0 if j else True
-        assert prof.P_vertex(j, 2) == 1.0
+        assert prof.d[j][2] == 0.0
+        assert prof.P[j][2] == 1.0
 
 
 def test_profile_single_certain_edge():
     inst = make_instance(1, [[[({0}, 1.0)]]])
     prof = nib.degree_profile(inst)
-    assert prof.P_vertex(1, 0) == pytest.approx(math.exp(-1), abs=1e-15)
+    assert prof.P[1][0] == pytest.approx(math.exp(-1), abs=1e-15)
 
 
 def test_profile_geometric_fixture():
@@ -135,7 +73,7 @@ def test_profile_geometric_fixture():
     rows = [[5 ** (1 - j) * math.log(5)] for j in range(1, 7)]
     prof = nib.DegreeProfile(rows)
     for j in range(7):
-        assert abs(prof.P_vertex(j, 0) - 5.0 ** (-j)) < 1e-9
+        assert abs(prof.P[j][0] - 5.0 ** (-j)) < 1e-9
 
 
 def test_profile_recursion_identity():
@@ -157,10 +95,51 @@ def test_profile_recursion_identity():
     prof = nib.degree_profile(inst)
     for j in range(1, 4):
         for v in range(12):
-            prev = prof.P_vertex(j - 1, v)
-            expect = prev * math.exp(-prof.d_vertex(j, v) / prev)
-            assert abs(prof.P_vertex(j, v) - expect) <= 1e-12 * max(expect, 1e-300)
-            assert 0 < prof.P_vertex(j, v) <= prev
+            prev = prof.P[j - 1][v]
+            expect = prev * math.exp(-prof.d[j][v] / prev)
+            assert abs(prof.P[j][v] - expect) <= 1e-12 * max(expect, 1e-300)
+            assert 0 < prof.P[j][v] <= prev
+
+
+def certain_edge_instance():
+    """Round 1: 800 indices that each take {0} with probability 1, so
+    exp(-800) underflows and P_1(0) = 0.  Round 2 touches vertex 0 again,
+    round 3 leaves it at degree 0 (the 0/0 case)."""
+    return make_instance(2, [[[({0}, 1.0)]] * 800, [[({0}, 0.5)]], [[({1}, 0.5)]]])
+
+
+def test_profile_keeps_underflowed_target_at_zero():
+    inst = certain_edge_instance()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = nib.degree_profile(inst)
+    assert not any(np.isnan(row).any() for row in prof.P)
+    assert [prof.P[j][0] for j in range(4)] == [1.0, 0.0, 0.0, 0.0]
+    for j in range(1, 4):  # a positive target is the plain recursion's value, bit for bit
+        prev = prof.P[j - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plain = prev * np.exp(-prof.d[j] / prev)
+        assert prof.P[j][1] == plain[1]
+
+
+def test_round_against_a_zero_target_logs_infinite_X():
+    inst = certain_edge_instance()
+    prof = nib.degree_profile(inst)
+    state = nib.NibbleState(W={0, 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nib.nibble_round(inst, prof, state, 2, random.Random(0), tol=0.5)
+    assert state.chosen[800] == frozenset()
+    assert state.round_log[0].X == math.inf and not state.round_log[0].passed
+    assert state.W == {0, 1}
+
+
+def test_check_hypotheses_reads_a_zero_target_as_unbounded_degree():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = nib.check_hypotheses(certain_edge_instance())
+    assert rep.max_degree_ratio == math.inf and not rep.degree_ok
+    assert rep.min_survival == 0.0
 
 
 # -- normalization factor --------------------------------------------------------
@@ -332,7 +311,7 @@ def test_exact_distribution_cross_round_with_injected_profile():
         P[(0, v)] = F(1)
         P[(1, v)] = F(1, 2)
         P[(2, v)] = F(1, 4)
-    prof = nib.ExactProfile(2, {}, P)
+    prof = nib.ExactProfile(2, P)
     tol = F(99, 100)
     got = nib.exact_cover_distribution(inst, tol, profile=prof)
     order, outcomes, survival = oracle_distribution(inst, P, tol)
@@ -373,7 +352,7 @@ def test_round1_mean_normalization_identity():
         P[(0, v)] = F(1)
         P[(1, v)] = F(1, 2)
         P[(2, v)] = F(1, 4)
-    prof = nib.ExactProfile(2, {}, P)
+    prof = nib.ExactProfile(2, P)
 
     # enumerate round-1 outcomes to get the law of W
     w_law = {}

@@ -1,5 +1,6 @@
 """Tests for sifting, covered prefixes, CRT assembly, and the file format."""
 
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from gapsieve.residues import (
     assemble_gap,
     covered_prefix_length,
     crt_combine,
+    crt_merge,
     sift,
     system_from_json,
     system_to_json,
@@ -109,6 +111,22 @@ def test_crt_combine_satisfies_all_congruences(data):
     assert 0 <= r < M
     for a, m in congruences:
         assert r % m == a % m
+
+
+@given(st.integers(1, 36), st.integers(1, 36), st.data())
+@settings(max_examples=200, deadline=None)
+def test_crt_merge_matches_brute_force(m1, m2, data):
+    # moduli up to 36 share factors often (e.g. 12 and 18), so both the
+    # compatible and the incompatible case come up
+    r1 = data.draw(st.integers(-50, 50))
+    r2 = data.draw(st.integers(-50, 50))
+    lcm = m1 * m2 // math.gcd(m1, m2)
+    solutions = [n for n in range(lcm) if n % m1 == r1 % m1 and n % m2 == r2 % m2]
+    merged = crt_merge((r1, m1), (r2, m2))
+    if solutions:
+        assert merged == (solutions[0], lcm) and len(solutions) == 1
+    else:
+        assert merged is None
 
 
 def test_assemble_gap_toy():
