@@ -45,8 +45,8 @@ class EdgeDist:
 
     The missing mass is an explicit remainder on the empty edge.  This is
     the exact form: with Fraction probabilities it feeds the enumerator and
-    the hypothesis checks of tiny instances.  The sampler runs on the float
-    arrays of an AtomTable.
+    the hypothesis checks of tiny instances.  The sampler runs on an EdgeLaw:
+    the float arrays of an AtomTable, or a law in closed form.
     """
 
     atoms: list  # [(frozenset of vertex ids, probability)]
@@ -75,7 +75,27 @@ def _edge(row) -> frozenset:
     return frozenset(v for v in row if v >= 0)
 
 
-class AtomTable(Mapping):
+class EdgeLaw(Mapping):
+    """The edge distributions of an instance, as the engine reads them.
+
+    As a mapping a law gives each index an EdgeDist.  The engine itself
+    asks only for the methods below, so a law may keep its atoms in arrays
+    (AtomTable) or in closed form (pairlaw.PairLaw):
+
+    - draw(i, rng): a sample of index i's raw distribution;
+    - check(n_vertices, r_max): ValueError unless every law is well formed;
+    - degrees(block, n_vertices): the summed P(v in e_i) over a round;
+    - round_law(block, inside, P): X_i(W) for each index of a round, and a
+      draw(k, rng) of the k-th index's law conditioned on W and reweighted
+      by 1/P(e);
+    - greedy(order, n_vertices): for each index in order, an edge with the
+      most still-uncovered members, ties to the smallest anchor.
+
+    Each also answers `i in law` without building index i's EdgeDist.
+    """
+
+
+class AtomTable(EdgeLaw):
     """Every index's atoms in one CSR: the arrays the sampler runs on.
 
     Index i owns the atoms ptr[s]:ptr[s + 1] of its slot s = slot[i], and
@@ -126,6 +146,9 @@ class AtomTable(Mapping):
     def __len__(self):
         return len(self.slot)
 
+    def __contains__(self, i):
+        return i in self.slot
+
     def span(self, i):
         """The atom range [a, b) of index i."""
         s = self.slot[i]
@@ -134,10 +157,10 @@ class AtomTable(Mapping):
     def edge(self, k) -> frozenset:
         return _edge(self.members[k].tolist())
 
-    def draw(self, i, u) -> frozenset:
-        """The edge at u in [0, 1) of index i's raw distribution (EMPTY past its total)."""
+    def draw(self, i, rng) -> frozenset:
+        """An edge of index i's raw distribution (EMPTY past its total)."""
         a, b = self.span(i)
-        pos = int(np.searchsorted(np.cumsum(self.probs[a:b]), u, side="right"))
+        pos = int(np.searchsorted(np.cumsum(self.probs[a:b]), rng.random(), side="right"))
         return self.edge(a + pos) if a + pos < b else EMPTY
 
     def fold(self, op, values, a, b):
@@ -152,23 +175,96 @@ class AtomTable(Mapping):
     def index_of_slot(self, s):
         return next(i for i, t in self.slot.items() if t == s)
 
+    def check(self, n_vertices, r_max) -> None:
+        def fail_at(bad, what):
+            s = int(np.searchsorted(self.ptr, np.argmax(bad), side="right")) - 1
+            raise ValueError(f"index {self.index_of_slot(s)}: {what}")
+
+        bad = ~(np.isfinite(self.probs) & (self.probs >= 0))
+        if bad.any():
+            fail_at(bad, "probability not finite and >= 0")
+        members = self.members
+        if members.shape[1] > r_max:
+            bad = (members >= 0).sum(axis=1) > r_max
+            if bad.any():
+                fail_at(bad, "edge larger than r_max")
+        if members.size and not -1 <= members.min() <= members.max() < n_vertices:
+            fail_at(((members < -1) | (members >= n_vertices)).any(axis=1), "vertex out of range")
+        over = self.total > 1 + 1e-12
+        if over.any():
+            raise ValueError(f"index {self.index_of_slot(int(np.argmax(over)))}: "
+                             "probabilities sum above 1")
+
+    def degrees(self, block, n_vertices):
+        """Each distinct slot's vertex probabilities, summed in atom order, times
+        the number of the block's indices that use the slot, in order of first use."""
+        row = np.zeros(n_vertices)
+        for s, cnt in Counter(self.slot[i] for i in block).items():
+            members = self.members[self.ptr[s] : self.ptr[s + 1]]
+            present = members >= 0
+            q = np.broadcast_to(self.probs[self.ptr[s] : self.ptr[s + 1], None], members.shape)
+            v, inverse = np.unique(members[present], return_inverse=True)
+            row[v] += cnt * np.bincount(inverse, weights=q[present])
+        return row
+
+    def round_law(self, block, inside, P):
+        """Each distinct slot is read once, for its in-W atoms, their weights
+        P(e_i = e) / P(e) under the targets P, and X.  An atom of positive mass
+        whose target is 0 weighs +inf, so its index has X = inf."""
+        inside = np.append(inside, True)  # what a missing member (-1) reads
+        P = np.append(P, 1.0)
+        cache = {}  # slot -> (in-W atoms, cumulative weights, X)
+        laws = []
+        for i in block:
+            s = self.slot[i]
+            if s not in cache:
+                a, b = self.ptr[s], self.ptr[s + 1]
+                sel = np.flatnonzero(self.fold(np.logical_and, inside, a, b))
+                q = self.probs[a:b][sel]
+                with np.errstate(divide="ignore", over="ignore"):
+                    w = np.divide(q, self.fold(np.multiply, P, a, b)[sel],
+                                  out=np.zeros_like(q), where=q > 0)
+                rem = max(0.0, 1 - float(self.total[s]))
+                cache[s] = (a + sel, np.cumsum(w), math.fsum(w.tolist()) + rem)
+            laws.append(cache[s])
+
+        def draw(k, rng):
+            sel, cum, X = laws[k]
+            pos = int(np.searchsorted(cum, rng.random() * X, side="right"))
+            return self.edge(sel[pos]) if pos < len(sel) else EMPTY
+
+        return [X for _, _, X in laws], draw
+
+    def greedy(self, order, n_vertices):
+        uncovered = np.ones(n_vertices + 1, dtype=np.int8)
+        uncovered[-1] = 0  # what a missing member (-1) reads
+        chosen = []
+        for i in order:
+            a, b = self.span(i)
+            # atoms are listed by anchor and argmax takes the first maximum,
+            # so ties go to the smallest anchor
+            k = a + int(np.argmax(self.fold(np.add, uncovered, a, b)))
+            uncovered[self.members[k]] = 0
+            chosen.append(self.edge(k))
+        return chosen
+
 
 @dataclass
 class CoverInstance:
     """Vertices 0..n_vertices-1, disjoint rounds of indices, one EdgeDist per index.
 
-    dist is either {index: EdgeDist}, packed into `atoms` here (objects may
-    be shared), or an AtomTable, which is then `atoms` itself.
+    dist is either {index: EdgeDist}, packed into an AtomTable here (objects
+    may be shared), or an EdgeLaw, which is then `atoms` itself.
     """
 
     n_vertices: int
     rounds: list  # [[index ids in round 1], [round 2], ...]
     dist: Mapping  # index id -> EdgeDist
     params: NibbleParams
-    atoms: AtomTable = field(init=False, repr=False, compare=False)
+    atoms: EdgeLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.dist, AtomTable):
+        if isinstance(self.dist, EdgeLaw):
             self.atoms = self.dist
         else:
             self.atoms = AtomTable.pack(self.dist, self.n_vertices)
@@ -182,8 +278,7 @@ class CoverInstance:
             yield from block
 
     def validate(self) -> None:
-        """Rounds disjoint and nonempty; every atom of every slot well formed."""
-        t = self.atoms
+        """Rounds disjoint and nonempty; every index's law well formed."""
         seen = set()
         for block in self.rounds:
             if not block:
@@ -191,28 +286,10 @@ class CoverInstance:
             for i in block:
                 if i in seen:
                     raise ValueError(f"index {i} appears in two rounds")
-                if i not in t.slot:
+                if i not in self.atoms:
                     raise ValueError(f"index {i} has no edge distribution")
                 seen.add(i)
-        n, r_max = self.n_vertices, self.params.r_max
-
-        def fail_at(bad, what):
-            s = int(np.searchsorted(t.ptr, np.argmax(bad), side="right")) - 1
-            raise ValueError(f"index {t.index_of_slot(s)}: {what}")
-
-        bad = ~(np.isfinite(t.probs) & (t.probs >= 0))
-        if bad.any():
-            fail_at(bad, "probability not finite and >= 0")
-        if t.members.shape[1] > r_max:
-            bad = (t.members >= 0).sum(axis=1) > r_max
-            if bad.any():
-                fail_at(bad, "edge larger than r_max")
-        if t.members.size and not -1 <= t.members.min() <= t.members.max() < n:
-            fail_at(((t.members < -1) | (t.members >= n)).any(axis=1), "vertex out of range")
-        over = t.total > 1 + 1e-12
-        if over.any():
-            raise ValueError(f"index {t.index_of_slot(int(np.argmax(over)))}: "
-                             "probabilities sum above 1")
+        self.atoms.check(self.n_vertices, self.params.r_max)
 
 
 class DegreeProfile:
@@ -239,24 +316,8 @@ class DegreeProfile:
 
 
 def degree_profile(inst: CoverInstance) -> DegreeProfile:
-    """Exact degree sums and the P recursion for an instance.
-
-    Per round, each distinct slot's vertex probabilities are summed in atom
-    order and added, times the number of the round's indices that use the
-    slot, in order of first use.
-    """
-    t = inst.atoms
-    rows = []
-    for block in inst.rounds:
-        row = np.zeros(inst.n_vertices)
-        for s, cnt in Counter(t.slot[i] for i in block).items():
-            members = t.members[t.ptr[s] : t.ptr[s + 1]]
-            present = members >= 0
-            q = np.broadcast_to(t.probs[t.ptr[s] : t.ptr[s + 1], None], members.shape)
-            v, inverse = np.unique(members[present], return_inverse=True)
-            row[v] += cnt * np.bincount(inverse, weights=q[present])
-        rows.append(row)
-    return DegreeProfile(rows)
+    """Exact degree sums, as the instance's law gives them, and the P recursion."""
+    return DegreeProfile([inst.atoms.degrees(block, inst.n_vertices) for block in inst.rounds])
 
 
 class ExactProfile:
@@ -351,44 +412,27 @@ def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, 
     """Execute round j: sample one edge (or skip) per index, then shrink W.
 
     All indices of the round sample against the same W; the union of their
-    choices is removed only after the whole round has been drawn.  Each
-    distinct slot is read once, for its in-W atoms, their weights
-    P(e)/P_{j-1}(e) and X.  An atom of positive mass whose target is 0
-    weighs +inf, so its index fails the drift test with X = inf.
+    choices is removed only after the whole round has been drawn.  The
+    instance's law gives every X_i(W) of the round at once.
     """
     if not tol < 1:
         raise ValueError("tol must be < 1 so that X = 0 always fails the drift test")
     W = state.W
     w_size = len(W)
-    t = inst.atoms
-    inside = np.zeros(inst.n_vertices + 1, dtype=bool)
+    block = inst.rounds[j - 1]
+    inside = np.zeros(inst.n_vertices, dtype=bool)
     inside[np.fromiter(W, dtype=np.int64, count=w_size)] = True
-    inside[-1] = True  # what a missing member (-1) reads
-    P = np.append(profile.P_row(j - 1), 1.0)
-    cache = {}  # slot -> (in-W atoms, cumulative weights, X)
-    for i in inst.rounds[j - 1]:
-        s = t.slot[i]
-        if s not in cache:
-            a, b = t.ptr[s], t.ptr[s + 1]
-            sel = np.flatnonzero(t.fold(np.logical_and, inside, a, b))
-            q = t.probs[a:b][sel]
-            with np.errstate(divide="ignore", over="ignore"):
-                w = np.divide(q, t.fold(np.multiply, P, a, b)[sel],
-                              out=np.zeros_like(q), where=q > 0)
-            rem = max(0.0, 1 - float(t.total[s]))
-            cache[s] = (a + sel, np.cumsum(w), math.fsum(w.tolist()) + rem)
-        sel, cum, X = cache[s]
+    Xs, draw = inst.atoms.round_law(block, inside, profile.P_row(j - 1))
+    for k, (i, X) in enumerate(zip(block, Xs)):
         passed = abs(X - 1) <= tol
         if not passed:
             state.chosen[i] = EMPTY
         else:
             assert X > 0, "X = 0 cannot pass the drift test with tol < 1"
-            u = rng.random() * X
-            pos = int(np.searchsorted(cum, u, side="right"))
-            state.chosen[i] = t.edge(sel[pos]) if pos < len(sel) else EMPTY
+            state.chosen[i] = draw(k, rng)
         state.round_log.append(RoundStats(j, i, float(X), passed, w_size))
     removed = set()
-    for i in inst.rounds[j - 1]:
+    for i in block:
         removed |= state.chosen[i]
     state.W = W - removed
     return state
@@ -415,7 +459,7 @@ def run_cover(inst: CoverInstance, rng, tol=None) -> CoverResult:
 
 def independent_select(inst: CoverInstance, rng) -> dict:
     """Baseline: every index samples its raw distribution, no conditioning."""
-    return {i: inst.atoms.draw(i, rng.random()) for i in inst.all_indices()}
+    return {i: inst.atoms.draw(i, rng) for i in inst.all_indices()}
 
 
 def leftover_of(inst: CoverInstance, chosen: dict) -> set:

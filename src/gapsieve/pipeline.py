@@ -28,6 +28,7 @@ import numpy as np
 
 from . import nibble as nib
 from .oracle import smooth_mask
+from .pairlaw import PairLaw
 from .primes import admissible_tuple, primes_up_to, sieve_interval
 from .residues import ResidueSystem, sift
 from .rng import stream
@@ -236,89 +237,48 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     w(p, n), which is one constant on [-y, y] and 0 outside it
     (`PairWeightContext.constant_weight`), so each anchor with |n| <= y gets
     w / (sum of w over [-y, y]) and the mass on empty-edge anchors becomes an
-    explicit remainder: one weight evaluation per sieving prime.
-    Anchors with equal edges merge into one atom, listed by its smallest
-    anchor.  Each prime's atoms are appended to one AtomTable: a sorted row
-    of member ids (-1 for a missing member) and a mass per atom.
+    explicit remainder: one weight evaluation per sieving prime.  The law is
+    kept in closed form (`PairLaw`), from one pair count per prime; anchors
+    with equal edges merge into one atom only when an index is read as an
+    EdgeDist.
     """
     th = thresholds(cfg)
     offsets = admissible_tuple(default_r(cfg.x)).offsets
     values = sorted(split.primes)
     if not values:
         raise ValueError("no surviving primes to cover")
-    Q = np.array(values, dtype=np.int64)
-    H = np.array(offsets, dtype=np.int64)
-    weight_ctx = PairWeightContext(offsets, cfg.x) if cfg.weights == "sieve" else None
-    # a member row is one int64 key, (ids + 1) in base len(values) + 1
-    key_dims = (len(values) + 1,) * len(offsets)
-    assert math.prod(key_dims) <= np.iinfo(np.int64).max, "member-row keys overflow int64"
-
-    index_primes = []
-    member_rows = []  # per sieving prime: its atoms' sorted member ids
-    masses = []  # per sieving prime: its atoms' probabilities
-    skipped = []
-    degree = np.zeros(len(values))
-    max_vertex_prob = 0.0
-    for p in _sieving_primes(cfg):
-        ns = np.unique(Q[:, None] - H * p)  # every anchor with a nonempty edge
-        if weight_ctx is None:  # uniform mode: every anchor equally likely
-            unit = 1.0 / len(ns)
-        else:
+    primes = _sieving_primes(cfg)
+    if cfg.weights == "sieve":
+        weight_ctx = PairWeightContext(offsets, cfg.x)
+        units = []
+        for p in primes:
             total = weight_ctx.sum_over_support(p, th.y)
-            unit = weight_ctx.constant_weight(p, th.y) / total
-            ns = ns[np.abs(ns) <= th.y]
-        if not len(ns):
-            skipped.append(p)
-            continue
-
-        members = ns[:, None] + H * p
-        ids = np.searchsorted(Q, members)
-        hit = Q[np.minimum(ids, len(Q) - 1)] == members
-        rows = np.sort(np.where(hit, ids, -1), axis=1)
-        # keys sort like the rows, so atoms and their order match a row-wise unique
-        key = np.ravel_multi_index((rows + 1).T, key_dims)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # atoms by representative anchor
-        mass = np.bincount(inverse, weights=np.full(len(ns), unit))[order]
-        uniq = rows[first[order]]
-        flat = uniq.ravel()
-        present = flat >= 0
-        vec = np.bincount(flat[present], weights=np.repeat(mass, len(offsets))[present],
-                          minlength=len(values))  # P(v in e_p), summed in atom order
-        degree += vec
-        max_vertex_prob = max(max_vertex_prob, float(vec.max()))
-
-        index_primes.append(p)
-        member_rows.append(uniq.astype(np.int32))
-        masses.append(mass)
-
-    if not index_primes:
+            units.append(weight_ctx.constant_weight(p, th.y) / total)
+        law = PairLaw(values, offsets, primes, units=units, window=th.y)
+    else:
+        law = PairLaw(values, offsets, primes)
+    if not law.primes:
         raise ValueError("every sieving prime has an empty edge distribution")
 
+    n_indices = len(law.primes)
     r_max = len(offsets)
-    n_indices = len(index_primes)
-    atoms = nib.AtomTable(
-        ptr=np.concatenate(([0], np.cumsum([len(m) for m in masses]))),
-        members=np.concatenate(member_rows),
-        probs=np.concatenate(masses),
-        slot={idx: idx for idx in range(n_indices)},
-    )
     cover = nib.CoverInstance(
         n_vertices=len(values),
         rounds=[list(range(n_indices))],
-        dist=atoms,
+        dist=law,
         # delta records the measured sparsity witness max P(v in e_p); the
         # full hypothesis extremes come from check_hypotheses on demand
         params=nib.NibbleParams(
-            delta=max_vertex_prob, r_max=r_max, A=2 * r_max + 2, D=1.0, kappa=1e-300
+            delta=law.max_vertex_prob(), r_max=r_max, A=2 * r_max + 2, D=1.0, kappa=1e-300
         ),
     )
+    degree = law.degrees(range(n_indices), len(values))
     return PipelineInstance(
         cover=cover,
         values=values,
-        index_primes=index_primes,
+        index_primes=law.primes,
         C_measured=sum(degree.tolist()) / len(values),
-        skipped_primes=skipped,
+        skipped_primes=law.skipped,
     )
 
 
@@ -336,24 +296,17 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
     method = cfg.stage3_method
     chosen = {p: nib.EMPTY for p in pinst.skipped_primes}
 
-    atoms = pinst.cover.atoms
+    law = pinst.cover.atoms
     if method == "independent":
         for idx, p in enumerate(pinst.index_primes):
-            chosen[p] = atoms.draw(idx, stream(cfg.seed, "stage3", p).random())
+            chosen[p] = law.draw(idx, stream(cfg.seed, "stage3", p))
         return chosen
 
     if method == "greedy":
         order = list(range(len(pinst.index_primes)))
         stream(cfg.seed, "stage3-order").shuffle(order)
-        uncovered = np.ones(pinst.cover.n_vertices + 1, dtype=np.int8)
-        uncovered[-1] = 0  # what a missing member (-1) reads
-        for idx in order:
-            a, b = atoms.span(idx)
-            # atoms are listed by anchor and argmax takes the first maximum,
-            # so ties go to the smallest anchor
-            k = a + int(np.argmax(atoms.fold(np.add, uncovered, a, b)))
-            uncovered[atoms.members[k]] = 0
-            chosen[pinst.index_primes[idx]] = atoms.edge(k)
+        for idx, edge in zip(order, law.greedy(order, pinst.cover.n_vertices)):
+            chosen[pinst.index_primes[idx]] = edge
         return chosen
 
     # nibble: round membership via the geometric interval recipe; primes
@@ -368,7 +321,7 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
     inst = nib.CoverInstance(
         n_vertices=pinst.cover.n_vertices,
         rounds=[blk for blk in rounds if blk],
-        dist=atoms,
+        dist=law,
         params=pinst.cover.params,
     )
     result = nib.run_cover(inst, stream(cfg.seed, "stage3-nibble"))
@@ -424,6 +377,7 @@ class PipelineReport:
     stage3_indices: int
     stage3_assigned: int
     stage3_skips: int
+    stage3_edge_sizes: list  # chosen edges of size 1, 2, ..., r
     residual_after_stage3: int
     extra_primes_used: int
     achieved_y: int
@@ -455,6 +409,7 @@ def run_pipeline(cfg: StagedConfig):
 
     stage3_entries = {}
     skips = 0
+    edge_sizes = [0] * default_r(cfg.x)
     n_indices = 0
     C_measured = 0.0
     if cfg.stage3_method != "none" and split.primes:
@@ -464,6 +419,7 @@ def run_pipeline(cfg: StagedConfig):
         for p, edge in stage3_select(cfg, pinst).items():
             if edge:  # every member is n + h_i p for the edge's anchor n
                 stage3_entries[p] = pinst.values[min(edge)] % p
+                edge_sizes[len(edge) - 1] += 1
             else:
                 skips += 1
     sys3 = ResidueSystem(stage3_entries)
@@ -502,6 +458,7 @@ def run_pipeline(cfg: StagedConfig):
         stage3_indices=n_indices,
         stage3_assigned=len(stage3_entries),
         stage3_skips=skips,
+        stage3_edge_sizes=edge_sizes,
         residual_after_stage3=len(residual),
         extra_primes_used=len(ext),
         achieved_y=achieved_y,

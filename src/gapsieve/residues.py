@@ -187,11 +187,13 @@ def assemble_gap(sys: ResidueSystem, x: int) -> GapCertificate:
 
 
 def system_to_json(x: int, sys: ResidueSystem, interval=None) -> str:
-    doc = {"x": int(x)}
+    """The compact json.dumps form of the document, with the class list
+    written as one join rather than through one list per class."""
+    head = f'{{"x":{int(x)}'
     if interval is not None:
-        doc["interval"] = [int(interval[0]), int(interval[1])]
-    doc["classes"] = [[int(p), int(a)] for p, a in sorted(sys.entries.items())]
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+        head += f',"interval":[{int(interval[0])},{int(interval[1])}]'
+    classes = ",".join(f"[{p},{a}]" for p, a in sorted(sys.entries.items()))
+    return f'{head},"classes":[{classes}]}}\n'
 
 
 def _is_int(v) -> bool:

@@ -1,0 +1,178 @@
+"""Tests for the closed-form stage-3 law against its atoms.
+
+Every PairLaw index can be read as the atom list of the per-anchor
+construction (tests/test_pipeline.py checks that list against a Python
+reference).  Here the closed form's draws, round normalizations and greedy
+choices are checked against those atoms: against law_oracle.py's exact law,
+against an AtomTable holding the same atoms, and against the atom greedy.
+"""
+
+import dataclasses
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from law_oracle import oracle_distribution
+
+from gapsieve import nibble as nib
+from gapsieve.pairlaw import PairLaw, correlation
+from gapsieve.pipeline import (
+    StagedConfig,
+    build_edge_distributions,
+    stage1_zero_classes,
+    stage2_random_small,
+    stage3_select,
+    survivors_after_small,
+)
+from gapsieve.primes import sieve_interval
+from gapsieve.rng import stream
+
+F = Fraction
+# primes of (100, 200] and three sieving primes, with (3, 5) as the tuple:
+# the gaps 2p = 6, 10, 14 give pair edges
+TINY_Q = sieve_interval(101, 200).tolist()
+TINY_PRIMES = [3, 5, 7]
+
+
+def tiny_laws():
+    """The uniform law, and a sieve-style one whose window |n| <= 120 cuts
+    anchors of every prime and leaves remainder mass."""
+    return [PairLaw(TINY_Q, (3, 5), TINY_PRIMES),
+            PairLaw(TINY_Q, (3, 5), TINY_PRIMES, units=[1 / 150] * 3, window=120)]
+
+
+def split_of(cfg):
+    return survivors_after_small(cfg, stage1_zero_classes(cfg).merged(stage2_random_small(cfg)))
+
+
+def assert_frequencies(counts, law, n_draws, where):
+    """Every outcome of an exact law within 4 sigma of its sampled frequency,
+    and nothing sampled outside the law."""
+    assert set(counts) <= {e for e, q in law.items() if q}, where
+    for e, q in law.items():
+        q = max(float(q), 0.0)  # a float total may overshoot 1 by an ulp
+        se = math.sqrt(q * (1 - q) / n_draws)
+        assert abs(counts.get(e, 0) / n_draws - q) <= 4 * se + 1e-12, (where, sorted(e), q)
+
+
+def test_correlation_counts_exactly():
+    rng = np.random.default_rng(3)
+    a = (rng.random(500) < 0.3).astype(float)
+    b = (rng.random(500) < 0.5).astype(float)
+    lags = [0, 1, 7, 250, 499, 500, 900]
+    direct = [int(np.dot(a[: max(500 - lag, 0)], b[lag:])) for lag in lags]
+    assert correlation(a, b, lags).tolist() == direct
+    assert correlation(a, a, lags).tolist() == [int(np.dot(a[: max(500 - lag, 0)], a[lag:]))
+                                                for lag in lags]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["uniform", "window"])
+def test_draw_frequencies_match_atom_masses(which):
+    law = tiny_laws()[which]
+    assert law.pairs.all()  # every prime has pair edges
+    if which:
+        assert law.cut.all() and (law.rem > 0.1).all()
+    n_draws = 20_000
+    for i in range(len(law)):
+        one = nib.CoverInstance(n_vertices=len(TINY_Q), rounds=[[0]], dist={0: law[i]},
+                                params=nib.NibbleParams(0.5, 2, 6.0, 1.0, 1e-9))
+        P = {(0, v): F(1) for v in range(len(TINY_Q))}
+        _, outcomes, _ = oracle_distribution(one, P, F(1))
+        exact = {picks[0]: q for picks, q in outcomes.items()}
+        rng = stream(11, "pairlaw-draw", which, i)
+        counts = {}
+        for _ in range(n_draws):
+            e = law.draw(i, rng)
+            counts[e] = counts.get(e, 0) + 1
+        assert_frequencies(counts, exact, n_draws, (which, i))
+
+
+def test_later_round_draws_match_exact_law():
+    law = tiny_laws()[0]
+    W = set(random.Random(5).sample(range(len(TINY_Q)), 20))
+    inside = np.zeros(len(TINY_Q), dtype=bool)
+    inside[list(W)] = True
+    P = 0.6
+    prof = nib.ExactProfile(1, {(0, v): F(P) for v in range(len(TINY_Q))})
+    Xs, draw = law.round_law([0, 1, 2], inside, np.full(len(TINY_Q), P))
+    n_draws = 20_000
+    for k in range(3):
+        atoms, rem, X = nib._exact_law(law[k], prof, 1, W)
+        assert Xs[k] == pytest.approx(float(X), rel=1e-12)
+        exact = {e: w / X for e, w in atoms}
+        exact[nib.EMPTY] = exact.get(nib.EMPTY, 0) + rem / X
+        rng = stream(12, "pairlaw-round", k)
+        counts = {}
+        for _ in range(n_draws):
+            e = draw(k, rng)
+            counts[e] = counts.get(e, 0) + 1
+        assert_frequencies(counts, exact, n_draws, k)
+
+
+def test_round_two_X_matches_atom_table():
+    cfg = StagedConfig(x=3000, mode="paper-formula", seed=1)
+    pinst = build_edge_distributions(cfg, split_of(cfg))
+    law = pinst.cover.atoms
+    table = law.atom_table()
+    n = pinst.cover.n_vertices
+    rng = np.random.default_rng(7)
+    block = rng.permutation(len(law)).tolist()
+    for P in (0.83, 0.4):  # P < 1/2 tilts the sampler toward pairs
+        inside = rng.random(n) < 0.7
+        P_row = np.full(n, P)
+        got, _ = law.round_law(block, inside, P_row)
+        want, _ = table.round_law(block, inside, P_row)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+    # the raw law's X is its total plus the remainder
+    got, _ = law.round_law(block, np.ones(n, dtype=bool), np.ones(n))
+    want, _ = table.round_law(block, np.ones(n, dtype=bool), np.ones(n))
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_later_rounds_need_one_target_and_no_window_cut():
+    uniform, window = tiny_laws()
+    n = len(TINY_Q)
+    inside = np.ones(n, dtype=bool)
+    inside[0] = False
+    P = np.full(n, 0.5)
+    P[3] = 0.4
+    with pytest.raises(ValueError, match="one survival target"):
+        uniform.round_law([0], inside, P)
+    with pytest.raises(ValueError, match="window"):
+        window.round_law([0], inside, np.full(n, 0.5))
+    # round 1 of a window-cut law is its raw law
+    Xs, _ = window.round_law([0, 1, 2], np.ones(n, dtype=bool), np.ones(n))
+    assert Xs == pytest.approx([1.0] * 3, rel=1e-12)
+
+
+GREEDY_CONFIGS = [
+    StagedConfig(x=x, mode=mode, seed=seed, stage3_method="greedy", weights=weights)
+    for x, mode, weights in [(3000, "paper-formula", "uniform"), (5000, "desk-preset", "uniform"),
+                             (20000, "desk-preset", "uniform"), (5000, "paper-formula", "uniform"),
+                             (2000, "paper-formula", "sieve")]
+    for seed in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("cfg", GREEDY_CONFIGS,
+                         ids=lambda c: f"{c.mode}-{c.x}-{c.weights}-s{c.seed}")
+def test_closed_form_greedy_matches_atom_greedy(cfg):
+    pinst = build_edge_distributions(cfg, split_of(cfg))
+    table = pinst.cover.atoms.atom_table()
+    on_atoms = dataclasses.replace(pinst, cover=dataclasses.replace(pinst.cover, dist=table))
+    assert isinstance(on_atoms.cover.atoms, nib.AtomTable)
+    chosen = stage3_select(cfg, pinst)
+    assert list(chosen.items()) == list(stage3_select(cfg, on_atoms).items())
+    if cfg.weights == "sieve":  # the window cuts anchors of some primes
+        assert pinst.cover.atoms.cut.any()
+
+
+def test_window_cut_counts_match_atoms():
+    cfg = StagedConfig(x=2000, mode="paper-formula", seed=1, weights="sieve")
+    law = build_edge_distributions(cfg, split_of(cfg)).cover.atoms
+    for i in np.flatnonzero(law.cut).tolist():
+        rows, mass = law.atoms(i)
+        assert int((rows[:, 1] >= 0).sum()) == law.pairs[i]
+        assert math.fsum(mass.tolist()) == pytest.approx(float(law.mass[i]), rel=1e-12)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gapsieve import nibble as nib
+from gapsieve.pairlaw import PairLaw
 from gapsieve.pipeline import (
     BudgetError,
     PipelineInstance,
@@ -319,30 +320,39 @@ def test_edge_build_matches_per_anchor_reference(cfg):
         assert max(d.max_edge_size() for d in pinst.cover.dist.values()) == 2
 
 
-def test_pipeline_instance_holds_atoms_in_arrays():
-    cfg = StagedConfig(x=1000, seed=2)
-    split = _split(cfg)
-    pinst = build_edge_distributions(cfg, split)
-    ref = reference_edge_distributions(cfg, split)
-    atoms = pinst.cover.atoms
-    assert pinst.cover.dist is atoms
-    n_atoms = sum(len(a) for a in ref["atoms"])
-    assert atoms.members.dtype == np.int32
-    assert atoms.members.shape == (n_atoms, len(admissible_tuple(default_r(cfg.x)).offsets))
-    assert atoms.probs.dtype == np.float64 and atoms.probs.shape == (n_atoms,)
-    assert atoms.ptr.tolist() == [0, *np.cumsum([len(a) for a in ref["atoms"]]).tolist()]
+def test_pipeline_instance_holds_no_atom_arrays():
+    # the closed-form law keeps arrays per index, per vertex or per position
+    # of (min Q, max Q]; none grows with the atoms
+    cfg = StagedConfig(x=1000, mode="paper-formula", seed=2)
+    pinst = build_edge_distributions(cfg, _split(cfg))
+    law = pinst.cover.atoms
+    assert pinst.cover.dist is law and isinstance(law, PairLaw)
+    n_atoms = sum(len(law[i].atoms) for i in range(len(law)))
+    sizes = {len(pinst.index_primes), len(pinst.values), len(law.pos)}
+    assert n_atoms > 10 * max(sizes)
+    arrays = [v for v in vars(law).values() if isinstance(v, np.ndarray)]
+    arrays += [b for b in law.bounds]
+    assert len(arrays) >= 8
+    assert all(a.ndim == 1 and len(a) in sizes for a in arrays)
 
 
 def test_instance_file_round_trip_of_pipeline_instance():
     cfg = StagedConfig(x=1000, mode="paper-formula", seed=1)
     inst = build_edge_distributions(cfg, _split(cfg)).cover
     back = nib.instance_from_json(nib.instance_to_json(inst))
-    assert isinstance(back.dist, dict)  # packed from EdgeDists, not the same table
-    a = nib.run_cover(inst, stream(7, "round-trip"))
+    assert isinstance(back.dist, dict)  # packed from EdgeDists, not the same law
+    assert back.rounds == inst.rounds and back.params == inst.params
+    assert all(back.dist[i].atoms == inst.dist[i].atoms for i in inst.all_indices())
+    # the file's instance samples as the law's own atoms do; the closed form
+    # draws the same law with other random numbers
+    on_atoms = dataclasses.replace(inst, dist=inst.atoms.atom_table())
+    a = nib.run_cover(on_atoms, stream(7, "round-trip"))
     b = nib.run_cover(back, stream(7, "round-trip"))
     assert any(a.chosen.values())
     assert a.chosen == b.chosen
     assert a.leftover == b.leftover
+    c = nib.run_cover(inst, stream(7, "round-trip"))
+    assert all(not e or e in {f for f, _ in inst.dist[i].atoms} for i, e in c.chosen.items())
 
 
 @pytest.mark.parametrize("method", ["none", "independent", "greedy", "nibble"])
@@ -514,3 +524,20 @@ def test_report_json_stable_field_order():
     keys = list(report.__dict__)
     assert keys == [f.name for f in dataclasses.fields(report)]
     assert keys.index("x") < keys.index("y") < keys.index("sigma")
+    assert keys.index("stage3_skips") + 1 == keys.index("stage3_edge_sizes") \
+        < keys.index("residual_after_stage3")
+
+
+@pytest.mark.parametrize("cfg, pairs", [
+    (StagedConfig(x=3000, mode="paper-formula", seed=1), True),
+    (StagedConfig(x=3000, mode="paper-formula", seed=1, stage3_method="greedy"), True),
+    # desk x = 5000 draws a class of 3 (here 2, not 0), so no q, q + 2p both survive
+    (StagedConfig(x=5000, seed=1), False),
+    (StagedConfig(x=2000, seed=1, stage3_method="none"), False),
+], ids=lambda v: f"{v.mode}-{v.x}-{v.stage3_method}" if isinstance(v, StagedConfig) else "")
+def test_report_counts_chosen_edge_sizes(cfg, pairs):
+    report, _ = run_pipeline(cfg)
+    sizes = report.stage3_edge_sizes
+    assert len(sizes) == default_r(cfg.x) == 2
+    assert sum(sizes) == report.stage3_assigned
+    assert (sizes[1] > 0) == pairs

@@ -1,5 +1,6 @@
 """Tests for sifting, covered prefixes, CRT assembly, and the file format."""
 
+import json
 import math
 import random
 
@@ -190,6 +191,23 @@ def test_system_file_roundtrip():
     assert text.startswith('{"x":13,"interval":[14,20],"classes":')
     x, back, interval = system_from_json(text)
     assert (x, back.entries, interval) == (13, sys.entries, (14, 20))
+
+
+def test_system_file_bytes_equal_json_dumps():
+    # the document json.dumps writes from one list per class, byte for byte
+    def dumps(x, sys, interval=None):
+        doc = {"x": int(x)}
+        if interval is not None:
+            doc["interval"] = [int(interval[0]), int(interval[1])]
+        doc["classes"] = [[int(p), int(a)] for p, a in sorted(sys.entries.items())]
+        return json.dumps(doc, separators=(",", ":")) + "\n"
+
+    rng = random.Random(4)
+    primes = sieve_interval(2, 5000).tolist()
+    for sys in (ResidueSystem({}), ResidueSystem({2: 1}),
+                ResidueSystem({p: rng.randrange(p) for p in rng.sample(primes, 300)})):
+        for interval in (None, (14, 20), (10**6 + 1, 5_250_000)):
+            assert system_to_json(10**6, sys, interval) == dumps(10**6, sys, interval)
 
 
 def test_system_file_rejects_bad_documents():
