@@ -26,6 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .residues import _is_int
+
 
 @dataclass(frozen=True)
 class NibbleParams:
@@ -45,8 +47,9 @@ class EdgeDist:
 
     The missing mass is an explicit remainder on the empty edge.  This is
     the exact form: with Fraction probabilities it feeds the enumerator and
-    the hypothesis checks of tiny instances.  The sampler runs on an EdgeLaw:
-    the float arrays of an AtomTable, or a law in closed form.
+    the hypothesis checks of tiny instances.  The sampler reads it through
+    an EdgeLaw: DistLaw caches float arrays of each EdgeDist object it is
+    given, and pairlaw.PairLaw builds its EdgeDists from a closed form.
     """
 
     atoms: list  # [(frozenset of vertex ids, probability)]
@@ -71,16 +74,12 @@ class EdgeDist:
         return max((len(e) for e, _ in self.atoms), default=0)
 
 
-def _edge(row) -> frozenset:
-    return frozenset(v for v in row if v >= 0)
-
-
-class EdgeLaw(Mapping):
+class EdgeLaw:
     """The edge distributions of an instance, as the engine reads them.
 
-    As a mapping a law gives each index an EdgeDist.  The engine itself
-    asks only for the methods below, so a law may keep its atoms in arrays
-    (AtomTable) or in closed form (pairlaw.PairLaw):
+    The engine asks only for the methods below, so a law may read an
+    instance's EdgeDists (DistLaw) or hold the atoms in closed form
+    (pairlaw.PairLaw, which is also the instance's mapping of EdgeDists):
 
     - draw(i, rng): a sample of index i's raw distribution;
     - check(n_vertices, r_max): ValueError unless every law is well formed;
@@ -95,157 +94,128 @@ class EdgeLaw(Mapping):
     """
 
 
-class AtomTable(EdgeLaw):
-    """Every index's atoms in one CSR: the arrays the sampler runs on.
+class _Atoms:
+    """One EdgeDist read into arrays: a row of sorted member ids per atom
+    (-1 for a missing member), the atom probabilities, their running sums
+    and their total, summed in atom order as EdgeDist.total does.  It keeps
+    the EdgeDist, whose own frozensets the draws return, and the index it
+    was first read for, which errors name."""
 
-    Index i owns the atoms ptr[s]:ptr[s + 1] of its slot s = slot[i], and
-    indices may share a slot.  members has one row of vertex ids per atom,
-    sorted, -1 for a missing member; probs holds the atom probabilities and
-    total each slot's sum, taken in atom order as EdgeDist.total does.  As a
-    mapping the table gives each index an EdgeDist built from the arrays.
-    """
+    def __init__(self, dist: EdgeDist, i, n_vertices: int):
+        self.dist, self.index = dist, i
+        self.edges = [frozenset(e) for e, _ in dist.atoms]
+        rows = [sorted(e) for e in self.edges]
+        for row in rows:
+            if row and not (0 <= row[0] and row[-1] < n_vertices):
+                v = next(v for v in row if not 0 <= v < n_vertices)
+                raise ValueError(f"index {i}: vertex {v} out of range")
+        width = max(map(len, rows), default=1) or 1
+        self.members = np.array([row + [-1] * (width - len(row)) for row in rows],
+                                dtype=np.int64).reshape(len(rows), width)
+        self.probs = np.array([float(q) for _, q in dist.atoms])
+        self.cum = np.cumsum(self.probs)
+        self.total = sum(self.probs.tolist())
 
-    def __init__(self, ptr, members, probs, slot):
-        self.ptr = ptr  # int64, one more than the slots
-        self.members = members  # int32, (atoms, r)
-        self.probs = probs  # float64, one per atom
-        self.slot = slot  # index id -> slot
-        bounds = ptr.tolist()
-        self.total = np.array([sum(probs[a:b].tolist()) for a, b in zip(bounds, bounds[1:])])
-
-    @classmethod
-    def pack(cls, dist, n_vertices: int) -> "AtomTable":
-        """Pack {index: EdgeDist}; indices holding one object share a slot."""
-        slot, slot_of_object = {}, {}
-        rows, probs, ptr = [], [], [0]
-        for i, d in dist.items():
-            if id(d) not in slot_of_object:
-                slot_of_object[id(d)] = len(ptr) - 1
-                for e, q in d.atoms:
-                    row = sorted(set(e))  # an edge is a set: repeated members count once
-                    for v in row:
-                        if not 0 <= v < n_vertices:
-                            raise ValueError(f"index {i}: vertex {v} out of range")
-                    rows.append(row)
-                    probs.append(float(q))
-                ptr.append(len(rows))
-            slot[i] = slot_of_object[id(d)]
-        members = np.full((len(rows), max(map(len, rows), default=1) or 1), -1, dtype=np.int32)
-        for k, row in enumerate(rows):
-            members[k, : len(row)] = row
-        return cls(np.array(ptr, dtype=np.int64), members, np.array(probs, dtype=float), slot)
-
-    def __getitem__(self, i) -> EdgeDist:
-        a, b = self.span(i)
-        return EdgeDist(atoms=[(_edge(row), q) for row, q in
-                               zip(self.members[a:b].tolist(), self.probs[a:b].tolist())])
-
-    def __iter__(self):
-        return iter(self.slot)
-
-    def __len__(self):
-        return len(self.slot)
-
-    def __contains__(self, i):
-        return i in self.slot
-
-    def span(self, i):
-        """The atom range [a, b) of index i."""
-        s = self.slot[i]
-        return int(self.ptr[s]), int(self.ptr[s + 1])
+    def fold(self, op, values):
+        """op over values[v] for the members v of each atom, left to right in
+        member order; a missing member (-1) reads values[-1]."""
+        out = values[self.members[:, 0]]
+        for c in range(1, self.members.shape[1]):  # one column at a time: r is small
+            out = op(out, values[self.members[:, c]])
+        return out
 
     def edge(self, k) -> frozenset:
-        return _edge(self.members[k].tolist())
+        return self.edges[k] if k < len(self.edges) else EMPTY
+
+
+class DistLaw(EdgeLaw):
+    """{index: EdgeDist} as the engine reads it.
+
+    Each distinct EdgeDist object is read into arrays (_Atoms) once, on
+    first use, and indices holding one object share them, so a round reads
+    each distinct object once.  The cache keeps every object it has read
+    alive, so an id names one object for the law's lifetime.
+    """
+
+    def __init__(self, dist, n_vertices: int):
+        self.dist = dist
+        self.n_vertices = n_vertices
+        self._read = {}  # id(EdgeDist) -> _Atoms
+
+    def __contains__(self, i):
+        return i in self.dist
+
+    def atoms(self, i) -> _Atoms:
+        d = self.dist[i]
+        read = self._read.get(id(d))
+        if read is None:
+            read = self._read[id(d)] = _Atoms(d, i, self.n_vertices)
+        return read
 
     def draw(self, i, rng) -> frozenset:
         """An edge of index i's raw distribution (EMPTY past its total)."""
-        a, b = self.span(i)
-        pos = int(np.searchsorted(np.cumsum(self.probs[a:b]), rng.random(), side="right"))
-        return self.edge(a + pos) if a + pos < b else EMPTY
-
-    def fold(self, op, values, a, b):
-        """op over values[v] for the members v of each atom in [a, b), left to
-        right in member order; a missing member (-1) reads values[-1]."""
-        members = self.members[a:b]
-        out = values[members[:, 0]]
-        for c in range(1, members.shape[1]):  # one column at a time: r is small
-            out = op(out, values[members[:, c]])
-        return out
-
-    def index_of_slot(self, s):
-        return next(i for i, t in self.slot.items() if t == s)
+        a = self.atoms(i)
+        return a.edge(int(np.searchsorted(a.cum, rng.random(), side="right")))
 
     def check(self, n_vertices, r_max) -> None:
-        def fail_at(bad, what):
-            s = int(np.searchsorted(self.ptr, np.argmax(bad), side="right")) - 1
-            raise ValueError(f"index {self.index_of_slot(s)}: {what}")
-
-        bad = ~(np.isfinite(self.probs) & (self.probs >= 0))
-        if bad.any():
-            fail_at(bad, "probability not finite and >= 0")
-        members = self.members
-        if members.shape[1] > r_max:
-            bad = (members >= 0).sum(axis=1) > r_max
-            if bad.any():
-                fail_at(bad, "edge larger than r_max")
-        if members.size and not -1 <= members.min() <= members.max() < n_vertices:
-            fail_at(((members < -1) | (members >= n_vertices)).any(axis=1), "vertex out of range")
-        over = self.total > 1 + 1e-12
-        if over.any():
-            raise ValueError(f"index {self.index_of_slot(int(np.argmax(over)))}: "
-                             "probabilities sum above 1")
+        read = dict.fromkeys(map(self.atoms, self.dist))  # each object once, in order
+        for what, bad in (
+            ("probability not finite and >= 0",
+             lambda a: ~(np.isfinite(a.probs) & (a.probs >= 0))),
+            ("edge larger than r_max", lambda a: (a.members >= 0).sum(axis=1) > r_max),
+            ("probabilities sum above 1", lambda a: a.total > 1 + 1e-12),
+        ):
+            for a in read:
+                if np.any(bad(a)):
+                    raise ValueError(f"index {a.index}: {what}")
 
     def degrees(self, block, n_vertices):
-        """Each distinct slot's vertex probabilities, summed in atom order, times
-        the number of the block's indices that use the slot, in order of first use."""
+        """Each distinct object's vertex probabilities, summed in atom order,
+        times the number of the block's indices that hold it, in order of
+        first use."""
         row = np.zeros(n_vertices)
-        for s, cnt in Counter(self.slot[i] for i in block).items():
-            members = self.members[self.ptr[s] : self.ptr[s + 1]]
-            present = members >= 0
-            q = np.broadcast_to(self.probs[self.ptr[s] : self.ptr[s + 1], None], members.shape)
-            v, inverse = np.unique(members[present], return_inverse=True)
-            row[v] += cnt * np.bincount(inverse, weights=q[present])
+        for a, cnt in Counter(map(self.atoms, block)).items():
+            present = a.members >= 0
+            q = np.broadcast_to(a.probs[:, None], a.members.shape)
+            row += cnt * np.bincount(a.members[present], weights=q[present], minlength=n_vertices)
         return row
 
     def round_law(self, block, inside, P):
-        """Each distinct slot is read once, for its in-W atoms, their weights
-        P(e_i = e) / P(e) under the targets P, and X.  An atom of positive mass
-        whose target is 0 weighs +inf, so its index has X = inf."""
+        """Each distinct object is read once, for its in-W atoms, their
+        weights P(e_i = e) / P(e) under the targets P, and X.  An atom of
+        positive mass whose target is 0 weighs +inf, so its index has X = inf."""
         inside = np.append(inside, True)  # what a missing member (-1) reads
         P = np.append(P, 1.0)
-        cache = {}  # slot -> (in-W atoms, cumulative weights, X)
+        cache = {}  # _Atoms -> (itself, in-W atoms, cumulative weights, X)
         laws = []
-        for i in block:
-            s = self.slot[i]
-            if s not in cache:
-                a, b = self.ptr[s], self.ptr[s + 1]
-                sel = np.flatnonzero(self.fold(np.logical_and, inside, a, b))
-                q = self.probs[a:b][sel]
+        for a in map(self.atoms, block):
+            if a not in cache:
+                sel = np.flatnonzero(a.fold(np.logical_and, inside))
+                q = a.probs[sel]
                 with np.errstate(divide="ignore", over="ignore"):
-                    w = np.divide(q, self.fold(np.multiply, P, a, b)[sel],
+                    w = np.divide(q, a.fold(np.multiply, P)[sel],
                                   out=np.zeros_like(q), where=q > 0)
-                rem = max(0.0, 1 - float(self.total[s]))
-                cache[s] = (a + sel, np.cumsum(w), math.fsum(w.tolist()) + rem)
-            laws.append(cache[s])
+                cache[a] = (a, sel, np.cumsum(w), math.fsum(w.tolist()) + max(0.0, 1 - a.total))
+            laws.append(cache[a])
 
         def draw(k, rng):
-            sel, cum, X = laws[k]
+            a, sel, cum, X = laws[k]
             pos = int(np.searchsorted(cum, rng.random() * X, side="right"))
-            return self.edge(sel[pos]) if pos < len(sel) else EMPTY
+            return a.edge(int(sel[pos])) if pos < len(sel) else EMPTY
 
-        return [X for _, _, X in laws], draw
+        return [X for *_, X in laws], draw
 
     def greedy(self, order, n_vertices):
         uncovered = np.ones(n_vertices + 1, dtype=np.int8)
         uncovered[-1] = 0  # what a missing member (-1) reads
         chosen = []
         for i in order:
-            a, b = self.span(i)
+            a = self.atoms(i)
             # atoms are listed by anchor and argmax takes the first maximum,
             # so ties go to the smallest anchor
-            k = a + int(np.argmax(self.fold(np.add, uncovered, a, b)))
-            uncovered[self.members[k]] = 0
-            chosen.append(self.edge(k))
+            k = int(np.argmax(a.fold(np.add, uncovered)))
+            uncovered[a.members[k]] = 0
+            chosen.append(a.edge(k))
         return chosen
 
 
@@ -253,21 +223,20 @@ class AtomTable(EdgeLaw):
 class CoverInstance:
     """Vertices 0..n_vertices-1, disjoint rounds of indices, one EdgeDist per index.
 
-    dist is either {index: EdgeDist}, packed into an AtomTable here (objects
-    may be shared), or an EdgeLaw, which is then `atoms` itself.
+    dist is either {index: EdgeDist}, read through a DistLaw (objects may be
+    shared), or an EdgeLaw that is also such a mapping, which is then `law`
+    itself.
     """
 
     n_vertices: int
     rounds: list  # [[index ids in round 1], [round 2], ...]
     dist: Mapping  # index id -> EdgeDist
     params: NibbleParams
-    atoms: EdgeLaw = field(init=False, repr=False, compare=False)
+    law: EdgeLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.dist, EdgeLaw):
-            self.atoms = self.dist
-        else:
-            self.atoms = AtomTable.pack(self.dist, self.n_vertices)
+        law = self.dist
+        self.law = law if isinstance(law, EdgeLaw) else DistLaw(law, self.n_vertices)
 
     @property
     def m(self) -> int:
@@ -286,10 +255,10 @@ class CoverInstance:
             for i in block:
                 if i in seen:
                     raise ValueError(f"index {i} appears in two rounds")
-                if i not in self.atoms:
+                if i not in self.law:
                     raise ValueError(f"index {i} has no edge distribution")
                 seen.add(i)
-        self.atoms.check(self.n_vertices, self.params.r_max)
+        self.law.check(self.n_vertices, self.params.r_max)
 
 
 class DegreeProfile:
@@ -317,7 +286,7 @@ class DegreeProfile:
 
 def degree_profile(inst: CoverInstance) -> DegreeProfile:
     """Exact degree sums, as the instance's law gives them, and the P recursion."""
-    return DegreeProfile([inst.atoms.degrees(block, inst.n_vertices) for block in inst.rounds])
+    return DegreeProfile([inst.law.degrees(block, inst.n_vertices) for block in inst.rounds])
 
 
 class ExactProfile:
@@ -422,7 +391,7 @@ def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, 
     block = inst.rounds[j - 1]
     inside = np.zeros(inst.n_vertices, dtype=bool)
     inside[np.fromiter(W, dtype=np.int64, count=w_size)] = True
-    Xs, draw = inst.atoms.round_law(block, inside, profile.P_row(j - 1))
+    Xs, draw = inst.law.round_law(block, inside, profile.P_row(j - 1))
     for k, (i, X) in enumerate(zip(block, Xs)):
         passed = abs(X - 1) <= tol
         if not passed:
@@ -459,7 +428,7 @@ def run_cover(inst: CoverInstance, rng, tol=None) -> CoverResult:
 
 def independent_select(inst: CoverInstance, rng) -> dict:
     """Baseline: every index samples its raw distribution, no conditioning."""
-    return {i: inst.atoms.draw(i, rng) for i in inst.all_indices()}
+    return {i: inst.law.draw(i, rng) for i in inst.all_indices()}
 
 
 def leftover_of(inst: CoverInstance, chosen: dict) -> set:
@@ -707,27 +676,46 @@ def instance_to_json(inst: CoverInstance) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+def _ints(values, what) -> list:
+    values = list(values)
+    if not all(map(_is_int, values)):
+        raise ValueError(f"cover instance: {what} must be integers")
+    return values
+
+
+def _object(pairs) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError("cover instance: a key appears twice in one object")
+    return doc
+
+
 def instance_from_json(text: str) -> CoverInstance:
-    """Parse an instance file; a missing key or a wrong shape is a ValueError."""
+    """Parse an instance file; a missing key, a wrong shape, an id that is
+    not an integer or a key that is repeated or not in canonical form is a
+    ValueError."""
     import json
 
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=_object)
     try:
         params = NibbleParams(
             delta=float(doc["params"]["delta"]),
-            r_max=int(doc["params"]["r_max"]),
+            r_max=_ints([doc["params"]["r_max"]], "r_max")[0],
             A=float(doc["params"]["A"]),
             D=float(doc["params"]["D"]),
             kappa=float(doc["params"]["kappa"]),
         )
         dist = {}
         for key, atoms in doc["dist"].items():
-            dist[int(key)] = EdgeDist(
-                atoms=[(frozenset(int(v) for v in e), float(q)) for e, q in atoms]
+            i = int(key)
+            if key != str(i):  # "01" or " 1" would name index 1 a second time
+                raise ValueError(f"cover instance: index key {key!r} is not written as {i}")
+            dist[i] = EdgeDist(
+                atoms=[(frozenset(_ints(e, "vertex ids")), float(q)) for e, q in atoms]
             )
         inst = CoverInstance(
-            n_vertices=int(doc["vertices"]),
-            rounds=[[int(i) for i in block] for block in doc["rounds"]],
+            n_vertices=_ints([doc["vertices"]], "vertices")[0],
+            rounds=[_ints(block, "round entries") for block in doc["rounds"]],
             dist=dist,
             params=params,
         )

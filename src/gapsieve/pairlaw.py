@@ -22,10 +22,11 @@ W, with probability proportional to P^-|e| / |e|.
 """
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
-from .nibble import EMPTY, AtomTable, EdgeDist, EdgeLaw
+from .nibble import EMPTY, EdgeDist, EdgeLaw
 
 _FFT_FACTORS = (1, 3, 5, 9, 15, 25, 27)
 
@@ -53,7 +54,7 @@ def correlation(a, b, lags):
     return counts.astype(np.int64)
 
 
-class PairLaw(EdgeLaw):
+class PairLaw(EdgeLaw, Mapping):
     """One sieving prime per index; vertex ids are positions in sorted Q.
 
     Holds Q, a position index over [min Q, max Q], and per index the prime,
@@ -154,13 +155,6 @@ class PairLaw(EdgeLaw):
 
     def __contains__(self, i):
         return isinstance(i, (int, np.integer)) and 0 <= i < len(self.primes)
-
-    def atom_table(self) -> AtomTable:
-        """The same law as an AtomTable, one slot per index."""
-        rows, masses = zip(*map(self.atoms, range(len(self.primes))))
-        return AtomTable(ptr=np.concatenate(([0], np.cumsum([len(m) for m in masses]))),
-                         members=np.concatenate(rows).astype(np.int32),
-                         probs=np.concatenate(masses), slot={i: i for i in range(len(masses))})
 
     # -- the engine's questions -----------------------------------------------
 

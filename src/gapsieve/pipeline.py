@@ -296,7 +296,7 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
     method = cfg.stage3_method
     chosen = {p: nib.EMPTY for p in pinst.skipped_primes}
 
-    law = pinst.cover.atoms
+    law = pinst.cover.law
     if method == "independent":
         for idx, p in enumerate(pinst.index_primes):
             chosen[p] = law.draw(idx, stream(cfg.seed, "stage3", p))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from gapsieve import cli
 from gapsieve import nibble as nib
 from gapsieve.cli import main
 from gapsieve.oracle import exact_Y
+from gapsieve.pipeline import (StagedConfig, build_edge_distributions, stage1_zero_classes,
+                               stage2_random_small, survivors_after_small)
 from gapsieve.residues import CoverageError, system_to_json, write_system_file
 from gapsieve.weights import FormSystem, WeightSystem
 
@@ -201,6 +204,44 @@ def test_nibble_bench(tmp_path):
     assert stats.read_text().startswith("round,index,X,F_passed,W_size")
 
 
+def pinned_bench_instance(name):
+    """The instance a golden nibble-bench run reads.  The uniform instance
+    shares one EdgeDist object across its indices; a file cannot say that,
+    so the test hands it to the command in process."""
+    if name == "paper-1000":
+        cfg = StagedConfig(x=1000, mode="paper-formula", seed=1)
+        small = stage1_zero_classes(cfg).merged(stage2_random_small(cfg))
+        return build_edge_distributions(cfg, survivors_after_small(cfg, small)).cover
+    rng = random.Random(5)
+    edges = [rng.sample(range(60), rng.randrange(1, 4)) for _ in range(90)]
+    return nib.build_uniform_instance(60, edges, nib.uniform_round_counts(40, 3, 3))
+
+
+# sha256 of nibble-bench's --out and --stats CSVs: a change to how the
+# engine reads an instance that keeps its draws keeps these bytes
+PINNED_BENCH = [
+    ("paper-1000", "21e88524a296f6e77848fb527a33b8b6e4a21be2b42094820b01bd95f35a1bfb",
+     "289e425998922eb200f870100e997ba0f15d962adcbe6ff6ecc125bf28c32057"),
+    ("uniform-shared", "58e39ec2ca7dad712c2f780ed4fe437d61500172570b814f9b518887d24c7175",
+     "cd0a31409aac7b6d0b95902489ec2c57733209af32f64d134f911608b87a4390"),
+]
+
+
+@pytest.mark.parametrize("name, out_digest, stats_digest", PINNED_BENCH,
+                         ids=[n for n, _, _ in PINNED_BENCH])
+def test_nibble_bench_outputs_pinned(tmp_path, monkeypatch, name, out_digest, stats_digest):
+    inst = pinned_bench_instance(name)
+    ifile = tmp_path / "inst.json"
+    ifile.write_text(nib.instance_to_json(inst))
+    if name == "uniform-shared":
+        monkeypatch.setattr(nib, "instance_from_json", lambda text: inst)
+    out, stats = tmp_path / "bench.csv", tmp_path / "stats.csv"
+    assert main(["nibble-bench", str(ifile), "--seeds", "5",
+                 "--out", str(out), "--stats", str(stats)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+    assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_digest
+
+
 def test_nibble_bench_underflowed_targets_stay_quiet(tmp_path):
     # 800 indices share the certain edge {0}, so P_1(0) = exp(-800) underflows
     # to 0; round 2 divides by that target and round 3, where vertex 0 has
@@ -355,6 +396,42 @@ def test_nibble_bench_bad_probability_is_usage_error(tmp_path, capsys, prob, wha
     assert main(["nibble-bench", str(f), "--seeds", "1"]) == 2
     err = capsys.readouterr().err
     assert what in err and len(err.strip().splitlines()) == 1
+
+
+def instance_text(vertices="3", rounds="[[0, 1]]", atom="[[0], 0.5]", r_max="2", extra=""):
+    return ('{"vertices": %s, "rounds": %s, "dist": {"0": [%s], "1": [[[2], 0.5]]%s}, '
+            '"params": {"delta": 0.5, "r_max": %s, "A": 5, "D": 3, "kappa": 0.01}}\n'
+            % (vertices, rounds, atom, extra, r_max))
+
+
+# a valid instance file with one field replaced; the file was read before
+# with vertex ids 0.9 and 1.7 as {0, 1}, true as 1, and a second key "01",
+# " 1" or "1" over index 1
+MALFORMED_IDS = {
+    "float-vertex": ({"atom": "[[0.9, 1.7], 0.5]"}, "vertex ids"),
+    "bool-vertex": ({"atom": "[[true], 0.5]"}, "vertex ids"),
+    "float-round-entry": ({"rounds": "[[0, 1.0]]"}, "round entries"),
+    "bool-round-entry": ({"rounds": "[[0, true]]"}, "round entries"),
+    "float-vertices": ({"vertices": "3.5"}, "vertices"),
+    "bool-vertices": ({"vertices": "true"}, "vertices"),
+    "float-r_max": ({"r_max": "2.5"}, "r_max"),
+    "bool-r_max": ({"r_max": "true"}, "r_max"),
+    "duplicate-key": ({"extra": ', "01": [[[1], 0.5]]'}, "'01' is not written as 1"),
+    "spaced-key": ({"extra": ', " 1": [[[1], 0.5]]'}, "' 1' is not written as 1"),
+    "repeated-key": ({"extra": ', "1": [[[1], 0.5]]'}, "appears twice"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_IDS)
+def test_nibble_bench_malformed_id_is_usage_error(tmp_path, capsys, case):
+    fields, what = MALFORMED_IDS[case]
+    f = tmp_path / "inst.json"
+    f.write_text(instance_text(**fields))
+    assert main(["nibble-bench", str(f), "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert what in err and len(err.strip().splitlines()) == 1
+    f.write_text(instance_text())  # the same file, well formed
+    assert main(["nibble-bench", str(f), "--seeds", "1", "--out", str(tmp_path / "b.csv")]) == 0
 
 
 def test_construct_budget_exhausted_is_infeasible(tmp_path, capsys):

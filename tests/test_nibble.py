@@ -164,6 +164,42 @@ def test_normalization_round1_is_containment_probability():
     assert nib.normalization_factor(inst, prof, 0, 1, W) == F(3, 4)
 
 
+def test_round_law_X_matches_exact_normalization():
+    # the engine's float X_i(W) against the exact one, on random tiny
+    # instances whose indices may share an EdgeDist, under injected rational
+    # targets (zeros included) and random W
+    rng = random.Random(17)
+    infinite = 0
+    for _ in range(300):
+        n = rng.randrange(2, 7)
+        dists = []
+        for _ in range(rng.randrange(1, 4)):
+            atoms, budget = [], F(1)
+            for _ in range(rng.randrange(1, 4)):
+                q = budget * F(rng.randrange(1, 6), 6)
+                budget -= q
+                atoms.append((frozenset(rng.sample(range(n), rng.randrange(1, min(n, 3) + 1))), q))
+            dists.append(nib.EdgeDist(atoms=atoms))
+        block = list(range(rng.randrange(1, 5)))
+        inst = nib.CoverInstance(n, [block], {i: rng.choice(dists) for i in block},
+                                 make_params(r_max=3))
+        targets = [F(0), F(1, 3), F(2, 5), F(7, 9), F(1)]
+        prof = nib.ExactProfile(1, {(0, v): rng.choice(targets) for v in range(n)})
+        W = {v for v in range(n) if rng.random() < 0.7}
+        inside = np.zeros(n, dtype=bool)
+        inside[list(W)] = True
+        Xs, _ = inst.law.round_law(block, inside, prof.P_row(0))
+        for i, X in zip(block, Xs):
+            try:
+                want = float(nib.normalization_factor(inst, prof, i, 1, W))
+            except ZeroDivisionError:  # an atom inside W has a zero target
+                assert X == math.inf
+                infinite += 1
+                continue
+            assert abs(X - want) <= 1e-12 * max(want, 1.0), (i, X, want)
+    assert infinite > 0
+
+
 # -- nibble rounds -----------------------------------------------------------------
 
 
@@ -463,6 +499,14 @@ def test_instance_file_roundtrip():
             (sorted(e), q) for e, q in inst.dist[i].atoms
         )
     assert back.params == inst.params
+
+
+@pytest.mark.parametrize("vertex", [3, -1, -2])
+def test_vertex_out_of_range_is_rejected(vertex):
+    # -1 is also the arrays' mark for a missing member, so it must not pass
+    inst = make_instance(3, [[[({0, vertex}, 0.5)]]])
+    with pytest.raises(ValueError, match=f"index 0: vertex {vertex} out of range"):
+        nib.run_cover(inst, random.Random(0))
 
 
 def test_stats_csv():

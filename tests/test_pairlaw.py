@@ -3,11 +3,11 @@
 Every PairLaw index can be read as the atom list of the per-anchor
 construction (tests/test_pipeline.py checks that list against a Python
 reference).  Here the closed form's draws, round normalizations and greedy
-choices are checked against those atoms: against law_oracle.py's exact law,
-against an AtomTable holding the same atoms, and against the atom greedy.
+choices are checked against those atoms: draws against law_oracle.py's
+exact law, X_p(W) against nibble.DistLaw reading the law's own EdgeDists,
+and greedy against a first-maximum greedy over the rows of PairLaw.atoms.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -111,12 +111,12 @@ def test_later_round_draws_match_exact_law():
         assert_frequencies(counts, exact, n_draws, k)
 
 
-def test_round_two_X_matches_atom_table():
+def test_round_two_X_matches_dist_law():
     cfg = StagedConfig(x=3000, mode="paper-formula", seed=1)
     pinst = build_edge_distributions(cfg, split_of(cfg))
-    law = pinst.cover.atoms
-    table = law.atom_table()
+    law = pinst.cover.law
     n = pinst.cover.n_vertices
+    table = nib.DistLaw({i: law[i] for i in range(len(law))}, n)
     rng = np.random.default_rng(7)
     block = rng.permutation(len(law)).tolist()
     for P in (0.83, 0.4):  # P < 1/2 tilts the sampler toward pairs
@@ -156,22 +156,38 @@ GREEDY_CONFIGS = [
 ]
 
 
+def atom_greedy(law, order):
+    """For each index in order, its first atom (in anchor order) with the
+    most uncovered members, read off the rows of law.atoms."""
+    uncovered = np.ones(len(law.Q) + 1, dtype=np.int64)
+    uncovered[-1] = 0  # what a missing member (-1) reads
+    chosen = []
+    for i in order:
+        rows, _ = law.atoms(i)
+        row = rows[int(np.argmax(uncovered[rows].sum(axis=1)))]
+        uncovered[row] = 0
+        chosen.append(frozenset(v for v in row.tolist() if v >= 0))
+    return chosen
+
+
 @pytest.mark.parametrize("cfg", GREEDY_CONFIGS,
                          ids=lambda c: f"{c.mode}-{c.x}-{c.weights}-s{c.seed}")
 def test_closed_form_greedy_matches_atom_greedy(cfg):
     pinst = build_edge_distributions(cfg, split_of(cfg))
-    table = pinst.cover.atoms.atom_table()
-    on_atoms = dataclasses.replace(pinst, cover=dataclasses.replace(pinst.cover, dist=table))
-    assert isinstance(on_atoms.cover.atoms, nib.AtomTable)
-    chosen = stage3_select(cfg, pinst)
-    assert list(chosen.items()) == list(stage3_select(cfg, on_atoms).items())
+    law = pinst.cover.law
+    # stage3_select's greedy order
+    order = list(range(len(pinst.index_primes)))
+    stream(cfg.seed, "stage3-order").shuffle(order)
+    want = {p: nib.EMPTY for p in pinst.skipped_primes}
+    want.update((pinst.index_primes[i], e) for i, e in zip(order, atom_greedy(law, order)))
+    assert list(stage3_select(cfg, pinst).items()) == list(want.items())
     if cfg.weights == "sieve":  # the window cuts anchors of some primes
-        assert pinst.cover.atoms.cut.any()
+        assert law.cut.any()
 
 
 def test_window_cut_counts_match_atoms():
     cfg = StagedConfig(x=2000, mode="paper-formula", seed=1, weights="sieve")
-    law = build_edge_distributions(cfg, split_of(cfg)).cover.atoms
+    law = build_edge_distributions(cfg, split_of(cfg)).cover.law
     for i in np.flatnonzero(law.cut).tolist():
         rows, mass = law.atoms(i)
         assert int((rows[:, 1] >= 0).sum()) == law.pairs[i]

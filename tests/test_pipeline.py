@@ -325,7 +325,7 @@ def test_pipeline_instance_holds_no_atom_arrays():
     # of (min Q, max Q]; none grows with the atoms
     cfg = StagedConfig(x=1000, mode="paper-formula", seed=2)
     pinst = build_edge_distributions(cfg, _split(cfg))
-    law = pinst.cover.atoms
+    law = pinst.cover.law
     assert pinst.cover.dist is law and isinstance(law, PairLaw)
     n_atoms = sum(len(law[i].atoms) for i in range(len(law)))
     sizes = {len(pinst.index_primes), len(pinst.values), len(law.pos)}
@@ -340,13 +340,13 @@ def test_instance_file_round_trip_of_pipeline_instance():
     cfg = StagedConfig(x=1000, mode="paper-formula", seed=1)
     inst = build_edge_distributions(cfg, _split(cfg)).cover
     back = nib.instance_from_json(nib.instance_to_json(inst))
-    assert isinstance(back.dist, dict)  # packed from EdgeDists, not the same law
+    assert isinstance(back.law, nib.DistLaw)  # read from EdgeDists, not the same law
     assert back.rounds == inst.rounds and back.params == inst.params
     assert all(back.dist[i].atoms == inst.dist[i].atoms for i in inst.all_indices())
-    # the file's instance samples as the law's own atoms do; the closed form
-    # draws the same law with other random numbers
-    on_atoms = dataclasses.replace(inst, dist=inst.atoms.atom_table())
-    a = nib.run_cover(on_atoms, stream(7, "round-trip"))
+    # the file's instance samples as the law's own EdgeDists do; the closed
+    # form draws the same law with other random numbers
+    on_dists = dataclasses.replace(inst, dist={i: inst.dist[i] for i in inst.all_indices()})
+    a = nib.run_cover(on_dists, stream(7, "round-trip"))
     b = nib.run_cover(back, stream(7, "round-trip"))
     assert any(a.chosen.values())
     assert a.chosen == b.chosen
