@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from . import nibble as nib
-from .oracle import InfeasibleError, exact_Y, jacobsthal
+from .oracle import EXACT_Y_CUTOFF, InfeasibleError, exact_Y, jacobsthal
 from .pipeline import (
     BudgetError,
     StagedConfig,
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact longest coverable prefix for primes <= x")
     p.add_argument("x", type=int)
-    p.add_argument("--cutoff", type=int, default=17)
+    p.add_argument("--cutoff", type=int, default=EXACT_Y_CUTOFF)
     p.add_argument("--witness", help="write the witness system to this file")
     p.add_argument("--cross-check", action="store_true",
                    help="also scan one primorial period for the coprime-gap value")

@@ -14,7 +14,7 @@ import numpy as np
 from .primes import factorize, primes_up_to
 from .residues import ResidueSystem
 
-EXACT_Y_CUTOFF = 17
+EXACT_Y_CUTOFF = 19
 JACOBSTHAL_CUTOFF = 10**9
 
 
@@ -37,6 +37,11 @@ class _CoverSearch:
     must be congruent to t, so each unassigned prime contributes exactly one
     candidate class.  Primes are tried largest first (larger moduli are the
     scarcer resource); correctness does not depend on the order.
+
+    The covered set is one integer: bit t - 1 is set when t in [1, y] is
+    covered.  A child ORs in its class's precomputed pattern, so nothing is
+    undone on backtracking; a child that covers everything, or has no prime
+    left to try, is settled without a call.
     """
 
     def __init__(self, primes):
@@ -44,34 +49,33 @@ class _CoverSearch:
         self.nodes = 0
 
     def feasible(self, y: int):
-        cover = np.zeros(y + 1, dtype=np.int32)  # cover[t] = #classes hitting t
+        full = (1 << y) - 1
+        # pats[p][a]: the positions t in [1, y] with t = a (mod p)
+        pats = {}
+        for p in self.primes:
+            comb = 0
+            for k in range(0, y, p):
+                comb |= 1 << k
+            pats[p] = [(comb << ((a or p) - 1)) & full for a in range(p)]
         assignment = {}
+        nodes = 0
 
-        def first_uncovered():
-            idx = np.flatnonzero(cover[1:] == 0)
-            return int(idx[0]) + 1 if len(idx) else None
-
-        def rec():
-            t = first_uncovered()
-            if t is None:
-                return True
-            for p in self.primes:
-                if p in assignment:
-                    continue
-                self.nodes += 1
+        def rec(mask, free):
+            nonlocal nodes
+            t = (~mask & (mask + 1)).bit_length()  # smallest uncovered position
+            for i, p in enumerate(free):
+                nodes += 1
                 a = t % p
-                assignment[p] = a
-                start = a if a else p
-                cover[start :: p] += 1
-                if rec():
+                child = mask | pats[p][a]
+                rest = free[:i] + free[i + 1 :]
+                if child == full or (rest and rec(child, rest)):
+                    assignment[p] = a
                     return True
-                cover[start :: p] -= 1
-                del assignment[p]
             return False
 
-        if rec():
-            return dict(assignment)
-        return None
+        found = full == 0 or rec(0, tuple(self.primes))
+        self.nodes += nodes
+        return assignment if found else None
 
 
 def exact_Y(x: int, cutoff: int = EXACT_Y_CUTOFF) -> OracleResult:

@@ -45,11 +45,17 @@ class ResidueSystem:
         return len(self.entries)
 
     def merged(self, other: "ResidueSystem") -> "ResidueSystem":
-        """Union of two systems over disjoint prime sets."""
+        """Union of two systems over disjoint prime sets.
+
+        Both parts were checked when they were built, so the union skips
+        the constructor's proof of every modulus.
+        """
         overlap = self.entries.keys() & other.entries.keys()
         if overlap:
             raise ValueError(f"moduli assigned twice: {sorted(overlap)}")
-        return ResidueSystem({**self.entries, **other.entries})
+        union = object.__new__(ResidueSystem)
+        object.__setattr__(union, "entries", {**self.entries, **other.entries})
+        return union
 
 
 @dataclass

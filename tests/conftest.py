@@ -1,0 +1,11 @@
+"""Fixtures shared across test modules."""
+
+import pytest
+
+from gapsieve.oracle import exact_Y
+
+
+@pytest.fixture(scope="session")
+def exact_Y_19():
+    """exact_Y(19), the largest exhaustive search: computed once per run."""
+    return exact_Y(19)

@@ -179,7 +179,8 @@ def test_oracle_command(tmp_path):
 
 
 def test_oracle_infeasible_exit_code(tmp_path):
-    assert main(["oracle", "19"]) == 4
+    assert main(["oracle", "23"]) == 4
+    assert main(["oracle", "19", "--cutoff", "17"]) == 4
 
 
 def test_nibble_bench(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the exhaustive oracles and smooth-number tests."""
 
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -8,13 +10,14 @@ import pytest
 from gapsieve.oracle import (
     JACOBSTHAL_CUTOFF,
     InfeasibleError,
+    _CoverSearch,
     exact_Y,
     jacobsthal,
     smooth_count,
     smooth_mask,
 )
 from gapsieve.primes import primorial
-from gapsieve.residues import ResidueSystem, covered_prefix_length, sift
+from gapsieve.residues import ResidueSystem, covered_prefix_length, sift, system_to_json
 
 
 def test_exact_Y_small():
@@ -54,9 +57,59 @@ def test_no_strategy_beats_the_oracle():
             assert covered_prefix_length(sys) <= bound
 
 
+# x: (Y, nodes_explored, sha256 of system_to_json(x, witness)); any change
+# of search state must visit the same nodes in the same order and stop at
+# the same witness, so oracle files stay byte-identical
+EXACT_Y_GOLDEN = {
+    2: (1, 3, "833233bdb5a09c2ed1fe72735edc0a66c6984e97cc3584cf18c567244366f054"),
+    3: (3, 15, "521aa18cd4b9d62fbdb3581b789f9720c1e960d8251b462929e83dd6555fd77b"),
+    5: (5, 54, "671717093d0584d475d3fb0269fac8db459f5bf032381eb604f6364b04b9241a"),
+    7: (9, 280, "be5c6a88a179667e5f536ccab95c6919f6bc39cb5fac91d2b0ffa346f3ba6aff"),
+    11: (13, 974, "8734124ecdad32d0f4749d5fcbce8f775a8433215a8f3d397690ff2c765255cd"),
+    13: (21, 7826, "27df0a7d533d929445df52bd3b369261066ca55482e4b06df76b605462242c51"),
+    17: (25, 48700, "da2e0aaa364c32913247562e6f979d4708ed6d8128c9921ea9848a1793d981ae"),
+    19: (33, 615970, "d61ffe9e082a9711db9e46bf05de5e54db1df0a83903b60c24867dd638594dc4"),
+}
+
+
+@pytest.mark.parametrize("x", sorted(EXACT_Y_GOLDEN))
+def test_exact_Y_golden(x, request):
+    res = request.getfixturevalue("exact_Y_19") if x == 19 else exact_Y(x)
+    digest = hashlib.sha256(system_to_json(x, res.witness).encode()).hexdigest()
+    assert (res.Y, res.nodes_explored, digest) == EXACT_Y_GOLDEN[x]
+
+
+def coverable_by_enumeration(primes, y):
+    """Whether some choice of one class per prime covers [1, y], trying all."""
+    ps = np.array(primes)
+    choices = np.array(list(itertools.product(*(range(p) for p in primes))))
+    covered = np.ones(len(choices), dtype=bool)
+    for t in range(1, y + 1):
+        covered &= (t % ps == choices).any(axis=1)
+    return bool(covered.any())
+
+
+def test_cover_search_matches_enumeration():
+    rng = random.Random(2024)
+    small = [2, 3, 5, 7, 11, 13]
+    outcomes = set()
+    for _ in range(120):
+        primes = rng.sample(small, rng.randint(1, len(small)))
+        y = rng.randint(1, 20)
+        assignment = _CoverSearch(primes).feasible(y)
+        assert (assignment is not None) == coverable_by_enumeration(primes, y), (primes, y)
+        outcomes.add(assignment is not None)
+        if assignment is not None:
+            assert set(assignment) <= set(primes)
+            assert all(0 <= a < p for p, a in assignment.items())
+            for t in range(1, y + 1):
+                assert any(t % p == a for p, a in assignment.items()), (primes, y, t)
+    assert outcomes == {True, False}
+
+
 def test_exact_Y_cutoff():
     with pytest.raises(InfeasibleError):
-        exact_Y(19)
+        exact_Y(23)
     with pytest.raises(InfeasibleError):
         exact_Y(5, cutoff=3)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapsieve import residues
 from gapsieve.oracle import exact_Y
 from gapsieve.primes import sieve_interval
 from gapsieve.residues import (
@@ -41,6 +42,27 @@ def test_merged_rejects_overlap():
         a.merged(b)
     c = a.merged(ResidueSystem({3: 1}))
     assert c.entries == {2: 0, 3: 1}
+
+
+def test_merged_equals_the_checked_constructor(monkeypatch):
+    rng = random.Random(11)
+    a = ResidueSystem({p: rng.randrange(p) for p in SMALL_PRIMES[:8]})
+    b = ResidueSystem({p: rng.randrange(p) for p in SMALL_PRIMES[8:]})
+    checked = ResidueSystem({**a.entries, **b.entries})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("merged proved its moduli again")
+
+    monkeypatch.setattr(residues, "prime_mask", refuse)
+    union = a.merged(b)
+    assert union == checked
+    assert list(union.entries.items()) == list(checked.entries.items())
+    monkeypatch.undo()
+    # direct construction still proves each modulus and range-checks each class
+    with pytest.raises(ValueError, match="modulus 49 is not prime"):
+        ResidueSystem({**union.entries, 49: 1})
+    with pytest.raises(ValueError, match="residue 53 out of range"):
+        ResidueSystem({**union.entries, 53: 53})
 
 
 def test_sift_examples():
