@@ -10,7 +10,7 @@ weights to steer it.
 
 __version__ = "0.1.0"
 
-from .oracle import exact_Y, jacobsthal, smooth_count
+from .oracle import exact_Y, jacobsthal
 from .pipeline import StagedConfig, run_pipeline
 from .primes import primes_up_to, primorial
 from .residues import ResidueSystem, assemble_gap, covered_prefix_length, sift
@@ -19,7 +19,6 @@ __all__ = [
     "__version__",
     "exact_Y",
     "jacobsthal",
-    "smooth_count",
     "StagedConfig",
     "run_pipeline",
     "primes_up_to",

@@ -207,7 +207,7 @@ def cmd_nibble_bench(args) -> int:
 
 def cmd_weights(args) -> int:
     check_scale(args.x)  # before the Monte Carlo, not after it
-    offsets = admissible_tuple(args.k).offsets
+    offsets = admissible_tuple(args.k)
     system = FormSystem(offsets, B=args.B)
     ws = WeightSystem(system, R=args.R)
     doc = {

@@ -18,6 +18,7 @@ whose survival targets stay rational) the full outcome distribution of the
 process can be enumerated exactly.
 """
 
+import json
 import math
 from collections import Counter
 from collections.abc import Mapping
@@ -81,25 +82,26 @@ class EdgeLaw:
     instance's EdgeDists (DistLaw) or hold the atoms in closed form
     (pairlaw.PairLaw, which is also the instance's mapping of EdgeDists):
 
-    - draw(i, rng): a sample of index i's raw distribution;
     - check(n_vertices, r_max): ValueError unless every law is well formed;
     - degrees(block, n_vertices): the summed P(v in e_i) over a round;
     - round_law(block, inside, P): X_i(W) for each index of a round, and a
       draw(k, rng) of the k-th index's law conditioned on W and reweighted
-      by 1/P(e);
-    - greedy(order, n_vertices): for each index in order, an edge with the
-      most still-uncovered members, ties to the smallest anchor.
+      by 1/P(e).
 
-    Each also answers `i in law` without building index i's EdgeDist.
+    Each also answers `i in law` without building index i's EdgeDist, and
+    greedy(order, n_vertices) for stage 3's greedy method: for each index
+    in order, an edge with the most still-uncovered members, ties to the
+    smallest anchor.  Stage 3's independent method draws from round_law's
+    first round (W = V, P = 1), which is the raw law.
     """
 
 
 class _Atoms:
     """One EdgeDist read into arrays: a row of sorted member ids per atom
-    (-1 for a missing member), the atom probabilities, their running sums
-    and their total, summed in atom order as EdgeDist.total does.  It keeps
-    the EdgeDist, whose own frozensets the draws return, and the index it
-    was first read for, which errors name."""
+    (-1 for a missing member), the atom probabilities and their total,
+    summed in atom order as EdgeDist.total does.  It keeps the EdgeDist,
+    whose own frozensets the draws return, and the index it was first read
+    for, which errors name."""
 
     def __init__(self, dist: EdgeDist, i, n_vertices: int):
         self.dist, self.index = dist, i
@@ -113,7 +115,6 @@ class _Atoms:
         self.members = np.array([row + [-1] * (width - len(row)) for row in rows],
                                 dtype=np.int64).reshape(len(rows), width)
         self.probs = np.array([float(q) for _, q in dist.atoms])
-        self.cum = np.cumsum(self.probs)
         self.total = sum(self.probs.tolist())
 
     def fold(self, op, values):
@@ -151,11 +152,6 @@ class DistLaw(EdgeLaw):
         if read is None:
             read = self._read[id(d)] = _Atoms(d, i, self.n_vertices)
         return read
-
-    def draw(self, i, rng) -> frozenset:
-        """An edge of index i's raw distribution (EMPTY past its total)."""
-        a = self.atoms(i)
-        return a.edge(int(np.searchsorted(a.cum, rng.random(), side="right")))
 
     def check(self, n_vertices, r_max) -> None:
         read = dict.fromkeys(map(self.atoms, self.dist))  # each object once, in order
@@ -426,18 +422,6 @@ def run_cover(inst: CoverInstance, rng, tol=None) -> CoverResult:
     return CoverResult(chosen=state.chosen, leftover=state.W, stats=state.round_log)
 
 
-def independent_select(inst: CoverInstance, rng) -> dict:
-    """Baseline: every index samples its raw distribution, no conditioning."""
-    return {i: inst.law.draw(i, rng) for i in inst.all_indices()}
-
-
-def leftover_of(inst: CoverInstance, chosen: dict) -> set:
-    removed = set()
-    for e in chosen.values():
-        removed |= e
-    return set(range(inst.n_vertices)) - removed
-
-
 # -- hypothesis checking ------------------------------------------------------
 
 
@@ -656,8 +640,6 @@ def exact_cover_distribution(inst: CoverInstance, tol, profile=None) -> ExactDis
 
 
 def instance_to_json(inst: CoverInstance) -> str:
-    import json
-
     dist_doc = {}
     for i in inst.all_indices():
         dist_doc[str(i)] = [[sorted(e), float(q)] for e, q in inst.dist[i].atoms]
@@ -683,6 +665,13 @@ def _ints(values, what) -> list:
     return values
 
 
+def _number(v, what) -> float:
+    """A finite JSON number as a float; true, false and strings are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"cover instance: {what} must be a finite number")
+    return float(v)
+
+
 def _object(pairs) -> dict:
     doc = dict(pairs)
     if len(doc) < len(pairs):
@@ -692,26 +681,21 @@ def _object(pairs) -> dict:
 
 def instance_from_json(text: str) -> CoverInstance:
     """Parse an instance file; a missing key, a wrong shape, an id that is
-    not an integer or a key that is repeated or not in canonical form is a
-    ValueError."""
-    import json
-
+    not an integer, a probability or param that is not a finite JSON number
+    or a key that is repeated or not in canonical form is a ValueError."""
     doc = json.loads(text, object_pairs_hook=_object)
     try:
-        params = NibbleParams(
-            delta=float(doc["params"]["delta"]),
-            r_max=_ints([doc["params"]["r_max"]], "r_max")[0],
-            A=float(doc["params"]["A"]),
-            D=float(doc["params"]["D"]),
-            kappa=float(doc["params"]["kappa"]),
-        )
+        raw = doc["params"]
+        params = NibbleParams(r_max=_ints([raw["r_max"]], "r_max")[0], **{
+            key: _number(raw[key], f"params.{key}") for key in ("delta", "A", "D", "kappa")})
         dist = {}
         for key, atoms in doc["dist"].items():
             i = int(key)
             if key != str(i):  # "01" or " 1" would name index 1 a second time
                 raise ValueError(f"cover instance: index key {key!r} is not written as {i}")
             dist[i] = EdgeDist(
-                atoms=[(frozenset(_ints(e, "vertex ids")), float(q)) for e, q in atoms]
+                atoms=[(frozenset(_ints(e, "vertex ids")), _number(q, "a probability"))
+                       for e, q in atoms]
             )
         inst = CoverInstance(
             n_vertices=_ints([doc["vertices"]], "vertices")[0],

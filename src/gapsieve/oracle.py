@@ -90,25 +90,21 @@ def exact_Y(x: int, cutoff: int = EXACT_Y_CUTOFF) -> OracleResult:
             "use jacobsthal(primorial(x)) for an independent route"
         )
     primes = list(primes_up_to(x))
-    if not primes:
-        return OracleResult(x=x, Y=0, witness=ResidueSystem({}), nodes_explored=0)
-
     search = _CoverSearch(primes)
-    lo = 1
-    if search.feasible(1) is None:
+    lo, assignment = 1, search.feasible(1)
+    if assignment is None:
         return OracleResult(x=x, Y=0, witness=ResidueSystem({}), nodes_explored=search.nodes)
     hi = 2
-    while search.feasible(hi) is not None:
-        lo = hi
+    while (found := search.feasible(hi)) is not None:
+        lo, assignment = hi, found
         hi *= 2
-    # invariant: feasible(lo), not feasible(hi)
+    # invariant: assignment covers [1, lo], nothing covers [1, hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if search.feasible(mid) is not None:
-            lo = mid
+        if (found := search.feasible(mid)) is not None:
+            lo, assignment = mid, found
         else:
             hi = mid
-    assignment = search.feasible(lo)
     witness = {p: assignment.get(p, 0) for p in primes}
     return OracleResult(
         x=x, Y=lo, witness=ResidueSystem(witness), nodes_explored=search.nodes
@@ -163,18 +159,4 @@ def smooth_mask(values, z: int) -> np.ndarray:
             rem[hit] //= p
             hit = hit[rem[hit] % p == 0]
     return rem == 1
-
-
-def smooth_count(y: int, z: int) -> int:
-    """#{1 <= n <= y : every prime factor of n is <= z}, segment by segment."""
-    if y < 1:
-        return 0
-    if z >= y:
-        return y
-    segment = 1 << 20
-    total = 0
-    for lo in range(1, y + 1, segment):
-        hi = min(lo + segment - 1, y)
-        total += int(smooth_mask(np.arange(lo, hi + 1), z).sum())
-    return total
 

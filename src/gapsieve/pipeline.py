@@ -243,7 +243,7 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     EdgeDist.
     """
     th = thresholds(cfg)
-    offsets = admissible_tuple(default_r(cfg.x)).offsets
+    offsets = admissible_tuple(default_r(cfg.x))
     values = sorted(split.primes)
     if not values:
         raise ValueError("no surviving primes to cover")
@@ -297,9 +297,11 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
     chosen = {p: nib.EMPTY for p in pinst.skipped_primes}
 
     law = pinst.cover.law
-    if method == "independent":
+    if method == "independent":  # the engine's first round (W = V, P = 1) is the raw law
+        n = pinst.cover.n_vertices
+        _, draw = law.round_law(range(len(pinst.index_primes)), np.ones(n, bool), np.ones(n))
         for idx, p in enumerate(pinst.index_primes):
-            chosen[p] = law.draw(idx, stream(cfg.seed, "stage3", p))
+            chosen[p] = draw(idx, stream(cfg.seed, "stage3", p))
         return chosen
 
     if method == "greedy":

@@ -1,4 +1,4 @@
-"""Prime generation, batch primality, primorials, gap scanning, admissible tuples.
+"""Prime generation, batch primality, primorials, admissible tuples.
 
 All sieving is done with a segmented sieve of Eratosthenes (numpy bool
 segments of SEGMENT_SIZE = 2**20 entries) so intervals up to 1e8 stay
@@ -6,7 +6,6 @@ cheap and memory-local.  The admissible r-tuple is the first r primes
 above r, which always ends at or below 2r^2.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -113,56 +112,21 @@ def prime_mask(values) -> np.ndarray:
     return table[np.array(values, dtype=np.int64) - lo]
 
 
-def max_gap_below(X: int):
-    """Maximal gap between consecutive primes p_n < p_{n+1} <= X.
-
-    Returns (p_n, p_{n+1}, gap); ties broken by the smallest lower endpoint,
-    which makes the answer deterministic.  Requires at least two primes <= X.
-    """
-    if X < 3:
-        raise ValueError("need at least two primes <= X")
-    best = None
-    prev = None
-    for seg_lo in range(2, X + 1, SEGMENT_SIZE):
-        for p in sieve_interval(seg_lo, min(seg_lo + SEGMENT_SIZE - 1, X)):
-            p = int(p)
-            if prev is not None:
-                gap = p - prev
-                if best is None or gap > best[2]:
-                    best = (prev, p, gap)
-            prev = p
-    if best is None:
-        raise ValueError("need at least two primes <= X")
-    return best
-
-
-@dataclass(frozen=True)
-class AdmissibleTuple:
-    """Increasing offsets h_1 < ... < h_r missing a residue class mod every prime."""
-
-    offsets: tuple
-
-    @property
-    def r(self) -> int:
-        return len(self.offsets)
-
-
-def is_admissible(t: AdmissibleTuple) -> bool:
-    """True iff for every prime p <= r the offsets miss some class mod p.
+def is_admissible(offsets: tuple) -> bool:
+    """True iff for every prime p <= r the r offsets miss some class mod p.
 
     Primes p > r are automatically fine: r distinct offsets occupy at most
     r < p classes.
     """
-    offs = t.offsets
-    if len(set(offs)) != len(offs):
+    if len(set(offsets)) != len(offsets):
         raise ValueError("offsets must be distinct")
-    for p in primes_up_to(t.r):
-        if len({h % p for h in offs}) == p:
+    for p in primes_up_to(len(offsets)):
+        if len({h % p for h in offsets}) == p:
             return False
     return True
 
 
-def admissible_tuple(r: int) -> AdmissibleTuple:
+def admissible_tuple(r: int) -> tuple:
     """The first r primes larger than r, as an admissible r-tuple.
 
     Admissible because no prime p <= r is among the offsets, so none of
@@ -176,5 +140,5 @@ def admissible_tuple(r: int) -> AdmissibleTuple:
     while True:
         ps = [int(p) for p in sieve_interval(r + 1, hi)]
         if len(ps) >= r:
-            return AdmissibleTuple(offsets=tuple(ps[:r]))
+            return tuple(ps[:r])
         hi *= 2

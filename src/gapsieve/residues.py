@@ -76,9 +76,6 @@ class SiftedInterval:
         idx = np.flatnonzero(self.survivors)
         return int(idx[0]) + self.lo if len(idx) else None
 
-    def is_survivor(self, n: int) -> bool:
-        return bool(self.survivors[n - self.lo])
-
 
 def sift(sys: ResidueSystem, lo: int, hi: int) -> SiftedInterval:
     """Survivor bit for n in [lo, hi] iff n mod p != a_p for every entry.

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .primes import AdmissibleTuple, factorize, is_admissible, is_prime, primes_up_to
+from .primes import factorize, is_admissible, is_prime, primes_up_to
 from .residues import crt_merge
 
 
@@ -59,7 +59,7 @@ class FormSystem:
             raise ValueError("need at least one form")
         if B != 1 and not is_prime(B):
             raise ValueError("B must be 1 or a prime")
-        if not is_admissible(AdmissibleTuple(self.offsets)):
+        if not is_admissible(self.offsets):
             raise InadmissibleError(f"offsets {self.offsets} cover every class mod a prime")
         self.B = B
         self._omega = {}

@@ -199,6 +199,10 @@ def test_criterion_6_nibble_calibration():
     prof = nib.degree_profile(inst)
     m = len(counts)
     n_seeds = 50
+    # the independent baseline is the engine with every index in one round:
+    # round 1 conditions on W = V with P_0 = 1, so it draws the raw law
+    baseline = nib.CoverInstance(inst.n_vertices, [list(inst.all_indices())], inst.dist,
+                                 inst.params)
 
     survival_counts = np.zeros(n_v)
     nib_left, ind_left = [], []
@@ -207,8 +211,9 @@ def test_criterion_6_nibble_calibration():
         for v in res.leftover:
             survival_counts[v] += 1
         nib_left.append(len(res.leftover))
-        ind = nib.leftover_of(inst, nib.independent_select(inst, stream(seed, "cal-ind")))
-        ind_left.append(len(ind))
+        ind = nib.run_cover(baseline, stream(seed, "cal-ind"))
+        assert all(s.passed for s in ind.stats)
+        ind_left.append(len(ind.leftover))
 
     P_m = prof.P[m]
     freqs = survival_counts / n_seeds
@@ -262,7 +267,7 @@ def test_criterion_9_weight_structure():
     from test_weights import per_prime_system
 
     x = 10**5
-    offsets = admissible_tuple(3).offsets
+    offsets = admissible_tuple(3)
     ctx = PairWeightContext(offsets, x)
     sieving = [int(p) for p in sieve_interval(x // 2 + 1, x)]
     rng = stream(6, "choose-p")
@@ -288,7 +293,7 @@ def test_criterion_9_weight_structure():
     cases = [(2, 2000, (1009, 1999)), (2, 10**10, (13, 1009, 10007, 50021)),
              (3, 10**5, (13, 1009, 10007, 50021))]
     for k, xx, primes in cases:
-        shared = PairWeightContext(admissible_tuple(k).offsets, xx)
+        shared = PairWeightContext(admissible_tuple(k), xx)
         tables.append(len(shared.ws.table))
         for p in primes:
             ref = per_prime_system(shared, p)

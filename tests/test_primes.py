@@ -1,4 +1,4 @@
-"""Tests for prime generation, primorials, gap scanning, admissible tuples."""
+"""Tests for prime generation, primorials, admissible tuples."""
 
 import random
 
@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapsieve.primes import (
-    AdmissibleTuple,
     SEGMENT_SIZE,
     admissible_tuple,
     is_admissible,
     is_prime,
-    max_gap_below,
     prime_mask,
     primes_up_to,
     primorial,
@@ -83,48 +81,20 @@ def test_primorial_values():
     assert primorial(2) == 2
 
 
-def test_max_gap_below_examples():
-    # enumeration oracle: gaps among primes <= 10 are (2,3,1),(3,5,2),(5,7,2);
-    # max is 2 and the tie is broken by the smaller lower endpoint
-    assert max_gap_below(10) == (3, 5, 2)
-    assert max_gap_below(100) == (89, 97, 8)
-    with pytest.raises(ValueError):
-        max_gap_below(2)
-
-
-def test_max_gap_below_matches_enumeration():
-    ref = naive_sieve(10_000)
-    for X in (10, 30, 100, 541, 2000, 10_000):
-        ps = [p for p in ref if p <= X]
-        best = None
-        for a, b in zip(ps, ps[1:]):
-            if best is None or b - a > best[2]:
-                best = (a, b, b - a)
-        assert max_gap_below(X) == best
-
-
-def test_max_gap_nondecreasing():
-    prev = 0
-    for X in range(3, 500):
-        gap = max_gap_below(X)[2]
-        assert gap >= prev
-        prev = gap
-
-
 def test_first_r_primes_tuple():
-    assert admissible_tuple(1).offsets == (2,)
-    assert admissible_tuple(2).offsets == (3, 5)
-    assert admissible_tuple(5).offsets == (7, 11, 13, 17, 19)
+    assert admissible_tuple(1) == (2,)
+    assert admissible_tuple(2) == (3, 5)
+    assert admissible_tuple(5) == (7, 11, 13, 17, 19)
     with pytest.raises(ValueError):
         admissible_tuple(0)
 
 
 def test_is_admissible_examples():
-    assert not is_admissible(AdmissibleTuple((0, 1)))  # both classes mod 2
-    assert not is_admissible(AdmissibleTuple((0, 2, 4)))  # 0,2,1 mod 3
-    assert is_admissible(AdmissibleTuple((0, 2, 6)))
+    assert not is_admissible((0, 1))  # both classes mod 2
+    assert not is_admissible((0, 2, 4))  # 0,2,1 mod 3
+    assert is_admissible((0, 2, 6))
     with pytest.raises(ValueError):
-        is_admissible(AdmissibleTuple((1, 1)))
+        is_admissible((1, 1))
 
 
 def test_first_primes_tuples_admissible_to_200():
@@ -136,7 +106,7 @@ def test_span_bound_and_fallback():
     # the first r primes above r end at or below 2r^2 for every r, so no
     # fallback tuple is needed
     for r in range(1, 201):
-        assert admissible_tuple(r).offsets[-1] <= 2 * r * r
+        assert admissible_tuple(r)[-1] <= 2 * r * r
 
 
 @given(st.integers(min_value=2, max_value=40), st.data())
@@ -145,9 +115,9 @@ def test_subsets_of_admissible_stay_admissible(r, data):
     t = admissible_tuple(r)
     size = data.draw(st.integers(min_value=1, max_value=r))
     subset = tuple(sorted(data.draw(
-        st.lists(st.sampled_from(t.offsets), min_size=size, max_size=size, unique=True)
+        st.lists(st.sampled_from(t), min_size=size, max_size=size, unique=True)
     )))
-    assert is_admissible(AdmissibleTuple(subset))
+    assert is_admissible(subset)
 
 
 def test_is_prime_matches_trial_division():

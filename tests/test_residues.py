@@ -85,7 +85,7 @@ def test_sift_matches_naive_double_loop():
         got = sift(sys, lo, hi)
         for n in range(lo, hi + 1):
             naive = all(n % p != a for p, a in entries.items())
-            assert got.is_survivor(n) == naive
+            assert got.survivors[n - lo] == naive
 
 
 def test_covered_prefix_length_examples():

@@ -65,7 +65,7 @@ def test_omega_matches_full_scan():
 
 
 def test_omega_shifted_system_counts_offsets():
-    offsets = admissible_tuple(3).offsets
+    offsets = admissible_tuple(3)
     p0 = 10007
     fs = FormSystem([h * p0 for h in offsets])
     for s in primes_up_to(100):
@@ -351,7 +351,7 @@ def test_sum_over_interval_matches_direct():
 
 
 def test_pair_weight_support_clamp():
-    ctx = PairWeightContext(admissible_tuple(2).offsets, x=10**5)
+    ctx = PairWeightContext(admissible_tuple(2), x=10**5)
     p = 50021
     y = 1000
     assert ctx.weight(p, y + 1, y) == 0.0
@@ -365,7 +365,7 @@ def test_pair_weight_support_clamp():
 @pytest.mark.parametrize("x", [500, 2000])
 def test_constant_weight_is_the_weight_on_the_support(x):
     y = thresholds(StagedConfig(x=x)).y
-    ctx = PairWeightContext(admissible_tuple(default_r(x)).offsets, x)
+    ctx = PairWeightContext(admissible_tuple(default_r(x)), x)
     sieving = sieve_interval(x // 2 + 1, x).tolist()
     ns = sorted({-y, -1, 0, 1, y, *range(-y, y + 1, 97)})
     for p in sieving[:: max(1, len(sieving) // 12)] + sieving[-1:]:
@@ -378,7 +378,7 @@ def test_constant_weight_is_the_weight_on_the_support(x):
 
 
 def test_constant_weight_refuses_a_nontrivial_table():
-    ctx = PairWeightContext(admissible_tuple(2).offsets, 10**10)
+    ctx = PairWeightContext(admissible_tuple(2), 10**10)
     assert len(ctx.ws.table) > 1  # R = 11.07 admits the coordinate prime 11
     with pytest.raises(ValueError, match="not constant"):
         ctx.constant_weight(50021, 1000)
@@ -390,7 +390,7 @@ def per_prime_system(ctx, p):
 
 
 def test_pair_lambda_tables_agree_up_to_scalar():
-    ctx = PairWeightContext(admissible_tuple(2).offsets, x=10**5)
+    ctx = PairWeightContext(admissible_tuple(2), x=10**5)
     p1, p2 = 50021, 99991
     ws1, ws2 = per_prime_system(ctx, p1), per_prime_system(ctx, p2)
     t1, t2 = ws1.table, ws2.table
@@ -402,7 +402,7 @@ def test_pair_lambda_tables_agree_up_to_scalar():
 
 
 def test_form_system_freed_with_its_context():
-    ctx = PairWeightContext(admissible_tuple(2).offsets, x=10**5)
+    ctx = PairWeightContext(admissible_tuple(2), x=10**5)
     ctx.weight(50021, 0, 10)  # fills the FormSystem's omega cache
     ref = weakref.ref(ctx.ws.system)
     assert ref() is not None
@@ -412,7 +412,7 @@ def test_form_system_freed_with_its_context():
 
 
 def test_pair_weight_omega_invariant_small():
-    offsets = admissible_tuple(3).offsets
+    offsets = admissible_tuple(3)
     ctx = PairWeightContext(offsets, x=10**5)
     p = 50021
     fs = per_prime_system(ctx, p).system
