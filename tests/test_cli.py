@@ -49,6 +49,8 @@ PINNED_CONSTRUCTS = [
      "f40bc142b93d961a725c69706fcce5bb91ab71631c914a7571f63adab40eff47", 633),
     ("5000 --stage3 greedy",
      "c6a0ef2eda85ccfc06d1f5b111fe3567aced6945cc404735758ebf450afa2641", 562),
+    ("1000000 --stage3 none",
+     "843ae937ed865cc9a1aaa57aad02a0efdb73c367e081ad9133eeccebec2fefcf", 143731),
 ]
 
 
