@@ -190,9 +190,6 @@ class PairLaw(EdgeLaw, Mapping):
     def max_vertex_prob(self) -> float:
         return float(self._vertex_probs(range(len(self.primes)))[1].max(initial=0.0))
 
-    def draw(self, i, rng) -> frozenset:
-        return self._draw(i, rng, 1.0, float(self.mass[i]), None, None, 1.0)
-
     def _draw(self, i, rng, X, part, verts, inside, P):
         """EMPTY with probability 1 - part / X, else an anchor of index i
         whose edge lies in W (all of Q when verts is None), with probability

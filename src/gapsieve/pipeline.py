@@ -29,7 +29,7 @@ import numpy as np
 from . import nibble as nib
 from .oracle import smooth_mask
 from .pairlaw import PairLaw
-from .primes import admissible_tuple, primes_up_to, sieve_interval
+from .primes import SEGMENT_SIZE, admissible_tuple, primes_up_to, sieve_interval
 from .residues import ResidueSystem, sift
 from .rng import stream
 from .weights import PairWeightContext
@@ -160,11 +160,8 @@ def sigma_of(small_primes) -> float:
 def stage1_zero_classes(cfg: StagedConfig) -> ResidueSystem:
     """Class 0 mod p for very small primes p <= v and medium z < p <= x/2."""
     th = thresholds(cfg)
-    entries = {}
-    for p in primes_up_to(cfg.x // 2):
-        if p <= th.v or th.z < p <= cfg.x / 2:
-            entries[p] = 0
-    return ResidueSystem(entries)
+    primes = sieve_interval(2, cfg.x // 2)
+    return ResidueSystem(dict.fromkeys(primes[(primes <= th.v) | (primes > th.z)].tolist(), 0))
 
 
 def stage2_random_small(cfg: StagedConfig) -> ResidueSystem:
@@ -177,7 +174,8 @@ def stage2_random_small(cfg: StagedConfig) -> ResidueSystem:
 
 @dataclass
 class SurvivorSplit:
-    interval: object  # SiftedInterval over (x, y]
+    after_stage1: int  # survivors of (x, y] after stage 1 alone
+    interval: object  # SiftedInterval over (x, y] after stages 1-2
     primes: list
     smooth: list
     other: list
@@ -186,20 +184,25 @@ class SurvivorSplit:
         return self.interval.count()
 
 
-def survivors_after_small(cfg: StagedConfig, sys12: ResidueSystem) -> SurvivorSplit:
-    """Sift (x, y] by stages 1-2 and classify survivors.
+def survivors_after_small(cfg: StagedConfig, s1: ResidueSystem,
+                          s2: ResidueSystem) -> SurvivorSplit:
+    """Sift (x, y] by stage 1, count, clear stage 2's classes in place, and
+    classify the survivors.
 
     Survivors are split into primes of (x, y], z-smooth numbers (every
     prime factor <= z, tested exactly on the non-prime survivors only), and
     the rest.
     """
     th = thresholds(cfg)
-    interval = sift(sys12, cfg.x + 1, th.y)
+    interval = sift(s1, cfg.x + 1, th.y)
+    after_stage1 = interval.count()
+    sift(s2, cfg.x + 1, th.y, interval.survivors)
     survivors = np.flatnonzero(interval.survivors) + interval.lo
     is_q = np.isin(survivors, sieve_interval(cfg.x + 1, th.y), assume_unique=True)
     composite = survivors[~is_q]
     smooth = smooth_mask(composite, int(th.z))
     return SurvivorSplit(
+        after_stage1=after_stage1,
         interval=interval,
         primes=survivors[is_q].tolist(),
         smooth=composite[smooth].tolist(),
@@ -339,21 +342,28 @@ def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
     covers its survivor through the class n mod p'.  Exceeding the budget
     raises with the C_extra that would have sufficed.
     """
-    residual = sorted(residual_survivors)
-    if not residual:
+    residual = np.sort(np.asarray(residual_survivors, dtype=np.int64))
+    if not len(residual):
         return ResidueSystem({})
+    # sieve (x, C_extra x] block by block, only as far as the primes it spends
     hi = int(cfg.C_extra * cfg.x)
-    fresh = sieve_interval(cfg.x + 1, hi)
-    if len(residual) > len(fresh):
+    blocks, available = [], 0
+    for lo in range(cfg.x + 1, hi + 1, SEGMENT_SIZE):
+        if available >= len(residual):
+            break
+        blocks.append(sieve_interval(lo, min(lo + SEGMENT_SIZE - 1, hi)))
+        available += len(blocks[-1])
+    if len(residual) > available:
         # estimate the budget that would work: primes thin out slowly, so
         # scale the span proportionally with slack
-        needed_ratio = len(residual) / max(len(fresh), 1)
+        needed_ratio = len(residual) / max(available, 1)
         raise BudgetError(
             needed=len(residual),
-            available=len(fresh),
+            available=available,
             required_C_extra=cfg.C_extra * needed_ratio * 1.5,
         )
-    return ResidueSystem({p: n % p for n, p in zip(residual, fresh[: len(residual)].tolist())})
+    fresh = np.concatenate(blocks)[: len(residual)]
+    return ResidueSystem(dict(zip(fresh.tolist(), (residual % fresh).tolist())))
 
 
 # -- orchestration ---------------------------------------------------------------
@@ -406,8 +416,7 @@ def run_pipeline(cfg: StagedConfig):
     small = sorted(s2.entries)
     sigma = sigma_of(small)
 
-    after1 = sift(s1, cfg.x + 1, th.y).count()
-    split = survivors_after_small(cfg, sys12)
+    split = survivors_after_small(cfg, s1, s2)
 
     stage3_entries = {}
     skips = 0
@@ -427,8 +436,7 @@ def run_pipeline(cfg: StagedConfig):
     sys3 = ResidueSystem(stage3_entries)
 
     # only the stage-3 classes are sifted here; stages 1-2 are in split
-    after3 = sift(sys3, cfg.x + 1, th.y)
-    after3.survivors &= split.interval.survivors
+    after3 = sift(sys3, cfg.x + 1, th.y, split.interval.survivors.copy())
     residual = after3.survivor_list()
     ext = final_matching(cfg, residual)
     combined = sys12.merged(sys3).merged(ext)
@@ -452,7 +460,7 @@ def run_pipeline(cfg: StagedConfig):
         method=cfg.stage3_method,
         sigma=sigma,
         interval_size=th.y - cfg.x,
-        survivors_after_stage1=after1,
+        survivors_after_stage1=split.after_stage1,
         survivors_after_stage12=split.total(),
         prime_survivors=len(split.primes),
         smooth_survivors=len(split.smooth),

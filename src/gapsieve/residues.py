@@ -16,6 +16,7 @@ import numpy as np
 from .primes import prime_mask
 
 PREFIX_SCAN_LIMIT = 10**7
+SIFT_CHUNK = 1 << 16  # most positions one scatter of sift writes
 
 
 class CoverageError(Exception):
@@ -37,9 +38,15 @@ class ResidueSystem:
         composite = np.flatnonzero(~prime_mask(moduli))
         if len(composite):
             raise ValueError(f"modulus {moduli[composite[0]]} is not prime")
-        for p, a in self.entries.items():
-            if not 0 <= a < p:
-                raise ValueError(f"residue {a} out of range for modulus {p}")
+        arrays = _int64_arrays(self.entries)
+        if arrays is None:
+            bad = [i for i, (p, a) in enumerate(self.entries.items()) if not 0 <= a < p]
+        else:
+            p, a = arrays
+            bad = np.flatnonzero((a < 0) | (a >= p))
+        if len(bad):
+            p = moduli[bad[0]]
+            raise ValueError(f"residue {self.entries[p]} out of range for modulus {p}")
 
     def __len__(self):
         return len(self.entries)
@@ -77,17 +84,62 @@ class SiftedInterval:
         return int(idx[0]) + self.lo if len(idx) else None
 
 
-def sift(sys: ResidueSystem, lo: int, hi: int) -> SiftedInterval:
+def _int64_arrays(entries):
+    """(moduli, residues) of a class dict as int64 arrays, or None when some
+    value does not fit int64."""
+    try:
+        return (np.fromiter(entries, np.int64, len(entries)),
+                np.fromiter(entries.values(), np.int64, len(entries)))
+    except OverflowError:
+        return None
+
+
+def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval:
     """Survivor bit for n in [lo, hi] iff n mod p != a_p for every entry.
 
-    Per-prime strided clearing: O(len/p) work per prime.
+    survivors, when given, holds the bits of [lo, hi] left by another system
+    and is cleared in place, so sifting two systems in turn gives the bits
+    of their union.
+
+    With n = hi - lo + 1 positions, a modulus p < n/64 clears its more than
+    64 hits with one strided slice.  Every other modulus has its hits
+    computed in numpy, as a block of classes times their first 64
+    multiples, SIFT_CHUNK positions at most per block; p >= n hits at most
+    one position.  The bits are exact for any Python ints: when a class or
+    lo does not fit int64, every class takes the strided slice, in Python
+    ints.
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
-    flags = np.ones(hi - lo + 1, dtype=bool)
-    for p, a in sys.entries.items():
-        start = (a - lo) % p
-        flags[start::p] = False
+    n = hi - lo + 1
+    if survivors is None:
+        flags = np.ones(n, dtype=bool)
+    elif len(survivors) == n:
+        flags = survivors
+    else:
+        raise ValueError(f"survivors hold {len(survivors)} bits, not {n}")
+    arrays = _int64_arrays(sys.entries)
+    if arrays is None or not -(2**63) <= lo < 2**63:
+        for p, a in sys.entries.items():
+            flags[(a - lo) % p :: p] = False
+        return SiftedInterval(lo=lo, hi=hi, survivors=flags)
+
+    p, a = arrays
+    start = (a - lo % p) % p
+    strided = p < (n + 63) // 64  # p < n/64
+    for s, q in zip(start[strided].tolist(), p[strided].tolist()):
+        flags[s::q] = False
+    scattered = ~strided & (start < n)
+    flags[start[scattered & (p >= n)]] = False
+    scattered &= p < n
+    # here n/64 <= p < n, so a class hits at most 64 positions
+    starts, steps = start[scattered], p[scattered]
+    multiples = np.arange(64)
+    block = SIFT_CHUNK // 64
+    for b in range(0, len(starts), block):
+        step = steps[b : b + block]
+        pos = starts[b : b + block, None] + step[:, None] * multiples[: (n - 1) // step.min() + 1]
+        flags[pos[pos < n]] = False
     return SiftedInterval(lo=lo, hi=hi, survivors=flags)
 
 

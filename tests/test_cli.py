@@ -216,8 +216,8 @@ def pinned_bench_instance(name):
     so the test hands it to the command in process."""
     if name == "paper-1000":
         cfg = StagedConfig(x=1000, mode="paper-formula", seed=1)
-        small = stage1_zero_classes(cfg).merged(stage2_random_small(cfg))
-        return build_edge_distributions(cfg, survivors_after_small(cfg, small)).cover
+        split = survivors_after_small(cfg, stage1_zero_classes(cfg), stage2_random_small(cfg))
+        return build_edge_distributions(cfg, split).cover
     rng = random.Random(5)
     edges = [rng.sample(range(60), rng.randrange(1, 4)) for _ in range(90)]
     return nib.build_uniform_instance(60, edges, nib.uniform_round_counts(40, 3, 3))

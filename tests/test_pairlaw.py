@@ -44,7 +44,7 @@ def tiny_laws():
 
 
 def split_of(cfg):
-    return survivors_after_small(cfg, stage1_zero_classes(cfg).merged(stage2_random_small(cfg)))
+    return survivors_after_small(cfg, stage1_zero_classes(cfg), stage2_random_small(cfg))
 
 
 def assert_frequencies(counts, law, n_draws, where):
@@ -75,6 +75,8 @@ def test_draw_frequencies_match_atom_masses(which):
     if which:
         assert law.cut.all() and (law.rem > 0.1).all()
     n_draws = 20_000
+    ones = np.ones(len(TINY_Q))
+    _, draw = law.round_law(range(len(law)), ones.astype(bool), ones)  # the raw law
     for i in range(len(law)):
         one = nib.CoverInstance(n_vertices=len(TINY_Q), rounds=[[0]], dist={0: law[i]},
                                 params=nib.NibbleParams(0.5, 2, 6.0, 1.0, 1e-9))
@@ -84,7 +86,7 @@ def test_draw_frequencies_match_atom_masses(which):
         rng = stream(11, "pairlaw-draw", which, i)
         counts = {}
         for _ in range(n_draws):
-            e = law.draw(i, rng)
+            e = draw(i, rng)
             counts[e] = counts.get(e, 0) + 1
         assert_frequencies(counts, exact, n_draws, (which, i))
 

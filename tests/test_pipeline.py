@@ -126,19 +126,19 @@ def test_stage2_deterministic_and_uniform():
 
 def test_survivors_definitional_on_zero_classes():
     cfg = StagedConfig(x=500, seed=0)
-    sys12 = stage1_zero_classes(cfg).merged(stage2_random_small(cfg))
-    split = survivors_after_small(cfg, sys12)
+    s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
+    split = survivors_after_small(cfg, s1, s2)
     th = thresholds(cfg)
     for n in range(501, th.y + 1):
-        expected = all(n % p != a for p, a in sys12.entries.items())
+        expected = all(n % p != a for p, a in {**s1.entries, **s2.entries}.items())
         assert split.interval.survivors[n - split.interval.lo] == expected
 
 
 def test_survivor_split_cross_checked_against_smooth_oracle():
     cfg = StagedConfig(x=5000, seed=3)
     th = thresholds(cfg)
-    sys12 = stage1_zero_classes(cfg).merged(stage2_random_small(cfg))
-    split = survivors_after_small(cfg, sys12)
+    s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
+    split = survivors_after_small(cfg, s1, s2)
     prime_set = set(int(p) for p in sieve_interval(cfg.x + 1, th.y))
     small = [p for p in range(2, int(th.z) + 1) if all(p % d for d in range(2, p))]
 
@@ -162,8 +162,8 @@ def test_prime_survivor_count_concentrates():
     counts = []
     for seed in range(50):
         cfg = StagedConfig(x=5000, seed=seed)
-        sys12 = stage1_zero_classes(cfg).merged(stage2_random_small(cfg))
-        split = survivors_after_small(cfg, sys12)
+        s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
+        split = survivors_after_small(cfg, s1, s2)
         counts.append(len(split.primes))
     sigma = sigma_of(sorted(stage2_random_small(cfg0).entries))
     mean = float(np.mean(counts))
@@ -202,8 +202,8 @@ def test_edge_single_survivor_gets_full_mass():
 
 def test_edge_codegree_at_most_one_prime_per_pair():
     cfg = StagedConfig(x=1000, seed=2)
-    sys12 = stage1_zero_classes(cfg).merged(stage2_random_small(cfg))
-    split = survivors_after_small(cfg, sys12)
+    s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
+    split = survivors_after_small(cfg, s1, s2)
     pinst = build_edge_distributions(cfg, split)
     pair_owners = {}
     for idx, p in enumerate(pinst.index_primes):
@@ -285,7 +285,7 @@ def reference_edge_distributions(cfg, split):
 
 
 def _split(cfg):
-    return survivors_after_small(cfg, stage1_zero_classes(cfg).merged(stage2_random_small(cfg)))
+    return survivors_after_small(cfg, stage1_zero_classes(cfg), stage2_random_small(cfg))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -426,8 +426,8 @@ def test_stage3_greedy_maximizes_residual_coverage():
 
 def test_stage3_nibble_round_recipe_covers_all_when_scaled():
     cfg = StagedConfig(x=5000, seed=4, stage3_method="nibble")
-    sys12 = stage1_zero_classes(cfg).merged(stage2_random_small(cfg))
-    split = survivors_after_small(cfg, sys12)
+    s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
+    split = survivors_after_small(cfg, s1, s2)
     pinst = build_edge_distributions(cfg, split)
     chosen = stage3_select(cfg, pinst)
     assert set(chosen) == set(pinst.index_primes) | set(pinst.skipped_primes)
@@ -451,6 +451,31 @@ def test_final_matching_cases():
         assert any(n % p == a for p, a in ext5.entries.items())
 
 
+def test_final_matching_sieves_only_the_primes_it_spends(monkeypatch):
+    from gapsieve import pipeline
+
+    spans = []
+
+    def recording_sieve(lo, hi):
+        spans.append((lo, hi))
+        return sieve_interval(lo, hi)
+
+    monkeypatch.setattr(pipeline, "sieve_interval", recording_sieve)
+    cfg = StagedConfig(x=100_000, C_extra=30.0)
+    residual = list(range(200_001, 400_001, 2))  # more primes than one block holds
+    ext = final_matching(cfg, residual)
+    fresh = sieve_interval(cfg.x + 1, 30 * cfg.x)[: len(residual)].tolist()
+    assert list(ext.entries) == fresh
+    assert list(ext.entries.values()) == [n % p for n, p in zip(residual, fresh)]
+    # blocks stop at the one holding the last prime spent, far below 3e6
+    assert spans[0][0] == cfg.x + 1 and all(b[0] == a[1] + 1 for a, b in zip(spans, spans[1:]))
+    assert spans[-2][1] < fresh[-1] <= spans[-1][1] < 30 * cfg.x
+    # short of primes, it sieves all of (x, C_extra x] to name what is there
+    with pytest.raises(BudgetError, match=r"^matching needs 5 fresh primes but only 1 are "
+                                          r"available; C_extra of about 7\.6 would suffice$"):
+        final_matching(StagedConfig(x=1000, C_extra=1.01), [1100, 1200, 1300, 1400, 1500])
+
+
 def test_final_matching_budget_error():
     cfg = StagedConfig(x=1000, C_extra=1.01)
     fresh = [int(p) for p in sieve_interval(1001, 1010)]
@@ -458,6 +483,30 @@ def test_final_matching_budget_error():
     with pytest.raises(BudgetError) as exc:
         final_matching(cfg, too_many)
     assert exc.value.required_C_extra > 1.01
+
+
+def test_stage1_is_sifted_once(monkeypatch):
+    from gapsieve import pipeline
+
+    sifted = []
+
+    def recording_sift(sys, lo, hi, survivors=None):
+        sifted.append(sys)
+        return sift(sys, lo, hi, survivors)
+
+    monkeypatch.setattr(pipeline, "sift", recording_sift)
+    cfg = StagedConfig(x=5000, seed=3, stage3_method="greedy")
+    report, combined = run_pipeline(cfg)
+    s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
+    # stage 1, stage 2 in place, stage 3, and the independent check of the whole
+    assert [s.entries for s in sifted[:2]] == [s1.entries, s2.entries]
+    assert [len(s) for s in sifted] == [len(s1), len(s2), report.stage3_assigned, len(combined)]
+    lo, hi = cfg.x + 1, report.y
+    assert report.survivors_after_stage1 == sift(s1, lo, hi).count()
+    split = survivors_after_small(cfg, s1, s2)
+    assert split.after_stage1 == report.survivors_after_stage1
+    assert (split.interval.survivors == sift(s1.merged(s2), lo, hi).survivors).all()
+    assert split.total() == report.survivors_after_stage12
 
 
 def test_run_pipeline_x500_always_covers():

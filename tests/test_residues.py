@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,74 @@ def test_sift_matches_naive_double_loop():
         for n in range(lo, hi + 1):
             naive = all(n % p != a for p, a in entries.items())
             assert got.survivors[n - lo] == naive
+
+
+# moduli of every kind relative to an interval of n <= 700 positions: below
+# the strided cut n/64, between it and n, at least n, and beyond 2^63
+KERNEL_MODULI = (SMALL_PRIMES + [53, 211, 691, 701, 997, 7919]
+                 + [2**61 - 1, 2**63 + 29, 2**89 - 1])
+
+
+def naive_survivors(entries, lo, hi):
+    return [all(n % p != a for p, a in entries.items()) for n in range(lo, hi + 1)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sift_kernel_matches_naive_double_loop(data):
+    moduli = data.draw(st.lists(st.sampled_from(KERNEL_MODULI), max_size=10, unique=True))
+    entries = {p: data.draw(st.integers(0, p - 1)) for p in moduli}
+    lo = data.draw(st.one_of(st.integers(-2000, 2000), st.integers(-(2**70), 2**70),
+                             st.integers(-(2**63), -(2**63) + 2000),  # int64's edges
+                             st.integers(2**63 - 2000, 2**63 + 2000)))
+    hi = lo + data.draw(st.integers(0, 700))  # includes lo == hi
+    # SIFT_CHUNK = 64 puts each scattered class in a block of its own
+    chunk = data.draw(st.sampled_from([64, residues.SIFT_CHUNK]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residues, "SIFT_CHUNK", chunk)
+        got = sift(ResidueSystem(entries), lo, hi)
+        # the same bits from two halves of the system, the second cleared in place
+        half = dict(list(entries.items())[: len(entries) // 2])
+        rest = {p: a for p, a in entries.items() if p not in half}
+        first = sift(ResidueSystem(half), lo, hi)
+        again = sift(ResidueSystem(rest), lo, hi, first.survivors)
+    assert got.survivors.tolist() == naive_survivors(entries, lo, hi)
+    assert again.survivors is first.survivors
+    assert again.survivors.tolist() == got.survivors.tolist()
+
+
+def test_sift_kernel_edge_cases():
+    # a modulus beyond int64 sends every class through Python ints
+    entries = {2: 1, 3: 0, 2**61 - 1: 5, 2**89 - 1: 7}
+    assert sift(ResidueSystem(entries), 1, 20).survivors.tolist() == naive_survivors(entries, 1, 20)
+    assert sift(ResidueSystem({}), 5, 5).survivor_list() == [5]
+    # p >= n hits once or not at all (start >= n)
+    assert sift(ResidueSystem({101: 7}), 1, 10).survivor_list() == [n for n in range(1, 11) if n != 7]
+    assert sift(ResidueSystem({101: 50}), 1, 10).count() == 10
+    # p = n/64 exactly is scattered and hits 64 positions; p just below is strided
+    for p in (61, 67):
+        got = sift(ResidueSystem({p: 3}), 0, 64 * 67 - 1)
+        assert got.survivors.tolist() == naive_survivors({p: 3}, 0, 64 * 67 - 1)
+    with pytest.raises(ValueError, match="lo must be <= hi"):
+        sift(ResidueSystem({2: 0}), 3, 2)
+    with pytest.raises(ValueError, match="survivors hold 3 bits, not 4"):
+        sift(ResidueSystem({2: 0}), 1, 4, np.ones(3, dtype=bool))
+
+
+def test_sift_kernel_across_many_blocks():
+    # every prime up to 30,000 over 20,000 positions: 64 strided classes,
+    # 2,198 scattered ones (three blocks of 1,024) and 983 with p >= n;
+    # the reference tests each class by division
+    rng = random.Random(8)
+    entries = {int(p): rng.randrange(p) for p in sieve_interval(2, 30_000)}
+    lo, hi = 10**12 + 7, 10**12 + 20_006
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    expected = np.ones(len(ns), dtype=bool)
+    for p, a in entries.items():
+        expected &= ns % p != a
+    scattered = sum(1 for p in entries if len(ns) / 64 <= p < len(ns))
+    assert scattered > 2 * (residues.SIFT_CHUNK // 64)
+    assert (sift(ResidueSystem(entries), lo, hi).survivors == expected).all()
 
 
 def test_covered_prefix_length_examples():
@@ -260,6 +329,14 @@ def test_residue_system_proves_huge_moduli():
     assert ResidueSystem({3: 0, 2**61 - 1: 5}).entries == {3: 0, 2**61 - 1: 5}
     with pytest.raises(ValueError, match=f"modulus {2**61 + 1} is not prime"):
         ResidueSystem({2**61 + 1: 0})
+
+
+def test_residue_system_range_checks_any_ints():
+    assert ResidueSystem({2**89 - 1: 2**89 - 2}).entries == {2**89 - 1: 2**89 - 2}
+    for p, a in ((53, 53), (5, -1), (2**61 - 1, 2**61 - 1), (5, 2**70), (5, -(2**70)),
+                 (2**89 - 1, 2**89 - 1)):
+        with pytest.raises(ValueError, match=f"residue {a} out of range for modulus {p}$"):
+            ResidueSystem({2: 1, 3: 0, p: a, 7: 6})
 
 
 def test_coverage_error_names_position():
