@@ -45,8 +45,8 @@ class ResidueSystem:
             p, a = arrays
             bad = np.flatnonzero((a < 0) | (a >= p))
         if len(bad):
-            p = moduli[bad[0]]
-            raise ValueError(f"residue {self.entries[p]} out of range for modulus {p}")
+            first = moduli[bad[0]]
+            raise ValueError(f"residue {self.entries[first]} out of range for modulus {first}")
 
     def __len__(self):
         return len(self.entries)
@@ -138,7 +138,8 @@ def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval
     block = SIFT_CHUNK // 64
     for b in range(0, len(starts), block):
         step = steps[b : b + block]
-        pos = starts[b : b + block, None] + step[:, None] * multiples[: (n - 1) // step.min() + 1]
+        pos = step[:, None] * multiples[: (n - 1) // step.min() + 1]
+        pos += starts[b : b + block, None]  # in place: one block-sized array at a time
         flags[pos[pos < n]] = False
     return SiftedInterval(lo=lo, hi=hi, survivors=flags)
 
