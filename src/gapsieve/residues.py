@@ -38,12 +38,12 @@ class ResidueSystem:
         composite = np.flatnonzero(~prime_mask(moduli))
         if len(composite):
             raise ValueError(f"modulus {moduli[composite[0]]} is not prime")
-        arrays = _int64_arrays(self.entries)
-        if arrays is None:
-            bad = [i for i, (p, a) in enumerate(self.entries.items()) if not 0 <= a < p]
-        else:
-            p, a = arrays
+        try:
+            p = np.fromiter(self.entries, np.int64, len(moduli))
+            a = np.fromiter(self.entries.values(), np.int64, len(moduli))
             bad = np.flatnonzero((a < 0) | (a >= p))
+        except OverflowError:  # a class beyond int64
+            bad = [i for i, (p, a) in enumerate(self.entries.items()) if not 0 <= a < p]
         if len(bad):
             first = moduli[bad[0]]
             raise ValueError(f"residue {self.entries[first]} out of range for modulus {first}")
@@ -84,16 +84,6 @@ class SiftedInterval:
         return int(idx[0]) + self.lo if len(idx) else None
 
 
-def _int64_arrays(entries):
-    """(moduli, residues) of a class dict as int64 arrays, or None when some
-    value does not fit int64."""
-    try:
-        return (np.fromiter(entries, np.int64, len(entries)),
-                np.fromiter(entries.values(), np.int64, len(entries)))
-    except OverflowError:
-        return None
-
-
 def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval:
     """Survivor bit for n in [lo, hi] iff n mod p != a_p for every entry.
 
@@ -101,13 +91,14 @@ def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval
     and is cleared in place, so sifting two systems in turn gives the bits
     of their union.
 
-    With n = hi - lo + 1 positions, a modulus p < n/64 clears its more than
-    64 hits with one strided slice.  Every other modulus has its hits
-    computed in numpy, as a block of classes times their first 64
-    multiples, SIFT_CHUNK positions at most per block; p >= n hits at most
-    one position.  The bits are exact for any Python ints: when a class or
-    lo does not fit int64, every class takes the strided slice, in Python
-    ints.
+    Classes are read SIFT_CHUNK // 64 at a time into int64 arrays, so the
+    memory beyond the bits stays bounded whatever the system's size.  With
+    n = hi - lo + 1 positions, a modulus p < n/64 clears its more than 64
+    hits with one strided slice; every other modulus hits at most 64
+    positions, which are computed in numpy and cleared with one scatter of
+    at most SIFT_CHUNK positions per read.  The bits are exact for any
+    Python ints: when a class or lo does not fit int64, every class takes
+    the strided slice, in Python ints.
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
@@ -118,13 +109,26 @@ def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval
         flags = survivors
     else:
         raise ValueError(f"survivors hold {len(survivors)} bits, not {n}")
-    arrays = _int64_arrays(sys.entries)
-    if arrays is None or not -(2**63) <= lo < 2**63:
-        for p, a in sys.entries.items():
-            flags[(a - lo) % p :: p] = False
-        return SiftedInterval(lo=lo, hi=hi, survivors=flags)
+    entries = sys.entries
+    if -(2**63) <= lo < 2**63:  # numpy < 2 would cast a larger lo rather than raise
+        keys, values = iter(entries), iter(entries.values())
+        try:
+            for left in range(len(entries), 0, -(SIFT_CHUNK // 64)):
+                count = min(left, SIFT_CHUNK // 64)
+                _clear(flags, lo, np.fromiter(keys, np.int64, count),
+                       np.fromiter(values, np.int64, count))
+            return SiftedInterval(lo=lo, hi=hi, survivors=flags)
+        except OverflowError:  # a class beyond int64; clearing a bit twice is harmless
+            pass
+    for p, a in entries.items():
+        flags[(a - lo) % p :: p] = False
+    return SiftedInterval(lo=lo, hi=hi, survivors=flags)
 
-    p, a = arrays
+
+def _clear(flags, lo, p, a):
+    """Clear the positions n - lo of flags with n = a (mod p), for int64
+    arrays of classes p, a."""
+    n = len(flags)
     start = (a - lo % p) % p
     strided = p < (n + 63) // 64  # p < n/64
     for s, q in zip(start[strided].tolist(), p[strided].tolist()):
@@ -132,16 +136,11 @@ def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval
     scattered = ~strided & (start < n)
     flags[start[scattered & (p >= n)]] = False
     scattered &= p < n
-    # here n/64 <= p < n, so a class hits at most 64 positions
-    starts, steps = start[scattered], p[scattered]
-    multiples = np.arange(64)
-    block = SIFT_CHUNK // 64
-    for b in range(0, len(starts), block):
-        step = steps[b : b + block]
-        pos = step[:, None] * multiples[: (n - 1) // step.min() + 1]
-        pos += starts[b : b + block, None]  # in place: one block-sized array at a time
+    if scattered.any():  # here n/64 <= p < n: at most 64 hits each
+        step = p[scattered]
+        pos = step[:, None] * np.arange((n - 1) // step.min() + 1)
+        pos += start[scattered, None]  # in place: one array of positions at a time
         flags[pos[pos < n]] = False
-    return SiftedInterval(lo=lo, hi=hi, survivors=flags)
 
 
 def covered_prefix_length(sys: ResidueSystem) -> int:

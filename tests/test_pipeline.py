@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gapsieve import nibble as nib
+from gapsieve import pipeline
 from gapsieve.pairlaw import PairLaw
 from gapsieve.pipeline import (
     BudgetError,
@@ -452,8 +453,6 @@ def test_final_matching_cases():
 
 
 def test_final_matching_sieves_only_the_primes_it_spends(monkeypatch):
-    from gapsieve import pipeline
-
     spans = []
 
     def recording_sieve(lo, hi):
@@ -486,8 +485,6 @@ def test_final_matching_budget_error():
 
 
 def test_stage1_is_sifted_once(monkeypatch):
-    from gapsieve import pipeline
-
     sifted = []
 
     def recording_sift(sys, lo, hi, survivors=None):

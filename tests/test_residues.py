@@ -108,7 +108,7 @@ def test_sift_kernel_matches_naive_double_loop(data):
                              st.integers(-(2**63), -(2**63) + 2000),  # int64's edges
                              st.integers(2**63 - 2000, 2**63 + 2000)))
     hi = lo + data.draw(st.integers(0, 700))  # includes lo == hi
-    # SIFT_CHUNK = 64 puts each scattered class in a block of its own
+    # SIFT_CHUNK = 64 reads one class at a time
     chunk = data.draw(st.sampled_from([64, residues.SIFT_CHUNK]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residues, "SIFT_CHUNK", chunk)
@@ -123,10 +123,14 @@ def test_sift_kernel_matches_naive_double_loop(data):
     assert again.survivors.tolist() == got.survivors.tolist()
 
 
-def test_sift_kernel_edge_cases():
-    # a modulus beyond int64 sends every class through Python ints
+def test_sift_kernel_edge_cases(monkeypatch):
+    # a modulus beyond int64 sends every class through Python ints, also
+    # when it comes after classes already cleared (one class per read)
     entries = {2: 1, 3: 0, 2**61 - 1: 5, 2**89 - 1: 7}
     assert sift(ResidueSystem(entries), 1, 20).survivors.tolist() == naive_survivors(entries, 1, 20)
+    with monkeypatch.context() as mp:
+        mp.setattr(residues, "SIFT_CHUNK", 64)
+        assert sift(ResidueSystem(entries), 1, 20).survivors.tolist() == naive_survivors(entries, 1, 20)
     assert sift(ResidueSystem({}), 5, 5).survivor_list() == [5]
     # p >= n hits once or not at all (start >= n)
     assert sift(ResidueSystem({101: 7}), 1, 10).survivor_list() == [n for n in range(1, 11) if n != 7]
@@ -142,8 +146,8 @@ def test_sift_kernel_edge_cases():
 
 
 def test_sift_kernel_across_many_blocks():
-    # every prime up to 30,000 over 20,000 positions: 64 strided classes,
-    # 2,198 scattered ones (three blocks of 1,024) and 983 with p >= n;
+    # every prime up to 30,000 over 20,000 positions, read 1,024 classes at
+    # a time: 64 strided classes, 2,198 scattered ones and 983 with p >= n;
     # the reference tests each class by division
     rng = random.Random(8)
     entries = {int(p): rng.randrange(p) for p in sieve_interval(2, 30_000)}
@@ -152,8 +156,7 @@ def test_sift_kernel_across_many_blocks():
     expected = np.ones(len(ns), dtype=bool)
     for p, a in entries.items():
         expected &= ns % p != a
-    scattered = sum(1 for p in entries if len(ns) / 64 <= p < len(ns))
-    assert scattered > 2 * (residues.SIFT_CHUNK // 64)
+    assert len(entries) > 3 * (residues.SIFT_CHUNK // 64)
     assert (sift(ResidueSystem(entries), lo, hi).survivors == expected).all()
 
 
