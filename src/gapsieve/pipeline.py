@@ -437,7 +437,7 @@ def run_pipeline(cfg: StagedConfig):
 
     # only the stage-3 classes are sifted here; stages 1-2 are in split
     after3 = sift(sys3, cfg.x + 1, th.y, split.interval.survivors.copy())
-    residual = after3.survivor_list()
+    residual = np.flatnonzero(after3.survivors) + after3.lo
     ext = final_matching(cfg, residual)
     combined = sys12.merged(sys3).merged(ext)
 
