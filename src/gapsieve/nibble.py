@@ -88,11 +88,10 @@ class EdgeLaw:
       draw(k, rng) of the k-th index's law conditioned on W and reweighted
       by 1/P(e).
 
-    Each also answers `i in law` without building index i's EdgeDist, and
-    greedy(order, n_vertices) for stage 3's greedy method: for each index
-    in order, an edge with the most still-uncovered members, ties to the
-    smallest anchor.  Stage 3's independent method draws from round_law's
-    first round (W = V, P = 1), which is the raw law.
+    Each also answers `i in law` without building index i's EdgeDist.
+    Stage 3's independent method draws from round_law's first round
+    (W = V, P = 1), which is the raw law; its greedy method is
+    pairlaw.PairLaw.greedy.
     """
 
 
@@ -200,19 +199,6 @@ class DistLaw(EdgeLaw):
             return a.edge(int(sel[pos])) if pos < len(sel) else EMPTY
 
         return [X for *_, X in laws], draw
-
-    def greedy(self, order, n_vertices):
-        uncovered = np.ones(n_vertices + 1, dtype=np.int8)
-        uncovered[-1] = 0  # what a missing member (-1) reads
-        chosen = []
-        for i in order:
-            a = self.atoms(i)
-            # atoms are listed by anchor and argmax takes the first maximum,
-            # so ties go to the smallest anchor
-            k = int(np.argmax(a.fold(np.add, uncovered)))
-            uncovered[a.members[k]] = 0
-            chosen.append(a.edge(k))
-        return chosen
 
 
 @dataclass

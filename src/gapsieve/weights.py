@@ -11,18 +11,20 @@ the support tuples, exactly as the defining formulas read; the enumeration
 is cheap because desk-scale truncation levels R keep the support tiny, and
 it doubles as the oracle for any faster path.
 
-All products over primes (singular series) are truncated at a configurable
-cutoff with a reported tail estimate.
+The singular series are Euler products truncated at SERIES_CUTOFF.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
 from .primes import factorize, is_admissible, is_prime, primes_up_to
 from .residues import crt_merge
+
+SERIES_CUTOFF = 10**4  # the primes in every truncated singular series
 
 
 class InadmissibleError(ValueError):
@@ -100,14 +102,11 @@ class FormSystem:
         return out
 
 
-def singular_series(sys: FormSystem, cutoff: int, exclude: int = None):
+def singular_series(sys: FormSystem, cutoff: int, exclude: int = None) -> float:
     """Truncated Euler product prod_{p <= cutoff, p !| exclude} (1 - w(p)/p)(1 - 1/p)^-k.
 
     exclude defaults to B; WeightSystem passes W*B for the product over
-    primes coprime to the level.  Returns (value, tail_bound) where
-    tail_bound estimates the multiplicative error from primes beyond the
-    cutoff: the neglected log mass is at most about sum k^2/p^2, summed
-    explicitly to 10*cutoff and integral-estimated beyond.
+    primes coprime to the level.
     """
     if exclude is None:
         exclude = sys.B
@@ -118,9 +117,7 @@ def singular_series(sys: FormSystem, cutoff: int, exclude: int = None):
             continue
         w = sys.omega(p).count
         value *= (1 - w / p) * (1 - 1 / p) ** (-k)
-    tail = sum(k * k / (p * p) for p in primes_up_to(10 * cutoff) if p > cutoff)
-    tail += k * k / (10 * cutoff * math.log(10 * cutoff))
-    return value, math.expm1(tail)
+    return value
 
 
 def in_Dk(sys: FormSystem, d) -> bool:
@@ -166,66 +163,38 @@ def simplex_power_cap(k: int):
 class WeightSystem:
     """Lambda table and weight evaluation for one admissible form system."""
 
-    def __init__(self, system: FormSystem, R: float, series_cutoff: int = 10**4):
-        if R < 1:
-            raise ValueError("R must be >= 1")
+    def __init__(self, system: FormSystem, R: float):
+        if not 1 <= R < math.inf:
+            raise ValueError("R must be a finite number >= 1")
         self.system = system
         self.R = float(R)
         self.F = simplex_power_cap(system.k)
-        self.series_cutoff = series_cutoff
-        self.S, self.S_tail = singular_series(system, series_cutoff)
-        self.Swb, self.Swb_tail = singular_series(
-            system, series_cutoff, exclude=system.W * system.B
-        )
+        self.Swb = singular_series(system, SERIES_CUTOFF, exclude=system.W * system.B)
         self.support = self._enumerate_support()
         self.y_table = {r: self._y_weight(r) for r in self.support}
         self.table = self._lambda_table()
 
-    # -- support enumeration ---------------------------------------------
-
-    def _coordinate_primes(self):
-        """Primes usable inside support coordinates: !| WB, <= R."""
-        sysm = self.system
-        return [
-            p
-            for p in primes_up_to(int(self.R))
-            if (sysm.W * sysm.B) % p != 0
-        ]
+    @cached_property
+    def S(self) -> float:
+        """The singular series over the primes not dividing B (read by tau_u)."""
+        return singular_series(self.system, SERIES_CUTOFF)
 
     def _enumerate_support(self):
-        """All tuples in the support lattice with coordinate product <= R."""
+        """All tuples in the support lattice with coordinate product <= R, sorted.
+
+        Each prime p <= R not dividing W*B is multiplied into at most one
+        position it may enter, so every tuple is built once: from the tuples
+        made of smaller primes.
+        """
         sysm = self.system
-        primes = self._coordinate_primes()
-        by_position = {
-            j: [p for p in primes if j in sysm.allowed_positions(p)]
-            for j in range(1, sysm.k + 1)
-        }
-
-        out = []
-
-        def extend(j, tup, prod, used):
-            if j > sysm.k:
-                out.append(tuple(tup))
-                return
-            # coordinate j: squarefree products of allowed primes
-            choices = [1]
-            stack = [(1, 0)]
-            cand = [p for p in by_position[j] if p not in used]
-            while stack:
-                val, start = stack.pop()
-                for idx in range(start, len(cand)):
-                    nxt = val * cand[idx]
-                    if prod * nxt > self.R:
-                        continue
-                    choices.append(nxt)
-                    stack.append((nxt, idx + 1))
-            for c in sorted(set(choices)):
-                if prod * c > self.R:
-                    continue
-                extend(j + 1, tup + [c], prod * c, used | set(factorize(c)))
-
-        extend(1, [], 1, set())
-        return sorted(set(out))
+        out = [((1,) * sysm.k, 1)]  # (tuple, coordinate product)
+        for p in primes_up_to(int(self.R)):
+            if (sysm.W * sysm.B) % p == 0:
+                continue
+            out += [(d[: j - 1] + (d[j - 1] * p,) + d[j:], prod * p)
+                    for d, prod in out if prod * p <= self.R
+                    for j in sysm.allowed_positions(p)]
+        return sorted(d for d, _ in out)
 
     # -- tables ------------------------------------------------------------
 
@@ -336,7 +305,7 @@ class PairWeightContext:
         """Squared ratio of the per-p singular series to the shared one."""
         if p <= self.R:
             raise ValueError(f"sieving prime {p} must exceed R = {self.R:.3g}")
-        if p > self.ws.series_cutoff or self.ws.system.W % p == 0:
+        if p > SERIES_CUTOFF or self.ws.system.W % p == 0:
             return 1.0
         ratio = (1 - 1 / p) / (1 - self.ws.system.omega(p).count / p)
         return ratio * ratio
@@ -373,17 +342,16 @@ class IntegralEstimates:
     samples: int
 
 
-def integrals_IJ(F, k: int, samples: int, rng) -> IntegralEstimates:
+def integrals_IJ(F, k: int, samples: int, seed: int) -> IntegralEstimates:
     """Monte Carlo estimates of I = int F^2 and J = int (int F dt_k)^2.
 
     Both integrals are over the unit simplex; sampling is uniform over the
     unit cube with F vanishing outside the simplex.  J uses the identity
     (int F dt_k)^2 = E[F(t, a) F(t, b)] with a, b independent uniform.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    rng = np.random.default_rng(seed)
     pts = rng.random((samples, k))
     vals_sq = np.fromiter((F(tuple(row)) ** 2 for row in pts), dtype=float, count=samples)
     I = float(vals_sq.mean())
@@ -419,6 +387,9 @@ def tau_u(ws: WeightSystem, x: int, ij: IntegralEstimates):
     chosen cap F, which the report labels.
     """
     check_scale(x)
+    if ij.I == 0:
+        raise ValueError(f"the Monte Carlo estimate of I_k is 0 (no sample of {ij.samples} "
+                         "fell in the simplex); raise --samples")
     sysm = ws.system
     k = sysm.k
     phi_B = _euler_phi(sysm.B)

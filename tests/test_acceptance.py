@@ -239,15 +239,15 @@ def test_criterion_7_degree_profile_fixture():
 
 def test_criterion_8_moebius_consistency():
     t0 = time.time()
-    from gapsieve.weights import FormSystem, WeightSystem
+    from gapsieve.weights import SERIES_CUTOFF, FormSystem, WeightSystem
     from test_weights import reference_lambda_table, y_expansion_weight
 
     fs = FormSystem([0, 2])
     worst_w = 0.0
     worst_lam = 0.0
     for R in (30, 35, 50):
-        ws = WeightSystem(fs, R=R, series_cutoff=2000)
-        ref = reference_lambda_table(fs, R, ws.F, 2000)
+        ws = WeightSystem(fs, R=R)
+        ref = reference_lambda_table(fs, R, ws.F, SERIES_CUTOFF)
         assert set(ref) == set(ws.table)
         for d in ws.table:
             worst_lam = max(worst_lam, abs(ws.table[d] - ref[d]))

@@ -307,6 +307,20 @@ def test_weights_scale_checked_before_monte_carlo(capsys, monkeypatch):
     assert err.count("\n") == 1 and "got 1" in err
 
 
+@pytest.mark.parametrize("R", ["inf", "1e400", "nan"])
+def test_weights_R_not_finite_is_usage_error(capsys, R):
+    assert main(["weights", "2", R, "1000", "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "R must be a finite number >= 1" in err
+
+
+def test_weights_zero_I_estimate_is_usage_error(capsys):
+    # the simplex has volume 1/12!, so both samples miss it and I_k reads 0
+    assert main(["weights", "12", "35", "1000", "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--samples" in err
+
+
 @pytest.mark.parametrize("x", [0, 1, 2, 13])
 def test_oracle_witness_verify_gap_round_trip(tmp_path, x):
     w = tmp_path / "w.json"

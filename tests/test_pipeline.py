@@ -368,61 +368,50 @@ def test_residual_after_stage3_matches_full_sift(method):
     assert all(n % p == system.entries[p] for n, p in zip(residual, fresh))
 
 
-def synthetic_instance(edges_by_prime, n_vertices):
-    """Hand-built PipelineInstance over explicit anchor->edge maps."""
-    index_primes = []
-    dists = {}
-    for idx, (p, anchor_edges) in enumerate(sorted(edges_by_prime.items())):
-        index_primes.append(p)
-        merged = {}
-        mass = 1.0 / len(anchor_edges)
-        for n, e in sorted(anchor_edges.items()):
-            e = frozenset(e)
-            rep, q = merged.get(e, (n, 0.0))
-            merged[e] = (min(rep, n), q + mass)
-        dists[idx] = nib.EdgeDist(atoms=[(e, q) for e, (rep, q) in merged.items()])
+def pair_instance(values, primes):
+    """A PipelineInstance over the uniform PairLaw(values, (3, 5), primes)."""
+    law = PairLaw(values, (3, 5), primes)
+    n = len(values)
     cover = nib.CoverInstance(
-        n_vertices=n_vertices,
-        rounds=[list(range(len(index_primes)))],
-        dist=dists,
-        params=nib.NibbleParams(delta=1.0, r_max=4, A=10, D=4, kappa=1e-9),
+        n_vertices=n,
+        rounds=[list(range(len(law)))],
+        dist=law,
+        params=nib.NibbleParams(delta=law.max_vertex_prob(), r_max=2, A=6, D=1.0, kappa=1e-300),
     )
-    deg = [0.0] * n_vertices
-    for idx in range(len(index_primes)):
-        for v, q in dists[idx].vertex_probs().items():
-            deg[v] += q
     return PipelineInstance(
         cover=cover,
-        values=list(range(n_vertices)),
-        index_primes=index_primes,
-        C_measured=sum(deg) / n_vertices,
-        skipped_primes=[],
+        values=list(values),
+        index_primes=law.primes,
+        C_measured=sum(law.degrees(range(len(law)), n).tolist()) / n,
+        skipped_primes=law.skipped,
     )
 
 
 def test_stage3_single_option_chosen_by_all_methods():
-    pinst = synthetic_instance({101: {4: {0, 1}}}, 2)
+    # both anchors of 101 (1009 - 3*101 and 1009 - 5*101) give the edge
+    # {1009}: one atom {0} of mass 1
+    pinst = pair_instance([1009], [101])
+    assert pinst.cover.law[0].atoms == [(frozenset({0}), 1.0)]
     for method in ("independent", "greedy", "nibble"):
         cfg = StagedConfig(x=500, seed=1, stage3_method=method)
         chosen = stage3_select(cfg, pinst)
-        assert chosen == {101: frozenset({0, 1})}
+        assert chosen == {101: frozenset({0})}
 
 
 def test_stage3_greedy_maximizes_residual_coverage():
-    # brute force over all anchor pairs: greedy's total coverage must match
-    # the best achievable by sequential choice for every processing order
-    edges = {
-        101: {1: {0, 1, 2}, 2: {3, 4}},
-        103: {5: {0, 1, 2}, 6: {2, 3}},
-    }
-    pinst = synthetic_instance(edges, 5)
-    cfg = StagedConfig(x=500, seed=9, stage3_method="greedy")
-    chosen = stage3_select(cfg, pinst)
-    cover = set().union(*chosen.values())
-    best = 0
-    for pick1, pick2 in product(edges[101].values(), edges[103].values()):
-        best = max(best, len(set(pick1) | set(pick2)))
-    assert len(cover) == best
+    # 101 holds the pair {1000, 1202} and 103 the pair {1000, 1206}, so the
+    # second index in either order still covers a new vertex; brute force
+    # over all atom choices: greedy's total coverage must be the best
+    values = [1000, 1202, 1206, 1500]
+    pinst = pair_instance(values, [101, 103])
+    law = pinst.cover.law
+    best = max(len(set().union(*rows) - {-1})
+               for rows in product(*(law.atoms(i)[0].tolist() for i in range(len(law)))))
+    assert best == 3
+    for seed in range(1, 5):  # both processing orders
+        cfg = StagedConfig(x=500, seed=seed, stage3_method="greedy")
+        cover = set().union(*stage3_select(cfg, pinst).values())
+        assert len(cover) == best
 
 
 def test_stage3_nibble_round_recipe_covers_all_when_scaled():

@@ -13,9 +13,11 @@ from math import gcd
 
 import pytest
 
+from gapsieve import weights
 from gapsieve.pipeline import StagedConfig, default_r, thresholds
 from gapsieve.primes import admissible_tuple, primes_up_to, sieve_interval
 from gapsieve.weights import (
+    SERIES_CUTOFF,
     FormSystem,
     InadmissibleError,
     IntegralEstimates,
@@ -80,9 +82,7 @@ def test_omega_shifted_system_counts_offsets():
 def test_singular_series_trivial_system():
     fs = FormSystem([0])
     for cutoff in (10, 100, 10**4):
-        val, tail = singular_series(fs, cutoff)
-        assert abs(val - 1.0) < 1e-12
-        assert tail >= 0
+        assert abs(singular_series(fs, cutoff) - 1.0) < 1e-12
 
 
 def test_singular_series_twin_constant_recomputed():
@@ -92,7 +92,7 @@ def test_singular_series_twin_constant_recomputed():
     for p in primes_up_to(10**6):
         if p > 2:
             reference *= 1 - 1 / (p - 1) ** 2
-    val, _ = singular_series(twin_system(), 10**5)
+    val = singular_series(twin_system(), 10**5)
     assert abs(val - reference) < 1e-3
     assert abs(reference - 1.3203236) < 1e-6  # sanity on the oracle itself
 
@@ -106,8 +106,8 @@ def test_singular_series_tail_bound_on_doubling():
     fs = twin_system()
     k = fs.k
     for cutoff in (100, 400, 1600):
-        v1, _ = singular_series(fs, cutoff)
-        v2, _ = singular_series(fs, 2 * cutoff)
+        v1 = singular_series(fs, cutoff)
+        v2 = singular_series(fs, 2 * cutoff)
         bound = sum(
             2 * k * k / (p * p) for p in primes_up_to(2 * cutoff) if p > cutoff
         )
@@ -116,8 +116,8 @@ def test_singular_series_tail_bound_on_doubling():
 
 def test_singular_series_excluded_modulus():
     fs = FormSystem([0, 2], B=3)
-    v_wb, _ = singular_series(fs, 1000, exclude=fs.W * fs.B)
-    v_b, _ = singular_series(fs, 1000)
+    v_wb = singular_series(fs, 1000, exclude=fs.W * fs.B)
+    v_b = singular_series(fs, 1000)
     # W is the product of the primes up to 2k^2 = 8 other than B = 3, so
     # excluding W*B also divides out the local factors at 2, 5 and 7
     assert fs.W == 2 * 5 * 7
@@ -129,8 +129,8 @@ def test_singular_series_excluded_modulus():
 
 def test_singular_series_B_excludes_prime():
     fs = FormSystem([0, 2], B=3)
-    v_b3, _ = singular_series(fs, 1000)
-    v_b1, _ = singular_series(twin_system(), 1000)
+    v_b3 = singular_series(fs, 1000)
+    v_b1 = singular_series(twin_system(), 1000)
     # removing p = 3 divides out its local factor (1 - 2/3)(1 - 1/3)^-2
     factor = (1 - 2 / 3) * (1 - 1 / 3) ** (-2)
     assert v_b3 == pytest.approx(v_b1 / factor)
@@ -170,6 +170,25 @@ def test_in_Dk_validation():
         in_Dk(fs, (1,))
     with pytest.raises(ValueError):
         in_Dk(fs, (0, 1))
+
+
+def tuples_up_to(k, R):
+    """Every k-tuple of positive integers with product <= R."""
+    if k == 0:
+        yield ()
+        return
+    for a in range(1, R + 1):
+        for rest in tuples_up_to(k - 1, R // a):
+            yield (a,) + rest
+
+
+@pytest.mark.parametrize("R", [1, 30, 200])
+@pytest.mark.parametrize("B", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_support_is_every_lattice_tuple_up_to_R(k, B, R):
+    fs = FormSystem(admissible_tuple(k), B=B)
+    want = sorted(d for d in tuples_up_to(k, R) if in_Dk(fs, d))
+    assert WeightSystem(fs, R=R).support == want
 
 
 # -- lambda table ---------------------------------------------------------------------
@@ -265,8 +284,8 @@ def test_lambda_table_degenerate_R():
 def test_lambda_table_matches_independent_evaluator():
     fs = twin_system()
     for R in (30, 35, 50):
-        ws = WeightSystem(fs, R=R, series_cutoff=2000)
-        ref = reference_lambda_table(fs, R, ws.F, 2000)
+        ws = WeightSystem(fs, R=R)
+        ref = reference_lambda_table(fs, R, ws.F, SERIES_CUTOFF)
         assert set(ws.table) == set(ref)
         for d, lam in ws.table.items():
             assert lam == pytest.approx(ref[d], abs=1e-12, rel=1e-12)
@@ -382,6 +401,23 @@ def test_constant_weight_refuses_a_nontrivial_table():
     assert len(ctx.ws.table) > 1  # R = 11.07 admits the coordinate prime 11
     with pytest.raises(ValueError, match="not constant"):
         ctx.constant_weight(50021, 1000)
+
+
+def test_pair_context_builds_only_what_weights_read(monkeypatch):
+    asked = []
+
+    def recording(x):
+        asked.append(x)
+        return primes_up_to(x)
+
+    monkeypatch.setattr(weights, "primes_up_to", recording)
+    ctx = PairWeightContext((3, 5), 2000)
+    # no sieve beyond the series cutoff (no tail estimate) and no S, which
+    # only tau_u reads; S is computed on its first read
+    assert asked and max(asked) <= SERIES_CUTOFF
+    assert "S" not in ctx.ws.__dict__
+    assert ctx.ws.S == singular_series(ctx.ws.system, SERIES_CUTOFF)
+    assert "S" in ctx.ws.__dict__
 
 
 def per_prime_system(ctx, p):
