@@ -2,8 +2,8 @@
 
 Every run is reproducible from its master seed: outputs are byte-identical
 across repeated invocations.  Exit codes: 0 success, 2 usage error or an
-unreadable or invalid input file, 3 verification failure, 4 infeasible or
-budget exhausted.
+unreadable or invalid input file, 3 verification failure, 4 infeasible,
+budget exhausted or out of memory.
 """
 
 import argparse
@@ -308,8 +308,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetError, InfeasibleError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+    except (BudgetError, InfeasibleError, MemoryError) as exc:
+        print(f"infeasible: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (VerificationError, CoverageError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

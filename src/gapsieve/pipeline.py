@@ -82,7 +82,10 @@ class StagedConfig:
             raise ValueError(f"unknown stage3 method {self.stage3_method!r}")
         if self.weights not in ("uniform", "sieve"):
             raise ValueError(f"unknown weights mode {self.weights!r}")
-        y = thresholds(self).y
+        t = thresholds(self)
+        if not math.isfinite(t.y_formula):
+            raise ValueError(f"--c {self.c} gives y = {t.y_formula} at x = {self.x}, not finite")
+        y = t.y
         if y <= self.x:
             raise ValueError(f"--c {self.c} gives y = {y} <= x = {self.x}, an empty interval")
 

@@ -38,13 +38,6 @@ def _euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class OmegaData:
-    count: int
-    roots: tuple  # n in [1, p] with p | prod (n + h_i), increasing
-    j_least: tuple  # for each root, least form index (1-based) it kills
-
-
 class FormSystem:
     """The forms n + h_i of admissible offsets, with exceptional modulus B and level W.
 
@@ -64,42 +57,21 @@ class FormSystem:
         if not is_admissible(self.offsets):
             raise InadmissibleError(f"offsets {self.offsets} cover every class mod a prime")
         self.B = B
-        self._omega = {}
         self.W = 1
         for p in primes_up_to(2 * self.k * self.k):
             if B % p != 0:
                 self.W *= p
 
-    def omega(self, p: int) -> OmegaData:
-        """Roots of prod (n + h_i) mod p in [1, p], with least-form assignments.
-
-        Form j has the single root -h_j mod p, so the scan is O(k) per
-        prime.  Results are cached on the instance.
-        """
-        if p in self._omega:
-            return self._omega[p]
-        root_to_j = {}
-        for j, h in enumerate(self.offsets, start=1):
-            n = -h % p or p  # represent classes by [1, p]
-            root_to_j.setdefault(n, j)  # ascending j, so first hit is least
-        roots = tuple(sorted(root_to_j))
-        data = self._omega[p] = OmegaData(
-            count=len(roots),
-            roots=roots,
-            j_least=tuple(root_to_j[n] for n in roots),
-        )
-        return data
+    def omega(self, p: int) -> int:
+        """The number of roots of prod (n + h_i) mod p: form j has the one root -h_j."""
+        return len({-h % p for h in self.offsets})
 
     def allowed_positions(self, p: int) -> set:
-        """Form indices j (1-based) that a prime p not dividing WB may enter."""
-        return set(self.omega(p).j_least)
-
-    def phi_omega(self, n: int) -> int:
-        """prod over p | n of (p - omega(p))."""
-        out = 1
-        for p in factorize(n):
-            out *= p - self.omega(p).count
-        return out
+        """Form indices j (1-based) that a prime p not dividing WB may enter: each root's least."""
+        least = {}
+        for j, h in enumerate(self.offsets, start=1):
+            least.setdefault(-h % p, j)
+        return set(least.values())
 
 
 def singular_series(sys: FormSystem, cutoff: int, exclude: int = None) -> float:
@@ -111,12 +83,10 @@ def singular_series(sys: FormSystem, cutoff: int, exclude: int = None) -> float:
     if exclude is None:
         exclude = sys.B
     value = 1.0
-    k = sys.k
     for p in primes_up_to(cutoff):
         if exclude % p == 0:
             continue
-        w = sys.omega(p).count
-        value *= (1 - w / p) * (1 - 1 / p) ** (-k)
+        value *= (1 - sys.omega(p) / p) * (1 - 1 / p) ** (-sys.k)
     return value
 
 
@@ -130,9 +100,7 @@ def in_Dk(sys: FormSystem, d) -> bool:
         raise ValueError("tuple length must equal k")
     if any(x < 1 for x in d):
         raise ValueError("coordinates must be positive")
-    prod = 1
-    for x in d:
-        prod *= x
+    prod = math.prod(d)
     if _moebius(prod) == 0:
         return False
     if gcd(prod, sys.W * sys.B) != 1:
@@ -145,17 +113,16 @@ def in_Dk(sys: FormSystem, d) -> bool:
 
 
 def simplex_power_cap(k: int):
-    """F(t) = (1 - t_1 - ... - t_k)^(k+1) on the simplex, 0 outside."""
+    """F(t) = (1 - t_1 - ... - t_k)^(k+1) on the simplex, 0 outside.
+
+    t is one point or an (N, k) array of points along the last axis.
+    """
 
     def F(t):
-        s = 0.0
-        for ti in t:
-            if ti < 0:
-                return 0.0
-            s += ti
-        if s > 1:
-            return 0.0
-        return (1.0 - s) ** (k + 1)
+        t = np.asarray(t, dtype=float)
+        s = np.sum(t, axis=-1)
+        inside = (t >= 0).all(axis=-1) & (s <= 1)
+        return np.where(inside, (1.0 - s) ** (k + 1), 0.0)
 
     return F
 
@@ -171,7 +138,7 @@ class WeightSystem:
         self.F = simplex_power_cap(system.k)
         self.Swb = singular_series(system, SERIES_CUTOFF, exclude=system.W * system.B)
         self.support = self._enumerate_support()
-        self.y_table = {r: self._y_weight(r) for r in self.support}
+        self.y_table = self._y_table()
         self.table = self._lambda_table()
 
     @cached_property
@@ -191,40 +158,39 @@ class WeightSystem:
         for p in primes_up_to(int(self.R)):
             if (sysm.W * sysm.B) % p == 0:
                 continue
+            positions = sysm.allowed_positions(p)
             out += [(d[: j - 1] + (d[j - 1] * p,) + d[j:], prod * p)
                     for d, prod in out if prod * p <= self.R
-                    for j in sysm.allowed_positions(p)]
+                    for j in positions]
         return sorted(d for d, _ in out)
 
     # -- tables ------------------------------------------------------------
 
-    def _y_weight(self, r) -> float:
+    def _y_table(self) -> dict:
+        """y_r = (WB / phi(WB))^k S_WB F(log r_1 / log R, ..., log r_k / log R)."""
         sysm = self.system
-        prod = 1
-        for x in r:
-            prod *= x
-        scale = (sysm.W * sysm.B) ** sysm.k / _euler_phi(sysm.W * sysm.B) ** sysm.k
-        args = tuple(math.log(x) / math.log(self.R) if self.R > 1 else 0.0 for x in r)
-        return scale * self.Swb * self.F(args)
+        WB = sysm.W * sysm.B
+        scale = WB**sysm.k / _euler_phi(WB) ** sysm.k
+        log_R = math.log(self.R)
+        return {r: scale * self.Swb
+                * float(self.F([math.log(x) / log_R if self.R > 1 else 0.0 for x in r]))
+                for r in self.support}
 
     def _lambda_table(self) -> dict:
-        sysm = self.system
+        """lambda_d = mu(d) prod(d) sum over r in the support with d | r of y_r / phi(r).
+
+        phi(r) is the product over the primes p | prod r of p - omega(p).
+        """
+        terms = [(r, y / math.prod(p - self.system.omega(p) for p in factorize(math.prod(r))))
+                 for r, y in self.y_table.items() if y]
         table = {}
         for d in self.support:
-            prod_d = 1
-            for x in d:
-                prod_d *= x
-            mu = _moebius(prod_d)
+            prod_d = math.prod(d)
             total = 0.0
-            for r in self.support:
+            for r, term in terms:
                 if all(ri % di == 0 for di, ri in zip(d, r)):
-                    prod_r = 1
-                    for x in r:
-                        prod_r *= x
-                    yr = self.y_table[r]
-                    if yr:
-                        total += yr / sysm.phi_omega(prod_r)
-            table[d] = mu * prod_d * total
+                    total += term
+            table[d] = _moebius(prod_d) * prod_d * total
         return table
 
     # -- evaluation ----------------------------------------------------------
@@ -307,7 +273,7 @@ class PairWeightContext:
             raise ValueError(f"sieving prime {p} must exceed R = {self.R:.3g}")
         if p > SERIES_CUTOFF or self.ws.system.W % p == 0:
             return 1.0
-        ratio = (1 - 1 / p) / (1 - self.ws.system.omega(p).count / p)
+        ratio = (1 - 1 / p) / (1 - self.ws.system.omega(p) / p)
         return ratio * ratio
 
     def weight(self, p: int, n: int, y: int) -> float:
@@ -348,26 +314,20 @@ def integrals_IJ(F, k: int, samples: int, seed: int) -> IntegralEstimates:
     Both integrals are over the unit simplex; sampling is uniform over the
     unit cube with F vanishing outside the simplex.  J uses the identity
     (int F dt_k)^2 = E[F(t, a) F(t, b)] with a, b independent uniform.
+    F takes an (N, k) array of points and returns their N values; it is
+    called three times, whatever the number of samples.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)
-    pts = rng.random((samples, k))
-    vals_sq = np.fromiter((F(tuple(row)) ** 2 for row in pts), dtype=float, count=samples)
+    vals_sq = F(rng.random((samples, k))) ** 2
     I = float(vals_sq.mean())
     se_I = float(vals_sq.std(ddof=1) / math.sqrt(samples))
 
     outer = rng.random((samples, k - 1)) if k > 1 else np.zeros((samples, 0))
-    a = rng.random(samples)
-    b = rng.random(samples)
-    prods = np.fromiter(
-        (
-            F(tuple(outer[i]) + (a[i],)) * F(tuple(outer[i]) + (b[i],))
-            for i in range(samples)
-        ),
-        dtype=float,
-        count=samples,
-    )
+    a = rng.random((samples, 1))
+    b = rng.random((samples, 1))
+    prods = F(np.hstack((outer, a))) * F(np.hstack((outer, b)))
     J = float(prods.mean())
     se_J = float(prods.std(ddof=1) / math.sqrt(samples))
     return IntegralEstimates(I=I, J=J, se_I=se_I, se_J=se_J, samples=samples)

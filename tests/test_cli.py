@@ -481,13 +481,24 @@ def test_construct_budget_exhausted_is_infeasible(tmp_path, capsys):
     assert "fresh primes" in err and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("option, value", [("--c-extra", "0"), ("--c", "0.3")])
+@pytest.mark.parametrize("option, value", [("--c-extra", "0"), ("--c", "0.3"), ("--c", "1e307")])
 def test_construct_bad_budget_or_scale_is_usage_error(tmp_path, capsys, option, value):
-    # --c-extra 0 leaves no fresh primes; --c 0.3 gives y = 91 <= x = 100
+    # --c-extra 0 leaves no fresh primes; --c 0.3 gives y = 91 <= x = 100;
+    # --c 1e307 is finite but its y overflows to infinity
     assert main(["construct", "100", option, value, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"{option} " in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "system.json").exists()
+
+
+def test_verify_interval_beyond_memory_is_infeasible(tmp_path, capsys):
+    # 10^16 positions need 8.88 PiB of bits, more than any address space,
+    # so the allocation fails before a page is touched
+    f = tmp_path / "w.json"
+    write_system_file(f, 7, exact_Y(7).witness)
+    assert main(["verify", str(f), "--interval", "1", str(10**16)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible:") and len(err.strip().splitlines()) == 1
 
 
 def test_gap_coverage_failure_is_verification_error(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ import math
 import weakref
 from math import gcd
 
+import numpy as np
 import pytest
 
 from gapsieve import weights
@@ -41,29 +42,28 @@ def twin_system():
 def test_omega_twin_examples():
     fs = twin_system()
     # direct scan: n=1 -> 1*3 odd; n=2 -> 2*4 even; one root mod 2
-    assert fs.omega(2).count == 1
-    assert fs.omega(3).count == 2
-    data = fs.omega(11)
-    assert data.count == 2
-    assert data.roots == (9, 11)  # n=9 kills n+2, n=11 kills n
-    assert data.j_least == (2, 1)
+    assert fs.omega(2) == 1
+    assert fs.omega(2) == len([n for n in range(2) if n * (n + 2) % 2 == 0])
+    assert fs.omega(3) == 2
+    assert fs.omega(11) == 2  # n=9 kills n+2, n=11 kills n
+    assert fs.allowed_positions(11) == {1, 2}
+    assert fs.allowed_positions(2) == {1}  # the one root mod 2 kills n first
 
 
 def test_omega_single_form():
     fs = FormSystem([0])
     for p in (2, 3, 5, 7, 101):
-        assert fs.omega(p).count == 1
+        assert fs.omega(p) == 1
 
 
 def test_omega_matches_full_scan():
     fs = FormSystem([0, 6, 8])
     for p in primes_up_to(50):
         brute = [n for n in range(1, p + 1) if (n * (n + 6) * (n + 8)) % p == 0]
-        data = fs.omega(p)
-        assert list(data.roots) == brute
-        for root, j in zip(data.roots, data.j_least):
-            killers = [jj for jj, h in enumerate(fs.offsets, 1) if (root + h) % p == 0]
-            assert j == min(killers)
+        assert fs.omega(p) == len(brute)
+        least = {min(j for j, h in enumerate(fs.offsets, 1) if (root + h) % p == 0)
+                 for root in brute}
+        assert fs.allowed_positions(p) == least
 
 
 def test_omega_shifted_system_counts_offsets():
@@ -73,7 +73,7 @@ def test_omega_shifted_system_counts_offsets():
     for s in primes_up_to(100):
         if s == p0:
             continue
-        assert fs.omega(s).count == len({h % s for h in offsets})
+        assert fs.omega(s) == len({h % s for h in offsets})
 
 
 # -- singular series ------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_singular_series_excluded_modulus():
     assert fs.W == 2 * 5 * 7
     factor = 1.0
     for p in (2, 5, 7):
-        factor *= (1 - fs.omega(p).count / p) * (1 - 1 / p) ** (-2)
+        factor *= (1 - fs.omega(p) / p) * (1 - 1 / p) ** (-2)
     assert v_wb == pytest.approx(v_b / factor)
 
 
@@ -194,13 +194,35 @@ def test_support_is_every_lattice_tuple_up_to_R(k, B, R):
 # -- lambda table ---------------------------------------------------------------------
 
 
+def prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def phi_omega(fs, n):
+    """prod over p | n of (p - omega(p))."""
+    out = 1
+    for p in prime_factors(n):
+        out *= p - fs.omega(p)
+    return out
+
+
 def reference_lambda_table(fs, R, F, cutoff):
     """Independent double-loop evaluator for the lambda coefficients."""
     swb = 1.0
     for p in primes_up_to(cutoff):
         if (fs.W * fs.B) % p == 0:
             continue
-        swb *= (1 - fs.omega(p).count / p) * (1 - 1 / p) ** (-fs.k)
+        swb *= (1 - fs.omega(p) / p) * (1 - 1 / p) ** (-fs.k)
 
     def squarefree(n):
         i = 2
@@ -210,19 +232,6 @@ def reference_lambda_table(fs, R, F, cutoff):
             i += 1
         return True
 
-    def prime_factors(n):
-        out = []
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.append(n)
-        return out
-
     def member(t):
         prod = 1
         for v in t:
@@ -231,17 +240,9 @@ def reference_lambda_table(fs, R, F, cutoff):
             return False
         for j, v in enumerate(t, 1):
             for p in prime_factors(v):
-                data = fs.omega(p)
-                least = {jj for jj in data.j_least}
-                if j not in least:
+                if j not in fs.allowed_positions(p):
                     return False
         return True
-
-    def phi_omega(n):
-        out = 1
-        for p in prime_factors(n):
-            out *= p - fs.omega(p).count
-        return out
 
     def mu(n):
         f = prime_factors(n)
@@ -267,7 +268,7 @@ def reference_lambda_table(fs, R, F, cutoff):
         total = 0.0
         for r in tuples:
             if r[0] % d[0] == 0 and r[1] % d[1] == 0:
-                total += y_val(r) / phi_omega(r[0] * r[1])
+                total += y_val(r) / phi_omega(fs, r[0] * r[1])
         table[d] = mu(d[0] * d[1]) * d[0] * d[1] * total
     return table
 
@@ -345,7 +346,7 @@ def y_expansion_weight(ws, n):
             if m > 1:
                 if (n + fs.offsets[j]) % m == 0:
                     factor *= 1 - m
-        total += yr / fs.phi_omega(prod_r) * factor
+        total += yr / phi_omega(fs, prod_r) * factor
     return total * total
 
 
@@ -439,7 +440,7 @@ def test_pair_lambda_tables_agree_up_to_scalar():
 
 def test_form_system_freed_with_its_context():
     ctx = PairWeightContext(admissible_tuple(2), x=10**5)
-    ctx.weight(50021, 0, 10)  # fills the FormSystem's omega cache
+    ctx.weight(50021, 0, 10)
     ref = weakref.ref(ctx.ws.system)
     assert ref() is not None
     del ctx
@@ -454,15 +455,15 @@ def test_pair_weight_omega_invariant_small():
     fs = per_prime_system(ctx, p).system
     for s in primes_up_to(1000):
         if s != p:
-            assert fs.omega(s).count == len({h % s for h in offsets})
+            assert fs.omega(s) == len({h % s for h in offsets})
 
 
 # -- integrals and normalizations --------------------------------------------------------
 
 
 def cap_k1(t):
-    x = t[0]
-    return (1 - x) ** 2 if 0 <= x <= 1 else 0.0
+    x = t[..., 0]
+    return np.where((0 <= x) & (x <= 1), (1 - x) ** 2, 0.0)
 
 
 def test_integrals_closed_form_k1():
@@ -473,7 +474,7 @@ def test_integrals_closed_form_k1():
 
 
 def test_integrals_zero_function():
-    ij = integrals_IJ(lambda t: 0.0, 2, 1000, 7)
+    ij = integrals_IJ(lambda t: np.zeros(len(t)), 2, 1000, 7)
     assert ij.I == 0.0 and ij.J == 0.0
 
 
@@ -484,6 +485,41 @@ def test_integrals_default_cap_positive():
     assert F((-0.1, 0.2)) == 0.0
     ij = integrals_IJ(F, 2, 50_000, 11)
     assert ij.I > 0 and ij.J > 0
+
+
+def test_integrals_call_F_a_fixed_number_of_times():
+    F = simplex_power_cap(2)
+    calls = []
+
+    def counting(t):
+        calls.append(len(t))
+        return F(t)
+
+    counts = []
+    for samples in (50, 5000):
+        calls.clear()
+        integrals_IJ(counting, 2, samples, 1)
+        assert sum(calls) == 3 * samples  # I's points and J's two stacks
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_simplex_power_cap_on_arrays(k):
+    F = simplex_power_cap(k)
+    rng = np.random.default_rng(k)
+    pts = rng.uniform(-0.2, 0.8, size=(4000, k))
+    vals = F(pts)
+    assert vals.shape == (4000,)
+    s = pts.sum(axis=-1)
+    outside = (pts < 0).any(axis=-1) | (s > 1)
+    assert outside.any() and not outside.all()
+    assert (vals[outside] == 0.0).all()
+    want = (1 - s[~outside]) ** (k + 1)
+    assert np.all(np.abs(vals[~outside] - want) <= 2 * np.spacing(want))
+    for row in pts[:200]:
+        one, batch = F(row), F(row[None, :])
+        assert batch.shape == (1,) and abs(one - batch[0]) <= 2 * np.spacing(batch[0])
 
 
 def test_tau_u_structure():
