@@ -186,9 +186,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_nibble_bench(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     inst = nib.instance_from_json(Path(args.instance).read_text())
     lines = ["seed,leftover,edges_used"]
-    stats_run = None
     for seed in range(args.seeds):
         result = nib.run_cover(inst, stream(seed, "nibble-bench"), tol=args.tol)
         used = sum(1 for e in result.chosen.values() if e)
@@ -200,7 +201,7 @@ def cmd_nibble_bench(args) -> int:
         Path(args.out).write_text(csv_text)
     else:
         sys.stdout.write(csv_text)
-    if args.stats and stats_run is not None:
+    if args.stats:
         Path(args.stats).write_text(nib.stats_to_csv(stats_run.stats))
     return EXIT_OK
 

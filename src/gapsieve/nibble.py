@@ -64,16 +64,6 @@ class EdgeDist:
             return rem if rem > 0 else Fraction(0)
         return max(0.0, float(rem))
 
-    def vertex_probs(self) -> dict:
-        probs = {}
-        for e, q in self.atoms:
-            for v in e:
-                probs[v] = probs.get(v, 0) + q
-        return probs
-
-    def max_edge_size(self) -> int:
-        return max((len(e) for e, _ in self.atoms), default=0)
-
 
 class EdgeLaw:
     """The edge distributions of an instance, as the engine reads them.
@@ -86,7 +76,10 @@ class EdgeLaw:
     - degrees(block, n_vertices): the summed P(v in e_i) over a round;
     - round_law(block, inside, P): X_i(W) for each index of a round, and a
       draw(k, rng) of the k-th index's law conditioned on W and reweighted
-      by 1/P(e).
+      by 1/P(e);
+    - extremes(block): over a round, the largest edge, the largest
+      P(v in e_i) and the largest sum over the round of P(u, v in e_i),
+      which the hypothesis check reads.
 
     Each also answers `i in law` without building index i's EdgeDist.
     Stage 3's independent method draws from round_law's first round
@@ -123,6 +116,12 @@ class _Atoms:
         for c in range(1, self.members.shape[1]):  # one column at a time: r is small
             out = op(out, values[self.members[:, c]])
         return out
+
+    def vertex_mass(self, n_vertices):
+        """P(v in e) for each vertex v, summed in atom order."""
+        present = self.members >= 0
+        q = np.broadcast_to(self.probs[:, None], self.members.shape)
+        return np.bincount(self.members[present], weights=q[present], minlength=n_vertices)
 
     def edge(self, k) -> frozenset:
         return self.edges[k] if k < len(self.edges) else EMPTY
@@ -170,10 +169,24 @@ class DistLaw(EdgeLaw):
         first use."""
         row = np.zeros(n_vertices)
         for a, cnt in Counter(map(self.atoms, block)).items():
-            present = a.members >= 0
-            q = np.broadcast_to(a.probs[:, None], a.members.shape)
-            row += cnt * np.bincount(a.members[present], weights=q[present], minlength=n_vertices)
+            row += cnt * a.vertex_mass(n_vertices)
         return row
+
+    def extremes(self, block):
+        """Each distinct object once, in order of first use.  A pair {u, v} of
+        an atom weighs q times the number of the block's indices holding the
+        object; a pair's weights are summed in object and then atom order."""
+        size, vertex, keys, weights = 0, 0.0, [np.zeros(0, np.int64)], [np.zeros(0)]
+        for a, cnt in Counter(map(self.atoms, block)).items():
+            size = max(size, max(map(len, a.edges), default=0))
+            vertex = max(vertex, float(a.vertex_mass(0).max(initial=0.0)))
+            c1, c2 = np.triu_indices(a.members.shape[1], 1)
+            both = a.members[:, c2] >= 0  # a row is sorted ids, then -1s
+            keys.append((a.members[:, c1] * self.n_vertices + a.members[:, c2])[both])
+            weights.append(np.broadcast_to(cnt * a.probs[:, None], both.shape)[both])
+        _, pair = np.unique(np.concatenate(keys), return_inverse=True)
+        sums = np.bincount(pair, weights=np.concatenate(weights))
+        return size, vertex, float(sums.max(initial=0.0))
 
     def round_law(self, block, inside, P):
         """Each distinct object is read once, for its in-W atoms, their
@@ -291,7 +304,7 @@ class ExactProfile:
             P[(0, v)] = Fraction(1)
         for j, block in enumerate(inst.rounds, start=1):
             # probabilities are >= 0, so a degree is nonzero iff one term is
-            touched = {v for i in block for v, q in inst.dist[i].vertex_probs().items() if q}
+            touched = {v for i in block for e, q in inst.dist[i].atoms if q for v in e}
             for v in range(inst.n_vertices):
                 prev = P[(j - 1, v)]
                 P[(j, v)] = None if prev is None or v in touched else prev
@@ -345,18 +358,13 @@ def default_tol(params: NibbleParams, m: int) -> float:
     return min(max(params.delta ** (1.0 / (3 * 10**m)), 0.1), 0.999)
 
 
-def _exact_law(dist: EdgeDist, profile, j: int, W):
+def exact_law(dist: EdgeDist, profile, j: int, W):
     """Index law in round j, exactly: the atoms e inside W with their weights
-    q / P_{j-1}(e), the remainder mass and X = their sum plus the remainder."""
+    q / P_{j-1}(e), the remainder mass and X_i(W) = their sum plus the
+    remainder, exact for Fraction probabilities and an ExactProfile."""
     atoms = [(e, Fraction(q) / profile.P_edge(j - 1, e)) for e, q in dist.atoms if e <= W]
     rem = Fraction(dist.remainder())
     return atoms, rem, sum((w for _, w in atoms), Fraction(0)) + rem
-
-
-def normalization_factor(inst: CoverInstance, profile, i, j: int, W) -> Fraction:
-    """X_i(W) for index i in round j: conditioned, reweighted total mass,
-    exact for Fraction probabilities and an ExactProfile."""
-    return _exact_law(inst.dist[i], profile, j, W)[2]
 
 
 def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, tol):
@@ -366,8 +374,9 @@ def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, 
     choices is removed only after the whole round has been drawn.  The
     instance's law gives every X_i(W) of the round at once.
     """
-    if not tol < 1:
-        raise ValueError("tol must be < 1 so that X = 0 always fails the drift test")
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must be in [0, 1) so that X = 0 always fails the drift test "
+                         f"and X = 1 passes it, got {tol}")
     W = state.W
     w_size = len(W)
     block = inst.rounds[j - 1]
@@ -449,39 +458,17 @@ def check_hypotheses(inst: CoverInstance) -> HypothesisReport:
     p = inst.params
     profile = degree_profile(inst)
 
-    max_size = 0
-    max_sparsity = 0.0
-    max_codeg = 0.0
+    max_size, max_sparsity, max_codeg, max_ratio = 0, 0.0, 0.0, 0.0
     for j, block in enumerate(inst.rounds, start=1):
-        sqrt_nj = math.sqrt(len(block))
-        pair_sums = {}
-        seen_dists = {}
-        for i in block:
-            d = inst.dist[i]
-            seen_dists[id(d)] = (d, seen_dists.get(id(d), (d, 0))[1] + 1)
-        for d, cnt in seen_dists.values():
-            max_size = max(max_size, d.max_edge_size())
-            for q in d.vertex_probs().values():
-                max_sparsity = max(max_sparsity, float(q) * sqrt_nj)
-            for e, q in d.atoms:
-                verts = sorted(e)
-                for a in range(len(verts)):
-                    for b in range(a + 1, len(verts)):
-                        key = (verts[a], verts[b])
-                        pair_sums[key] = pair_sums.get(key, 0.0) + cnt * float(q)
-        if pair_sums:
-            max_codeg = max(max_codeg, max(pair_sums.values()))
-
-    max_ratio = 0.0
-    min_P = 1.0
-    for j in range(1, inst.m + 1):
+        size, vertex, pair = inst.law.extremes(block)
+        max_size = max(max_size, size)
+        max_sparsity = max(max_sparsity, vertex * math.sqrt(len(block)))
+        max_codeg = max(max_codeg, pair)
         prev, d = profile.P[j - 1], profile.d[j]
         with np.errstate(divide="ignore", invalid="ignore"):  # d / 0 is inf, 0 / 0 reads 0
-            ratio = np.max(np.where(d > 0, d / prev, 0.0)) if inst.n_vertices else 0.0
-        max_ratio = max(max_ratio, float(ratio))
-    for j in range(0, inst.m + 1):
-        if inst.n_vertices:
-            min_P = min(min_P, float(np.min(profile.P[j])))
+            ratio = np.where(d > 0, d / prev, 0.0)
+        max_ratio = max(max_ratio, float(ratio.max(initial=0.0)))
+    min_P = min(float(P.min(initial=1.0)) for P in profile.P)
 
     # delta <= (kappa^A / exp(A D))^(10^(m+2)), compared in logs
     log_thresh = 10 ** (inst.m + 2) * (p.A * math.log(p.kappa) - p.A * p.D)
@@ -583,7 +570,7 @@ def exact_cover_distribution(inst: CoverInstance, tol, profile=None) -> ExactDis
         for (W, picks), prob in states.items():
             options_per_index = []
             for i in block:
-                atoms, rem, X = _exact_law(inst.dist[i], profile, j, W)
+                atoms, rem, X = exact_law(inst.dist[i], profile, j, W)
                 if abs(X - 1) > tol:
                     options_per_index.append([(EMPTY, Fraction(1))])
                 else:

@@ -187,8 +187,14 @@ class PairLaw(EdgeLaw, Mapping):
         d = probs.cumsum(axis=1)[:, -1] if probs.shape[1] else np.zeros(len(sizes))
         return np.repeat(d, sizes)
 
-    def max_vertex_prob(self) -> float:
-        return float(self._vertex_probs(range(len(self.primes)))[1].max(initial=0.0))
+    def extremes(self, block):
+        """A pair {v, v + d p} is the edge of one anchor of one prime alone,
+        so a pair's sum over the block is that prime's unit_p."""
+        b = np.asarray(block, dtype=np.int64)
+        paired = self.pairs[b] > 0
+        return (2 if paired.any() else int(len(b) > 0),
+                float(self._vertex_probs(b)[1].max(initial=0.0)),
+                float(self.unit[b][paired].max(initial=0.0)))
 
     def _draw(self, i, rng, X, part, verts, inside, P):
         """EMPTY with probability 1 - part / X, else an anchor of index i

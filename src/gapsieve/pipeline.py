@@ -272,11 +272,10 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
         n_vertices=len(values),
         rounds=[list(range(n_indices))],
         dist=law,
-        # delta records the measured sparsity witness max P(v in e_p); the
-        # full hypothesis extremes come from check_hypotheses on demand
-        params=nib.NibbleParams(
-            delta=law.max_vertex_prob(), r_max=r_max, A=2 * r_max + 2, D=1.0, kappa=1e-300
-        ),
+        # delta records the law's largest P(v in e_p); check_hypotheses reads
+        # the other extremes from the same law on demand
+        params=nib.NibbleParams(delta=law.extremes(range(n_indices))[1], r_max=r_max,
+                                A=2 * r_max + 2, D=1.0, kappa=1e-300),
     )
     degree = law.degrees(range(n_indices), len(values))
     return PipelineInstance(

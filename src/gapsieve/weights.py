@@ -17,6 +17,7 @@ The singular series are Euler products truncated at SERIES_CUTOFF.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -180,18 +181,16 @@ class WeightSystem:
         """lambda_d = mu(d) prod(d) sum over r in the support with d | r of y_r / phi(r).
 
         phi(r) is the product over the primes p | prod r of p - omega(p).
+        Each r, in support order, adds its term to every coordinate-wise
+        divisor d, itself a support tuple, so each sum adds in support order.
         """
-        terms = [(r, y / math.prod(p - self.system.omega(p) for p in factorize(math.prod(r))))
-                 for r, y in self.y_table.items() if y]
-        table = {}
-        for d in self.support:
-            prod_d = math.prod(d)
-            total = 0.0
-            for r, term in terms:
-                if all(ri % di == 0 for di, ri in zip(d, r)):
-                    total += term
-            table[d] = _moebius(prod_d) * prod_d * total
-        return table
+        sums = dict.fromkeys(self.support, 0.0)
+        for r, y in self.y_table.items():
+            if y:
+                term = y / math.prod(p - self.system.omega(p) for p in factorize(math.prod(r)))
+                for d in product(*map(_squarefree_divisors, r)):
+                    sums[d] += term
+        return {d: _moebius(math.prod(d)) * math.prod(d) * total for d, total in sums.items()}
 
     # -- evaluation ----------------------------------------------------------
 
@@ -233,6 +232,13 @@ class WeightSystem:
                 count = (hi - r) // m - (lo - 1 - r) // m
                 total += lam_d * lam_e * count
         return total
+
+
+def _squarefree_divisors(n: int) -> list:
+    out = [1]
+    for p in factorize(n):
+        out += [d * p for d in out]
+    return out
 
 
 def _moebius(n: int) -> int:

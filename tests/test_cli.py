@@ -438,6 +438,23 @@ def test_nibble_bench_bad_param_is_usage_error(tmp_path, capsys, param, value, t
     assert what in err and len(err.strip().splitlines()) == 1
 
 
+# each was accepted with exit 0: --seeds 0 or -3 wrote no stats file, and
+# --tol -0.5 skipped every index; --tol nan was refused as "tol must be < 1"
+@pytest.mark.parametrize("option, what", [
+    (["--seeds", "0"], "--seeds must be at least 1, got 0"),
+    (["--seeds", "-3"], "--seeds must be at least 1, got -3"),
+    (["--tol", "-0.5"], "tol must be in [0, 1)"),
+    (["--tol", "nan"], "tol must be in [0, 1)"),
+], ids=["seeds-0", "seeds-negative", "tol-negative", "tol-nan"])
+def test_nibble_bench_bad_option_is_usage_error(tmp_path, capsys, option, what):
+    f, stats = tmp_path / "inst.json", tmp_path / "stats.csv"
+    f.write_text(instance_text())
+    assert main(["nibble-bench", str(f), *option, "--stats", str(stats)]) == 2
+    err = capsys.readouterr().err
+    assert what in err and len(err.strip().splitlines()) == 1
+    assert not stats.exists()
+
+
 def instance_text(vertices="3", rounds="[[0, 1]]", atom="[[0], 0.5]", r_max="2", extra=""):
     return ('{"vertices": %s, "rounds": %s, "dist": {"0": [%s], "1": [[[2], 0.5]]%s}, '
             '"params": {"delta": 0.5, "r_max": %s, "A": 5, "D": 3, "kappa": 0.01}}\n'

@@ -148,12 +148,12 @@ def test_check_hypotheses_reads_a_zero_target_as_unbounded_degree():
 def test_normalization_full_and_empty():
     inst = make_instance(3, [[[({0, 1}, F(1, 3)), ({2}, F(1, 3))]]])
     prof, _ = flat_profile(inst, [1])
-    X_full = nib.normalization_factor(inst, prof, 0, 1, {0, 1, 2})
+    X_full = nib.exact_law(inst.dist[0], prof, 1, {0, 1, 2})[2]
     assert X_full == 1  # both atoms inside W plus 1/3 remainder
     # deterministic edge outside W, no remainder mass
     inst2 = make_instance(2, [[[({0}, F(1))]]])
     prof2, _ = flat_profile(inst2, [1])
-    assert nib.normalization_factor(inst2, prof2, 0, 1, {1}) == 0
+    assert nib.exact_law(inst2.dist[0], prof2, 1, {1})[2] == 0
 
 
 def test_normalization_round1_is_containment_probability():
@@ -161,7 +161,7 @@ def test_normalization_round1_is_containment_probability():
     prof, _ = flat_profile(inst, [1])
     W = {0, 1, 2}
     # P_0 = 1: X = P(e subset W) = 1/2 + 1/4
-    assert nib.normalization_factor(inst, prof, 0, 1, W) == F(3, 4)
+    assert nib.exact_law(inst.dist[0], prof, 1, W)[2] == F(3, 4)
 
 
 def test_round_law_X_matches_exact_normalization():
@@ -191,7 +191,7 @@ def test_round_law_X_matches_exact_normalization():
         Xs, _ = inst.law.round_law(block, inside, prof.P_row(0))
         for i, X in zip(block, Xs):
             try:
-                want = float(nib.normalization_factor(inst, prof, i, 1, W))
+                want = float(nib.exact_law(inst.dist[i], prof, 1, W)[2])
             except ZeroDivisionError:  # an atom inside W has a zero target
                 assert X == math.inf
                 infinite += 1
@@ -397,7 +397,7 @@ def test_round1_mean_normalization_identity():
         w_law[W] = w_law.get(W, F(0)) + q
     mean_X = F(0)
     for W, q in w_law.items():
-        mean_X += q * nib.normalization_factor(inst, prof, 1, 2, set(W))
+        mean_X += q * nib.exact_law(inst.dist[1], prof, 2, set(W))[2]
     expect = F(0)
     for e, q in inst.dist[1].atoms:
         containment = sum(qq for W, qq in w_law.items() if set(e) <= W)

@@ -101,7 +101,7 @@ def test_later_round_draws_match_exact_law():
     Xs, draw = law.round_law([0, 1, 2], inside, np.full(len(TINY_Q), P))
     n_draws = 20_000
     for k in range(3):
-        atoms, rem, X = nib._exact_law(law[k], prof, 1, W)
+        atoms, rem, X = nib.exact_law(law[k], prof, 1, W)
         assert Xs[k] == pytest.approx(float(X), rel=1e-12)
         exact = {e: w / X for e, w in atoms}
         exact[nib.EMPTY] = exact.get(nib.EMPTY, 0) + rem / X
@@ -187,10 +187,13 @@ def test_closed_form_greedy_matches_atom_greedy(cfg):
         assert law.cut.any()
 
 
-def test_window_cut_counts_match_atoms():
-    cfg = StagedConfig(x=2000, mode="paper-formula", seed=1, weights="sieve")
+@pytest.mark.parametrize("c", [1.0, 0.5])
+def test_window_cut_counts_match_atoms(c):
+    cfg = StagedConfig(x=2000, mode="paper-formula", seed=1, weights="sieve", c=c)
     law = build_edge_distributions(cfg, split_of(cfg)).cover.law
     for i in np.flatnonzero(law.cut).tolist():
         rows, mass = law.atoms(i)
         assert int((rows[:, 1] >= 0).sum()) == law.pairs[i]
         assert math.fsum(mass.tolist()) == pytest.approx(float(law.mass[i]), rel=1e-12)
+    # at c = 0.5 the window cuts pair anchors below -y, which the build recounts
+    assert law.bounds[0].any() == (c == 0.5)

@@ -271,7 +271,11 @@ def reference_edge_distributions(cfg, split):
     degree = [0.0] * len(values)
     max_vertex_prob = 0.0
     for dist in dists:
-        for v, q in dist.vertex_probs().items():
+        probs = {}
+        for e, q in dist.atoms:
+            for v in e:
+                probs[v] = probs.get(v, 0) + q
+        for v, q in probs.items():
             degree[v] += q
             max_vertex_prob = max(max_vertex_prob, q)
     return {
@@ -318,7 +322,7 @@ def test_edge_build_matches_per_anchor_reference(cfg):
     assert pinst.cover.params.delta == ref["delta"]
     assert type(pinst.cover.params.delta) is float
     if cfg.mode == "paper-formula":  # pair edges; the desk preset has singletons only
-        assert max(d.max_edge_size() for d in pinst.cover.dist.values()) == 2
+        assert max(len(e) for d in pinst.cover.dist.values() for e, _ in d.atoms) == 2
 
 
 def test_pipeline_instance_holds_no_atom_arrays():
@@ -376,7 +380,7 @@ def pair_instance(values, primes):
         n_vertices=n,
         rounds=[list(range(len(law)))],
         dist=law,
-        params=nib.NibbleParams(delta=law.max_vertex_prob(), r_max=2, A=6, D=1.0, kappa=1e-300),
+        params=nib.NibbleParams(delta=law.extremes(range(len(law)))[1], r_max=2, A=6, D=1.0, kappa=1e-300),
     )
     return PipelineInstance(
         cover=cover,

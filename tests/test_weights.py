@@ -273,6 +273,31 @@ def reference_lambda_table(fs, R, F, cutoff):
     return table
 
 
+def double_loop_lambda_table(ws):
+    """The lambda table with one loop over the support per entry d."""
+    terms = [(r, y / math.prod(p - ws.system.omega(p) for p in prime_factors(math.prod(r))))
+             for r, y in ws.y_table.items() if y]
+    table = {}
+    for d in ws.support:
+        total = 0.0
+        for r, term in terms:
+            if all(ri % di == 0 for di, ri in zip(d, r)):
+                total += term
+        table[d] = weights._moebius(math.prod(d)) * math.prod(d) * total
+    return table
+
+
+@pytest.mark.parametrize("R", [30, 1000])
+@pytest.mark.parametrize("B", [1, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lambda_table_matches_double_loop(k, B, R):
+    # same entries in the same order, each with the same bits and sign of zero
+    ws = WeightSystem(FormSystem(admissible_tuple(k), B=B), R=R)
+    assert len(ws.table) > (1 if R > 30 else 0)
+    want = double_loop_lambda_table(ws)
+    assert [(d, repr(v)) for d, v in ws.table.items()] == [(d, repr(v)) for d, v in want.items()]
+
+
 def test_lambda_table_degenerate_R():
     fs = twin_system()
     ws = WeightSystem(fs, R=5)  # every usable prime exceeds R
