@@ -7,6 +7,7 @@ budget exhausted or out of memory.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -31,7 +32,7 @@ from .residues import (
     system_to_json,
     write_system_file,
 )
-from .rng import stream
+from .rng import stream_seed
 from .weights import (
     FormSystem,
     WeightSystem,
@@ -191,7 +192,7 @@ def cmd_nibble_bench(args) -> int:
     inst = nib.instance_from_json(Path(args.instance).read_text())
     lines = ["seed,leftover,edges_used"]
     for seed in range(args.seeds):
-        result = nib.run_cover(inst, stream(seed, "nibble-bench"), tol=args.tol)
+        result = nib.run_cover(inst, stream_seed(seed, "nibble-bench"), tol=args.tol)
         used = sum(1 for e in result.chosen.values() if e)
         lines.append(f"{seed},{len(result.leftover)},{used}")
         if seed == 0:
@@ -243,6 +244,7 @@ def cmd_weights(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gapsieve",

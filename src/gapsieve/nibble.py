@@ -24,10 +24,12 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .residues import _is_int
+from .rng import uniforms
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,7 @@ class NibbleParams:
 
 
 EMPTY = frozenset()
+_UINT64 = (1 << 64) - 1
 
 
 @dataclass
@@ -74,14 +77,18 @@ class EdgeLaw:
 
     - check(n_vertices, r_max): ValueError unless every law is well formed;
     - degrees(block, n_vertices): the summed P(v in e_i) over a round;
-    - round_law(block, inside, P): X_i(W) for each index of a round, and a
-      draw(k, rng) of the k-th index's law conditioned on W and reweighted
-      by 1/P(e);
+    - round_law(block, inside, P): X_i(W) for each index of a round, as an
+      array, and a draw(ks, key, j) that returns one edge for each block
+      position in ks, from the law of that index conditioned on W and
+      reweighted by 1/P(e).  Its uniforms are rng.uniforms(key, j, i, ...)
+      for index id i, so an index draws the same edge whichever other
+      positions are drawn with it;
     - extremes(block): over a round, the largest edge, the largest
       P(v in e_i) and the largest sum over the round of P(u, v in e_i),
       which the hypothesis check reads.
 
-    Each also answers `i in law` without building index i's EdgeDist.
+    Each also answers `i in law` and iterates over its index ids without
+    building any EdgeDist.
     Stage 3's independent method draws from round_law's first round
     (W = V, P = 1), which is the raw law; its greedy method is
     pairlaw.PairLaw.greedy.
@@ -144,6 +151,9 @@ class DistLaw(EdgeLaw):
     def __contains__(self, i):
         return i in self.dist
 
+    def __iter__(self):
+        return iter(self.dist)
+
     def atoms(self, i) -> _Atoms:
         d = self.dist[i]
         read = self._read.get(id(d))
@@ -191,7 +201,8 @@ class DistLaw(EdgeLaw):
     def round_law(self, block, inside, P):
         """Each distinct object is read once, for its in-W atoms, their
         weights P(e_i = e) / P(e) under the targets P, and X.  An atom of
-        positive mass whose target is 0 weighs +inf, so its index has X = inf."""
+        positive mass whose target is 0 weighs +inf, so its index has X = inf.
+        A draw reads index i's cumulative weights at uniforms(key, j, i) X."""
         inside = np.append(inside, True)  # what a missing member (-1) reads
         P = np.append(P, 1.0)
         cache = {}  # _Atoms -> (itself, in-W atoms, cumulative weights, X)
@@ -206,12 +217,18 @@ class DistLaw(EdgeLaw):
                 cache[a] = (a, sel, np.cumsum(w), math.fsum(w.tolist()) + max(0.0, 1 - a.total))
             laws.append(cache[a])
 
-        def draw(k, rng):
-            a, sel, cum, X = laws[k]
-            pos = int(np.searchsorted(cum, rng.random() * X, side="right"))
-            return a.edge(int(sel[pos])) if pos < len(sel) else EMPTY
+        ids = np.array([int(i) & _UINT64 for i in block], dtype=np.uint64)  # ids mod 2^64
 
-        return [X for *_, X in laws], draw
+        def draw(ks, key, j):
+            ks = np.asarray(ks, dtype=np.int64)
+            edges = []
+            for k, u in zip(ks.tolist(), uniforms(key, j, ids[ks]).tolist()):
+                a, sel, cum, X = laws[k]
+                pos = int(np.searchsorted(cum, u * X, side="right"))
+                edges.append(a.edge(int(sel[pos])) if pos < len(sel) else EMPTY)
+            return edges
+
+        return np.array([X for *_, X in laws]), draw
 
 
 @dataclass
@@ -243,16 +260,18 @@ class CoverInstance:
 
     def validate(self) -> None:
         """Rounds disjoint and nonempty; every index's law well formed."""
-        seen = set()
-        for block in self.rounds:
-            if not block:
-                raise ValueError("rounds must be nonempty")
-            for i in block:
-                if i in seen:
-                    raise ValueError(f"index {i} appears in two rounds")
-                if i not in self.law:
-                    raise ValueError(f"index {i} has no edge distribution")
-                seen.add(i)
+        if not all(self.rounds):
+            raise ValueError("rounds must be nonempty")
+        ids = list(chain.from_iterable(self.rounds))
+        seen = set(ids)
+        if len(seen) < len(ids):
+            seen = set()
+            i = next(i for i in ids if i in seen or seen.add(i))
+            raise ValueError(f"index {i} appears in two rounds")
+        missing = seen.difference(self.law)
+        if missing:
+            i = next(i for i in ids if i in missing)
+            raise ValueError(f"index {i} has no edge distribution")
         self.law.check(self.n_vertices, self.params.r_max)
 
 
@@ -344,7 +363,13 @@ class RoundStats:
 class NibbleState:
     W: set
     chosen: dict = field(default_factory=dict)  # index -> frozenset (EMPTY = skip)
-    round_log: list = field(default_factory=list)
+    rounds: list = field(default_factory=list)  # (j, block, X array, passed array, |W|)
+
+    @property
+    def round_log(self) -> list:
+        """One RoundStats per index of each round so far, built when read."""
+        return [RoundStats(j, i, X, ok, w_size) for j, block, Xs, passed, w_size in self.rounds
+                for i, X, ok in zip(block, Xs.tolist(), passed.tolist())]
 
 
 def default_tol(params: NibbleParams, m: int) -> float:
@@ -367,54 +392,57 @@ def exact_law(dist: EdgeDist, profile, j: int, W):
     return atoms, rem, sum((w for _, w in atoms), Fraction(0)) + rem
 
 
-def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, rng, tol):
+def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, key: int, tol):
     """Execute round j: sample one edge (or skip) per index, then shrink W.
 
-    All indices of the round sample against the same W; the union of their
-    choices is removed only after the whole round has been drawn.  The
-    instance's law gives every X_i(W) of the round at once.
+    All indices of the round sample against the same W, in one draw from
+    the instance's law keyed by key; the union of their choices is removed
+    only after the whole round has been drawn.  tol is in [0, 1), which
+    run_cover checks.
     """
-    if not 0 <= tol < 1:
-        raise ValueError(f"tol must be in [0, 1) so that X = 0 always fails the drift test "
-                         f"and X = 1 passes it, got {tol}")
     W = state.W
     w_size = len(W)
     block = inst.rounds[j - 1]
     inside = np.zeros(inst.n_vertices, dtype=bool)
     inside[np.fromiter(W, dtype=np.int64, count=w_size)] = True
     Xs, draw = inst.law.round_law(block, inside, profile.P_row(j - 1))
-    for k, (i, X) in enumerate(zip(block, Xs)):
-        passed = abs(X - 1) <= tol
-        if not passed:
-            state.chosen[i] = EMPTY
-        else:
-            assert X > 0, "X = 0 cannot pass the drift test with tol < 1"
-            state.chosen[i] = draw(k, rng)
-        state.round_log.append(RoundStats(j, i, float(X), passed, w_size))
-    removed = set()
-    for i in block:
-        removed |= state.chosen[i]
-    state.W = W - removed
+    passed = np.abs(Xs - 1) <= tol
+    assert (Xs[passed] > 0).all(), "X = 0 cannot pass the drift test with tol < 1"
+    edges = np.full(len(block), EMPTY, dtype=object)
+    ks = np.flatnonzero(passed)
+    edges[ks] = draw(ks, key, j)
+    state.chosen.update(zip(block, edges))
+    state.rounds.append((j, block, Xs, passed, w_size))
+    W.difference_update(*edges)
     return state
 
 
-@dataclass
 class CoverResult:
-    chosen: dict  # index -> frozenset (EMPTY = no edge)
-    leftover: set
-    stats: list
+    """The chosen edges (index -> frozenset, EMPTY = no edge), the leftover
+    vertices and the per-index round log, built when read."""
+
+    def __init__(self, state: NibbleState):
+        self.chosen, self.leftover, self._state = state.chosen, state.W, state
+
+    @property
+    def stats(self) -> list:
+        return self._state.round_log
 
 
-def run_cover(inst: CoverInstance, rng, tol=None) -> CoverResult:
-    """Run all m rounds; m = 0 leaves every vertex uncovered (vacuous case)."""
+def run_cover(inst: CoverInstance, key: int, tol=None) -> CoverResult:
+    """Run all m rounds, drawing with rng.uniforms keyed by key; m = 0 leaves
+    every vertex uncovered (vacuous case)."""
     inst.validate()
-    profile = degree_profile(inst)
     if tol is None:
         tol = default_tol(inst.params, inst.m)
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must be in [0, 1) so that X = 0 always fails the drift test "
+                         f"and X = 1 passes it, got {tol}")
+    profile = degree_profile(inst)
     state = NibbleState(W=set(range(inst.n_vertices)))
     for j in range(1, inst.m + 1):
-        nibble_round(inst, profile, state, j, rng, tol)
-    return CoverResult(chosen=state.chosen, leftover=state.W, stats=state.round_log)
+        nibble_round(inst, profile, state, j, key, tol)
+    return CoverResult(state)
 
 
 # -- hypothesis checking ------------------------------------------------------

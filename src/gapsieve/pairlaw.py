@@ -16,9 +16,10 @@ Every vertex has the same degree sum_p 2 unit_p outside such cuts, so a
 nibble round has one survival target P, and X_p(W) is
 [(2|W| - c(d p)) / P + a(d p) / P^2] unit_p plus the remainder mass, where c
 is the cross-correlation of W's and Q's indicators at lags +-d p and a the
-autocorrelation of W's at d p.  Draws are by rejection: a uniform
-(offset, member of W) names an anchor, which is kept when its edge lies in
-W, with probability proportional to P^-|e| / |e|.
+autocorrelation of W's at d p.  Draws are by rejection, in array passes
+over every index still rejecting: a uniform (offset, member of W) names an
+anchor, which is kept when its edge lies in W, with probability
+proportional to P^-|e| / |e|.
 """
 
 import math
@@ -27,6 +28,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .nibble import EMPTY, EdgeDist, EdgeLaw
+from .rng import uniforms
 
 _FFT_FACTORS = (1, 3, 5, 9, 15, 25, 27)
 
@@ -94,7 +96,8 @@ class PairLaw(EdgeLaw, Mapping):
 
         keep = count > 0
         self.skipped = ps[~keep].tolist()
-        self.primes = ps[keep].tolist()
+        self.ps = ps[keep]
+        self.primes = self.ps.tolist()
         self.unit = unit[keep]
         self.pairs = pairs[keep]
         self.bounds = lo1, hi1, lo2, hi2 = [b[keep] for b in bounds]
@@ -196,38 +199,44 @@ class PairLaw(EdgeLaw, Mapping):
                 float(self._vertex_probs(b)[1].max(initial=0.0)),
                 float(self.unit[b][paired].max(initial=0.0)))
 
-    def _draw(self, i, rng, X, part, verts, inside, P):
-        """EMPTY with probability 1 - part / X, else an anchor of index i
-        whose edge lies in W (all of Q when verts is None), with probability
-        proportional to P^-|e|."""
-        if not rng.random() * X < part:
-            return EMPTY
-        p, values, offsets = self.primes[i], self.Q_list, (self.h1, self.h2)
+    def _draw(self, idx, key, j, X, part, verts, inside, P):
+        """Edges of indices idx (an index may repeat; key is an int or one
+        per entry of idx): EMPTY with probability 1 - part / X, else an
+        anchor whose edge lies in W (all of Q when verts is None), with
+        probability proportional to P^-|e|.  The uniforms of index i are
+        uniforms(key, j, i, 0, 0) for the first choice and
+        uniforms(key, j, i, attempt, 0 or 1) for each rejection attempt."""
+        keys = np.broadcast_to(np.asarray(key), idx.shape)
+        rows = np.full((len(idx), 2), -1, dtype=np.int64)  # drawn member, other member
+        todo = np.flatnonzero(uniforms(keys, j, idx, 0, 0) * X < part)
         # P^-|e| / |e| for |e| = 1, 2, over the larger of the two
-        accept = (min(1.0, 2 * P), min(1.0, 1 / (2 * P)))
-        n_verts = len(values) if verts is None else len(verts)
-        y = self.window
-        while True:
-            t = rng.randrange(2 * n_verts)
+        accept = np.array([min(1.0, 2 * P), min(1.0, 1 / (2 * P))])
+        n_slots = 2 * (len(self.Q) if verts is None else len(verts))
+        attempt = 0
+        while len(todo):
+            attempt += 1
+            i = idx[todo]
+            pick, keep = uniforms(keys[todo], j, i, attempt, np.array([[0], [1]]))
+            t = (pick * n_slots).astype(np.int64)
             v = t >> 1 if verts is None else verts[t >> 1]
-            n = values[v] - offsets[t & 1] * p
-            if not -y <= n <= y:
-                continue
-            e = self._members(i, n)
-            if inside is not None and not all(inside[u] for u in e):
-                continue
-            a = accept[len(e) - 1]
-            if a >= 1 or rng.random() < a:
-                return e
+            second = (t & 1).astype(bool)  # v is the anchor's h2 member
+            p, q = self.ps[i], self.Q[v]
+            other = self._ids(q + np.where(second, -self.d, self.d) * p)
+            ok = np.abs(q - np.where(second, self.h2, self.h1) * p) <= self.window
+            if inside is not None:
+                ok &= (other < 0) | inside[other]
+            ok &= keep < np.where(other >= 0, accept[1], accept[0])
+            rows[todo[ok]] = np.stack((v, other), axis=1)[ok]
+            todo = todo[~ok]
+        return [EMPTY if v < 0 else frozenset((v,)) if w < 0 else frozenset((v, w))
+                for v, w in zip(*rows.T.tolist())]
 
     def round_law(self, block, inside, P):
         """Round 1 (W = Q, P = 1) is the raw law.  Later rounds need one
         target P for every vertex and no window-cut prime in the block."""
-        block = list(block)
         b = np.asarray(block, dtype=np.int64)
         if inside.all() and (P == 1).all():
             part = self.mass[b]
-            Xs = (part + self.rem[b]).tolist()
             verts, inside, P0 = None, None, 1.0
         else:
             P0 = float(P[0])
@@ -241,18 +250,16 @@ class PairLaw(EdgeLaw, Mapping):
             w = np.zeros(len(self.pos))
             w[self.Q[verts] - self.lo] = 1.0
             q = (self.pos >= 0).astype(float)
-            lags = self.d * np.asarray(self.primes, dtype=np.int64)[b]
+            lags = self.d * self.ps[b]
             singles = 2 * len(verts) - correlation(w, q, lags) - correlation(q, w, lags)
             pairs = correlation(w, w, lags)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 part = (np.where(singles > 0, singles / P0, 0.0)
                         + np.where(pairs > 0, pairs / (P0 * P0), 0.0)) * self.unit[b]
-            Xs = (part + self.rem[b]).tolist()
-            verts = verts.tolist()
-        part = part.tolist()
+        Xs = part + self.rem[b]
 
-        def draw(k, rng):
-            return self._draw(block[k], rng, Xs[k], part[k], verts, inside, P0)
+        def draw(ks, key, j):
+            return self._draw(b[ks], key, j, Xs[ks], part[ks], verts, inside, P0)
 
         return Xs, draw
 

@@ -20,9 +20,8 @@ reachable sizes.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .oracle import smooth_mask
 from .pairlaw import PairLaw
 from .primes import SEGMENT_SIZE, admissible_tuple, primes_up_to, sieve_interval
 from .residues import ResidueSystem, sift
-from .rng import stream
+from .rng import stream, stream_seed, uniforms
 from .weights import PairWeightContext
 
 DESK_V_EXP = 0.10  # desk preset: very small primes p <= x^0.10
@@ -302,11 +301,12 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
     chosen = {p: nib.EMPTY for p in pinst.skipped_primes}
 
     law = pinst.cover.law
+    indices = np.arange(len(pinst.index_primes))
     if method == "independent":  # the engine's first round (W = V, P = 1) is the raw law
         n = pinst.cover.n_vertices
-        _, draw = law.round_law(range(len(pinst.index_primes)), np.ones(n, bool), np.ones(n))
-        for idx, p in enumerate(pinst.index_primes):
-            chosen[p] = draw(idx, stream(cfg.seed, "stage3", p))
+        _, draw = law.round_law(indices, np.ones(n, bool), np.ones(n))
+        edges = draw(indices, stream_seed(cfg.seed, "stage3"), 1)
+        chosen.update(zip(pinst.index_primes, edges))
         return chosen
 
     if method == "greedy":
@@ -320,20 +320,18 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
     # outside every membership interval keep EMPTY
     m = default_rounds(cfg.x)
     bounds = list(accumulate(_paper_round_lengths(pinst.C_measured, m)))
-    rounds = [[] for _ in range(m)]
-    for idx, p in enumerate(pinst.index_primes):
-        j = bisect_right(bounds, stream(cfg.seed, "stage3-round", p).random())
-        if j < m:
-            rounds[j].append(idx)
+    u = uniforms(stream_seed(cfg.seed, "stage3-round"), pinst.index_primes)
+    member = np.searchsorted(bounds, u, "right")
+    rounds = [indices[member == j].tolist() for j in range(m)]
     inst = nib.CoverInstance(
         n_vertices=pinst.cover.n_vertices,
         rounds=[blk for blk in rounds if blk],
         dist=law,
         params=pinst.cover.params,
     )
-    result = nib.run_cover(inst, stream(cfg.seed, "stage3-nibble"))
-    for idx, p in enumerate(pinst.index_primes):
-        chosen[p] = result.chosen.get(idx, nib.EMPTY)
+    result = nib.run_cover(inst, stream_seed(cfg.seed, "stage3-nibble"))
+    chosen.update(zip(pinst.index_primes,
+                      map(result.chosen.get, range(len(indices)), repeat(nib.EMPTY))))
     return chosen
 
 

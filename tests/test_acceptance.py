@@ -24,7 +24,7 @@ from gapsieve.primes import (
     sieve_interval,
 )
 from gapsieve.residues import assemble_gap, read_system_file
-from gapsieve.rng import stream
+from gapsieve.rng import stream, stream_seed
 from gapsieve.weights import integrals_IJ
 
 F = Fraction
@@ -207,11 +207,11 @@ def test_criterion_6_nibble_calibration():
     survival_counts = np.zeros(n_v)
     nib_left, ind_left = [], []
     for seed in range(n_seeds):
-        res = nib.run_cover(inst, stream(seed, "cal-nib"), tol=0.5)
+        res = nib.run_cover(inst, stream_seed(seed, "cal-nib"), tol=0.5)
         for v in res.leftover:
             survival_counts[v] += 1
         nib_left.append(len(res.leftover))
-        ind = nib.run_cover(baseline, stream(seed, "cal-ind"))
+        ind = nib.run_cover(baseline, stream_seed(seed, "cal-ind"))
         assert all(s.passed for s in ind.stats)
         ind_left.append(len(ind.leftover))
 

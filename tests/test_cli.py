@@ -35,18 +35,19 @@ def test_construct_smoke_and_determinism(tmp_path):
 # seed-1 outputs of the benchmark's construct commands and of the three
 # stage-3 methods: sha256 of system.json and the report's residual after
 # stage 3.  A change to how stage 3 stores or samples its law that keeps the
-# same draws keeps these bytes.  The closed-form law (pairlaw.PairLaw) draws
-# independent, nibble and sieve-mode edges with other random numbers than
-# the atom table did, so those rows changed with it; greedy's did not.
+# same draws keeps these bytes.  The independent, nibble and sieve-mode rows
+# changed when stage 3 moved from per-prime random.Random streams to
+# counter-based uniforms (rng.uniforms): the same law, drawn with other
+# random numbers.  The greedy and stage3-none rows did not change.
 PINNED_CONSTRUCTS = [
     ("3000 --mode paper-formula",
-     "67d7040a2f77f9b2fd8da2d8b5937debffdcc23647f357b1be90c08b8bdb031e", 758),
+     "cb396a9433cd25804123d1bb885b877f8041d3c26007deee96a32475f72bb5e4", 776),
     ("2000 --mode paper-formula --weights sieve --stage3 independent",
-     "6310868a663071eb643d99e8afb262c452a521e36603df25ce6b49a64d9d8ee4", 631),
+     "5f5d4c2d7021ad4b662f8343e708d0e02e6f1918af40f00593631b78d5d599f8", 643),
     ("5000 --stage3 nibble",
-     "dc4fcb3dfe30bdceb03752038d27ab69da25a4e94fea9c2721a84f22339034e1", 633),
+     "8c6afdeb1b436676ea3fef610fbc57660831d044d1984774187213878b3dae65", 649),
     ("5000 --stage3 independent",
-     "f40bc142b93d961a725c69706fcce5bb91ab71631c914a7571f63adab40eff47", 633),
+     "1f896c60897d3e9e291a29500d8471fff4b907fd407fa32bfc86412314bbde00", 636),
     ("5000 --stage3 greedy",
      "c6a0ef2eda85ccfc06d1f5b111fe3567aced6945cc404735758ebf450afa2641", 562),
     ("1000000 --stage3 none",
@@ -224,12 +225,14 @@ def pinned_bench_instance(name):
 
 
 # sha256 of nibble-bench's --out and --stats CSVs: a change to how the
-# engine reads an instance that keeps its draws keeps these bytes
+# engine reads an instance that keeps its draws keeps these bytes.  Both
+# --out rows changed with the move to counter-based uniforms, and the
+# uniform instance's --stats with them (its later rounds see another W).
 PINNED_BENCH = [
-    ("paper-1000", "21e88524a296f6e77848fb527a33b8b6e4a21be2b42094820b01bd95f35a1bfb",
+    ("paper-1000", "402711ba235256f0a20a01b11a18c28e0ba4c471d651d58107963b08f61d1041",
      "289e425998922eb200f870100e997ba0f15d962adcbe6ff6ecc125bf28c32057"),
-    ("uniform-shared", "58e39ec2ca7dad712c2f780ed4fe437d61500172570b814f9b518887d24c7175",
-     "cd0a31409aac7b6d0b95902489ec2c57733209af32f64d134f911608b87a4390"),
+    ("uniform-shared", "7788f048ee506a1988d692a51587bb5e6e607eb215324c2ed340c537f539174a",
+     "5cf74aec754d1e463c5399c63e83a3f07c7f5ed612a077dcae3776912a15790a"),
 ]
 
 
@@ -453,6 +456,16 @@ def test_nibble_bench_bad_option_is_usage_error(tmp_path, capsys, option, what):
     err = capsys.readouterr().err
     assert what in err and len(err.strip().splitlines()) == 1
     assert not stats.exists()
+
+
+# with no rounds, --tol -0.5 exited 0: tol was checked once per round
+@pytest.mark.parametrize("tol", ["-0.5", "1", "nan"])
+def test_nibble_bench_bad_tol_without_rounds_is_usage_error(tmp_path, capsys, tol):
+    f = tmp_path / "inst.json"
+    f.write_text(instance_text(rounds="[]"))
+    assert main(["nibble-bench", str(f), "--tol", tol, "--out", str(tmp_path / "b.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "tol must be in [0, 1)" in err and len(err.strip().splitlines()) == 1
 
 
 def instance_text(vertices="3", rounds="[[0, 1]]", atom="[[0], 0.5]", r_max="2", extra=""):

@@ -15,7 +15,7 @@ import pytest
 from law_oracle import oracle_distribution
 
 from gapsieve import nibble as nib
-from gapsieve.rng import stream
+from gapsieve.rng import stream, stream_seed
 
 F = Fraction
 
@@ -128,7 +128,7 @@ def test_round_against_a_zero_target_logs_infinite_X():
     state = nib.NibbleState(W={0, 1})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nib.nibble_round(inst, prof, state, 2, random.Random(0), tol=0.5)
+        nib.nibble_round(inst, prof, state, 2, 0, tol=0.5)
     assert state.chosen[800] == frozenset()
     assert state.round_log[0].X == math.inf and not state.round_log[0].passed
     assert state.W == {0, 1}
@@ -207,7 +207,7 @@ def test_round_deterministic_edge():
     inst = make_instance(2, [[[({0}, 1.0)]]])
     prof = nib.degree_profile(inst)
     state = nib.NibbleState(W={0, 1})
-    nib.nibble_round(inst, prof, state, 1, random.Random(0), tol=0.5)
+    nib.nibble_round(inst, prof, state, 1, 0, tol=0.5)
     assert state.chosen[0] == frozenset({0})
     assert state.W == {1}
 
@@ -217,7 +217,7 @@ def test_round_drift_failure_yields_empty():
     inst = make_instance(2, [[[({0}, 0.5), ({1}, 0.5)]]])
     prof, _ = flat_profile(inst, [1])
     state = nib.NibbleState(W={0})
-    nib.nibble_round(inst, prof, state, 1, random.Random(0), tol=0.4)
+    nib.nibble_round(inst, prof, state, 1, 0, tol=0.4)
     assert state.chosen[0] == frozenset()
     assert state.round_log[0].X == pytest.approx(0.5)
     assert not state.round_log[0].passed
@@ -235,12 +235,11 @@ def test_round_empirical_frequencies_match_law():
     )
     dist = nib.exact_cover_distribution(inst, F(9, 10))
     n_draws = 100_000
-    rng = random.Random(321)
     counts = {i: {} for i in (0, 1)}
     prof = nib.degree_profile(inst)
-    for _ in range(n_draws):
+    for key in range(n_draws):
         state = nib.NibbleState(W={0, 1, 2})
-        nib.nibble_round(inst, prof, state, 1, rng, tol=0.9)
+        nib.nibble_round(inst, prof, state, 1, key, tol=0.9)
         for i in (0, 1):
             key = state.chosen[i]
             counts[i][key] = counts[i].get(key, 0) + 1
@@ -257,7 +256,7 @@ def test_round_empirical_frequencies_match_law():
 
 def test_run_cover_zero_rounds():
     inst = nib.CoverInstance(5, [], {}, make_params())
-    res = nib.run_cover(inst, random.Random(0))
+    res = nib.run_cover(inst, 0)
     assert res.leftover == set(range(5))
     assert res.chosen == {}
 
@@ -265,8 +264,20 @@ def test_run_cover_zero_rounds():
 def test_run_cover_deterministic_leftover():
     inst = make_instance(2, [[[({0}, 1.0)]]])
     for seed in range(20):
-        res = nib.run_cover(inst, random.Random(seed), tol=0.5)
+        res = nib.run_cover(inst, seed, tol=0.5)
         assert res.leftover == {1}
+
+
+def test_run_cover_draws_for_any_integer_index_id():
+    # instance files may name an index past int64 or below 0; the draw's
+    # counters read index ids mod 2^64
+    dist = {2**70: nib.EdgeDist([(frozenset({0}), 1.0)]),
+            -3: nib.EdgeDist([(frozenset({1}), 0.5), (frozenset({2}), 0.5)])}
+    inst = nib.CoverInstance(3, [[2**70, -3]], dist, make_params())
+    res = nib.run_cover(inst, 0, tol=0.5)
+    assert res.chosen[2**70] == frozenset({0})
+    assert res.chosen[-3] in (frozenset({1}), frozenset({2}))
+    assert len(res.leftover) == 1
 
 
 def test_support_containment_and_disjointness():
@@ -279,7 +290,7 @@ def test_support_containment_and_disjointness():
         state = nib.NibbleState(W=set(range(10)))
         for j in (1, 2):
             w_before = set(state.W)
-            nib.nibble_round(inst, prof, state, j, random.Random(seed * 7 + j), tol=0.9)
+            nib.nibble_round(inst, prof, state, j, seed, tol=0.9)
             for i in inst.rounds[j - 1]:
                 e = state.chosen[i]
                 support = {frozenset(a) for a, _ in inst.dist[i].atoms}
@@ -410,7 +421,7 @@ def test_round1_mean_normalization_identity():
 
 def test_cover_uniform_single_total_edge():
     inst = nib.build_uniform_instance(4, [frozenset({0, 1, 2, 3})], [1])
-    res = nib.run_cover(inst, random.Random(0))
+    res = nib.run_cover(inst, 0)
     assert res.leftover == set()
     assert [e for e in res.chosen.values() if e] == [frozenset({0, 1, 2, 3})]
 
@@ -421,7 +432,7 @@ def test_cover_uniform_singletons_coupon_collector():
     exact = n * (1 - 1 / n) ** n  # exact per-vertex miss probability, summed
     obs = []
     for seed in range(100):
-        res = nib.run_cover(inst, stream(seed, "cc"))
+        res = nib.run_cover(inst, stream_seed(seed, "cc"))
         assert sum(1 for e in res.chosen.values() if e) <= n
         obs.append(len(res.leftover))
     mean = sum(obs) / len(obs)
@@ -435,7 +446,7 @@ def test_cover_uniform_respects_budget():
     rng = stream(5, "budget")
     edges = [frozenset(rng.sample(range(60), 3)) for _ in range(80)]
     counts = [10, 6, 4]
-    res = nib.run_cover(nib.build_uniform_instance(60, edges, counts), stream(1, "run"))
+    res = nib.run_cover(nib.build_uniform_instance(60, edges, counts), stream_seed(1, "run"))
     used = [e for e in res.chosen.values() if e]
     assert len(used) <= sum(counts)
     covered = set()
@@ -506,12 +517,12 @@ def test_vertex_out_of_range_is_rejected(vertex):
     # -1 is also the arrays' mark for a missing member, so it must not pass
     inst = make_instance(3, [[[({0, vertex}, 0.5)]]])
     with pytest.raises(ValueError, match=f"index 0: vertex {vertex} out of range"):
-        nib.run_cover(inst, random.Random(0))
+        nib.run_cover(inst, 0)
 
 
 def test_stats_csv():
     inst = make_instance(2, [[[({0}, 1.0)]]])
-    res = nib.run_cover(inst, random.Random(0), tol=0.5)
+    res = nib.run_cover(inst, 0, tol=0.5)
     text = nib.stats_to_csv(res.stats)
     lines = text.strip().splitlines()
     assert lines[0] == "round,index,X,F_passed,W_size"

@@ -6,10 +6,13 @@ reference).  Here the closed form's draws, round normalizations and greedy
 choices are checked against those atoms: draws against law_oracle.py's
 exact law, X_p(W) against nibble.DistLaw reading the law's own EdgeDists,
 and greedy against a first-maximum greedy over the rows of PairLaw.atoms.
+Draws of both laws are also checked not to depend on which other block
+positions are drawn with them, or in what order.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +30,7 @@ from gapsieve.pipeline import (
     survivors_after_small,
 )
 from gapsieve.primes import sieve_interval
-from gapsieve.rng import stream
+from gapsieve.rng import stream, stream_seed
 
 F = Fraction
 # primes of (100, 200] and three sieving primes, with (3, 5) as the tuple:
@@ -75,6 +78,7 @@ def test_draw_frequencies_match_atom_masses(which):
     if which:
         assert law.cut.all() and (law.rem > 0.1).all()
     n_draws = 20_000
+    keys = np.arange(n_draws)  # one draw per key
     ones = np.ones(len(TINY_Q))
     _, draw = law.round_law(range(len(law)), ones.astype(bool), ones)  # the raw law
     for i in range(len(law)):
@@ -83,11 +87,7 @@ def test_draw_frequencies_match_atom_masses(which):
         P = {(0, v): F(1) for v in range(len(TINY_Q))}
         _, outcomes, _ = oracle_distribution(one, P, F(1))
         exact = {picks[0]: q for picks, q in outcomes.items()}
-        rng = stream(11, "pairlaw-draw", which, i)
-        counts = {}
-        for _ in range(n_draws):
-            e = draw(i, rng)
-            counts[e] = counts.get(e, 0) + 1
+        counts = Counter(draw(np.full(n_draws, i), keys, 1))
         assert_frequencies(counts, exact, n_draws, (which, i))
 
 
@@ -100,17 +100,56 @@ def test_later_round_draws_match_exact_law():
     prof = nib.ExactProfile(1, {(0, v): F(P) for v in range(len(TINY_Q))})
     Xs, draw = law.round_law([0, 1, 2], inside, np.full(len(TINY_Q), P))
     n_draws = 20_000
+    keys = np.arange(n_draws)  # one draw per key
     for k in range(3):
         atoms, rem, X = nib.exact_law(law[k], prof, 1, W)
         assert Xs[k] == pytest.approx(float(X), rel=1e-12)
         exact = {e: w / X for e, w in atoms}
         exact[nib.EMPTY] = exact.get(nib.EMPTY, 0) + rem / X
-        rng = stream(12, "pairlaw-round", k)
-        counts = {}
-        for _ in range(n_draws):
-            e = draw(k, rng)
-            counts[e] = counts.get(e, 0) + 1
+        counts = Counter(draw(np.full(n_draws, k), keys, 1))
         assert_frequencies(counts, exact, n_draws, k)
+
+
+def drawn_by_index(law, block, inside, P, pieces):
+    """{index: edge} of one round over block, drawn one piece of block
+    positions per call."""
+    _, draw = law.round_law(block, inside, P)
+    key = stream_seed(13, "order")
+    drawn = {}
+    for ks in pieces:
+        drawn.update(zip([block[k] for k in ks], draw(np.asarray(ks, dtype=np.int64), key, 2)))
+    return drawn
+
+
+@pytest.mark.parametrize("which, later", [("uniform", False), ("uniform", True),
+                                          ("window", False), ("dist", False), ("dist", True)])
+def test_draws_do_not_depend_on_order_or_split(which, later):
+    """An index draws the same edge when the block is permuted, or split
+    across calls drawn in another order; the window instance's sieve law
+    cuts anchors of some primes."""
+    if which == "window":
+        cfg = StagedConfig(x=2000, mode="paper-formula", seed=1, weights="sieve")
+    else:
+        cfg = StagedConfig(x=1000, mode="paper-formula", seed=1)
+    law = build_edge_distributions(cfg, split_of(cfg)).cover.law
+    n, block = len(law.Q), list(range(len(law)))
+    if which == "window":
+        assert law.cut.any()
+    if which == "dist":
+        law = nib.DistLaw({i: law[i] for i in block}, n)
+    rng = np.random.default_rng(5)
+    inside, P = np.ones(n, dtype=bool), np.ones(n)
+    if later:  # a later round: W is part of Q and P < 1
+        inside, P = rng.random(n) < 0.7, np.full(n, 0.6)
+    whole = drawn_by_index(law, block, inside, P, [range(len(block))])
+    assert any(whole.values())
+    perm = rng.permutation(block).tolist()
+    assert drawn_by_index(law, perm, inside, P, [range(len(perm))]) == whole
+    cut = len(perm) // 3
+    assert drawn_by_index(law, perm, inside, P, [range(cut, len(perm)), range(cut)]) == whole
+    # a position drawn twice in one call draws its edge twice
+    _, draw = law.round_law(block, inside, P)
+    assert draw([3, 3, 1], stream_seed(13, "order"), 2) == [whole[3], whole[3], whole[1]]
 
 
 def test_round_two_X_matches_dist_law():

@@ -30,7 +30,7 @@ from gapsieve.pipeline import (
 )
 from gapsieve.primes import admissible_tuple, primes_up_to, sieve_interval
 from gapsieve.residues import ResidueSystem, sift
-from gapsieve.rng import stream
+from gapsieve.rng import stream, stream_seed
 from gapsieve.weights import PairWeightContext
 
 
@@ -351,12 +351,12 @@ def test_instance_file_round_trip_of_pipeline_instance():
     # the file's instance samples as the law's own EdgeDists do; the closed
     # form draws the same law with other random numbers
     on_dists = dataclasses.replace(inst, dist={i: inst.dist[i] for i in inst.all_indices()})
-    a = nib.run_cover(on_dists, stream(7, "round-trip"))
-    b = nib.run_cover(back, stream(7, "round-trip"))
+    a = nib.run_cover(on_dists, stream_seed(7, "round-trip"))
+    b = nib.run_cover(back, stream_seed(7, "round-trip"))
     assert any(a.chosen.values())
     assert a.chosen == b.chosen
     assert a.leftover == b.leftover
-    c = nib.run_cover(inst, stream(7, "round-trip"))
+    c = nib.run_cover(inst, stream_seed(7, "round-trip"))
     assert all(not e or e in {f for f, _ in inst.dist[i].atoms} for i, e in c.chosen.items())
 
 
