@@ -13,9 +13,9 @@ Quantities:
     X_i(W)      normalization: sum over edges e inside W of P(e_i=e)/P_{j-1}(e),
                 counting the empty-edge remainder mass (P_{j-1}(empty) = 1)
 
-Probabilities may be floats or Fractions; with Fractions (and a profile
-whose survival targets stay rational) the full outcome distribution of the
-process can be enumerated exactly.
+The engine computes in floats: it reads any real probability as a float.
+The exact reference for its law is tests/law_oracle.py, which enumerates
+the process in rational arithmetic on tiny instances.
 """
 
 import json
@@ -23,7 +23,6 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -49,23 +48,13 @@ _UINT64 = (1 << 64) - 1
 class EdgeDist:
     """Finite edge distribution: subsets of V with probabilities summing <= 1.
 
-    The missing mass is an explicit remainder on the empty edge.  This is
-    the exact form: with Fraction probabilities it feeds the enumerator and
-    the hypothesis checks of tiny instances.  The sampler reads it through
-    an EdgeLaw: DistLaw caches float arrays of each EdgeDist object it is
-    given, and pairlaw.PairLaw builds its EdgeDists from a closed form.
+    The missing mass, 1 minus the total, is the empty edge's.  The sampler
+    reads it through an EdgeLaw: DistLaw caches float arrays of each
+    EdgeDist object it is given, and pairlaw.PairLaw builds its EdgeDists
+    from a closed form.
     """
 
     atoms: list  # [(frozenset of vertex ids, probability)]
-
-    def total(self):
-        return sum(q for _, q in self.atoms)
-
-    def remainder(self):
-        rem = 1 - self.total()
-        if isinstance(rem, Fraction):
-            return rem if rem > 0 else Fraction(0)
-        return max(0.0, float(rem))
 
 
 class EdgeLaw:
@@ -97,8 +86,8 @@ class EdgeLaw:
 
 class _Atoms:
     """One EdgeDist read into arrays: a row of sorted member ids per atom
-    (-1 for a missing member), the atom probabilities and their total,
-    summed in atom order as EdgeDist.total does.  It keeps the EdgeDist,
+    (-1 for a missing member), the atom probabilities as floats and their
+    total, summed in atom order.  It keeps the EdgeDist,
     whose own frozensets the draws return, and the index it was first read
     for, which errors name."""
 
@@ -259,7 +248,10 @@ class CoverInstance:
             yield from block
 
     def validate(self) -> None:
-        """Rounds disjoint and nonempty; every index's law well formed."""
+        """At least 0 vertices; rounds disjoint and nonempty; every index's
+        law well formed."""
+        if self.n_vertices < 0:
+            raise ValueError(f"vertices must be at least 0, got {self.n_vertices}")
         if not all(self.rounds):
             raise ValueError("rounds must be nonempty")
         ids = list(chain.from_iterable(self.rounds))
@@ -294,60 +286,10 @@ class DegreeProfile:
                 step = prev * np.exp(-self.d[j] / prev)
             self.P.append(np.where(prev > 0, step, 0.0))
 
-    def P_row(self, j: int):
-        return self.P[j]
-
 
 def degree_profile(inst: CoverInstance) -> DegreeProfile:
     """Exact degree sums, as the instance's law gives them, and the P recursion."""
     return DegreeProfile([inst.law.degrees(block, inst.n_vertices) for block in inst.rounds])
-
-
-class ExactProfile:
-    """Survival targets in exact arithmetic, for enumeration tests.
-
-    P values stay Fractions as long as the recursion multiplier is exp(0);
-    a vertex whose degree becomes nonzero has an irrational target from the
-    next round on and is marked tainted (None).  Tests may also construct
-    this class directly to inject chosen rational targets.
-    """
-
-    def __init__(self, m: int, P: dict):
-        self.m = m
-        self._P = P  # (j, v) -> Fraction | None
-
-    @classmethod
-    def from_instance(cls, inst: CoverInstance) -> "ExactProfile":
-        P = {}
-        for v in range(inst.n_vertices):
-            P[(0, v)] = Fraction(1)
-        for j, block in enumerate(inst.rounds, start=1):
-            # probabilities are >= 0, so a degree is nonzero iff one term is
-            touched = {v for i in block for e, q in inst.dist[i].atoms if q for v in e}
-            for v in range(inst.n_vertices):
-                prev = P[(j - 1, v)]
-                P[(j, v)] = None if prev is None or v in touched else prev
-        return cls(len(inst.rounds), P)
-
-    def P_vertex(self, j, v):
-        val = self._P[(j, v)]
-        if val is None:
-            raise ValueError(
-                f"survival target P_{j}({v}) is irrational; "
-                "exact enumeration needs rational targets on every support edge"
-            )
-        return val
-
-    def P_edge(self, j, edge):
-        out = Fraction(1)
-        for v in edge:
-            out *= self.P_vertex(j, v)
-        return out
-
-    def P_row(self, j: int):
-        """P_j rounded to floats, for running the float sampler on these targets."""
-        n = 1 + max((v for _, v in self._P), default=-1)
-        return np.array([float(self.P_vertex(j, v)) for v in range(n)])
 
 
 @dataclass
@@ -383,15 +325,6 @@ def default_tol(params: NibbleParams, m: int) -> float:
     return min(max(params.delta ** (1.0 / (3 * 10**m)), 0.1), 0.999)
 
 
-def exact_law(dist: EdgeDist, profile, j: int, W):
-    """Index law in round j, exactly: the atoms e inside W with their weights
-    q / P_{j-1}(e), the remainder mass and X_i(W) = their sum plus the
-    remainder, exact for Fraction probabilities and an ExactProfile."""
-    atoms = [(e, Fraction(q) / profile.P_edge(j - 1, e)) for e, q in dist.atoms if e <= W]
-    rem = Fraction(dist.remainder())
-    return atoms, rem, sum((w for _, w in atoms), Fraction(0)) + rem
-
-
 def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, key: int, tol):
     """Execute round j: sample one edge (or skip) per index, then shrink W.
 
@@ -405,7 +338,7 @@ def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, key: 
     block = inst.rounds[j - 1]
     inside = np.zeros(inst.n_vertices, dtype=bool)
     inside[np.fromiter(W, dtype=np.int64, count=w_size)] = True
-    Xs, draw = inst.law.round_law(block, inside, profile.P_row(j - 1))
+    Xs, draw = inst.law.round_law(block, inside, profile.P[j - 1])
     passed = np.abs(Xs - 1) <= tol
     assert (Xs[passed] > 0).all(), "X = 0 cannot pass the drift test with tol < 1"
     edges = np.full(len(block), EMPTY, dtype=object)
@@ -559,78 +492,6 @@ def build_uniform_instance(n_vertices: int, edges, counts) -> CoverInstance:
         kappa=max(hyp.min_survival, 1e-300),
     )
     return inst
-
-
-# -- exact outcome enumeration -------------------------------------------------
-
-
-@dataclass
-class ExactDistribution:
-    """Full law of the nibble process for a tiny instance.
-
-    outcomes maps a tuple of chosen edges (rounds in order, indices in listed
-    order) to its exact probability; survival[v] is the probability vertex v
-    is never covered; marginals[i][edge] is the law of each index's choice.
-    """
-
-    index_order: tuple
-    outcomes: dict
-    survival: dict
-    marginals: dict
-
-
-def exact_cover_distribution(inst: CoverInstance, tol, profile=None) -> ExactDistribution:
-    """Enumerate every sampling path of run_cover in exact arithmetic.
-
-    Requires Fraction probabilities.  With the derived profile this only
-    works when all support vertices keep rational survival targets (degree
-    zero until used); tests may inject any rational profile instead.
-    """
-    inst.validate()
-    if profile is None:
-        profile = ExactProfile.from_instance(inst)
-    tol = Fraction(tol)
-
-    index_order = tuple(inst.all_indices())
-    states = {(frozenset(range(inst.n_vertices)), ()): Fraction(1)}
-    for j, block in enumerate(inst.rounds, start=1):
-        nxt = {}
-        for (W, picks), prob in states.items():
-            options_per_index = []
-            for i in block:
-                atoms, rem, X = exact_law(inst.dist[i], profile, j, W)
-                if abs(X - 1) > tol:
-                    options_per_index.append([(EMPTY, Fraction(1))])
-                else:
-                    opts = [(e, w / X) for e, w in atoms]
-                    if rem:
-                        opts.append((EMPTY, rem / X))
-                    options_per_index.append(opts)
-            combos = [((), Fraction(1))]
-            for opts in options_per_index:
-                combos = [
-                    (picked + (e,), pr * q) for picked, pr in combos for e, q in opts if q
-                ]
-            for picked, pr in combos:
-                removed = set()
-                for e in picked:
-                    removed |= e
-                key = (W - removed, picks + picked)
-                nxt[key] = nxt.get(key, Fraction(0)) + prob * pr
-        states = nxt
-
-    outcomes = {}
-    survival = {v: Fraction(0) for v in range(inst.n_vertices)}
-    marginals = {i: {} for i in index_order}
-    for (W, picks), prob in states.items():
-        outcomes[picks] = outcomes.get(picks, Fraction(0)) + prob
-        for v in W:
-            survival[v] += prob
-        for i, e in zip(index_order, picks):
-            marginals[i][e] = marginals[i].get(e, Fraction(0)) + prob
-    return ExactDistribution(
-        index_order=index_order, outcomes=outcomes, survival=survival, marginals=marginals
-    )
 
 
 # -- hypergraph instance file format -------------------------------------------

@@ -7,11 +7,13 @@ calibration.
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from law_oracle import oracle_distribution
+from test_nibble import assert_law, engine_outcomes
 
 from gapsieve import nibble as nib
 from gapsieve.cli import main
@@ -149,32 +151,34 @@ def test_criterion_5_nibble_exactness_tiny():
         prof_b[(1, v)] = F(1, 2)
         prof_b[(2, v)] = F(1, 4)
 
-    checked = 0
+    n_keys = 20_000
+    checked, worst = 0, 0.0
     for inst, prof_P, tol, m in (
         (inst_a, prof_a, F(9, 10), 1),
         (inst_b, prof_b, F(99, 100), 2),
     ):
-        profile = nib.ExactProfile(m, prof_P)
-        got = nib.exact_cover_distribution(inst, tol, profile=profile)
         _, outcomes, survival = oracle_distribution(inst, prof_P, tol)
-        assert len(got.outcomes) <= 2**12, "instance exceeds 12 binary outcomes"
-        # (i) support containment, exact
-        supports = {
-            i: {frozenset(e) for e, _ in inst.dist[i].atoms}
-            for i in got.index_order
-        }
-        for picks in got.outcomes:
-            for i, e in zip(got.index_order, picks):
-                assert e == frozenset() or e in supports[i]
-        # (ii) full outcome law and survival probabilities, exact rationals
-        assert got.outcomes == outcomes
-        assert got.survival == survival
-        assert sum(got.outcomes.values()) == 1
+        assert len(outcomes) <= 2**12, "instance exceeds 12 binary outcomes"
+        assert sum(outcomes.values()) == 1
+        # the engine under the same injected targets, as float rows P[j]
+        rows = [np.array([float(prof_P[(j, v)]) for v in range(3)]) for j in range(m)]
+        drawn = engine_outcomes(inst, rows, float(tol), range(n_keys), check=1000)
+        # (i) every sampled outcome lies in the exact law's support, and
+        # (ii) its frequency within 4 sigma of the exact probability
+        worst = max(worst, assert_law(Counter(drawn.values()), outcomes, n_keys, 4))
+        # (iii) each vertex's survival frequency within 4 sigma of the exact one
+        covered = [frozenset().union(*picks) for picks in drawn.values()]
+        for v, q in survival.items():
+            left = sum(v not in c for c in covered)
+            worst = max(worst, assert_law({v: left}, {v: q}, n_keys, 4))
         checked += 1
     dt = time.time() - t0
-    report(5, checked == 2 and dt < 60,
-           f"exact rational agreement (outcome law + survival + eq-level "
-           f"reweighting) on {checked} tiny instances in {dt:.2f}s")
+    report(5, checked == 2 and dt < 10,
+           f"the engine's rounds against the exact rational law on {checked} tiny "
+           f"instances (one and two rounds, injected targets): {n_keys} keys each, "
+           f"the first 1000 through nibble_round, every outcome "
+           f"in the law's support, outcome and survival frequencies within 4 sigma "
+           f"(worst |z| {worst:.2f}) in {dt:.2f}s")
 
 
 def build_regular_5uniform(n_vertices, deg, rng):

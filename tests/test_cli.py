@@ -504,6 +504,19 @@ def test_nibble_bench_malformed_id_is_usage_error(tmp_path, capsys, case):
     assert main(["nibble-bench", str(f), "--seeds", "1", "--out", str(tmp_path / "b.csv")]) == 0
 
 
+# with no rounds this exited 0 with leftover 0; with a round, numpy's
+# "negative dimensions are not allowed" named no field
+@pytest.mark.parametrize("rounds, dist", [("[]", "{}"), ("[[0]]", '{"0": []}')],
+                         ids=["no-rounds", "one-round"])
+def test_nibble_bench_negative_vertices_is_usage_error(tmp_path, capsys, rounds, dist):
+    f = tmp_path / "inst.json"
+    f.write_text('{"vertices": -1, "rounds": %s, "dist": %s, "params": {"delta": 0.5, '
+                 '"r_max": 2, "A": 5, "D": 3, "kappa": 0.01}}\n' % (rounds, dist))
+    assert main(["nibble-bench", str(f), "--seeds", "1", "--out", str(tmp_path / "b.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "vertices must be at least 0, got -1" in err and len(err.strip().splitlines()) == 1
+
+
 def test_construct_budget_exhausted_is_infeasible(tmp_path, capsys):
     # (1000, 1010] holds one fresh prime, far fewer than the residual
     assert main(["construct", "1000", "--c-extra", "1.01", "--out", str(tmp_path)]) == 4

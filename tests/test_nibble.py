@@ -1,18 +1,22 @@
-"""Tests for the covering engine: profiles, reweighted sampling, enumeration.
+"""Tests for the covering engine: profiles, normalizations, reweighted sampling.
 
-The exact-law tests pit the engine's enumerator against the from-scratch
-oracle in law_oracle.py; both work in rational arithmetic, so agreement
-is exact equality, not approximate.
+The engine computes in floats.  Its X_i(W) is checked against exact values
+from the rational oracle in law_oracle.py, or from hand calculation, within
+1e-12; its draws are checked against the oracle's exact outcome law within
+a few standard errors of the sampled frequencies.  The oracle itself is
+pinned to laws enumerated by hand.
 """
 
 import math
 import random
 import warnings
+from collections import Counter, defaultdict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from law_oracle import oracle_distribution
+from law_oracle import oracle_X, oracle_distribution
 
 from gapsieve import nibble as nib
 from gapsieve.rng import stream, stream_seed
@@ -41,14 +45,64 @@ def make_instance(n, rounds_atoms, **params):
     return nib.CoverInstance(n_vertices=n, rounds=rounds, dist=dist, params=make_params(**params))
 
 
-def flat_profile(inst, values):
-    """Injected rational profile: values[j] applies to every vertex."""
-    P = {}
-    for j, val in enumerate(values):
-        for v in range(inst.n_vertices):
-            P[(j, v)] = F(val)
-    prof = nib.ExactProfile(len(values) - 1, P)
-    return prof, P
+def flat_profile(n, values):
+    """Injected rational targets: values[j] applies to every vertex, as the
+    oracle's {(j, v): P_j(v)} and as the engine's float rows P[j]."""
+    P = {(j, v): F(val) for j, val in enumerate(values) for v in range(n)}
+    return P, [np.full(n, float(val)) for val in values]
+
+
+def round_X(inst, W, P=None, j=1):
+    """The engine's float X_i(W) for the indices of round j, under the float
+    targets P (default 1 on every vertex)."""
+    inside = np.zeros(inst.n_vertices, dtype=bool)
+    inside[list(W)] = True
+    P = np.ones(inst.n_vertices) if P is None else P
+    return inst.law.round_law(inst.rounds[j - 1], inside, P)[0]
+
+
+def engine_outcomes(inst, P, tol, keys, check=200):
+    """{key: the engine's outcome}, the edges chosen with rounds in order and
+    indices in listed order, under the float targets P[j].
+
+    Keys that reach round j with the same W share one round_law, and each
+    index draws for all of them at once: its uniforms are counted by (key,
+    j, index), so these are nibble_round's draws for each key alone, which
+    the first `check` keys confirm."""
+    n = inst.n_vertices
+    state = dict.fromkeys(keys, (frozenset(range(n)), ()))
+    for j, block in enumerate(inst.rounds, start=1):
+        by_W = defaultdict(list)
+        for key, (W, _) in state.items():
+            by_W[W].append(key)
+        for W, ks in by_W.items():
+            inside = np.zeros(n, dtype=bool)
+            inside[list(W)] = True
+            Xs, draw = inst.law.round_law(block, inside, P[j - 1])
+            cols = [draw(np.full(len(ks), k), np.array(ks), j) if abs(X - 1) <= tol
+                    else [nib.EMPTY] * len(ks) for k, X in enumerate(Xs.tolist())]
+            for key, row in zip(ks, zip(*cols)):
+                state[key] = (W.difference(*row), state[key][1] + row)
+    for key in list(keys)[:check]:
+        one = nib.NibbleState(W=set(range(n)))
+        for j in range(1, inst.m + 1):
+            nib.nibble_round(inst, SimpleNamespace(P=P), one, j, key, tol)
+        assert tuple(one.chosen[i] for i in inst.all_indices()) == state[key][1], key
+    return {key: picks for key, (_, picks) in state.items()}
+
+
+def assert_law(counts, law, n_draws, sigmas):
+    """Nothing sampled outside the exact law and every outcome's frequency
+    within sigmas standard errors of it; returns the largest |z|."""
+    assert {e for e, c in counts.items() if c} <= {e for e, q in law.items() if q}
+    worst = 0.0
+    for e, q in law.items():
+        q = float(q)
+        se = math.sqrt(q * (1 - q) / n_draws)
+        err = abs(counts.get(e, 0) / n_draws - q)
+        assert err <= sigmas * se + 1e-12, (e, counts.get(e, 0) / n_draws, q)
+        worst = max(worst, err / se if se else 0.0)
+    return worst
 
 
 # -- degree profile ------------------------------------------------------------
@@ -147,27 +201,23 @@ def test_check_hypotheses_reads_a_zero_target_as_unbounded_degree():
 
 def test_normalization_full_and_empty():
     inst = make_instance(3, [[[({0, 1}, F(1, 3)), ({2}, F(1, 3))]]])
-    prof, _ = flat_profile(inst, [1])
-    X_full = nib.exact_law(inst.dist[0], prof, 1, {0, 1, 2})[2]
-    assert X_full == 1  # both atoms inside W plus 1/3 remainder
+    X_full = round_X(inst, {0, 1, 2})[0]
+    assert abs(X_full - 1) <= 1e-12  # both atoms inside W plus 1/3 remainder
     # deterministic edge outside W, no remainder mass
     inst2 = make_instance(2, [[[({0}, F(1))]]])
-    prof2, _ = flat_profile(inst2, [1])
-    assert nib.exact_law(inst2.dist[0], prof2, 1, {1})[2] == 0
+    assert round_X(inst2, {1})[0] == 0
 
 
 def test_normalization_round1_is_containment_probability():
     inst = make_instance(4, [[[({0, 1}, F(1, 2)), ({2}, F(1, 4)), ({3}, F(1, 4))]]])
-    prof, _ = flat_profile(inst, [1])
-    W = {0, 1, 2}
     # P_0 = 1: X = P(e subset W) = 1/2 + 1/4
-    assert nib.exact_law(inst.dist[0], prof, 1, W)[2] == F(3, 4)
+    assert abs(round_X(inst, {0, 1, 2})[0] - 0.75) <= 1e-12
 
 
 def test_round_law_X_matches_exact_normalization():
-    # the engine's float X_i(W) against the exact one, on random tiny
-    # instances whose indices may share an EdgeDist, under injected rational
-    # targets (zeros included) and random W
+    # the engine's float X_i(W) against the oracle's exact one, on random
+    # tiny instances whose indices may share an EdgeDist, under injected
+    # rational targets (zeros included) and random W
     rng = random.Random(17)
     infinite = 0
     for _ in range(300):
@@ -184,14 +234,12 @@ def test_round_law_X_matches_exact_normalization():
         inst = nib.CoverInstance(n, [block], {i: rng.choice(dists) for i in block},
                                  make_params(r_max=3))
         targets = [F(0), F(1, 3), F(2, 5), F(7, 9), F(1)]
-        prof = nib.ExactProfile(1, {(0, v): rng.choice(targets) for v in range(n)})
+        P = {(0, v): rng.choice(targets) for v in range(n)}
         W = {v for v in range(n) if rng.random() < 0.7}
-        inside = np.zeros(n, dtype=bool)
-        inside[list(W)] = True
-        Xs, _ = inst.law.round_law(block, inside, prof.P_row(0))
+        Xs = round_X(inst, W, np.array([float(P[(0, v)]) for v in range(n)]))
         for i, X in zip(block, Xs):
             try:
-                want = float(nib.exact_law(inst.dist[i], prof, 1, W)[2])
+                want = float(oracle_X(inst.dist[i], P, 1, W))
             except ZeroDivisionError:  # an atom inside W has a zero target
                 assert X == math.inf
                 infinite += 1
@@ -215,7 +263,7 @@ def test_round_deterministic_edge():
 def test_round_drift_failure_yields_empty():
     # distribution 1/2 {0}, 1/2 {1}; W = {0}: X = 1/2, drift fails at tol < 1/2
     inst = make_instance(2, [[[({0}, 0.5), ({1}, 0.5)]]])
-    prof, _ = flat_profile(inst, [1])
+    prof = nib.degree_profile(inst)
     state = nib.NibbleState(W={0})
     nib.nibble_round(inst, prof, state, 1, 0, tol=0.4)
     assert state.chosen[0] == frozenset()
@@ -224,8 +272,8 @@ def test_round_drift_failure_yields_empty():
 
 
 def test_round_empirical_frequencies_match_law():
-    # two indices, nontrivial overlap; verify sampled frequencies against the
-    # exact reweighted law within 3 sigma
+    # two indices, nontrivial overlap; each index's sampled frequencies
+    # against its exact marginal under the reweighted law, within 3 sigma
     inst = make_instance(
         3,
         [[
@@ -233,22 +281,22 @@ def test_round_empirical_frequencies_match_law():
             [({1}, F(1, 3)), ({2}, F(1, 3)), ({0, 2}, F(1, 3))],
         ]],
     )
-    dist = nib.exact_cover_distribution(inst, F(9, 10))
+    _, outcomes, _ = oracle_distribution(inst, flat_profile(3, [1])[0], F(9, 10))
     n_draws = 100_000
-    counts = {i: {} for i in (0, 1)}
+    keys = np.arange(n_draws)
+    Xs, draw = inst.law.round_law(inst.rounds[0], np.ones(3, dtype=bool), np.ones(3))
+    assert (abs(Xs - 1) <= 0.9).all()  # no index is skipped, so every key draws
+    drawn = [draw(np.full(n_draws, k), keys, 1) for k in (0, 1)]
     prof = nib.degree_profile(inst)
-    for key in range(n_draws):
+    for key in range(200):  # the draws are nibble_round's, key for key
         state = nib.NibbleState(W={0, 1, 2})
         nib.nibble_round(inst, prof, state, 1, key, tol=0.9)
-        for i in (0, 1):
-            key = state.chosen[i]
-            counts[i][key] = counts[i].get(key, 0) + 1
-    for i in (0, 1):
-        for edge, p_exact in dist.marginals[i].items():
-            p = float(p_exact)
-            se = math.sqrt(p * (1 - p) / n_draws)
-            freq = counts[i].get(edge, 0) / n_draws
-            assert abs(freq - p) <= 3 * se + 1e-12, (i, edge, freq, p)
+        assert [state.chosen[i] for i in (0, 1)] == [drawn[k][key] for k in (0, 1)]
+    for k in (0, 1):
+        marginal = Counter()
+        for picks, q in outcomes.items():
+            marginal[picks[k]] += q
+        assert_law(Counter(drawn[k]), marginal, n_draws, 3)
 
 
 # -- run_cover ----------------------------------------------------------------------
@@ -300,52 +348,37 @@ def test_support_containment_and_disjointness():
                     assert e <= w_before
 
 
-# -- exact enumeration vs oracle -------------------------------------------------
+# -- engine against the oracle's exact law ------------------------------------------
 
 
-def test_exact_distribution_single_round_vs_oracle():
-    inst = make_instance(
-        3,
-        [[
-            [({0, 1}, F(1, 2)), ({2}, F(1, 4))],
-            [({1}, F(1, 3)), ({2}, F(1, 3)), ({0, 2}, F(1, 3))],
-        ]],
-    )
-    tol = F(9, 10)
-    got = nib.exact_cover_distribution(inst, tol)
-    prof_P = {(0, v): F(1) for v in range(3)}
-    order, outcomes, survival = oracle_distribution(inst, prof_P, tol)
-    assert sum(got.outcomes.values()) == 1
-    assert got.outcomes == outcomes
-    assert got.survival == survival
-
-
-def test_exact_distribution_two_rounds_self_consistent():
-    # round 2 lives on vertices untouched in round 1, so the derived profile
-    # stays rational and the whole process enumerates exactly
-    inst = make_instance(
+def two_round_instance():
+    """Round 2 lives on vertices untouched in round 1."""
+    return make_instance(
         4,
         [
             [[({0}, F(1, 2))], [({1}, F(1, 2))]],
             [[({2}, F(1, 2)), ({2, 3}, F(1, 2))]],
         ],
     )
-    tol = F(6, 10)
-    got = nib.exact_cover_distribution(inst, tol)
-    prof_P = {}
-    for j in range(3):
-        for v in range(4):
-            prof_P[(j, v)] = F(1)  # degrees on round-2 support are 0 after round 1
-    order, outcomes, survival = oracle_distribution(inst, prof_P, tol)
-    assert got.outcomes == outcomes
-    assert got.survival == survival
-    assert sum(got.outcomes.values()) == 1
 
 
-def test_exact_distribution_cross_round_with_injected_profile():
-    # genuine cross-round conditioning: round 2 edges overlap round 1; the
-    # survival targets are injected as rationals so the reweighting law
-    # (indicator / X times prob / P_{j-1}(edge)) is checked exactly
+def test_two_rounds_match_oracle():
+    # the derived profile keeps P_1 = 1 on round 2's support, so the oracle
+    # runs on targets 1
+    inst = two_round_instance()
+    prof = nib.degree_profile(inst)
+    assert prof.P[1][2] == prof.P[1][3] == 1.0
+    P, _ = flat_profile(4, [1, 1, 1])
+    _, outcomes, _ = oracle_distribution(inst, P, F(6, 10))
+    assert sum(outcomes.values()) == 1
+    n_draws = 20_000
+    drawn = engine_outcomes(inst, prof.P, 0.6, range(n_draws))
+    assert_law(Counter(drawn.values()), outcomes, n_draws, 4)
+
+
+def cross_round_instance():
+    """Round 2's edges overlap round 1's, under injected targets
+    P_0 = 1, P_1 = 1/2, P_2 = 1/4 on every vertex."""
     inst = make_instance(
         3,
         [
@@ -353,40 +386,49 @@ def test_exact_distribution_cross_round_with_injected_profile():
             [[({0, 1}, F(1, 2)), ({2}, F(1, 4))]],
         ],
     )
-    P = {}
-    for v in range(3):
-        P[(0, v)] = F(1)
-        P[(1, v)] = F(1, 2)
-        P[(2, v)] = F(1, 4)
-    prof = nib.ExactProfile(2, P)
+    return inst, *flat_profile(3, [1, F(1, 2), F(1, 4)])
+
+
+def test_cross_round_with_injected_profile_matches_oracle():
+    # genuine cross-round conditioning: the reweighting law (indicator / X
+    # times prob / P_{j-1}(edge)) drawn by the engine against the exact law
+    inst, P, rows = cross_round_instance()
     tol = F(99, 100)
-    got = nib.exact_cover_distribution(inst, tol, profile=prof)
-    order, outcomes, survival = oracle_distribution(inst, P, tol)
-    assert got.outcomes == outcomes
-    assert got.survival == survival
-    # hand check one branch: if round 1 picked {0}, W = {1, 2}; index 2's
-    # X = (1/2)/(1/2 * 1/2) wait-free: only {2} inside W: X = (1/4)/(1/2) + 1/4
-    X = F(1, 4) / F(1, 2) + F(1, 4)
-    assert abs(X - 1) <= tol  # the drift test passes on this branch
+    _, outcomes, _ = oracle_distribution(inst, P, tol)
+    n_draws = 20_000
+    drawn = engine_outcomes(inst, rows, float(tol), range(n_draws))
+    assert_law(Counter(drawn.values()), outcomes, n_draws, 4)
+    # hand check one branch: if round 1 picked {0}, W = {1, 2}, and only {2}
+    # is inside W: X = (1/4)/(1/2) + 1/4 = 3/4, which passes the drift test
+    assert oracle_X(inst.dist[1], P, 2, {1, 2}) == F(3, 4)
+    assert abs(round_X(inst, {1, 2}, rows[1], j=2)[0] - 0.75) <= 1e-12
 
 
-def test_exact_distribution_taints_on_irrational_targets():
-    # cross-round overlap without an injected profile must refuse, because
-    # the true survival target exp(-1/2) is irrational
-    inst = make_instance(
-        2,
-        [
-            [[({0}, F(1, 2))]],
-            [[({0, 1}, F(1, 2))]],
-        ],
-    )
-    with pytest.raises(ValueError):
-        nib.exact_cover_distribution(inst, F(1, 2))
+def test_oracle_matches_hand_enumeration():
+    # two rounds, no overlap: each round-1 index takes its vertex or nothing
+    # with 1/2 each; round 2 draws {2} or {2, 3} with 1/2 each
+    P, _ = flat_profile(4, [1, 1, 1])
+    _, outcomes, survival = oracle_distribution(two_round_instance(), P, F(6, 10))
+    e = nib.EMPTY
+    a, b, c, cd = (frozenset(s) for s in ({0}, {1}, {2}, {2, 3}))
+    assert outcomes == {(x, y, z): F(1, 8) for x in (a, e) for y in (b, e) for z in (c, cd)}
+    assert survival == {0: F(1, 2), 1: F(1, 2), 2: 0, 3: F(1, 2)}
+    # cross round: round 1 takes {0} or {1}; then W = {1, 2} leaves only {2}
+    # (X = 3/4: {2} with (1/2)/(3/4) = 2/3, nothing with 1/3), and W = {0, 2}
+    # the same
+    inst, P, _ = cross_round_instance()
+    _, outcomes, survival = oracle_distribution(inst, P, F(99, 100))
+    assert outcomes == {(a, c): F(1, 3), (a, e): F(1, 6), (b, c): F(1, 3), (b, e): F(1, 6)}
+    assert survival == {0: F(1, 2), 1: F(1, 2), 2: F(1, 3)}
+    # started from W = {1, 2}: round 1 draws {1} for sure, round 2 as above
+    _, outcomes, survival = oracle_distribution(inst, P, F(99, 100), W={1, 2})
+    assert outcomes == {(b, c): F(2, 3), (b, e): F(1, 3)}
+    assert survival == {0: 0, 1: 0, 2: F(1, 3)}
 
 
 def test_round1_mean_normalization_identity():
     # E[X_i(W)] over the round-1 randomness equals
-    # sum_e P(e_i = e) P(e subset W) / P_0(e), by enumeration
+    # sum_e P(e_i = e) P(e subset W) / P_1(e), with the engine's X per W
     inst = make_instance(
         3,
         [
@@ -394,26 +436,19 @@ def test_round1_mean_normalization_identity():
             [[({0, 1}, F(1, 3)), ({1, 2}, F(1, 3)), ({2}, F(1, 3))]],
         ],
     )
-    P = {}
-    for v in range(3):
-        P[(0, v)] = F(1)
-        P[(1, v)] = F(1, 2)
-        P[(2, v)] = F(1, 4)
-    prof = nib.ExactProfile(2, P)
+    _, rows = flat_profile(3, [1, F(1, 2), F(1, 4)])
 
     # enumerate round-1 outcomes to get the law of W
     w_law = {}
     for e, q in inst.dist[0].atoms:
         W = frozenset({0, 1, 2} - e)
         w_law[W] = w_law.get(W, F(0)) + q
-    mean_X = F(0)
-    for W, q in w_law.items():
-        mean_X += q * nib.exact_law(inst.dist[1], prof, 2, set(W))[2]
+    mean_X = sum(float(q) * round_X(inst, W, rows[1], j=2)[0] for W, q in w_law.items())
     expect = F(0)
     for e, q in inst.dist[1].atoms:
         containment = sum(qq for W, qq in w_law.items() if set(e) <= W)
-        expect += F(q) * containment / prof.P_edge(1, e)
-    assert mean_X == expect
+        expect += F(q) * containment / F(1, 2) ** len(e)
+    assert abs(mean_X - expect) <= 1e-12
 
 
 # -- uniform instances ---------------------------------------------------------------

@@ -3,9 +3,10 @@
 Every PairLaw index can be read as the atom list of the per-anchor
 construction (tests/test_pipeline.py checks that list against a Python
 reference).  Here the closed form's draws, round normalizations and greedy
-choices are checked against those atoms: draws against law_oracle.py's
-exact law, X_p(W) against nibble.DistLaw reading the law's own EdgeDists,
-and greedy against a first-maximum greedy over the rows of PairLaw.atoms.
+choices are checked against those atoms: draws, and X_p(W) in a later
+round, against law_oracle.py's exact law; X_p(W) against nibble.DistLaw
+reading the law's own EdgeDists; and greedy against a first-maximum greedy
+over the rows of PairLaw.atoms.
 Draws of both laws are also checked not to depend on which other block
 positions are drawn with them, or in what order.
 """
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from law_oracle import oracle_distribution
+from law_oracle import oracle_X, oracle_distribution
 
 from gapsieve import nibble as nib
 from gapsieve.pairlaw import PairLaw, correlation
@@ -97,15 +98,17 @@ def test_later_round_draws_match_exact_law():
     inside = np.zeros(len(TINY_Q), dtype=bool)
     inside[list(W)] = True
     P = 0.6
-    prof = nib.ExactProfile(1, {(0, v): F(P) for v in range(len(TINY_Q))})
     Xs, draw = law.round_law([0, 1, 2], inside, np.full(len(TINY_Q), P))
     n_draws = 20_000
     keys = np.arange(n_draws)  # one draw per key
+    prof = {(0, v): F(P) for v in range(len(TINY_Q))}
     for k in range(3):
-        atoms, rem, X = nib.exact_law(law[k], prof, 1, W)
-        assert Xs[k] == pytest.approx(float(X), rel=1e-12)
-        exact = {e: w / X for e, w in atoms}
-        exact[nib.EMPTY] = exact.get(nib.EMPTY, 0) + rem / X
+        one = nib.CoverInstance(n_vertices=len(TINY_Q), rounds=[[0]], dist={0: law[k]},
+                                params=nib.NibbleParams(0.5, 2, 6.0, 1.0, 1e-9))
+        assert Xs[k] == pytest.approx(float(oracle_X(law[k], prof, 1, W)), rel=1e-12)
+        # the law conditioned on W, with no drift test: every X passes tol 2
+        _, outcomes, _ = oracle_distribution(one, prof, F(2), W=W)
+        exact = {picks[0]: q for picks, q in outcomes.items()}
         counts = Counter(draw(np.full(n_draws, k), keys, 1))
         assert_frequencies(counts, exact, n_draws, k)
 
