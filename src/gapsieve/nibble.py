@@ -119,9 +119,6 @@ class _Atoms:
         q = np.broadcast_to(self.probs[:, None], self.members.shape)
         return np.bincount(self.members[present], weights=q[present], minlength=n_vertices)
 
-    def edge(self, k) -> frozenset:
-        return self.edges[k] if k < len(self.edges) else EMPTY
-
 
 class DistLaw(EdgeLaw):
     """{index: EdgeDist} as the engine reads it.
@@ -194,8 +191,9 @@ class DistLaw(EdgeLaw):
         A draw reads index i's cumulative weights at uniforms(key, j, i) X."""
         inside = np.append(inside, True)  # what a missing member (-1) reads
         P = np.append(P, 1.0)
-        cache = {}  # _Atoms -> (itself, in-W atoms, cumulative weights, X)
-        laws = []
+        cache = {}  # _Atoms -> its position in laws
+        laws = []  # per distinct object: (itself, in-W atoms, cumulative weights, X)
+        law_of = []  # per block position: its object's position in laws
         for a in map(self.atoms, block):
             if a not in cache:
                 sel = np.flatnonzero(a.fold(np.logical_and, inside))
@@ -203,21 +201,30 @@ class DistLaw(EdgeLaw):
                 with np.errstate(divide="ignore", over="ignore"):
                     w = np.divide(q, a.fold(np.multiply, P)[sel],
                                   out=np.zeros_like(q), where=q > 0)
-                cache[a] = (a, sel, np.cumsum(w), math.fsum(w.tolist()) + max(0.0, 1 - a.total))
-            laws.append(cache[a])
+                cache[a] = len(laws)
+                laws.append((a, sel, np.cumsum(w), math.fsum(w.tolist()) + max(0.0, 1 - a.total)))
+            law_of.append(cache[a])
+        law_of = np.array(law_of, dtype=np.int64)
 
         ids = np.array([int(i) & _UINT64 for i in block], dtype=np.uint64)  # ids mod 2^64
 
         def draw(ks, key, j):
+            """One searchsorted per distinct object, over all its positions."""
             ks = np.asarray(ks, dtype=np.int64)
-            edges = []
-            for k, u in zip(ks.tolist(), uniforms(key, j, ids[ks]).tolist()):
-                a, sel, cum, X = laws[k]
-                pos = int(np.searchsorted(cum, u * X, side="right"))
-                edges.append(a.edge(int(sel[pos])) if pos < len(sel) else EMPTY)
+            u = uniforms(key, j, ids[ks])
+            edges = [EMPTY] * len(ks)
+            d = law_of[ks]
+            by_law = np.argsort(d, kind="stable")
+            for at in np.split(by_law, np.flatnonzero(np.diff(d[by_law])) + 1):
+                if len(at):
+                    a, sel, cum, X = laws[d[at[0]]]
+                    pos = np.searchsorted(cum, u[at] * X, side="right")
+                    hit = pos < len(sel)
+                    for i, k in zip(at[hit].tolist(), sel[pos[hit]].tolist()):
+                        edges[i] = a.edges[k]
             return edges
 
-        return np.array([X for *_, X in laws]), draw
+        return np.array([X for *_, X in laws])[law_of], draw
 
 
 @dataclass

@@ -163,7 +163,8 @@ def stage1_zero_classes(cfg: StagedConfig) -> ResidueSystem:
     """Class 0 mod p for very small primes p <= v and medium z < p <= x/2."""
     th = thresholds(cfg)
     primes = sieve_interval(2, cfg.x // 2)
-    return ResidueSystem(dict.fromkeys(primes[(primes <= th.v) | (primes > th.z)].tolist(), 0))
+    primes = primes[(primes <= th.v) | (primes > th.z)]
+    return ResidueSystem(moduli=primes, classes=np.zeros_like(primes))
 
 
 def stage2_random_small(cfg: StagedConfig) -> ResidueSystem:
@@ -363,7 +364,7 @@ def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
             required_C_extra=cfg.C_extra * needed_ratio * 1.5,
         )
     fresh = np.concatenate(blocks)[: len(residual)]
-    return ResidueSystem(dict(zip(fresh.tolist(), (residual % fresh).tolist())))
+    return ResidueSystem(moduli=fresh, classes=residual % fresh)
 
 
 # -- orchestration ---------------------------------------------------------------
@@ -413,7 +414,7 @@ def run_pipeline(cfg: StagedConfig):
     s1 = stage1_zero_classes(cfg)
     s2 = stage2_random_small(cfg)
     sys12 = s1.merged(s2)
-    small = sorted(s2.entries)
+    small = s2.moduli.tolist()
     sigma = sigma_of(small)
 
     split = survivors_after_small(cfg, s1, s2)

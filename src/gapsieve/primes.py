@@ -99,17 +99,21 @@ def prime_mask(values) -> np.ndarray:
     candidate up to isqrt(hi) per segment, is within 2**20 plus 64 per
     value, so time and memory stay linear in the number of values.
     """
-    values = list(map(int, values))
-    if not values:
+    try:
+        values = np.asarray(values, dtype=np.int64)  # an int64 array is read in place
+    except OverflowError:  # beyond int64: each value by is_prime
+        values = list(map(int, values))
+        return np.fromiter(map(is_prime, values), dtype=bool, count=len(values))
+    if not len(values):
         return np.zeros(0, dtype=bool)
-    lo, hi = min(values), max(values)
+    lo, hi = int(values.min()), int(values.max())
     span = hi - lo + 1
     segments = -(-span // SEGMENT_SIZE)
     if span + 64 * isqrt(max(hi, 0)) * segments > SEGMENT_SIZE + 64 * len(values):
-        return np.fromiter((is_prime(v) for v in values), dtype=bool, count=len(values))
+        return np.fromiter(map(is_prime, values.tolist()), dtype=bool, count=len(values))
     table = np.zeros(span, dtype=bool)
     table[sieve_interval(lo, hi) - lo] = True
-    return table[np.array(values, dtype=np.int64) - lo]
+    return table[values - lo]
 
 
 def is_admissible(offsets: tuple) -> bool:

@@ -8,8 +8,11 @@ consecutive composites.
 """
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,29 +30,68 @@ class CoverageError(Exception):
         super().__init__(f"position {position} is not covered by any class")
 
 
-@dataclass(frozen=True)
 class ResidueSystem:
-    """Map prime -> chosen residue class a_p in [0, p)."""
+    """One residue class a_p in [0, p) per prime p, as two arrays sorted by p.
 
-    entries: dict = field(default_factory=dict)
+    `moduli` and `classes` are int64 when every value fits and otherwise
+    object arrays of Python ints; both are read-only.  Build one from a
+    mapping {p: a_p} or from moduli= and classes= sequences in any order.
+    """
+
+    __slots__ = ("moduli", "classes")
+    __hash__ = None
+
+    def __init__(self, entries=None, *, moduli=None, classes=None):
+        if entries is not None:
+            if moduli is not None or classes is not None:
+                raise TypeError("give a mapping or moduli= and classes=, not both")
+            moduli, classes = list(entries), list(entries.values())
+        elif (moduli is None) != (classes is None):
+            raise TypeError("moduli= and classes= go together")
+        elif moduli is None:
+            moduli = classes = ()
+        try:
+            p = np.array(moduli, dtype=np.int64)
+            a = np.array(classes, dtype=np.int64)
+        except OverflowError:  # a value beyond int64
+            p = _object_array(moduli)
+            a = _object_array(classes)
+        if p.ndim != 1 or p.shape != a.shape:
+            raise ValueError("moduli and classes must be two sequences of one length")
+        _set_sorted(self, p, a)
+        self.__post_init__()
 
     def __post_init__(self):
-        moduli = list(self.entries)
-        composite = np.flatnonzero(~prime_mask(moduli))
+        """The one proof: every modulus prime, every class in [0, p).
+        Sorting the moduli has already refused a modulus twice.  (Named as
+        a dataclass hook so that perfbench/tracing.py can time it.)"""
+        p, a = self.moduli, self.classes
+        composite = np.flatnonzero(~prime_mask(p))
         if len(composite):
-            raise ValueError(f"modulus {moduli[composite[0]]} is not prime")
-        try:
-            p = np.fromiter(self.entries, np.int64, len(moduli))
-            a = np.fromiter(self.entries.values(), np.int64, len(moduli))
-            bad = np.flatnonzero((a < 0) | (a >= p))
-        except OverflowError:  # a class beyond int64
-            bad = [i for i, (p, a) in enumerate(self.entries.items()) if not 0 <= a < p]
+            raise ValueError(f"modulus {p[composite[0]]} is not prime")
+        bad = np.flatnonzero((a < 0) | (a >= p))
         if len(bad):
-            first = moduli[bad[0]]
-            raise ValueError(f"residue {self.entries[first]} out of range for modulus {first}")
+            raise ValueError(f"residue {a[bad[0]]} out of range for modulus {p[bad[0]]}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ResidueSystem is immutable")
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.moduli)
+
+    def __eq__(self, other):
+        if not isinstance(other, ResidueSystem):
+            return NotImplemented
+        return (np.array_equal(self.moduli, other.moduli)
+                and np.array_equal(self.classes, other.classes))
+
+    def __repr__(self):
+        return f"ResidueSystem(moduli={self.moduli.tolist()}, classes={self.classes.tolist()})"
+
+    @property
+    def entries(self):
+        """A read-only {p: a_p} view, built from the arrays on each read."""
+        return MappingProxyType(dict(zip(self.moduli.tolist(), self.classes.tolist())))
 
     def merged(self, other: "ResidueSystem") -> "ResidueSystem":
         """Union of two systems over disjoint prime sets.
@@ -57,12 +99,28 @@ class ResidueSystem:
         Both parts were checked when they were built, so the union skips
         the constructor's proof of every modulus.
         """
-        overlap = self.entries.keys() & other.entries.keys()
-        if overlap:
-            raise ValueError(f"moduli assigned twice: {sorted(overlap)}")
         union = object.__new__(ResidueSystem)
-        object.__setattr__(union, "entries", {**self.entries, **other.entries})
+        _set_sorted(union, np.concatenate((self.moduli, other.moduli)),
+                    np.concatenate((self.classes, other.classes)))
         return union
+
+
+def _object_array(values):
+    out = np.empty(len(values), dtype=object)
+    out[:] = [int(v) for v in values]
+    return out
+
+
+def _set_sorted(sys, p, a):
+    """Store p and a on sys sorted by p (stable), refusing a modulus twice."""
+    order = np.argsort(p, kind="stable")
+    p, a = p[order], a[order]
+    twice = p[1:][p[1:] == p[:-1]]
+    if len(twice):
+        raise ValueError(f"moduli assigned twice: {sorted(set(twice.tolist()))}")
+    p.flags.writeable = a.flags.writeable = False
+    object.__setattr__(sys, "moduli", p)
+    object.__setattr__(sys, "classes", a)
 
 
 @dataclass
@@ -91,14 +149,14 @@ def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval
     and is cleared in place, so sifting two systems in turn gives the bits
     of their union.
 
-    Classes are read SIFT_CHUNK // 64 at a time into int64 arrays, so the
-    memory beyond the bits stays bounded whatever the system's size.  With
+    Classes are sliced SIFT_CHUNK // 64 at a time from the int64 arrays, so
+    the memory beyond the bits stays bounded whatever the system's size.  With
     n = hi - lo + 1 positions, a modulus p < n/64 clears its more than 64
     hits with one strided slice; every other modulus hits at most 64
     positions, which are computed in numpy and cleared with one scatter of
-    at most SIFT_CHUNK positions per read.  The bits are exact for any
-    Python ints: when a class or lo does not fit int64, every class takes
-    the strided slice, in Python ints.
+    at most SIFT_CHUNK positions per slice.  The bits are exact for any
+    Python ints: when the system is held in object arrays or lo does not
+    fit int64, every class takes the strided slice, in Python ints.
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
@@ -109,18 +167,14 @@ def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval
         flags = survivors
     else:
         raise ValueError(f"survivors hold {len(survivors)} bits, not {n}")
-    entries = sys.entries
-    if -(2**63) <= lo < 2**63:  # numpy < 2 would cast a larger lo rather than raise
-        keys, values = iter(entries), iter(entries.values())
-        try:
-            for left in range(len(entries), 0, -(SIFT_CHUNK // 64)):
-                count = min(left, SIFT_CHUNK // 64)
-                _clear(flags, lo, np.fromiter(keys, np.int64, count),
-                       np.fromiter(values, np.int64, count))
-            return SiftedInterval(lo=lo, hi=hi, survivors=flags)
-        except OverflowError:  # a class beyond int64; clearing a bit twice is harmless
-            pass
-    for p, a in entries.items():
+    moduli, classes = sys.moduli, sys.classes
+    # a lo beyond int64 would overflow the kernel's int64 arithmetic
+    if moduli.dtype == np.int64 and -(2**63) <= lo < 2**63:
+        step = SIFT_CHUNK // 64
+        for i in range(0, len(moduli), step):
+            _clear(flags, lo, moduli[i : i + step], classes[i : i + step])
+        return SiftedInterval(lo=lo, hi=hi, survivors=flags)
+    for p, a in zip(moduli.tolist(), classes.tolist()):
         flags[(a - lo) % p :: p] = False
     return SiftedInterval(lo=lo, hi=hi, survivors=flags)
 
@@ -212,26 +266,24 @@ def assemble_gap(sys: ResidueSystem, x: int) -> GapCertificate:
     (x, x + P(x)].  Every m + t for t in [1, run_length] is certified
     composite by exhibiting a witness divisor.
     """
-    for p in sys.entries:
-        if p > x:
-            raise ValueError(f"modulus {p} exceeds x = {x}")
+    moduli, classes = sys.moduli.tolist(), sys.classes.tolist()
+    beyond = bisect_right(moduli, x)
+    if beyond < len(moduli):
+        raise ValueError(f"modulus {moduli[beyond]} exceeds x = {x}")
     y = covered_prefix_length(sys)
-    residue, modulus = crt_combine(
-        [((-a) % p, p) for p, a in sorted(sys.entries.items())]
-    )
+    residue, modulus = crt_combine([((-a) % p, p) for p, a in zip(moduli, classes)])
     # smallest m > x in the CRT class
     m = x + 1 + (residue - (x + 1)) % modulus
-    witnesses = []
+    # p | m + t iff t = a_p (mod p); written largest modulus first, so the
+    # smallest modulus dividing m + t is the one left at t
+    witness = [0] * (y + 1)
+    for p, a in zip(reversed(moduli), reversed(classes)):
+        start = a or p
+        witness[start::p] = [p] * len(range(start, y + 1, p))
     for t in range(1, y + 1):
-        for p, a in sys.entries.items():
-            if (m + t) % p == 0:
-                if m + t <= p:
-                    raise CoverageError(t)
-                witnesses.append((t, p))
-                break
-        else:
+        if not witness[t] or m + t <= witness[t]:
             raise CoverageError(t)
-    return GapCertificate(m=m, run_length=y, witnesses=tuple(witnesses))
+    return GapCertificate(m=m, run_length=y, witnesses=tuple(enumerate(witness))[1:])
 
 
 # -- residue-system file format ---------------------------------------------
@@ -247,8 +299,35 @@ def system_to_json(x: int, sys: ResidueSystem, interval=None) -> str:
     head = f'{{"x":{int(x)}'
     if interval is not None:
         head += f',"interval":[{int(interval[0])},{int(interval[1])}]'
-    classes = ",".join(f"[{p},{a}]" for p, a in sorted(sys.entries.items()))
-    return f'{head},"classes":[{classes}]}}\n'
+    return f'{head},"classes":[{_classes_text(sys.moduli, sys.classes)}]}}\n'
+
+
+def _classes_text(p, a) -> str:
+    """'[p,a],[p,a],...' in array order.
+
+    int64 classes are written by one numpy kernel: the bytes '[', W digits
+    of p, ',', W digits of a, ']', ',' of each class (W the width of the
+    largest modulus, which a < p fits too) fill one byte column each of an
+    n x (2W + 4) matrix, from W rounds of % 10 and // 10 per number, and
+    one boolean gather drops the leading zeros.  Object arrays are joined
+    class by class.
+    """
+    if p.dtype != np.int64:
+        return ",".join(f"[{q},{b}]" for q, b in zip(p.tolist(), a.tolist()))
+    if not len(p):
+        return ""
+    w = len(str(int(p[-1])))
+    cols = np.empty((2 * w + 4, len(p)), dtype=np.uint8)  # the matrix, transposed
+    keep = np.ones(cols.shape, dtype=bool)
+    cols[[0, w + 1, 2 * w + 2, 2 * w + 3]] = np.frombuffer(b"[,],", dtype=np.uint8)[:, None]
+    for col, v in ((1, p), (w + 2, a)):
+        for k in range(col + w - 1, col - 1, -1):  # last digit first
+            keep[k] = v > 0  # else a leading zero, unless it is the last digit
+            q = v // 10
+            cols[k] = v - 10 * q + ord("0")
+            v = q
+        keep[col + w - 1] = True
+    return cols.T[keep.T][:-1].tobytes().decode("ascii")
 
 
 def _is_int(v) -> bool:
@@ -269,16 +348,13 @@ def system_from_json(text: str):
                 and all(map(_is_int, interval)) and interval[0] <= interval[1]):
             raise ValueError("\"interval\" must be [lo, hi] with integers lo <= hi")
         interval = tuple(interval)
-    if not isinstance(classes, list) or not all(
-        isinstance(c, list) and len(c) == 2 and all(map(_is_int, c)) for c in classes
-    ):
+    # json.loads gives plain lists and ints, and bool is not int, so the
+    # types are checked as sets, one pass over the pairs and one over the values
+    if not (isinstance(classes, list) and set(map(type, classes)) <= {list}
+            and set(map(len, classes)) <= {2}
+            and set(map(type, flat := list(chain.from_iterable(classes)))) <= {int}):
         raise ValueError("\"classes\" must be a list of [p, a] integer pairs")
-    entries = {}
-    for p, a in classes:
-        if p in entries:
-            raise ValueError(f"duplicate modulus {p}")
-        entries[p] = a
-    return x, ResidueSystem(entries), interval
+    return x, ResidueSystem(moduli=flat[::2], classes=flat[1::2]), interval
 
 
 def write_system_file(path, x: int, sys: ResidueSystem, interval=None) -> None:

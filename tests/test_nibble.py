@@ -19,7 +19,7 @@ import pytest
 from law_oracle import oracle_X, oracle_distribution
 
 from gapsieve import nibble as nib
-from gapsieve.rng import stream, stream_seed
+from gapsieve.rng import stream, stream_seed, uniforms
 
 F = Fraction
 
@@ -297,6 +297,58 @@ def test_round_empirical_frequencies_match_law():
         for picks, q in outcomes.items():
             marginal[picks[k]] += q
         assert_law(Counter(drawn[k]), marginal, n_draws, 3)
+
+
+def per_position_draws(inst, block, inside, P, ks, keys, j):
+    """The draws one position at a time: each index's in-W atoms weighted
+    q / P(e), their running sum read at u X with one searchsorted per
+    position.  Kept as the reference for the engine's one searchsorted per
+    distinct law."""
+    laws = {}
+    for i in set(block):
+        atoms = inst.dist[i].atoms
+        sel = [n for n, (e, _) in enumerate(atoms) if all(inside[v] for v in e)]
+        w = [float(atoms[n][1]) / math.prod(P[v] for v in sorted(atoms[n][0]))
+             if atoms[n][1] > 0 else 0.0 for n in sel]
+        X = math.fsum(w) + max(0.0, 1 - sum(float(q) for _, q in atoms))
+        laws[i] = [frozenset(atoms[n][0]) for n in sel], np.cumsum(w), X
+    ids = np.array(block, dtype=np.uint64)[ks]
+    edges = []
+    for i, u in zip(ids.tolist(), uniforms(keys, j, ids).tolist()):
+        chosen, cum, X = laws[i]
+        pos = int(np.searchsorted(cum, u * X, side="right"))
+        edges.append(chosen[pos] if pos < len(chosen) else nib.EMPTY)
+    return edges
+
+
+@pytest.mark.parametrize("inside, P", [
+    ([True, True, True], [1.0, 1.0, 1.0]),
+    ([True, False, True], [0.5, 0.25, 0.8]),
+])
+def test_round_draws_match_per_position_reference(inside, P):
+    # the instance of test_round_empirical_frequencies_match_law plus a third
+    # index sharing index 0's EdgeDist object; positions of all three laws
+    # come interleaved and repeated, as nibble_round never asks but a caller may
+    inst = make_instance(
+        3,
+        [[
+            [({0, 1}, F(1, 2)), ({2}, F(1, 4))],
+            [({1}, F(1, 3)), ({2}, F(1, 3)), ({0, 2}, F(1, 3))],
+        ]],
+    )
+    inst.dist[2] = inst.dist[0]
+    inst.rounds[0].append(2)
+    block = inst.rounds[0]
+    inside, P = np.array(inside), np.array(P)
+    _, draw = inst.law.round_law(block, inside, P)
+    ks = np.random.default_rng(3).integers(0, 3, 3000)
+    for key in (0, 1, 2**40):
+        assert draw(ks, key, 2) == per_position_draws(inst, block, inside, P, ks, key, 2)
+    assert draw(np.zeros(0, dtype=np.int64), 0, 1) == []
+    keys = np.arange(100_000)  # the keys of test_round_empirical_frequencies_match_law
+    for k in (0, 1):
+        ks = np.full(len(keys), k)
+        assert draw(ks, keys, 1) == per_position_draws(inst, block, inside, P, ks, keys, 1)
 
 
 # -- run_cover ----------------------------------------------------------------------

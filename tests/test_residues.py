@@ -66,6 +66,113 @@ def test_merged_equals_the_checked_constructor(monkeypatch):
         ResidueSystem({**union.entries, 53: 53})
 
 
+# primes and composites of every size class: int64 and beyond, below and
+# inside the span of the others
+ROUTE_MODULI = [2, 3, 5, 7, 11, 13, 4, 9, 561, 7919, 2**61 - 1, 2**61 + 1,
+                2**63 + 29, 2**89 - 1, 2**89 + 1]
+
+
+def expected_fault(pairs):
+    """The message the constructor gives for (p, a) pairs, or None: a
+    modulus twice, else the smallest composite modulus, else the class of
+    the smallest modulus that is out of range."""
+    moduli = [p for p, _ in pairs]
+    twice = sorted({p for p in moduli if moduli.count(p) > 1})
+    if twice:
+        return f"moduli assigned twice: {twice}"
+    for p, a in sorted(pairs):
+        if p in (4, 9, 561, 2**61 + 1, 2**89 + 1):
+            return f"modulus {p} is not prime"
+    for p, a in sorted(pairs):
+        if not 0 <= a < p:
+            return f"residue {a} out of range for modulus {p}"
+    return None
+
+
+def built(make):
+    """(system, None) or (None, the ValueError message)."""
+    try:
+        return make(), None
+    except ValueError as err:
+        return None, str(err)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mapping_arrays_and_merged_build_equal_systems(data):
+    moduli = data.draw(st.lists(st.sampled_from(ROUTE_MODULI), max_size=8))
+    pairs = [(p, data.draw(st.one_of(st.integers(0, p - 1), st.sampled_from([-1, p, p + 2**64]))))
+             for p in moduli]
+    message = expected_fault(pairs)
+    classes = [a for _, a in pairs]
+    fits = all(-(2**63) <= v < 2**63 for v in moduli + classes)
+    arrays, err = built(lambda: ResidueSystem(moduli=moduli, classes=classes))
+    assert err == message
+    if message is None:
+        assert arrays.moduli.dtype == arrays.classes.dtype == (np.int64 if fits else object)
+        assert arrays.moduli.tolist() == sorted(moduli)
+        assert arrays.entries == dict(pairs)
+    if len(set(moduli)) == len(moduli):
+        mapping, err = built(lambda: ResidueSystem(dict(pairs)))
+        assert err == message and mapping == arrays
+    if fits:  # int64 arrays in
+        as_int64, err = built(lambda: ResidueSystem(moduli=np.array(moduli, dtype=np.int64),
+                                                    classes=np.array(classes, dtype=np.int64)))
+        assert err == message and as_int64 == arrays
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_merged_matches_the_constructor_on_valid_parts(data):
+    moduli = data.draw(st.lists(st.sampled_from([p for p in ROUTE_MODULI
+                                                 if expected_fault([(p, 0)]) is None]),
+                                max_size=8))
+    pairs = [(p, data.draw(st.integers(0, p - 1))) for p in moduli]
+    cut = data.draw(st.integers(0, len(pairs)))
+    left, right = pairs[:cut], pairs[cut:]
+    if len({p for p, _ in left}) < len(left) or len({p for p, _ in right}) < len(right):
+        return  # each part must be a valid system on its own
+    a = ResidueSystem(moduli=[p for p, _ in left], classes=[c for _, c in left])
+    b = ResidueSystem(moduli=[p for p, _ in right], classes=[c for _, c in right])
+    whole, err = built(lambda: ResidueSystem(moduli=moduli, classes=[c for _, c in pairs]))
+    union, merge_err = built(lambda: a.merged(b))
+    assert merge_err == err == expected_fault(pairs)
+    if err is None:
+        assert union == whole
+        assert union.moduli.dtype == whole.moduli.dtype
+        assert b.merged(a) == whole
+
+
+def test_residue_system_equality_and_view():
+    a = ResidueSystem({3: 1, 2: 0})
+    assert a == ResidueSystem(moduli=[2, 3], classes=[0, 1])
+    assert a == ResidueSystem(moduli=np.array([3, 2]), classes=np.array([1, 0]))
+    assert a != ResidueSystem({2: 0, 3: 2}) and a != ResidueSystem({2: 0})
+    assert a != {2: 0, 3: 1}  # a system is not its mapping
+    # dtype-agnostic: the same classes held as Python ints compare equal
+    wide = ResidueSystem({2: 0, 3: 1, 2**89 - 1: 5})
+    assert wide.moduli.dtype == object
+    assert ResidueSystem({2: 0, 3: 1}).merged(ResidueSystem({2**89 - 1: 5})) == wide
+    assert ResidueSystem(moduli=np.array([2, 3], dtype=object),
+                         classes=np.array([0, 1], dtype=object)) == a
+    with pytest.raises(TypeError):
+        hash(a)
+    assert list(a.entries.items()) == [(2, 0), (3, 1)]  # sorted by modulus
+    with pytest.raises(TypeError):
+        a.entries[5] = 1
+    with pytest.raises(AttributeError):
+        a.moduli = np.array([5])
+    with pytest.raises(ValueError):
+        a.moduli[0] = 5
+    with pytest.raises(TypeError):
+        ResidueSystem({2: 0}, moduli=[2], classes=[0])
+    with pytest.raises(TypeError):
+        ResidueSystem(moduli=[2])
+    with pytest.raises(ValueError, match="one length"):
+        ResidueSystem(moduli=[2, 3], classes=[0])
+    assert len(ResidueSystem()) == 0 and ResidueSystem() == ResidueSystem({})
+
+
 def test_sift_examples():
     assert sift(ResidueSystem({2: 0}), 1, 10).survivor_list() == [1, 3, 5, 7, 9]
     assert sift(ResidueSystem({2: 1, 3: 0}), 1, 10).survivor_list() == [2, 4, 8, 10]
@@ -112,7 +219,10 @@ def test_sift_kernel_matches_naive_double_loop(data):
     chunk = data.draw(st.sampled_from([64, residues.SIFT_CHUNK]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residues, "SIFT_CHUNK", chunk)
-        got = sift(ResidueSystem(entries), lo, hi)
+        system = ResidueSystem(entries)
+        # a modulus beyond int64 holds the system in object arrays
+        assert (system.moduli.dtype == object) == any(p >= 2**63 for p in entries)
+        got = sift(system, lo, hi)
         # the same bits from two halves of the system, the second cleared in place
         half = dict(list(entries.items())[: len(entries) // 2])
         rest = {p: a for p, a in entries.items() if p not in half}
@@ -272,6 +382,50 @@ def test_full_gap_realization_x13():
     assert above - below >= 22
 
 
+def per_position_gap(sys, x):
+    """The assembly one position at a time: for each t in [1, y], the first
+    class in modulus order that divides m + t.  Kept as the reference for
+    assemble_gap's one strided pass over the classes."""
+    entries = sorted(sys.entries.items())
+    for p, _ in entries:
+        if p > x:
+            raise ValueError(f"modulus {p} exceeds x = {x}")
+    y = covered_prefix_length(sys)
+    residue, modulus = crt_combine([((-a) % p, p) for p, a in entries])
+    m = x + 1 + (residue - (x + 1)) % modulus
+    witnesses = []
+    for t in range(1, y + 1):
+        for p, _ in entries:
+            if (m + t) % p == 0:
+                if m + t <= p:
+                    raise CoverageError(t)
+                witnesses.append((t, p))
+                break
+        else:
+            raise CoverageError(t)
+    return residues.GapCertificate(m=m, run_length=y, witnesses=tuple(witnesses))
+
+
+def test_assemble_gap_matches_per_position_reference():
+    for x in range(2, 18):  # the exact_Y witnesses
+        witness = exact_Y(x).witness
+        assert assemble_gap(witness, x) == per_position_gap(witness, x)
+    rng = random.Random(12)
+    shared = 0  # covered positions that more than one modulus divides
+    for _ in range(300):  # hand-built systems
+        x = rng.choice(SMALL_PRIMES[3:])
+        primes = [p for p in SMALL_PRIMES if p <= x]
+        chosen = rng.sample(primes, rng.randrange(len(primes) + 1))
+        entries = {p: rng.choice([0, 1, p - 1, rng.randrange(p)]) for p in chosen}
+        cert = assemble_gap(ResidueSystem(entries), x)
+        assert cert == per_position_gap(ResidueSystem(entries), x)
+        shared += sum(sum(t % p == a for p, a in entries.items()) > 1
+                      for t in range(1, cert.run_length + 1))
+    assert shared > 100
+    with pytest.raises(ValueError, match="modulus 7 exceeds x = 5$"):
+        assemble_gap(ResidueSystem({2: 1, 7: 3, 11: 0}), 5)
+
+
 def test_system_file_roundtrip():
     sys = ResidueSystem({2: 1, 3: 2, 13: 5})
     text = system_to_json(13, sys)
@@ -302,6 +456,45 @@ def test_system_file_bytes_equal_json_dumps():
                 ResidueSystem({p: rng.randrange(p) for p in rng.sample(primes, 300)})):
         for interval in (None, (14, 20), (10**6 + 1, 5_250_000)):
             assert system_to_json(10**6, sys, interval) == dumps(10**6, sys, interval)
+
+
+def fstring_json(x, sys, interval=None):
+    """The writer before the numpy kernel: one f-string per class, joined.
+    Kept as the byte reference for system_to_json."""
+    head = f'{{"x":{int(x)}'
+    if interval is not None:
+        head += f',"interval":[{int(interval[0])},{int(interval[1])}]'
+    classes = ",".join(f"[{p},{a}]" for p, a in sorted(sys.entries.items()))
+    return f'{head},"classes":[{classes}]}}\n'
+
+
+def test_system_to_json_matches_the_fstring_join():
+    # digit-width boundaries 9/10, 99/100 and 999999/1000003, with classes
+    # 0, p - 1 and classes one digit shorter than their modulus
+    systems = [
+        {},
+        {2: 0},
+        {7: 6, 11: 0},
+        {7: 0, 11: 9, 97: 96, 101: 99},
+        {97: 0, 101: 100, 999983: 999982, 1000003: 999999},
+        {999983: 0, 1000003: 1000002},
+        {1000003: 0},
+        {2**61 - 1: 2**61 - 2},  # int64, 19 digits
+        {2**61 - 1: 0, 2: 1},
+        {3: 2, 2**61 - 1: 5, 2**63 + 29: 2**63 + 28, 2**89 - 1: 0},  # object arrays
+        {2**63 + 29: 7},
+        {2**89 - 1: 2**89 - 2, 5: 0},
+    ]
+    rng = random.Random(6)
+    primes = sieve_interval(2, 2_000_000).tolist()
+    systems.append({p: rng.randrange(p) for p in rng.sample(primes, 5000)})
+    for entries in systems:
+        sys = ResidueSystem(entries)
+        assert (sys.moduli.dtype == object) == any(p >= 2**63 for p in entries)
+        for interval in (None, (14, 20)):
+            text = system_to_json(10**6, sys, interval)
+            assert text == fstring_json(10**6, sys, interval)
+            assert system_from_json(text)[1] == sys
 
 
 def test_system_file_rejects_bad_documents():
