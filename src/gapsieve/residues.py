@@ -42,6 +42,13 @@ class ResidueSystem:
     __hash__ = None
 
     def __init__(self, entries=None, *, moduli=None, classes=None):
+        self.__post_init__(entries, moduli, classes)
+
+    def __post_init__(self, entries, moduli, classes):
+        """All of construction: the arrays, sorted by modulus with a modulus
+        given twice refused, and the one proof that every modulus is prime
+        and every class in [0, p).  (Named as a dataclass hook so that
+        perfbench/tracing.py times the whole of it.)"""
         if entries is not None:
             if moduli is not None or classes is not None:
                 raise TypeError("give a mapping or moduli= and classes=, not both")
@@ -59,12 +66,6 @@ class ResidueSystem:
         if p.ndim != 1 or p.shape != a.shape:
             raise ValueError("moduli and classes must be two sequences of one length")
         _set_sorted(self, p, a)
-        self.__post_init__()
-
-    def __post_init__(self):
-        """The one proof: every modulus prime, every class in [0, p).
-        Sorting the moduli has already refused a modulus twice.  (Named as
-        a dataclass hook so that perfbench/tracing.py can time it.)"""
         p, a = self.moduli, self.classes
         composite = np.flatnonzero(~prime_mask(p))
         if len(composite):
@@ -305,15 +306,13 @@ def system_to_json(x: int, sys: ResidueSystem, interval=None) -> str:
 def _classes_text(p, a) -> str:
     """'[p,a],[p,a],...' in array order.
 
-    int64 classes are written by one numpy kernel: the bytes '[', W digits
-    of p, ',', W digits of a, ']', ',' of each class (W the width of the
-    largest modulus, which a < p fits too) fill one byte column each of an
+    One numpy kernel writes them: the bytes '[', W digits of p, ',', W
+    digits of a, ']', ',' of each class (W the width of the largest
+    modulus, which a < p fits too) fill one byte column each of an
     n x (2W + 4) matrix, from W rounds of % 10 and // 10 per number, and
-    one boolean gather drops the leading zeros.  Object arrays are joined
-    class by class.
+    one boolean gather drops the leading zeros.  The same arithmetic runs
+    on int64 and on object arrays of Python ints.
     """
-    if p.dtype != np.int64:
-        return ",".join(f"[{q},{b}]" for q, b in zip(p.tolist(), a.tolist()))
     if not len(p):
         return ""
     w = len(str(int(p[-1])))
