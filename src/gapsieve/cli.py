@@ -193,7 +193,7 @@ def cmd_nibble_bench(args) -> int:
     lines = ["seed,leftover,edges_used"]
     for seed in range(args.seeds):
         result = nib.run_cover(inst, stream_seed(seed, "nibble-bench"), tol=args.tol)
-        used = sum(1 for e in result.chosen.values() if e)
+        used = int((result.rows >= 0).any(axis=1).sum())
         lines.append(f"{seed},{len(result.leftover)},{used}")
         if seed == 0:
             stats_run = result

@@ -40,7 +40,6 @@ class NibbleParams:
     kappa: float
 
 
-EMPTY = frozenset()
 _UINT64 = (1 << 64) - 1
 
 
@@ -69,9 +68,11 @@ class EdgeLaw:
     - round_law(block, inside, P): X_i(W) for each index of a round, as an
       array, and a draw(ks, key, j) that returns one edge for each block
       position in ks, from the law of that index conditioned on W and
-      reweighted by 1/P(e).  Its uniforms are rng.uniforms(key, j, i, ...)
-      for index id i, so an index draws the same edge whichever other
-      positions are drawn with it;
+      reweighted by 1/P(e).  The edges are the rows of an int64 matrix:
+      member ids padded with -1, a row of -1 alone being the empty edge.
+      Its uniforms are rng.uniforms(key, j, i, ...) for index id i, so an
+      index draws the same edge whichever other positions are drawn with
+      it;
     - extremes(block): over a round, the largest edge, the largest
       P(v in e_i) and the largest sum over the round of P(u, v in e_i),
       which the hypothesis check reads.
@@ -80,21 +81,20 @@ class EdgeLaw:
     building any EdgeDist.
     Stage 3's independent method draws from round_law's first round
     (W = V, P = 1), which is the raw law; its greedy method is
-    pairlaw.PairLaw.greedy.
+    pairlaw.PairLaw.greedy, which returns rows in the same form.
     """
 
 
 class _Atoms:
     """One EdgeDist read into arrays: a row of sorted member ids per atom
     (-1 for a missing member), the atom probabilities as floats and their
-    total, summed in atom order.  It keeps the EdgeDist,
-    whose own frozensets the draws return, and the index it was first read
-    for, which errors name."""
+    total, summed in atom order.  It keeps the EdgeDist, so that its id
+    names it while the law lives, and the index it was first read for,
+    which errors name."""
 
     def __init__(self, dist: EdgeDist, i, n_vertices: int):
         self.dist, self.index = dist, i
-        self.edges = [frozenset(e) for e, _ in dist.atoms]
-        rows = [sorted(e) for e in self.edges]
+        rows = [sorted(e) for e, _ in dist.atoms]
         for row in rows:
             if row and not (0 <= row[0] and row[-1] < n_vertices):
                 v = next(v for v in row if not 0 <= v < n_vertices)
@@ -174,7 +174,7 @@ class DistLaw(EdgeLaw):
         object; a pair's weights are summed in object and then atom order."""
         size, vertex, keys, weights = 0, 0.0, [np.zeros(0, np.int64)], [np.zeros(0)]
         for a, cnt in Counter(map(self.atoms, block)).items():
-            size = max(size, max(map(len, a.edges), default=0))
+            size = max(size, int((a.members >= 0).sum(axis=1).max(initial=0)))
             vertex = max(vertex, float(a.vertex_mass(0).max(initial=0.0)))
             c1, c2 = np.triu_indices(a.members.shape[1], 1)
             both = a.members[:, c2] >= 0  # a row is sorted ids, then -1s
@@ -207,12 +207,14 @@ class DistLaw(EdgeLaw):
         law_of = np.array(law_of, dtype=np.int64)
 
         ids = np.array([int(i) & _UINT64 for i in block], dtype=np.uint64)  # ids mod 2^64
+        width = max((a.members.shape[1] for a, *_ in laws), default=1)
 
         def draw(ks, key, j):
-            """One searchsorted per distinct object, over all its positions."""
+            """One searchsorted per distinct object, over all its positions;
+            rows as wide as the round's widest atom."""
             ks = np.asarray(ks, dtype=np.int64)
             u = uniforms(key, j, ids[ks])
-            edges = [EMPTY] * len(ks)
+            rows = np.full((len(ks), width), -1, dtype=np.int64)
             d = law_of[ks]
             by_law = np.argsort(d, kind="stable")
             for at in np.split(by_law, np.flatnonzero(np.diff(d[by_law])) + 1):
@@ -220,9 +222,8 @@ class DistLaw(EdgeLaw):
                     a, sel, cum, X = laws[d[at[0]]]
                     pos = np.searchsorted(cum, u[at] * X, side="right")
                     hit = pos < len(sel)
-                    for i, k in zip(at[hit].tolist(), sel[pos[hit]].tolist()):
-                        edges[i] = a.edges[k]
-            return edges
+                    rows[at[hit], : a.members.shape[1]] = a.members[sel[pos[hit]]]
+            return rows
 
         return np.array([X for *_, X in laws])[law_of], draw
 
@@ -309,15 +310,36 @@ class RoundStats:
 
 
 @dataclass
-class NibbleState:
-    W: set
-    chosen: dict = field(default_factory=dict)  # index -> frozenset (EMPTY = skip)
-    rounds: list = field(default_factory=list)  # (j, block, X array, passed array, |W|)
+class CoverResult:
+    """A cover run, round by round: W as a bool mask over the vertices, and
+    per round its number j, index ids, X array, drift results, |W| before
+    the round and the edges drawn, one member row per index (-1 pads a row;
+    a row of -1 alone is no edge).  The properties read the run in round
+    order."""
+
+    inside: np.ndarray
+    rounds: list = field(default_factory=list)  # (j, block, Xs, passed, |W|, rows)
 
     @property
-    def round_log(self) -> list:
+    def index(self) -> list:
+        return [i for _, block, *_ in self.rounds for i in block]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """One row per index of self.index, padded to the widest round's."""
+        parts = [rows for *_, rows in self.rounds]
+        width = max((r.shape[1] for r in parts), default=1)
+        return np.concatenate([np.full((0, width), -1, dtype=np.int64)] + [
+            np.pad(r, ((0, 0), (0, width - r.shape[1])), constant_values=-1) for r in parts])
+
+    @property
+    def leftover(self) -> np.ndarray:
+        return np.flatnonzero(self.inside)
+
+    @property
+    def stats(self) -> list:
         """One RoundStats per index of each round so far, built when read."""
-        return [RoundStats(j, i, X, ok, w_size) for j, block, Xs, passed, w_size in self.rounds
+        return [RoundStats(j, i, X, ok, w_size) for j, block, Xs, passed, w_size, _ in self.rounds
                 for i, X, ok in zip(block, Xs.tolist(), passed.tolist())]
 
 
@@ -332,41 +354,27 @@ def default_tol(params: NibbleParams, m: int) -> float:
     return min(max(params.delta ** (1.0 / (3 * 10**m)), 0.1), 0.999)
 
 
-def nibble_round(inst: CoverInstance, profile, state: NibbleState, j: int, key: int, tol):
+def nibble_round(inst: CoverInstance, profile, state: CoverResult, j: int, key: int, tol):
     """Execute round j: sample one edge (or skip) per index, then shrink W.
 
     All indices of the round sample against the same W, in one draw from
-    the instance's law keyed by key; the union of their choices is removed
+    the instance's law keyed by key; the drawn members leave the mask W
     only after the whole round has been drawn.  tol is in [0, 1), which
     run_cover checks.
     """
-    W = state.W
-    w_size = len(W)
+    inside = state.inside
+    w_size = int(np.count_nonzero(inside))
     block = inst.rounds[j - 1]
-    inside = np.zeros(inst.n_vertices, dtype=bool)
-    inside[np.fromiter(W, dtype=np.int64, count=w_size)] = True
     Xs, draw = inst.law.round_law(block, inside, profile.P[j - 1])
     passed = np.abs(Xs - 1) <= tol
     assert (Xs[passed] > 0).all(), "X = 0 cannot pass the drift test with tol < 1"
-    edges = np.full(len(block), EMPTY, dtype=object)
     ks = np.flatnonzero(passed)
-    edges[ks] = draw(ks, key, j)
-    state.chosen.update(zip(block, edges))
-    state.rounds.append((j, block, Xs, passed, w_size))
-    W.difference_update(*edges)
+    drawn = draw(ks, key, j)
+    rows = np.full((len(block), drawn.shape[1]), -1, dtype=np.int64)
+    rows[ks] = drawn
+    state.rounds.append((j, block, Xs, passed, w_size, rows))
+    inside[drawn[drawn >= 0]] = False
     return state
-
-
-class CoverResult:
-    """The chosen edges (index -> frozenset, EMPTY = no edge), the leftover
-    vertices and the per-index round log, built when read."""
-
-    def __init__(self, state: NibbleState):
-        self.chosen, self.leftover, self._state = state.chosen, state.W, state
-
-    @property
-    def stats(self) -> list:
-        return self._state.round_log
 
 
 def run_cover(inst: CoverInstance, key: int, tol=None) -> CoverResult:
@@ -379,10 +387,10 @@ def run_cover(inst: CoverInstance, key: int, tol=None) -> CoverResult:
         raise ValueError(f"tol must be in [0, 1) so that X = 0 always fails the drift test "
                          f"and X = 1 passes it, got {tol}")
     profile = degree_profile(inst)
-    state = NibbleState(W=set(range(inst.n_vertices)))
+    state = CoverResult(np.ones(inst.n_vertices, dtype=bool))
     for j in range(1, inst.m + 1):
         nibble_round(inst, profile, state, j, key, tol)
-    return CoverResult(state)
+    return state
 
 
 # -- hypothesis checking ------------------------------------------------------

@@ -27,7 +27,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .nibble import EMPTY, EdgeDist, EdgeLaw
+from .nibble import EdgeDist, EdgeLaw
 from .rng import uniforms
 
 _FFT_FACTORS = (1, 3, 5, 9, 15, 25, 27)
@@ -74,7 +74,7 @@ class PairLaw(EdgeLaw, Mapping):
             raise ValueError(f"the closed form needs a 2-tuple, got {len(offsets)} offsets")
         Q = np.asarray(values, dtype=np.int64)
         n = len(Q)
-        self.Q, self.Q_list = Q, Q.tolist()
+        self.Q = Q
         self.h1, self.h2 = offsets
         self.d = self.h2 - self.h1
         self.window = y = math.inf if window is None else window
@@ -114,15 +114,6 @@ class PairLaw(EdgeLaw, Mapping):
         out = np.full(len(k), -1, dtype=np.int64)
         out[ok] = self.pos[k[ok]]
         return out
-
-    def _id(self, value) -> int:
-        k = value - self.lo
-        return int(self.pos[k]) if 0 <= k < len(self.pos) else -1
-
-    def _members(self, i, anchor) -> frozenset:
-        p = self.primes[i]
-        return frozenset(v for v in (self._id(anchor + self.h1 * p), self._id(anchor + self.h2 * p))
-                         if v >= 0)
 
     # -- the mapping: atoms on demand -----------------------------------------
 
@@ -200,8 +191,8 @@ class PairLaw(EdgeLaw, Mapping):
                 float(self.unit[b][paired].max(initial=0.0)))
 
     def _draw(self, idx, key, j, X, part, verts, inside, P):
-        """Edges of indices idx (an index may repeat; key is an int or one
-        per entry of idx): EMPTY with probability 1 - part / X, else an
+        """Edge rows of indices idx (an index may repeat; key is an int or one
+        per entry of idx): no edge with probability 1 - part / X, else an
         anchor whose edge lies in W (all of Q when verts is None), with
         probability proportional to P^-|e|.  The uniforms of index i are
         uniforms(key, j, i, 0, 0) for the first choice and
@@ -228,8 +219,7 @@ class PairLaw(EdgeLaw, Mapping):
             ok &= keep < np.where(other >= 0, accept[1], accept[0])
             rows[todo[ok]] = np.stack((v, other), axis=1)[ok]
             todo = todo[~ok]
-        return [EMPTY if v < 0 else frozenset((v,)) if w < 0 else frozenset((v, w))
-                for v, w in zip(*rows.T.tolist())]
+        return rows
 
     def round_law(self, block, inside, P):
         """Round 1 (W = Q, P = 1) is the raw law.  Later rounds need one
@@ -264,9 +254,10 @@ class PairLaw(EdgeLaw, Mapping):
         return Xs, draw
 
     def greedy(self, order, n_vertices):
-        """The atom greedy without atoms: a pair with both members uncovered
-        if one exists (the first); else the smallest anchor whose edge holds
-        an uncovered vertex; else the smallest anchor."""
+        """The atom greedy without atoms, one member row per index of order:
+        a pair with both members uncovered if one exists (the first); else
+        the smallest anchor whose edge holds an uncovered vertex; else the
+        smallest anchor."""
         Q, n = self.Q, len(self.Q)
         uncovered = np.ones(n + 1, dtype=bool)
         uncovered[n] = False  # what a missing member (-1) reads
@@ -278,8 +269,8 @@ class PairLaw(EdgeLaw, Mapping):
             k = lo + int(np.argmax(uncovered[lo:hi])) if lo < hi else hi
             return k if k < hi and uncovered[k] else None
 
-        chosen = []
-        for i in order:
+        rows = np.full((len(order), 2), -1, dtype=np.int64)
+        for k, i in enumerate(order):
             p = self.primes[i]
             lo1, hi1, lo2, hi2 = (int(b[i]) for b in self.bounds)
             while first < n and not uncovered[first]:
@@ -292,20 +283,20 @@ class PairLaw(EdgeLaw, Mapping):
                     partner = self._ids(Q[start:stop] + self.d * p)
                     hit = uncovered[start:stop] & uncovered[partner]
                     if hit.any():
-                        k = int(np.argmax(hit))
-                        e = frozenset((start + k, int(partner[k])))
+                        at = int(np.argmax(hit))
+                        e = start + at, partner[at]
                     start, size = stop, 2 * size
             if e is None:
                 anchors = []
                 for h, lo, hi in ((self.h2, lo2, hi2), (self.h1, lo1, hi1)):
                     v = first_uncovered(lo, hi)
                     if v is not None:
-                        anchors.append(self.Q_list[v] - h * p)
+                        anchors.append(int(Q[v]) - h * p)
                 if not anchors:  # every edge is covered: the smallest anchor
-                    anchors = [self.Q_list[lo] - h * p
+                    anchors = [int(Q[lo]) - h * p
                                for h, lo, hi in ((self.h2, lo2, hi2), (self.h1, lo1, hi1))
                                if lo < hi]
-                e = self._members(i, min(anchors))
-            uncovered[list(e)] = False
-            chosen.append(e)
-        return chosen
+                e = self._ids(min(anchors) + np.array([self.h1, self.h2]) * p)
+            rows[k] = e
+            uncovered[rows[k]] = False
+        return rows

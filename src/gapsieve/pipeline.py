@@ -21,7 +21,7 @@ reachable sizes.
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
@@ -296,29 +296,25 @@ def _paper_round_lengths(C: float, m: int):
     return lengths
 
 
-def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
-    """Choose an edge for every sieving prime: {p: edge}, EMPTY for a skip."""
+def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> np.ndarray:
+    """Choose an edge for every index, in the order of pinst.index_primes:
+    one row of member ids per index, padded with -1, a row of -1 alone
+    being a skip."""
     method = cfg.stage3_method
-    chosen = {p: nib.EMPTY for p in pinst.skipped_primes}
-
     law = pinst.cover.law
     indices = np.arange(len(pinst.index_primes))
     if method == "independent":  # the engine's first round (W = V, P = 1) is the raw law
         n = pinst.cover.n_vertices
         _, draw = law.round_law(indices, np.ones(n, bool), np.ones(n))
-        edges = draw(indices, stream_seed(cfg.seed, "stage3"), 1)
-        chosen.update(zip(pinst.index_primes, edges))
-        return chosen
+        return draw(indices, stream_seed(cfg.seed, "stage3"), 1)
 
     if method == "greedy":
-        order = list(range(len(pinst.index_primes)))
+        order = indices.tolist()
         stream(cfg.seed, "stage3-order").shuffle(order)
-        for idx, edge in zip(order, law.greedy(order, pinst.cover.n_vertices)):
-            chosen[pinst.index_primes[idx]] = edge
-        return chosen
+        return law.greedy(order, pinst.cover.n_vertices)[np.argsort(order)]
 
-    # nibble: round membership via the geometric interval recipe; primes
-    # outside every membership interval keep EMPTY
+    # nibble: round membership via the geometric interval recipe; indices
+    # outside every membership interval keep no edge
     m = default_rounds(cfg.x)
     bounds = list(accumulate(_paper_round_lengths(pinst.C_measured, m)))
     u = uniforms(stream_seed(cfg.seed, "stage3-round"), pinst.index_primes)
@@ -331,9 +327,10 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> dict:
         params=pinst.cover.params,
     )
     result = nib.run_cover(inst, stream_seed(cfg.seed, "stage3-nibble"))
-    chosen.update(zip(pinst.index_primes,
-                      map(result.chosen.get, range(len(indices)), repeat(nib.EMPTY))))
-    return chosen
+    drawn = result.rows
+    rows = np.full((len(indices), drawn.shape[1]), -1, dtype=np.int64)
+    rows[result.index] = drawn
+    return rows
 
 
 def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
@@ -419,22 +416,20 @@ def run_pipeline(cfg: StagedConfig):
 
     split = survivors_after_small(cfg, s1, s2)
 
-    stage3_entries = {}
-    skips = 0
-    edge_sizes = [0] * default_r(cfg.x)
-    n_indices = 0
-    C_measured = 0.0
+    sys3 = ResidueSystem({})
+    sizes = np.zeros(default_r(cfg.x) + 1, dtype=np.int64)  # edges chosen of size 0, 1, ..., r
+    n_indices, skipped, C_measured = 0, 0, 0.0
     if cfg.stage3_method != "none" and split.primes:
         pinst = build_edge_distributions(cfg, split)
-        n_indices = len(pinst.index_primes)
+        n_indices, skipped = len(pinst.index_primes), len(pinst.skipped_primes)
         C_measured = pinst.C_measured
-        for p, edge in stage3_select(cfg, pinst).items():
-            if edge:  # every member is n + h_i p for the edge's anchor n
-                stage3_entries[p] = pinst.values[min(edge)] % p
-                edge_sizes[len(edge) - 1] += 1
-            else:
-                skips += 1
-    sys3 = ResidueSystem(stage3_entries)
+        rows = stage3_select(cfg, pinst)
+        sizes = np.bincount((rows >= 0).sum(axis=1), minlength=len(sizes))
+        # every member is n + h_i p for the edge's anchor n, so any one gives the class
+        member = rows.max(axis=1)
+        p = np.array(pinst.index_primes, dtype=np.int64)[member >= 0]
+        q = np.array(pinst.values, dtype=np.int64)[member[member >= 0]]
+        sys3 = ResidueSystem(moduli=p, classes=q % p)
 
     # only the stage-3 classes are sifted here; stages 1-2 are in split
     after3 = sift(sys3, cfg.x + 1, th.y, split.interval.survivors.copy())
@@ -467,9 +462,9 @@ def run_pipeline(cfg: StagedConfig):
         smooth_survivors=len(split.smooth),
         other_survivors=len(split.other),
         stage3_indices=n_indices,
-        stage3_assigned=len(stage3_entries),
-        stage3_skips=skips,
-        stage3_edge_sizes=edge_sizes,
+        stage3_assigned=len(sys3),
+        stage3_skips=skipped + int(sizes[0]),
+        stage3_edge_sizes=sizes[1:].tolist(),
         residual_after_stage3=len(residual),
         extra_primes_used=len(ext),
         achieved_y=achieved_y,

@@ -3,11 +3,17 @@
 This is the exact reference the engine (`nibble.nibble_round`, `run_cover`
 and each law's `round_law`) is tested against.  It is written independently
 of the engine (plain dict walking, no shared helpers) and works in rational
-arithmetic, so its laws and X values are exact.
+arithmetic, so its laws and X values are exact.  `edge` reads the engine's
+edges, rows of member ids padded with -1, as the frozensets the oracle uses.
 """
 
 from fractions import Fraction as F
 from itertools import product
+
+
+def edge(row):
+    """The frozenset of the member ids in one row of the engine's edges."""
+    return frozenset(v for v in row.tolist() if v >= 0)
 
 
 def P_edge(profile_P, j, e):

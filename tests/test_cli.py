@@ -33,33 +33,42 @@ def test_construct_smoke_and_determinism(tmp_path):
 
 
 # seed-1 outputs of the benchmark's construct commands and of the three
-# stage-3 methods: sha256 of system.json and the report's residual after
-# stage 3.  A change to how stage 3 stores or samples its law that keeps the
-# same draws keeps these bytes.  The independent, nibble and sieve-mode rows
-# changed when stage 3 moved from per-prime random.Random streams to
-# counter-based uniforms (rng.uniforms): the same law, drawn with other
-# random numbers.  The greedy and stage3-none rows did not change.
+# stage-3 methods: sha256 of system.json, the report's residual after
+# stage 3 and sha256 of report.json (which also holds the stage-3 counts
+# stage3_assigned, stage3_skips and stage3_edge_sizes).  A change to how
+# stage 3 stores or samples its law that keeps the same draws keeps these
+# bytes.  The independent, nibble and sieve-mode system digests changed when
+# stage 3 moved from per-prime random.Random streams to counter-based
+# uniforms (rng.uniforms): the same law, drawn with other random numbers.
+# The greedy and stage3-none rows did not change.
 PINNED_CONSTRUCTS = [
     ("3000 --mode paper-formula",
-     "cb396a9433cd25804123d1bb885b877f8041d3c26007deee96a32475f72bb5e4", 776),
+     "cb396a9433cd25804123d1bb885b877f8041d3c26007deee96a32475f72bb5e4", 776,
+     "10ea430c5fe8f551703b62392ce67fb48685e811ce117f8f71eec3111fad260a"),
     ("2000 --mode paper-formula --weights sieve --stage3 independent",
-     "5f5d4c2d7021ad4b662f8343e708d0e02e6f1918af40f00593631b78d5d599f8", 643),
+     "5f5d4c2d7021ad4b662f8343e708d0e02e6f1918af40f00593631b78d5d599f8", 643,
+     "9ead8a50738d42d55c205bca903e0c2063122369e44104d7a16825565e8e19b2"),
     ("5000 --stage3 nibble",
-     "8c6afdeb1b436676ea3fef610fbc57660831d044d1984774187213878b3dae65", 649),
+     "8c6afdeb1b436676ea3fef610fbc57660831d044d1984774187213878b3dae65", 649,
+     "1e191edd7cb2b647837c1663cfa3c5d2ed68e43b59ae5ec333b1d90d67f0b245"),
     ("5000 --stage3 independent",
-     "1f896c60897d3e9e291a29500d8471fff4b907fd407fa32bfc86412314bbde00", 636),
+     "1f896c60897d3e9e291a29500d8471fff4b907fd407fa32bfc86412314bbde00", 636,
+     "c8e1e7bc84e92bab2c675e2dd2070be4b385b761b294083cccec3a452811767b"),
     ("5000 --stage3 greedy",
-     "c6a0ef2eda85ccfc06d1f5b111fe3567aced6945cc404735758ebf450afa2641", 562),
+     "c6a0ef2eda85ccfc06d1f5b111fe3567aced6945cc404735758ebf450afa2641", 562,
+     "796e37a44f097972be723a3ae9eb79c53d84d13fb0badae774420f4672d0df80"),
     ("1000000 --stage3 none",
-     "843ae937ed865cc9a1aaa57aad02a0efdb73c367e081ad9133eeccebec2fefcf", 143731),
+     "843ae937ed865cc9a1aaa57aad02a0efdb73c367e081ad9133eeccebec2fefcf", 143731,
+     "aae5c6be4b8ef74fb488cc8a3a66b5a3e9c534d8f32a08d5e03246cce4fda392"),
 ]
 
 
-@pytest.mark.parametrize("args, digest, residual", PINNED_CONSTRUCTS,
-                         ids=[a for a, _, _ in PINNED_CONSTRUCTS])
-def test_construct_outputs_pinned(tmp_path, args, digest, residual):
+@pytest.mark.parametrize("args, digest, residual, report_digest", PINNED_CONSTRUCTS,
+                         ids=[row[0] for row in PINNED_CONSTRUCTS])
+def test_construct_outputs_pinned(tmp_path, args, digest, residual, report_digest):
     assert main(["construct", *args.split(), "--seed", "1", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "system.json").read_bytes()).hexdigest() == digest
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == report_digest
     report = json.loads((tmp_path / "report.json").read_text())["report"]
     assert report["residual_after_stage3"] == residual
     # the written system is accepted by verify over its recorded interval
@@ -246,6 +255,47 @@ def test_nibble_bench_outputs_pinned(tmp_path, monkeypatch, name, out_digest, st
         monkeypatch.setattr(nib, "instance_from_json", lambda text: inst)
     out, stats = tmp_path / "bench.csv", tmp_path / "stats.csv"
     assert main(["nibble-bench", str(ifile), "--seeds", "5",
+                 "--out", str(out), "--stats", str(stats)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+    assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_digest
+
+
+def width_instance(name):
+    """"narrow": every edge is narrower than r_max = 4, and round 1 holds
+    singletons only while round 2 holds pairs; "empty": every atom is the
+    empty edge and r_max = 0."""
+    if name == "narrow":
+        rounds, n, r_max = [[0, 1], [2, 3]], 5, 4
+        atoms = {0: [({0}, 0.5), ({1}, 0.25)], 1: [({2}, 0.5)],
+                 2: [({1, 3}, 0.3), ({4}, 0.3)], 3: [({0, 4}, 0.5)]}
+    else:
+        rounds, n, r_max = [[0, 1]], 2, 0
+        atoms = {0: [(set(), 0.5)], 1: [(set(), 1.0)]}
+    return nib.CoverInstance(
+        n_vertices=n, rounds=rounds,
+        dist={i: nib.EdgeDist([(frozenset(e), q) for e, q in a]) for i, a in atoms.items()},
+        params=nib.NibbleParams(delta=0.5, r_max=r_max, A=3, D=2, kappa=0.01),
+    )
+
+
+# sha256 of nibble-bench's --out and --stats CSVs on instances whose edges
+# are narrower than r_max, pinned when the engine still returned frozensets:
+# the width of the engine's member rows must not show in its output
+PINNED_WIDTH = [
+    ("narrow", "06c38508ae4c162aded1d38dbee8d00d9c1e8ebd1b5afc38196931edc0cd165d",
+     "c447a526c86a94fc2940be5568417f25adb93dc27217171816e8a0d2ce491feb"),
+    ("empty", "badf054355a47c63674dcd6c50fdf79031103ea86fbf678d1aae81617a5f0bec",
+     "d47171b663feb984d8fc0ea0995667702fd139f2a1283c99b35e7d8e7fb94fc6"),
+]
+
+
+@pytest.mark.parametrize("name, out_digest, stats_digest", PINNED_WIDTH,
+                         ids=[n for n, _, _ in PINNED_WIDTH])
+def test_nibble_bench_rows_narrower_than_r_max(tmp_path, name, out_digest, stats_digest):
+    ifile = tmp_path / "inst.json"
+    ifile.write_text(nib.instance_to_json(width_instance(name)))
+    out, stats = tmp_path / "bench.csv", tmp_path / "stats.csv"
+    assert main(["nibble-bench", str(ifile), "--seeds", "8",
                  "--out", str(out), "--stats", str(stats)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
     assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_digest

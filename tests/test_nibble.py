@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from law_oracle import oracle_X, oracle_distribution
+from law_oracle import edge, oracle_X, oracle_distribution
 
 from gapsieve import nibble as nib
 from gapsieve.rng import stream, stream_seed, uniforms
@@ -61,6 +61,18 @@ def round_X(inst, W, P=None, j=1):
     return inst.law.round_law(inst.rounds[j - 1], inside, P)[0]
 
 
+def cover_state(n, W):
+    """A run's state before its first round, W given as a set of vertices."""
+    inside = np.zeros(n, dtype=bool)
+    inside[list(W)] = True
+    return nib.CoverResult(inside)
+
+
+def chosen(res):
+    """{index: edge} of a run so far, read through edge()."""
+    return dict(zip(res.index, map(edge, res.rows)))
+
+
 def engine_outcomes(inst, P, tol, keys, check=200):
     """{key: the engine's outcome}, the edges chosen with rounds in order and
     indices in listed order, under the float targets P[j].
@@ -79,15 +91,16 @@ def engine_outcomes(inst, P, tol, keys, check=200):
             inside = np.zeros(n, dtype=bool)
             inside[list(W)] = True
             Xs, draw = inst.law.round_law(block, inside, P[j - 1])
-            cols = [draw(np.full(len(ks), k), np.array(ks), j) if abs(X - 1) <= tol
-                    else [nib.EMPTY] * len(ks) for k, X in enumerate(Xs.tolist())]
+            cols = [list(map(edge, draw(np.full(len(ks), k), np.array(ks), j)))
+                    if abs(X - 1) <= tol else [frozenset()] * len(ks)
+                    for k, X in enumerate(Xs.tolist())]
             for key, row in zip(ks, zip(*cols)):
                 state[key] = (W.difference(*row), state[key][1] + row)
     for key in list(keys)[:check]:
-        one = nib.NibbleState(W=set(range(n)))
+        one = cover_state(n, range(n))
         for j in range(1, inst.m + 1):
             nib.nibble_round(inst, SimpleNamespace(P=P), one, j, key, tol)
-        assert tuple(one.chosen[i] for i in inst.all_indices()) == state[key][1], key
+        assert tuple(chosen(one)[i] for i in inst.all_indices()) == state[key][1], key
     return {key: picks for key, (_, picks) in state.items()}
 
 
@@ -179,13 +192,13 @@ def test_profile_keeps_underflowed_target_at_zero():
 def test_round_against_a_zero_target_logs_infinite_X():
     inst = certain_edge_instance()
     prof = nib.degree_profile(inst)
-    state = nib.NibbleState(W={0, 1})
+    state = cover_state(2, {0, 1})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         nib.nibble_round(inst, prof, state, 2, 0, tol=0.5)
-    assert state.chosen[800] == frozenset()
-    assert state.round_log[0].X == math.inf and not state.round_log[0].passed
-    assert state.W == {0, 1}
+    assert chosen(state)[800] == frozenset()
+    assert state.stats[0].X == math.inf and not state.stats[0].passed
+    assert set(state.leftover.tolist()) == {0, 1}
 
 
 def test_check_hypotheses_reads_a_zero_target_as_unbounded_degree():
@@ -254,21 +267,21 @@ def test_round_law_X_matches_exact_normalization():
 def test_round_deterministic_edge():
     inst = make_instance(2, [[[({0}, 1.0)]]])
     prof = nib.degree_profile(inst)
-    state = nib.NibbleState(W={0, 1})
+    state = cover_state(2, {0, 1})
     nib.nibble_round(inst, prof, state, 1, 0, tol=0.5)
-    assert state.chosen[0] == frozenset({0})
-    assert state.W == {1}
+    assert chosen(state)[0] == frozenset({0})
+    assert set(state.leftover.tolist()) == {1}
 
 
 def test_round_drift_failure_yields_empty():
     # distribution 1/2 {0}, 1/2 {1}; W = {0}: X = 1/2, drift fails at tol < 1/2
     inst = make_instance(2, [[[({0}, 0.5), ({1}, 0.5)]]])
     prof = nib.degree_profile(inst)
-    state = nib.NibbleState(W={0})
+    state = cover_state(2, {0})
     nib.nibble_round(inst, prof, state, 1, 0, tol=0.4)
-    assert state.chosen[0] == frozenset()
-    assert state.round_log[0].X == pytest.approx(0.5)
-    assert not state.round_log[0].passed
+    assert chosen(state)[0] == frozenset()
+    assert state.stats[0].X == pytest.approx(0.5)
+    assert not state.stats[0].passed
 
 
 def test_round_empirical_frequencies_match_law():
@@ -286,12 +299,12 @@ def test_round_empirical_frequencies_match_law():
     keys = np.arange(n_draws)
     Xs, draw = inst.law.round_law(inst.rounds[0], np.ones(3, dtype=bool), np.ones(3))
     assert (abs(Xs - 1) <= 0.9).all()  # no index is skipped, so every key draws
-    drawn = [draw(np.full(n_draws, k), keys, 1) for k in (0, 1)]
+    drawn = [list(map(edge, draw(np.full(n_draws, k), keys, 1))) for k in (0, 1)]
     prof = nib.degree_profile(inst)
     for key in range(200):  # the draws are nibble_round's, key for key
-        state = nib.NibbleState(W={0, 1, 2})
+        state = cover_state(3, {0, 1, 2})
         nib.nibble_round(inst, prof, state, 1, key, tol=0.9)
-        assert [state.chosen[i] for i in (0, 1)] == [drawn[k][key] for k in (0, 1)]
+        assert [chosen(state)[i] for i in (0, 1)] == [drawn[k][key] for k in (0, 1)]
     for k in (0, 1):
         marginal = Counter()
         for picks, q in outcomes.items():
@@ -317,7 +330,7 @@ def per_position_draws(inst, block, inside, P, ks, keys, j):
     for i, u in zip(ids.tolist(), uniforms(keys, j, ids).tolist()):
         chosen, cum, X = laws[i]
         pos = int(np.searchsorted(cum, u * X, side="right"))
-        edges.append(chosen[pos] if pos < len(chosen) else nib.EMPTY)
+        edges.append(chosen[pos] if pos < len(chosen) else frozenset())
     return edges
 
 
@@ -343,12 +356,14 @@ def test_round_draws_match_per_position_reference(inside, P):
     _, draw = inst.law.round_law(block, inside, P)
     ks = np.random.default_rng(3).integers(0, 3, 3000)
     for key in (0, 1, 2**40):
-        assert draw(ks, key, 2) == per_position_draws(inst, block, inside, P, ks, key, 2)
-    assert draw(np.zeros(0, dtype=np.int64), 0, 1) == []
+        assert list(map(edge, draw(ks, key, 2))) \
+            == per_position_draws(inst, block, inside, P, ks, key, 2)
+    assert list(map(edge, draw(np.zeros(0, dtype=np.int64), 0, 1))) == []
     keys = np.arange(100_000)  # the keys of test_round_empirical_frequencies_match_law
     for k in (0, 1):
         ks = np.full(len(keys), k)
-        assert draw(ks, keys, 1) == per_position_draws(inst, block, inside, P, ks, keys, 1)
+        assert list(map(edge, draw(ks, keys, 1))) \
+            == per_position_draws(inst, block, inside, P, ks, keys, 1)
 
 
 # -- run_cover ----------------------------------------------------------------------
@@ -357,15 +372,15 @@ def test_round_draws_match_per_position_reference(inside, P):
 def test_run_cover_zero_rounds():
     inst = nib.CoverInstance(5, [], {}, make_params())
     res = nib.run_cover(inst, 0)
-    assert res.leftover == set(range(5))
-    assert res.chosen == {}
+    assert set(res.leftover.tolist()) == set(range(5))
+    assert chosen(res) == {}
 
 
 def test_run_cover_deterministic_leftover():
     inst = make_instance(2, [[[({0}, 1.0)]]])
     for seed in range(20):
         res = nib.run_cover(inst, seed, tol=0.5)
-        assert res.leftover == {1}
+        assert set(res.leftover.tolist()) == {1}
 
 
 def test_run_cover_draws_for_any_integer_index_id():
@@ -375,8 +390,8 @@ def test_run_cover_draws_for_any_integer_index_id():
             -3: nib.EdgeDist([(frozenset({1}), 0.5), (frozenset({2}), 0.5)])}
     inst = nib.CoverInstance(3, [[2**70, -3]], dist, make_params())
     res = nib.run_cover(inst, 0, tol=0.5)
-    assert res.chosen[2**70] == frozenset({0})
-    assert res.chosen[-3] in (frozenset({1}), frozenset({2}))
+    assert chosen(res)[2**70] == frozenset({0})
+    assert chosen(res)[-3] in (frozenset({1}), frozenset({2}))
     assert len(res.leftover) == 1
 
 
@@ -387,15 +402,15 @@ def test_support_containment_and_disjointness():
     inst = make_instance(10, [block1, block2])
     prof = nib.degree_profile(inst)
     for seed in range(50):
-        state = nib.NibbleState(W=set(range(10)))
+        state = cover_state(10, range(10))
         for j in (1, 2):
-            w_before = set(state.W)
+            w_before = set(state.leftover.tolist())
             nib.nibble_round(inst, prof, state, j, seed, tol=0.9)
             for i in inst.rounds[j - 1]:
-                e = state.chosen[i]
+                e = chosen(state)[i]
                 support = {frozenset(a) for a, _ in inst.dist[i].atoms}
                 assert e == frozenset() or e in support
-                log = [s for s in state.round_log if s.round == j and s.index == i][0]
+                log = [s for s in state.stats if s.round == j and s.index == i][0]
                 if log.passed and e:
                     assert e <= w_before
 
@@ -461,7 +476,7 @@ def test_oracle_matches_hand_enumeration():
     # with 1/2 each; round 2 draws {2} or {2, 3} with 1/2 each
     P, _ = flat_profile(4, [1, 1, 1])
     _, outcomes, survival = oracle_distribution(two_round_instance(), P, F(6, 10))
-    e = nib.EMPTY
+    e = frozenset()
     a, b, c, cd = (frozenset(s) for s in ({0}, {1}, {2}, {2, 3}))
     assert outcomes == {(x, y, z): F(1, 8) for x in (a, e) for y in (b, e) for z in (c, cd)}
     assert survival == {0: F(1, 2), 1: F(1, 2), 2: 0, 3: F(1, 2)}
@@ -509,8 +524,8 @@ def test_round1_mean_normalization_identity():
 def test_cover_uniform_single_total_edge():
     inst = nib.build_uniform_instance(4, [frozenset({0, 1, 2, 3})], [1])
     res = nib.run_cover(inst, 0)
-    assert res.leftover == set()
-    assert [e for e in res.chosen.values() if e] == [frozenset({0, 1, 2, 3})]
+    assert set(res.leftover.tolist()) == set()
+    assert [e for e in chosen(res).values() if e] == [frozenset({0, 1, 2, 3})]
 
 
 def test_cover_uniform_singletons_coupon_collector():
@@ -520,7 +535,7 @@ def test_cover_uniform_singletons_coupon_collector():
     obs = []
     for seed in range(100):
         res = nib.run_cover(inst, stream_seed(seed, "cc"))
-        assert sum(1 for e in res.chosen.values() if e) <= n
+        assert sum(1 for e in chosen(res).values() if e) <= n
         obs.append(len(res.leftover))
     mean = sum(obs) / len(obs)
     sd = (sum((o - mean) ** 2 for o in obs) / (len(obs) - 1)) ** 0.5
@@ -534,12 +549,12 @@ def test_cover_uniform_respects_budget():
     edges = [frozenset(rng.sample(range(60), 3)) for _ in range(80)]
     counts = [10, 6, 4]
     res = nib.run_cover(nib.build_uniform_instance(60, edges, counts), stream_seed(1, "run"))
-    used = [e for e in res.chosen.values() if e]
+    used = [e for e in chosen(res).values() if e]
     assert len(used) <= sum(counts)
     covered = set()
     for e in used:
         covered |= e
-    assert res.leftover == set(range(60)) - covered
+    assert set(res.leftover.tolist()) == set(range(60)) - covered
 
 
 def test_round_counts_recipe():

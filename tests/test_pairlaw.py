@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from law_oracle import oracle_X, oracle_distribution
+from law_oracle import edge, oracle_X, oracle_distribution
 
 from gapsieve import nibble as nib
 from gapsieve.pairlaw import PairLaw, correlation
@@ -88,7 +88,7 @@ def test_draw_frequencies_match_atom_masses(which):
         P = {(0, v): F(1) for v in range(len(TINY_Q))}
         _, outcomes, _ = oracle_distribution(one, P, F(1))
         exact = {picks[0]: q for picks, q in outcomes.items()}
-        counts = Counter(draw(np.full(n_draws, i), keys, 1))
+        counts = Counter(map(edge, draw(np.full(n_draws, i), keys, 1)))
         assert_frequencies(counts, exact, n_draws, (which, i))
 
 
@@ -109,7 +109,7 @@ def test_later_round_draws_match_exact_law():
         # the law conditioned on W, with no drift test: every X passes tol 2
         _, outcomes, _ = oracle_distribution(one, prof, F(2), W=W)
         exact = {picks[0]: q for picks, q in outcomes.items()}
-        counts = Counter(draw(np.full(n_draws, k), keys, 1))
+        counts = Counter(map(edge, draw(np.full(n_draws, k), keys, 1)))
         assert_frequencies(counts, exact, n_draws, k)
 
 
@@ -120,7 +120,8 @@ def drawn_by_index(law, block, inside, P, pieces):
     key = stream_seed(13, "order")
     drawn = {}
     for ks in pieces:
-        drawn.update(zip([block[k] for k in ks], draw(np.asarray(ks, dtype=np.int64), key, 2)))
+        drawn.update(zip([block[k] for k in ks],
+                         map(edge, draw(np.asarray(ks, dtype=np.int64), key, 2))))
     return drawn
 
 
@@ -152,7 +153,8 @@ def test_draws_do_not_depend_on_order_or_split(which, later):
     assert drawn_by_index(law, perm, inside, P, [range(cut, len(perm)), range(cut)]) == whole
     # a position drawn twice in one call draws its edge twice
     _, draw = law.round_law(block, inside, P)
-    assert draw([3, 3, 1], stream_seed(13, "order"), 2) == [whole[3], whole[3], whole[1]]
+    assert list(map(edge, draw([3, 3, 1], stream_seed(13, "order"), 2))) \
+        == [whole[3], whole[3], whole[1]]
 
 
 def test_round_two_X_matches_dist_law():
@@ -222,9 +224,9 @@ def test_closed_form_greedy_matches_atom_greedy(cfg):
     # stage3_select's greedy order
     order = list(range(len(pinst.index_primes)))
     stream(cfg.seed, "stage3-order").shuffle(order)
-    want = {p: nib.EMPTY for p in pinst.skipped_primes}
-    want.update((pinst.index_primes[i], e) for i, e in zip(order, atom_greedy(law, order)))
-    assert list(stage3_select(cfg, pinst).items()) == list(want.items())
+    want = dict(zip(order, atom_greedy(law, order)))
+    rows = stage3_select(cfg, pinst)  # one row per index, in index order
+    assert list(map(edge, rows)) == [want[i] for i in range(len(pinst.index_primes))]
     if cfg.weights == "sieve":  # the window cuts anchors of some primes
         assert law.cut.any()
 

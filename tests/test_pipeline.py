@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from law_oracle import edge
 
 from gapsieve import nibble as nib
 from gapsieve import pipeline
@@ -353,11 +354,13 @@ def test_instance_file_round_trip_of_pipeline_instance():
     on_dists = dataclasses.replace(inst, dist={i: inst.dist[i] for i in inst.all_indices()})
     a = nib.run_cover(on_dists, stream_seed(7, "round-trip"))
     b = nib.run_cover(back, stream_seed(7, "round-trip"))
-    assert any(a.chosen.values())
-    assert a.chosen == b.chosen
-    assert a.leftover == b.leftover
+    a_chosen, b_chosen = (dict(zip(r.index, map(edge, r.rows))) for r in (a, b))
+    assert any(a_chosen.values())
+    assert a_chosen == b_chosen
+    assert a.leftover.tolist() == b.leftover.tolist()
     c = nib.run_cover(inst, stream_seed(7, "round-trip"))
-    assert all(not e or e in {f for f, _ in inst.dist[i].atoms} for i, e in c.chosen.items())
+    assert all(not e or e in {f for f, _ in inst.dist[i].atoms}
+               for i, e in zip(c.index, map(edge, c.rows)))
 
 
 @pytest.mark.parametrize("method", ["none", "independent", "greedy", "nibble"])
@@ -398,8 +401,8 @@ def test_stage3_single_option_chosen_by_all_methods():
     assert pinst.cover.law[0].atoms == [(frozenset({0}), 1.0)]
     for method in ("independent", "greedy", "nibble"):
         cfg = StagedConfig(x=500, seed=1, stage3_method=method)
-        chosen = stage3_select(cfg, pinst)
-        assert chosen == {101: frozenset({0})}
+        rows = stage3_select(cfg, pinst)
+        assert dict(zip(pinst.index_primes, map(edge, rows))) == {101: frozenset({0})}
 
 
 def test_stage3_greedy_maximizes_residual_coverage():
@@ -414,7 +417,7 @@ def test_stage3_greedy_maximizes_residual_coverage():
     assert best == 3
     for seed in range(1, 5):  # both processing orders
         cfg = StagedConfig(x=500, seed=seed, stage3_method="greedy")
-        cover = set().union(*stage3_select(cfg, pinst).values())
+        cover = set().union(*map(edge, stage3_select(cfg, pinst)))
         assert len(cover) == best
 
 
@@ -423,9 +426,9 @@ def test_stage3_nibble_round_recipe_covers_all_when_scaled():
     s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
     split = survivors_after_small(cfg, s1, s2)
     pinst = build_edge_distributions(cfg, split)
-    chosen = stage3_select(cfg, pinst)
-    assert set(chosen) == set(pinst.index_primes) | set(pinst.skipped_primes)
-    assigned = sum(1 for e in chosen.values() if e)
+    rows = stage3_select(cfg, pinst)
+    assert len(rows) == len(pinst.index_primes)  # one row per index; skipped primes have none
+    assigned = sum(1 for e in map(edge, rows) if e)
     assert assigned > 0
 
 
@@ -580,3 +583,6 @@ def test_report_counts_chosen_edge_sizes(cfg, pairs):
     assert len(sizes) == default_r(cfg.x) == 2
     assert sum(sizes) == report.stage3_assigned
     assert (sizes[1] > 0) == pairs
+    # every prime of (x/2, x] is assigned or skipped, unless stage 3 is off
+    primes = 0 if cfg.stage3_method == "none" else len(sieve_interval(cfg.x // 2 + 1, cfg.x))
+    assert report.stage3_assigned + report.stage3_skips == primes
