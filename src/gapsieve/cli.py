@@ -2,8 +2,8 @@
 
 Every run is reproducible from its master seed: outputs are byte-identical
 across repeated invocations.  Exit codes: 0 success, 2 usage error or an
-unreadable or invalid input file, 3 verification failure, 4 infeasible,
-budget exhausted or out of memory.
+unreadable or invalid input file, 3 verification failure, 4 infeasible
+or out of memory.
 """
 
 import argparse
@@ -16,12 +16,7 @@ from pathlib import Path
 from . import __version__
 from . import nibble as nib
 from .oracle import EXACT_Y_CUTOFF, InfeasibleError, exact_Y, jacobsthal
-from .pipeline import (
-    BudgetError,
-    StagedConfig,
-    VerificationError,
-    run_pipeline,
-)
+from .pipeline import StagedConfig, VerificationError, run_pipeline
 from .primes import admissible_tuple, primorial, sieve_interval
 from .residues import (
     CoverageError,
@@ -75,7 +70,6 @@ def cmd_construct(args) -> int:
         mode=args.mode,
         seed=args.seed,
         stage3_method=args.stage3,
-        C_extra=args.c_extra,
         weights=args.weights,
     )
     report, system = run_pipeline(cfg)
@@ -91,7 +85,6 @@ def cmd_construct(args) -> int:
             "mode": cfg.mode,
             "seed": cfg.seed,
             "stage3": cfg.stage3_method,
-            "C_extra": cfg.C_extra,
             "weights": cfg.weights,
         },
     )
@@ -260,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="nibble")
     p.add_argument("--weights", choices=["uniform", "sieve"], default="uniform")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c-extra", type=float, default=10.0)
     p.add_argument("--out", default="gapsieve-out")
     p.set_defaults(func=cmd_construct)
 
@@ -311,7 +303,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetError, InfeasibleError, MemoryError) as exc:
+    except (InfeasibleError, MemoryError) as exc:
         print(f"infeasible: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (VerificationError, CoverageError) as exc:

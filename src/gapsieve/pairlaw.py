@@ -95,9 +95,7 @@ class PairLaw(EdgeLaw, Mapping):
         unit = 1.0 / np.maximum(count, 1) if units is None else np.asarray(units, dtype=float)
 
         keep = count > 0
-        self.skipped = ps[~keep].tolist()
         self.ps = ps[keep]
-        self.primes = self.ps.tolist()
         self.unit = unit[keep]
         self.pairs = pairs[keep]
         self.bounds = lo1, hi1, lo2, hi2 = [b[keep] for b in bounds]
@@ -120,7 +118,7 @@ class PairLaw(EdgeLaw, Mapping):
     def atoms(self, i):
         """Index i's atoms in order of their smallest anchor: member rows
         (ids, -1 for a missing member) and masses."""
-        p, u, Q = self.primes[i], self.unit[i], self.Q
+        p, u, Q = self.ps[i], self.unit[i], self.Q
         ids = np.arange(len(Q))
         up, down = self._ids(Q + self.d * p), self._ids(Q - self.d * p)
         a1, a2 = Q - self.h1 * p, Q - self.h2 * p
@@ -142,13 +140,13 @@ class PairLaw(EdgeLaw, Mapping):
                                for row, q in zip(rows.tolist(), mass.tolist())])
 
     def __iter__(self):
-        return iter(range(len(self.primes)))
+        return iter(range(len(self.ps)))
 
     def __len__(self):
-        return len(self.primes)
+        return len(self.ps)
 
     def __contains__(self, i):
-        return isinstance(i, (int, np.integer)) and 0 <= i < len(self.primes)
+        return isinstance(i, (int, np.integer)) and 0 <= i < len(self.ps)
 
     # -- the engine's questions -----------------------------------------------
 
@@ -271,7 +269,7 @@ class PairLaw(EdgeLaw, Mapping):
 
         rows = np.full((len(order), 2), -1, dtype=np.int64)
         for k, i in enumerate(order):
-            p = self.primes[i]
+            p = int(self.ps[i])
             lo1, hi1, lo2, hi2 = (int(b[i]) for b in self.bounds)
             while first < n and not uncovered[first]:
                 first += 1

@@ -37,17 +37,6 @@ DESK_V_EXP = 0.10  # desk preset: very small primes p <= x^0.10
 DESK_Z_EXP = 0.35  # desk preset: small primes up to x^0.35
 
 
-class BudgetError(RuntimeError):
-    """Final matching ran out of fresh primes."""
-
-    def __init__(self, needed: int, available: int, required_C_extra: float):
-        self.required_C_extra = required_C_extra
-        super().__init__(
-            f"matching needs {needed} fresh primes but only {available} are "
-            f"available; C_extra of about {required_C_extra:.1f} would suffice"
-        )
-
-
 class VerificationError(RuntimeError):
     """The combined system failed its independent full-cover check."""
 
@@ -59,7 +48,6 @@ class StagedConfig:
     mode: str = "desk-preset"  # "desk-preset" | "paper-formula"
     seed: int = 0
     stage3_method: str = "nibble"  # "independent" | "greedy" | "nibble" | "none"
-    C_extra: float = 10.0
     weights: str = "uniform"  # "uniform" | "sieve"
 
     def __post_init__(self):
@@ -70,11 +58,6 @@ class StagedConfig:
             raise ValueError("x must be >= 100")
         if not 0 < self.c < math.inf:
             raise ValueError(f"--c must be positive and finite, got {self.c}")
-        if not 1 < self.C_extra < math.inf:
-            raise ValueError(
-                f"--c-extra must exceed 1 (fresh primes come from (x, C_extra*x]), "
-                f"got {self.C_extra}"
-            )
         if self.mode not in ("desk-preset", "paper-formula"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.stage3_method not in ("independent", "greedy", "nibble", "none"):
@@ -179,9 +162,9 @@ def stage2_random_small(cfg: StagedConfig) -> ResidueSystem:
 class SurvivorSplit:
     after_stage1: int  # survivors of (x, y] after stage 1 alone
     interval: object  # SiftedInterval over (x, y] after stages 1-2
-    primes: list
-    smooth: list
-    other: list
+    primes: np.ndarray  # int64, increasing
+    smooth: np.ndarray
+    other: np.ndarray
 
     def total(self) -> int:
         return self.interval.count()
@@ -207,9 +190,9 @@ def survivors_after_small(cfg: StagedConfig, s1: ResidueSystem,
     return SurvivorSplit(
         after_stage1=after_stage1,
         interval=interval,
-        primes=survivors[is_q].tolist(),
-        smooth=composite[smooth].tolist(),
-        other=composite[~smooth].tolist(),
+        primes=survivors[is_q],
+        smooth=composite[smooth],
+        other=composite[~smooth],
     )
 
 
@@ -224,14 +207,14 @@ class PipelineInstance:
     """
 
     cover: nib.CoverInstance
-    values: list  # vertex id -> surviving prime q
-    index_primes: list  # index id -> sieving prime p
+    values: np.ndarray  # vertex id -> surviving prime q
+    index_primes: np.ndarray  # index id -> sieving prime p
     C_measured: float
-    skipped_primes: list  # primes with no nonempty edge
+    skipped_primes: np.ndarray  # primes with no nonempty edge
 
 
 def _sieving_primes(cfg: StagedConfig):
-    return sieve_interval(cfg.x // 2 + 1, cfg.x).tolist()
+    return sieve_interval(cfg.x // 2 + 1, cfg.x)
 
 
 def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> PipelineInstance:
@@ -250,23 +233,23 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     """
     th = thresholds(cfg)
     offsets = admissible_tuple(default_r(cfg.x))
-    values = sorted(split.primes)
-    if not values:
+    values = split.primes
+    if not len(values):
         raise ValueError("no surviving primes to cover")
     primes = _sieving_primes(cfg)
     if cfg.weights == "sieve":
         weight_ctx = PairWeightContext(offsets, cfg.x)
         units = []
-        for p in primes:
+        for p in primes.tolist():  # Python ints for the CRT inside the weights
             total = weight_ctx.sum_over_support(p, th.y)
             units.append(weight_ctx.constant_weight(p, th.y) / total)
         law = PairLaw(values, offsets, primes, units=units, window=th.y)
     else:
         law = PairLaw(values, offsets, primes)
-    if not law.primes:
+    if not len(law):
         raise ValueError("every sieving prime has an empty edge distribution")
 
-    n_indices = len(law.primes)
+    n_indices = len(law)
     r_max = len(offsets)
     cover = nib.CoverInstance(
         n_vertices=len(values),
@@ -280,10 +263,10 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     degree = law.degrees(range(n_indices), len(values))
     return PipelineInstance(
         cover=cover,
-        values=values,
-        index_primes=law.primes,
+        values=law.Q,
+        index_primes=law.ps,
         C_measured=sum(degree.tolist()) / len(values),
-        skipped_primes=law.skipped,
+        skipped_primes=np.setdiff1d(primes, law.ps, assume_unique=True),
     )
 
 
@@ -334,32 +317,23 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> np.ndarray:
 
 
 def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
-    """Assign each leftover survivor its own fresh prime in (x, C_extra x].
+    """Assign each leftover survivor its own fresh prime above x.
 
     Survivors and primes are paired in increasing order; a fresh prime p'
-    covers its survivor through the class n mod p'.  Exceeding the budget
-    raises with the C_extra that would have sufficed.
+    covers its survivor through the class n mod p'.
     """
     residual = np.sort(np.asarray(residual_survivors, dtype=np.int64))
     if not len(residual):
         return ResidueSystem({})
-    # sieve (x, C_extra x] block by block, only as far as the primes it spends
-    hi = int(cfg.C_extra * cfg.x)
-    blocks, available = [], 0
-    for lo in range(cfg.x + 1, hi + 1, SEGMENT_SIZE):
-        if available >= len(residual):
-            break
-        blocks.append(sieve_interval(lo, min(lo + SEGMENT_SIZE - 1, hi)))
+    # sieve above x block by block, only as far as the primes it spends; a
+    # block is one segment, or 9x positions at small x, so that a few hundred
+    # primes do not cost a whole segment
+    size = min(SEGMENT_SIZE, 9 * cfg.x)
+    blocks, available, lo = [], 0, cfg.x + 1
+    while available < len(residual):
+        blocks.append(sieve_interval(lo, lo + size - 1))
         available += len(blocks[-1])
-    if len(residual) > available:
-        # estimate the budget that would work: primes thin out slowly, so
-        # scale the span proportionally with slack
-        needed_ratio = len(residual) / max(available, 1)
-        raise BudgetError(
-            needed=len(residual),
-            available=available,
-            required_C_extra=cfg.C_extra * needed_ratio * 1.5,
-        )
+        lo += size
     fresh = np.concatenate(blocks)[: len(residual)]
     return ResidueSystem(moduli=fresh, classes=residual % fresh)
 
@@ -390,6 +364,7 @@ class PipelineReport:
     stage3_edge_sizes: list  # chosen edges of size 1, 2, ..., r
     residual_after_stage3: int
     extra_primes_used: int
+    max_modulus: int  # the combined system's largest modulus: the cover's prime bound
     achieved_y: int
     C_measured: float
     C_target: float  # 1/c, the expected order of the covering constant
@@ -419,7 +394,7 @@ def run_pipeline(cfg: StagedConfig):
     sys3 = ResidueSystem({})
     sizes = np.zeros(default_r(cfg.x) + 1, dtype=np.int64)  # edges chosen of size 0, 1, ..., r
     n_indices, skipped, C_measured = 0, 0, 0.0
-    if cfg.stage3_method != "none" and split.primes:
+    if cfg.stage3_method != "none" and len(split.primes):
         pinst = build_edge_distributions(cfg, split)
         n_indices, skipped = len(pinst.index_primes), len(pinst.skipped_primes)
         C_measured = pinst.C_measured
@@ -427,8 +402,8 @@ def run_pipeline(cfg: StagedConfig):
         sizes = np.bincount((rows >= 0).sum(axis=1), minlength=len(sizes))
         # every member is n + h_i p for the edge's anchor n, so any one gives the class
         member = rows.max(axis=1)
-        p = np.array(pinst.index_primes, dtype=np.int64)[member >= 0]
-        q = np.array(pinst.values, dtype=np.int64)[member[member >= 0]]
+        p = pinst.index_primes[member >= 0]
+        q = pinst.values[member[member >= 0]]
         sys3 = ResidueSystem(moduli=p, classes=q % p)
 
     # only the stage-3 classes are sifted here; stages 1-2 are in split
@@ -467,6 +442,7 @@ def run_pipeline(cfg: StagedConfig):
         stage3_edge_sizes=sizes[1:].tolist(),
         residual_after_stage3=len(residual),
         extra_primes_used=len(ext),
+        max_modulus=int(combined.moduli[-1]),
         achieved_y=achieved_y,
         C_measured=C_measured,
         C_target=1.0 / cfg.c,

@@ -40,26 +40,28 @@ def test_construct_smoke_and_determinism(tmp_path):
 # bytes.  The independent, nibble and sieve-mode system digests changed when
 # stage 3 moved from per-prime random.Random streams to counter-based
 # uniforms (rng.uniforms): the same law, drawn with other random numbers.
-# The greedy and stage3-none rows did not change.
+# The greedy and stage3-none rows did not change.  Every report digest
+# changed when the fresh-prime budget left the manifest's config and the
+# report gained max_modulus; no system digest or residual moved.
 PINNED_CONSTRUCTS = [
     ("3000 --mode paper-formula",
      "cb396a9433cd25804123d1bb885b877f8041d3c26007deee96a32475f72bb5e4", 776,
-     "10ea430c5fe8f551703b62392ce67fb48685e811ce117f8f71eec3111fad260a"),
+     "f773b72294c865cbbb696ee32916758ba987716c085dcd4f06ac1df71a2a7db2"),
     ("2000 --mode paper-formula --weights sieve --stage3 independent",
      "5f5d4c2d7021ad4b662f8343e708d0e02e6f1918af40f00593631b78d5d599f8", 643,
-     "9ead8a50738d42d55c205bca903e0c2063122369e44104d7a16825565e8e19b2"),
+     "c4c45ac03f22be45915df473b5b10629e0dbfbe6c4a0dcc3d9d4dbc45cfd719a"),
     ("5000 --stage3 nibble",
      "8c6afdeb1b436676ea3fef610fbc57660831d044d1984774187213878b3dae65", 649,
-     "1e191edd7cb2b647837c1663cfa3c5d2ed68e43b59ae5ec333b1d90d67f0b245"),
+     "7c820604c37004d3b3f7576fe35667be8832c0fa45fba3c82ec0e45686ccf274"),
     ("5000 --stage3 independent",
      "1f896c60897d3e9e291a29500d8471fff4b907fd407fa32bfc86412314bbde00", 636,
-     "c8e1e7bc84e92bab2c675e2dd2070be4b385b761b294083cccec3a452811767b"),
+     "c24ba680650412b4473fc29476f0d3fda95e1909d0fcb89fa87a9034ccd21795"),
     ("5000 --stage3 greedy",
      "c6a0ef2eda85ccfc06d1f5b111fe3567aced6945cc404735758ebf450afa2641", 562,
-     "796e37a44f097972be723a3ae9eb79c53d84d13fb0badae774420f4672d0df80"),
+     "adef6102a2e667f1c5e6887f1a48cfce264b618f150eb7246584e433f73893c6"),
     ("1000000 --stage3 none",
      "843ae937ed865cc9a1aaa57aad02a0efdb73c367e081ad9133eeccebec2fefcf", 143731,
-     "aae5c6be4b8ef74fb488cc8a3a66b5a3e9c534d8f32a08d5e03246cce4fda392"),
+     "ab20821b0cc7017d71636c87c9c78ef4350442cec97f5bf14f9957b713de9967"),
 ]
 
 
@@ -567,17 +569,21 @@ def test_nibble_bench_negative_vertices_is_usage_error(tmp_path, capsys, rounds,
     assert "vertices must be at least 0, got -1" in err and len(err.strip().splitlines()) == 1
 
 
-def test_construct_budget_exhausted_is_infeasible(tmp_path, capsys):
-    # (1000, 1010] holds one fresh prime, far fewer than the residual
-    assert main(["construct", "1000", "--c-extra", "1.01", "--out", str(tmp_path)]) == 4
-    err = capsys.readouterr().err
-    assert "fresh primes" in err and len(err.strip().splitlines()) == 1
+def test_construct_takes_fresh_primes_beyond_ten_x(tmp_path):
+    # the residual of (1000, 14297] needs more fresh primes than
+    # (1000, 10000] holds; final matching sieves on until it has them
+    assert main(["construct", "1000", "--c", "4", "--seed", "1", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["extra_primes_used"] == 1178
+    assert report["max_modulus"] == 11113 > 10 * 1000
+    assert main(["verify", str(tmp_path / "system.json"), "--out", str(tmp_path / "v.json")]) == 0
+    assert json.loads((tmp_path / "v.json").read_text())["covered"] is True
 
 
-@pytest.mark.parametrize("option, value", [("--c-extra", "0"), ("--c", "0.3"), ("--c", "1e307")])
+@pytest.mark.parametrize("option, value", [("--c", "0.3"), ("--c", "1e307")])
 def test_construct_bad_budget_or_scale_is_usage_error(tmp_path, capsys, option, value):
-    # --c-extra 0 leaves no fresh primes; --c 0.3 gives y = 91 <= x = 100;
-    # --c 1e307 is finite but its y overflows to infinity
+    # --c 0.3 gives y = 91 <= x = 100; --c 1e307 is finite but its y
+    # overflows to infinity
     assert main(["construct", "100", option, value, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"{option} " in err and len(err.strip().splitlines()) == 1

@@ -12,7 +12,6 @@ from gapsieve import nibble as nib
 from gapsieve import pipeline
 from gapsieve.pairlaw import PairLaw
 from gapsieve.pipeline import (
-    BudgetError,
     PipelineInstance,
     StagedConfig,
     _sieving_primes,
@@ -48,11 +47,7 @@ def test_config_validation():
         StagedConfig(x=50)
     with pytest.raises(ValueError, match="weights"):
         dataclasses.replace(StagedConfig(x=500), weights="magic")
-    # no fresh primes in (x, C_extra*x], and an empty interval (x, y]
-    for bad in (0.0, 1.0, -3.0):
-        with pytest.raises(ValueError, match="--c-extra"):
-            StagedConfig(x=500, C_extra=bad)
-    StagedConfig(x=500, C_extra=1.01)
+    # an empty interval (x, y]
     assert thresholds(StagedConfig(x=100, c=0.34)).y > 100
     with pytest.raises(ValueError, match=r"--c 0\.3 gives y = 91 <= x = 100"):
         StagedConfig(x=100, c=0.3)
@@ -151,9 +146,9 @@ def test_survivor_split_cross_checked_against_smooth_oracle():
         return n == 1
 
     composite = [n for n in split.interval.survivor_list() if n not in prime_set]
-    assert split.primes == [n for n in split.interval.survivor_list() if n in prime_set]
-    assert split.smooth == [n for n in composite if smooth(n)]
-    assert split.other == [n for n in composite if not smooth(n)]
+    assert split.primes.tolist() == [n for n in split.interval.survivor_list() if n in prime_set]
+    assert split.smooth.tolist() == [n for n in composite if smooth(n)]
+    assert split.other.tolist() == [n for n in composite if not smooth(n)]
     assert split.total() == len(split.primes) + len(split.smooth) + len(split.other)
 
 
@@ -181,7 +176,7 @@ def test_edge_construction_shifted_tuple():
     split = type("S", (), {"primes": split_primes})()
     pinst = build_edge_distributions(cfg, split)
     assert admissible_tuple(default_r(cfg.x)) == (3, 5)
-    idx = pinst.index_primes.index(67)
+    idx = pinst.index_primes.tolist().index(67)
     full_edge = frozenset({0, 1})
     assert full_edge in [e for e, _ in pinst.cover.dist[idx].atoms]
     # 202 - 3*67 = 1 = 336 - 5*67: both members carry the anchor's class
@@ -234,12 +229,12 @@ def reference_edge_distributions(cfg, split):
     """
     th = thresholds(cfg)
     offsets = admissible_tuple(default_r(cfg.x))
-    values = sorted(split.primes)
+    values = split.primes.tolist()
     vmap = {q: i for i, q in enumerate(values)}
     weight_ctx = PairWeightContext(offsets, cfg.x) if cfg.weights == "sieve" else None
 
     index_primes, anchors, dists, skipped = [], [], [], []
-    for p in _sieving_primes(cfg):
+    for p in _sieving_primes(cfg).tolist():
         edge_by_anchor = {}
         for q in values:
             for h in offsets:
@@ -302,15 +297,15 @@ def _split(cfg):
 ], ids=lambda c: f"{c.mode}-{c.x}-{c.weights}-s{c.seed}")
 def test_edge_build_matches_per_anchor_reference(cfg):
     split = _split(cfg)
-    if not split.primes:  # x = 100, seed 0: stage 2 leaves no prime
+    if not len(split.primes):  # x = 100, seed 0: stage 2 leaves no prime
         with pytest.raises(ValueError, match="no surviving primes"):
             build_edge_distributions(cfg, split)
         return
     pinst = build_edge_distributions(cfg, split)
     ref = reference_edge_distributions(cfg, split)
-    assert pinst.values == ref["values"]
-    assert pinst.index_primes == ref["index_primes"]
-    assert pinst.skipped_primes == ref["skipped_primes"]
+    assert pinst.values.tolist() == ref["values"]
+    assert pinst.index_primes.tolist() == ref["index_primes"]
+    assert pinst.skipped_primes.tolist() == ref["skipped_primes"]
     assert pinst.cover.rounds == [list(range(len(ref["index_primes"])))]
     # atom order, edges and masses, all compared with ==
     assert [pinst.cover.dist[i].atoms for i in range(len(pinst.index_primes))] \
@@ -373,6 +368,7 @@ def test_residual_after_stage3_matches_full_sift(method):
     assert len(residual) == report.residual_after_stage3 == len(fresh)
     # the final matching pairs the residual with fresh primes in order
     assert all(n % p == system.entries[p] for n, p in zip(residual, fresh))
+    assert report.max_modulus == max(system.entries) == fresh[-1]
 
 
 def pair_instance(values, primes):
@@ -387,10 +383,10 @@ def pair_instance(values, primes):
     )
     return PipelineInstance(
         cover=cover,
-        values=list(values),
-        index_primes=law.primes,
+        values=law.Q,
+        index_primes=law.ps,
         C_measured=sum(law.degrees(range(len(law)), n).tolist()) / n,
-        skipped_primes=law.skipped,
+        skipped_primes=np.setdiff1d(primes, law.ps),
     )
 
 
@@ -456,7 +452,7 @@ def test_final_matching_sieves_only_the_primes_it_spends(monkeypatch):
         return sieve_interval(lo, hi)
 
     monkeypatch.setattr(pipeline, "sieve_interval", recording_sieve)
-    cfg = StagedConfig(x=100_000, C_extra=30.0)
+    cfg = StagedConfig(x=100_000)
     residual = list(range(200_001, 400_001, 2))  # more primes than one block holds
     ext = final_matching(cfg, residual)
     fresh = sieve_interval(cfg.x + 1, 30 * cfg.x)[: len(residual)].tolist()
@@ -465,19 +461,6 @@ def test_final_matching_sieves_only_the_primes_it_spends(monkeypatch):
     # blocks stop at the one holding the last prime spent, far below 3e6
     assert spans[0][0] == cfg.x + 1 and all(b[0] == a[1] + 1 for a, b in zip(spans, spans[1:]))
     assert spans[-2][1] < fresh[-1] <= spans[-1][1] < 30 * cfg.x
-    # short of primes, it sieves all of (x, C_extra x] to name what is there
-    with pytest.raises(BudgetError, match=r"^matching needs 5 fresh primes but only 1 are "
-                                          r"available; C_extra of about 7\.6 would suffice$"):
-        final_matching(StagedConfig(x=1000, C_extra=1.01), [1100, 1200, 1300, 1400, 1500])
-
-
-def test_final_matching_budget_error():
-    cfg = StagedConfig(x=1000, C_extra=1.01)
-    fresh = [int(p) for p in sieve_interval(1001, 1010)]
-    too_many = list(range(1100, 1100 + len(fresh) + 5))
-    with pytest.raises(BudgetError) as exc:
-        final_matching(cfg, too_many)
-    assert exc.value.required_C_extra > 1.01
 
 
 def test_stage1_is_sifted_once(monkeypatch):
