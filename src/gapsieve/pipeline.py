@@ -28,7 +28,7 @@ import numpy as np
 from . import nibble as nib
 from .oracle import smooth_mask
 from .pairlaw import PairLaw
-from .primes import SEGMENT_SIZE, admissible_tuple, primes_up_to, sieve_interval
+from .primes import SEGMENT_SIZE, admissible_tuple, prime_mask, primes_up_to, sieve_interval
 from .residues import ResidueSystem, sift
 from .rng import stream, stream_seed, uniforms
 from .weights import PairWeightContext
@@ -175,16 +175,16 @@ def survivors_after_small(cfg: StagedConfig, s1: ResidueSystem,
     """Sift (x, y] by stage 1, count, clear stage 2's classes in place, and
     classify the survivors.
 
-    Survivors are split into primes of (x, y], z-smooth numbers (every
-    prime factor <= z, tested exactly on the non-prime survivors only), and
-    the rest.
+    Survivors are split into primes of (x, y] (`prime_mask` on the survivors
+    themselves), z-smooth numbers (every prime factor <= z, tested exactly on
+    the non-prime survivors only), and the rest.
     """
     th = thresholds(cfg)
     interval = sift(s1, cfg.x + 1, th.y)
     after_stage1 = interval.count()
     sift(s2, cfg.x + 1, th.y, interval.survivors)
     survivors = np.flatnonzero(interval.survivors) + interval.lo
-    is_q = np.isin(survivors, sieve_interval(cfg.x + 1, th.y), assume_unique=True)
+    is_q = prime_mask(survivors)
     composite = survivors[~is_q]
     smooth = smooth_mask(composite, int(th.z))
     return SurvivorSplit(
@@ -326,8 +326,8 @@ def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
     if not len(residual):
         return ResidueSystem({})
     # sieve above x block by block, only as far as the primes it spends; a
-    # block is one segment, or 9x positions at small x, so that a few hundred
-    # primes do not cost a whole segment
+    # block is SEGMENT_SIZE positions (half a sieve segment), or 9x positions
+    # at small x, so that a few hundred primes do not cost a whole segment
     size = min(SEGMENT_SIZE, 9 * cfg.x)
     blocks, available, lo = [], 0, cfg.x + 1
     while available < len(residual):

@@ -1,9 +1,12 @@
 """Prime generation, batch primality, primorials, admissible tuples.
 
-All sieving is done with a segmented sieve of Eratosthenes (numpy bool
-segments of SEGMENT_SIZE = 2**20 entries) so intervals up to 1e8 stay
-cheap and memory-local.  The admissible r-tuple is the first r primes
-above r, which always ends at or below 2r^2.
+All sieving is done with a segmented sieve of Eratosthenes over the odd
+numbers (numpy bool segments of SEGMENT_SIZE = 2**20 entries, each entry
+one odd number, so a segment spans 2**21 integers) so intervals up to 1e8
+stay cheap and memory-local.  prime_mask, the one batch primality test,
+reads dense inputs from that sieve and sparse ones from Miller-Rabin.
+The admissible r-tuple is the first r primes above r, which always ends
+at or below 2r^2.
 """
 
 from math import isqrt
@@ -14,25 +17,27 @@ SEGMENT_SIZE = 1 << 20
 
 
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi] via a segmented sieve; the base primes up to
-    isqrt(hi) come from the same sieve."""
+    """Primes in [lo, hi] via a segmented sieve of the odd numbers; the odd
+    base primes up to isqrt(hi) come from the same sieve, and 2 is emitted
+    when lo <= 2."""
     if hi < max(lo, 2):
         return np.empty(0, dtype=np.int64)
-    lo = max(lo, 2)
-    base = sieve_interval(2, isqrt(hi))
-    out = []
-    for seg_lo in range(lo, hi + 1, SEGMENT_SIZE):
-        seg_hi = min(seg_lo + SEGMENT_SIZE - 1, hi)
-        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
+    out = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    base = sieve_interval(3, isqrt(hi)).tolist()
+    # entry k of a segment is the odd number seg_lo + 2k
+    for seg_lo in range(max(lo, 1) | 1, hi + 1, 2 * SEGMENT_SIZE):
+        seg_hi = min(seg_lo + 2 * SEGMENT_SIZE - 2, hi)
+        flags = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)
         for p in base:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
+            start = max(p * p, -(-seg_lo // p) * p)
+            if start % 2 == 0:  # the next odd multiple
+                start += p
             if start > seg_hi:
                 continue
-            flags[start - seg_lo :: p] = False
-        if seg_lo <= 1:
-            flags[: 2 - seg_lo] = False
-        out.append(np.flatnonzero(flags).astype(np.int64) + seg_lo)
+            flags[(start - seg_lo) // 2 :: p] = False
+        if seg_lo == 1:
+            flags[0] = False
+        out.append(np.flatnonzero(flags).astype(np.int64, copy=False) * 2 + seg_lo)
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
@@ -96,8 +101,9 @@ def prime_mask(values) -> np.ndarray:
     Dense inputs are read from one segmented sieve over their span [lo, hi];
     sparse or huge ones go through is_prime value by value.  The sieve is
     taken when its cost, the span plus 64 table writes per base-prime
-    candidate up to isqrt(hi) per segment, is within 2**20 plus 64 per
-    value, so time and memory stay linear in the number of values.
+    candidate up to isqrt(hi) per segment (one segment spans
+    2 * SEGMENT_SIZE integers, its odd numbers), is within 2**20 plus 64
+    per value, so time and memory stay linear in the number of values.
     """
     try:
         values = np.asarray(values, dtype=np.int64)  # an int64 array is read in place
@@ -108,7 +114,7 @@ def prime_mask(values) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     lo, hi = int(values.min()), int(values.max())
     span = hi - lo + 1
-    segments = -(-span // SEGMENT_SIZE)
+    segments = -(-span // (2 * SEGMENT_SIZE))
     if span + 64 * isqrt(max(hi, 0)) * segments > SEGMENT_SIZE + 64 * len(values):
         return np.fromiter(map(is_prime, values.tolist()), dtype=bool, count=len(values))
     table = np.zeros(span, dtype=bool)

@@ -133,7 +133,7 @@ class SiftedInterval:
     survivors: np.ndarray  # bool, indexed by n - lo
 
     def count(self) -> int:
-        return int(self.survivors.sum())
+        return int(np.count_nonzero(self.survivors))
 
     def survivor_list(self) -> list:
         return (np.flatnonzero(self.survivors) + self.lo).tolist()
@@ -150,14 +150,18 @@ def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval
     and is cleared in place, so sifting two systems in turn gives the bits
     of their union.
 
-    Classes are sliced SIFT_CHUNK // 64 at a time from the int64 arrays, so
-    the memory beyond the bits stays bounded whatever the system's size.  With
-    n = hi - lo + 1 positions, a modulus p < n/64 clears its more than 64
-    hits with one strided slice; every other modulus hits at most 64
-    positions, which are computed in numpy and cleared with one scatter of
-    at most SIFT_CHUNK positions per slice.  The bits are exact for any
-    Python ints: when the system is held in object arrays or lo does not
-    fit int64, every class takes the strided slice, in Python ints.
+    A system with a class mod 2 clears that class with one strided slice,
+    and its odd moduli then act only on the parity 2 leaves: the view of
+    every other bit, whose k-th entry is n = lo' + 2k with lo' the first
+    position outside 2's class.  Classes are sliced SIFT_CHUNK // 64 at a
+    time from the int64 arrays, so the memory beyond the bits stays bounded
+    whatever the system's size.  With n positions in the view, a modulus
+    p < n/64 clears its more than 64 hits with one strided slice; every
+    other modulus hits at most 64 positions, which are computed in numpy and
+    cleared with one scatter of at most SIFT_CHUNK positions per slice.  The
+    bits are exact for any Python ints: when the system is held in object
+    arrays or lo does not fit int64, every class takes the strided slice
+    over all of [lo, hi], in Python ints.
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
@@ -171,20 +175,31 @@ def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval
     moduli, classes = sys.moduli, sys.classes
     # a lo beyond int64 would overflow the kernel's int64 arithmetic
     if moduli.dtype == np.int64 and -(2**63) <= lo < 2**63:
+        view, shift = flags, None
+        if len(moduli) and moduli[0] == 2:
+            c = (int(classes[0]) - lo) % 2  # the first position in 2's class
+            flags[c::2] = False
+            view, shift = flags[1 - c :: 2], 1 - c
+            moduli, classes = moduli[1:], classes[1:]
         step = SIFT_CHUNK // 64
         for i in range(0, len(moduli), step):
-            _clear(flags, lo, moduli[i : i + step], classes[i : i + step])
+            _clear(view, lo, shift, moduli[i : i + step], classes[i : i + step])
         return SiftedInterval(lo=lo, hi=hi, survivors=flags)
     for p, a in zip(moduli.tolist(), classes.tolist()):
         flags[(a - lo) % p :: p] = False
     return SiftedInterval(lo=lo, hi=hi, survivors=flags)
 
 
-def _clear(flags, lo, p, a):
-    """Clear the positions n - lo of flags with n = a (mod p), for int64
-    arrays of classes p, a."""
+def _clear(flags, lo, shift, p, a):
+    """Clear the entries of flags in the classes a mod p, for int64 arrays
+    p, a.  With shift None, entry k of flags is n = lo + k; otherwise entry
+    k is n = lo + shift + 2k and every p is odd."""
     n = len(flags)
-    start = (a - lo % p) % p
+    if shift is None:
+        start = (a - lo % p) % p
+    else:  # 2k = r (mod p), with the inverse (p + 1) / 2 of 2 taken without overflow
+        r = (a - lo % p - shift) % p
+        start = r // 2 + (r & 1) * (p // 2 + 1)
     strided = p < (n + 63) // 64  # p < n/64
     for s, q in zip(start[strided].tolist(), p[strided].tolist()):
         flags[s::q] = False

@@ -63,14 +63,29 @@ def test_primes_up_to_million_cross_checked():
 
 
 def test_segmented_interval_matches_naive():
-    top = SEGMENT_SIZE + 50_000
+    top = 2 * SEGMENT_SIZE + 50_000
     ref = naive_sieve(top)
-    # (3, top) spans more than one segment, so it crosses a segment boundary
-    for lo, hi in [(2, 100), (90, 90), (1234, 6789), (49_000, 50_000), (10, 2),
-                   (3, top), (SEGMENT_SIZE - 1000, SEGMENT_SIZE + 1000)]:
+    # a segment holds the odd numbers of 2 * SEGMENT_SIZE integers from the
+    # first odd n >= lo, so (3, top) crosses a segment boundary; from lo =
+    # 1019 or 1018 the first segment ends at the prime 1019 + 2^21 - 2 and
+    # the second starts at its twin, and the windows end around that boundary
+    windows = [(2, 100), (90, 90), (1234, 6789), (49_000, 50_000), (10, 2),
+               (3, top), (SEGMENT_SIZE - 1000, SEGMENT_SIZE + 1000)]
+    boundary = 1019 + 2 * SEGMENT_SIZE
+    assert {boundary - 2, boundary} <= set(ref)
+    for lo in (1019, 1018):
+        windows += [(lo, boundary + d) for d in (-3, -2, -1, 0, 1, 2)]
+    for lo, hi in windows:
         expect = [p for p in ref if lo <= p <= hi]
         got = [int(p) for p in sieve_interval(lo, hi)]
         assert got == expect
+
+
+def test_every_short_interval_matches_naive():
+    ref = naive_sieve(400)
+    for lo in range(0, 401):
+        for hi in range(lo - 3, 401):  # hi below lo gives no primes
+            assert sieve_interval(lo, hi).tolist() == [p for p in ref if lo <= p <= hi]
 
 
 def test_primorial_values():
@@ -147,4 +162,20 @@ def test_prime_mask_dense_run_uses_one_sieve(monkeypatch):
         raise AssertionError("dense input went through is_prime")
 
     monkeypatch.setattr(primes, "is_prime", refuse)
+    assert prime_mask(values).tolist() == expected
+
+
+def test_prime_mask_sparse_values_use_is_prime(monkeypatch):
+    import gapsieve.primes as primes
+
+    # four values over a span of 1e12: a sieve would cost far more than
+    # four Miller-Rabin tests
+    values = [10**12 + 39, 3, 561, 10**6 + 3]
+    expected = [trial_division_is_prime(v) for v in values]
+    assert expected == [True, True, False, True]
+
+    def refuse(lo, hi):
+        raise AssertionError("sparse input went through the sieve")
+
+    monkeypatch.setattr(primes, "sieve_interval", refuse)
     assert prime_mask(values).tolist() == expected

@@ -249,6 +249,38 @@ def test_sift_kernel_edge_cases(monkeypatch):
     for p in (61, 67):
         got = sift(ResidueSystem({p: 3}), 0, 64 * 67 - 1)
         assert got.survivors.tolist() == naive_survivors({p: 3}, 0, 64 * 67 - 1)
+    # 2's class alone and with odd moduli, from every parity of lo, over
+    # 1 to 3 positions: the view of the other parity may be empty
+    for a2 in (0, 1):
+        for entries in ({2: a2}, {2: a2, 3: 1, 5: 4}):
+            for lo in (10, 11, -7, -8):
+                for n in (1, 2, 3):
+                    got = sift(ResidueSystem(entries), lo, lo + n - 1)
+                    assert got.survivors.tolist() == naive_survivors(entries, lo, lo + n - 1)
+    # with 2 the odd moduli see a view of m = ceil(n/2) or floor(n/2) entries,
+    # which sets the cuts: here m = 64 * 67, so 61 is strided, 67 and 131
+    # (strided over all n positions) are scattered, 701 too, and 4289 >= m hits once
+    n = 2 * 64 * 67
+    for a2 in (0, 1):
+        entries = {2: a2, 61: 5, 67: 66, 131: 0, 701: 350, 4289: 4000}
+        for lo in (0, 1, -(10**6) - 1):
+            for chunk in (64, residues.SIFT_CHUNK):
+                with monkeypatch.context() as mp:
+                    mp.setattr(residues, "SIFT_CHUNK", chunk)
+                    got = sift(ResidueSystem(entries), lo, lo + n - 1)
+                    assert got.survivors.tolist() == naive_survivors(entries, lo, lo + n - 1)
+                    # in place: 2 and half the odd moduli cleared on bits another system left
+                    first = sift(ResidueSystem({61: 5, 67: 66}), lo, lo + n - 1)
+                    rest = {p: a for p, a in entries.items() if p not in (61, 67)}
+                    again = sift(ResidueSystem(rest), lo, lo + n - 1, first.survivors)
+                    assert again.survivors is first.survivors
+                    assert again.survivors.tolist() == got.survivors.tolist()
+    # the view's first position lo' = lo + 1 may be 2^63, beyond int64
+    for a2 in (0, 1):
+        entries = {2: a2, 3: 2, 2**61 - 1: 12345}
+        for lo in (2**63 - 2, 2**63 - 1):
+            got = sift(ResidueSystem(entries), lo, lo + 40)
+            assert got.survivors.tolist() == naive_survivors(entries, lo, lo + 40)
     with pytest.raises(ValueError, match="lo must be <= hi"):
         sift(ResidueSystem({2: 0}), 3, 2)
     with pytest.raises(ValueError, match="survivors hold 3 bits, not 4"):
