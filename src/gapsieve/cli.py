@@ -160,6 +160,9 @@ def cmd_gap(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # the period scan runs first: it refuses a period beyond its cutoff at
+    # once, before the exhaustive search has spent any time
+    jac = jacobsthal(primorial(args.x)) if args.cross_check else None
     res = exact_Y(args.x, cutoff=args.cutoff)
     doc = {
         "manifest": _manifest("oracle", {"x": args.x}),
@@ -173,7 +176,7 @@ def cmd_oracle(args) -> int:
         doc["witness_file"] = str(args.witness)
         doc["witness_sha256"] = hashlib.sha256(text.encode()).hexdigest()
     if args.cross_check:
-        doc["jacobsthal_primorial"] = jacobsthal(primorial(args.x))
+        doc["jacobsthal_primorial"] = jac
         doc["cross_check_ok"] = doc["jacobsthal_primorial"] - 1 == res.Y
     _dump(doc, args.out)
     return EXIT_OK

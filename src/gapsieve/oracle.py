@@ -1,9 +1,10 @@
 """Exhaustive ground-truth engines and smooth-number tests.
 
-exact_Y finds, by complete backtracking search, the longest prefix [1, y]
-coverable by one residue class per prime up to x.  jacobsthal scans a full
-period for the maximal gap between integers coprime to n; the two agree
-through exact_Y(x) = jacobsthal(primorial(x)) - 1 and are implemented
+exact_Y finds, by one exhaustive depth-first search, the longest prefix
+[1, y] coverable by one residue class per prime up to x.  jacobsthal scans
+half of one period (its odd half when n is even) for the maximal gap
+between integers coprime to n; the two agree through
+exact_Y(x) = jacobsthal(primorial(x)) - 1 and are implemented
 independently so each checks the other.
 """
 
@@ -14,8 +15,10 @@ import numpy as np
 from .primes import factorize, primes_up_to
 from .residues import ResidueSystem
 
-EXACT_Y_CUTOFF = 19
+EXACT_Y_CUTOFF = 23
+EXACT_Y_SPAN = 64  # bits of the first search; doubled while a choice covers them all
 JACOBSTHAL_CUTOFF = 10**9
+JACOBSTHAL_SEGMENT = 1 << 16  # scan entries per segment; small enough to stay in cache
 
 
 class InfeasibleError(ValueError):
@@ -30,92 +33,90 @@ class OracleResult:
     nodes_explored: int
 
 
-class _CoverSearch:
-    """Backtracking feasibility search: can classes a_p mod p cover [1, y]?
+def _longest_prefix(primes, span: int):
+    """Longest prefix [1, y] that one class per prime covers, by one search.
 
-    Branches on the smallest uncovered position t; any prime that covers t
-    must be congruent to t, so each unassigned prime contributes exactly one
-    candidate class.  Primes are tried largest first (larger moduli are the
-    scarcer resource); correctness does not depend on the order.
-
-    The covered set is one integer: bit t - 1 is set when t in [1, y] is
-    covered.  A child ORs in its class's precomputed pattern, so nothing is
-    undone on backtracking; a child that covers everything, or has no prime
-    left to try, is settled without a call.
+    Walks every ordered choice of distinct primes, each new prime taking
+    the class of the smallest position t not yet covered (any prime that
+    covers t must be congruent to t), primes largest first.  Returns
+    (y, assignment, nodes): y is the longest prefix any node covers, and
+    the assignment is the path to the first node in preorder that covers
+    it.  The covered set is one integer over `span` bits (bit t - 1 for
+    position t), so nothing is undone on backtracking; a prefix of `span`
+    means the span was too short and the caller must search again.
     """
+    full = (1 << span) - 1
+    # pats[p][a]: the positions t in [1, span] with t = a (mod p)
+    pats = {}
+    for p in primes:
+        comb = 0
+        for k in range(0, span, p):
+            comb |= 1 << k
+        pats[p] = [(comb << ((a or p) - 1)) & full for a in range(p)]
+    best, best_path, nodes = 1, [], 0  # best: smallest uncovered t of any node
+    path = [None] * len(primes)  # path[d]: the (p, a) chosen at depth d
 
-    def __init__(self, primes):
-        self.primes = sorted(primes, reverse=True)
-        self.nodes = 0
-
-    def feasible(self, y: int):
-        full = (1 << y) - 1
-        # pats[p][a]: the positions t in [1, y] with t = a (mod p)
-        pats = {}
-        for p in self.primes:
-            comb = 0
-            for k in range(0, y, p):
-                comb |= 1 << k
-            pats[p] = [(comb << ((a or p) - 1)) & full for a in range(p)]
-        assignment = {}
-        nodes = 0
-
-        def rec(mask, free):
-            nonlocal nodes
-            t = (~mask & (mask + 1)).bit_length()  # smallest uncovered position
-            for i, p in enumerate(free):
+    def rec(mask, t, free, d):
+        nonlocal best, best_path, nodes
+        nodes += len(free)
+        for i, p in enumerate(free):
+            a = t % p
+            child = mask | pats[p][a]
+            ct = (~child & (child + 1)).bit_length()
+            path[d] = (p, a)
+            if ct > best:
+                best, best_path = ct, path[: d + 1]
+            if len(free) > 2:
+                rec(child, ct, free[:i] + free[i + 1 :], d + 1)
+            elif len(free) == 2:  # the one grandchild is a leaf: settle it here
+                q = free[1 - i]
+                b = ct % q
+                leaf = child | pats[q][b]
                 nodes += 1
-                a = t % p
-                child = mask | pats[p][a]
-                rest = free[:i] + free[i + 1 :]
-                if child == full or (rest and rec(child, rest)):
-                    assignment[p] = a
-                    return True
-            return False
+                if (lt := (~leaf & (leaf + 1)).bit_length()) > best:
+                    path[d + 1] = (q, b)
+                    best, best_path = lt, path[: d + 2]
 
-        found = full == 0 or rec(0, tuple(self.primes))
-        self.nodes += nodes
-        return assignment if found else None
+    if primes:
+        rec(0, 1, tuple(sorted(primes, reverse=True)), 0)
+    return best - 1, dict(best_path), nodes
 
 
 def exact_Y(x: int, cutoff: int = EXACT_Y_CUTOFF) -> OracleResult:
     """Largest y such that classes a_p mod p (p <= x) cover [1, y], exactly.
 
-    Wraps the feasibility search in doubling plus binary search over the
-    target, so optimality is certified by one exhausted search at Y + 1.
+    One exhaustive search records the longest prefix any choice covers, so
+    optimality is certified by the whole search; the witness gives every
+    prime off the optimal path class 0.  The span of bits starts at
+    EXACT_Y_SPAN and doubles whenever a choice covers all of it, so Y is
+    never capped; nodes_explored counts every search run.
     """
     if x > cutoff:
         raise InfeasibleError(
             f"x = {x} exceeds the exhaustive cutoff {cutoff}; "
             "use jacobsthal(primorial(x)) for an independent route"
         )
-    primes = list(primes_up_to(x))
-    search = _CoverSearch(primes)
-    lo, assignment = 1, search.feasible(1)
-    if assignment is None:
-        return OracleResult(x=x, Y=0, witness=ResidueSystem({}), nodes_explored=search.nodes)
-    hi = 2
-    while (found := search.feasible(hi)) is not None:
-        lo, assignment = hi, found
-        hi *= 2
-    # invariant: assignment covers [1, lo], nothing covers [1, hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (found := search.feasible(mid)) is not None:
-            lo, assignment = mid, found
-        else:
-            hi = mid
+    primes = [int(p) for p in primes_up_to(x)]
+    span, total = EXACT_Y_SPAN, 0
+    while True:
+        Y, assignment, nodes = _longest_prefix(primes, span)
+        total += nodes
+        if Y < span:
+            break
+        span *= 2
     witness = {p: assignment.get(p, 0) for p in primes}
-    return OracleResult(
-        x=x, Y=lo, witness=ResidueSystem(witness), nodes_explored=search.nodes
-    )
+    return OracleResult(x=x, Y=Y, witness=ResidueSystem(witness), nodes_explored=total)
 
 
 def jacobsthal(n: int) -> int:
     """Maximal gap between consecutive integers coprime to n.
 
-    Scans one full period [1, n + 1] with a segmented bit vector; n beyond
-    JACOBSTHAL_CUTOFF (1e9) is rejected rather than attempted.
+    The coprime set is symmetric under t -> n - t, so only t <= n // 2 is
+    scanned (odd t only when n is even), with a segmented bit vector.  The
+    answer is the largest of the gaps inside the scan, the middle gap
+    n - 2c around n / 2 (c the last coprime <= n / 2) and the gap 2 from
+    n - 1 to n + 1.  n beyond JACOBSTHAL_CUTOFF (1e9) is rejected rather
+    than attempted.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -123,24 +124,27 @@ def jacobsthal(n: int) -> int:
         raise InfeasibleError(f"n = {n} exceeds the period-scan cutoff {JACOBSTHAL_CUTOFF}")
     if n == 1:
         return 1
-    ps = sorted(factorize(n))
-    segment = 1 << 22
-    max_gap = 0
-    prev = None  # last coprime position of the previous segments
-    for lo in range(1, n + 2, segment):
-        hi = min(lo + segment - 1, n + 1)
-        flags = np.ones(hi - lo + 1, dtype=bool)
-        for p in ps:
-            flags[(-lo) % p :: p] = False
-        # never empty: segments outlast any coprime gap below the cutoff,
-        # and n + 1 (coprime to n) lies in the last one
+    step = 2 if n % 2 == 0 else 1
+    # entry i of the scan is t = 1 + step * i; odd p divides it exactly
+    # when i = (p - 1) / step (mod p)
+    hits = [(p, (p - 1) // step) for p in factorize(n) if p != 2]
+    count = (n // 2 - 1) // step + 1
+    max_gap = 2
+    prev = None  # scan index of the last coprime t of the previous segments
+    for lo in range(0, count, JACOBSTHAL_SEGMENT):
+        flags = np.ones(min(JACOBSTHAL_SEGMENT, count - lo), dtype=bool)
+        for p, r in hits:
+            flags[(r - lo) % p :: p] = False
         pos = np.flatnonzero(flags)
+        if not len(pos):  # a short last segment can hold no coprime entry
+            continue
         if prev is not None:
-            max_gap = max(max_gap, int(pos[0]) + lo - prev)
+            max_gap = max(max_gap, step * (int(pos[0]) + lo - prev))
         if len(pos) > 1:
-            max_gap = max(max_gap, int(np.diff(pos).max()))
+            max_gap = max(max_gap, step * int(np.diff(pos).max()))
         prev = int(pos[-1]) + lo
-    return max_gap
+    # t = 1 is coprime, so prev is set
+    return max(max_gap, n - 2 * (1 + step * prev))
 
 
 def smooth_mask(values, z: int) -> np.ndarray:

@@ -37,11 +37,11 @@ def report(num, ok, detail):
     assert ok, detail
 
 
-def test_criterion_1_oracle_agreement(exact_Y_19):
+def test_criterion_1_oracle_agreement(exact_Y_23):
     t0 = time.time()
     pairs = []
-    for x in (2, 3, 5, 7, 11, 13, 17, 19):
-        Y = exact_Y_19.Y if x == 19 else exact_Y(x).Y
+    for x in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        Y = exact_Y_23.Y if x == 23 else exact_Y(x).Y
         J = jacobsthal(primorial(x))
         pairs.append((x, Y, J))
         assert Y == J - 1, f"x={x}: exact_Y={Y} vs jacobsthal-1={J - 1}"

@@ -196,8 +196,22 @@ def test_oracle_command(tmp_path):
 
 
 def test_oracle_infeasible_exit_code(tmp_path):
-    assert main(["oracle", "23"]) == 4
+    assert main(["oracle", "29"]) == 4
     assert main(["oracle", "19", "--cutoff", "17"]) == 4
+
+
+def test_oracle_cross_check_beyond_period_cutoff_fails_before_search(tmp_path, monkeypatch,
+                                                                      capsys):
+    # primorial(29) exceeds the period-scan cutoff: exit 4 before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("exact_Y ran")
+
+    monkeypatch.setattr(cli, "exact_Y", no_search)
+    out = tmp_path / "o29.json"
+    assert main(["oracle", "29", "--cutoff", "29", "--cross-check", "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible:") and len(err.strip().splitlines()) == 1
 
 
 def test_nibble_bench(tmp_path):
