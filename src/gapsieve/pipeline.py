@@ -20,7 +20,7 @@ reachable sizes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -182,8 +182,8 @@ def survivors_after_small(cfg: StagedConfig, s1: ResidueSystem,
     th = thresholds(cfg)
     interval = sift(s1, cfg.x + 1, th.y)
     after_stage1 = interval.count()
-    sift(s2, cfg.x + 1, th.y, interval.survivors)
-    survivors = np.flatnonzero(interval.survivors) + interval.lo
+    sift(s2, cfg.x + 1, th.y, interval)
+    survivors = interval.positions()
     is_q = prime_mask(survivors)
     composite = survivors[~is_q]
     smooth = smooth_mask(composite, int(th.z))
@@ -407,8 +407,10 @@ def run_pipeline(cfg: StagedConfig):
         sys3 = ResidueSystem(moduli=p, classes=q % p)
 
     # only the stage-3 classes are sifted here; stages 1-2 are in split
-    after3 = sift(sys3, cfg.x + 1, th.y, split.interval.survivors.copy())
-    residual = np.flatnonzero(after3.survivors) + after3.lo
+    leaves = split.interval
+    after3 = sift(sys3, cfg.x + 1, th.y, replace(leaves, bits=leaves.bits.copy()))
+    residual = after3.positions()
+    del after3  # free the stage-3 bits before the check allocates its own
     ext = final_matching(cfg, residual)
     combined = sys12.merged(sys3).merged(ext)
 

@@ -3,28 +3,25 @@
 All sieving is done with a segmented sieve of Eratosthenes over the odd
 numbers (numpy bool segments of SEGMENT_SIZE = 2**20 entries, each entry
 one odd number, so a segment spans 2**21 integers) so intervals up to 1e8
-stay cheap and memory-local.  prime_mask, the one batch primality test,
-reads dense inputs from that sieve and sparse ones from Miller-Rabin.
-The admissible r-tuple is the first r primes above r, which always ends
-at or below 2r^2.
+stay cheap and memory-local.  `_odd_segments` yields those segments;
+`sieve_interval` lists their primes, and prime_mask, the one batch
+primality test, reads dense inputs straight from their flags and sparse
+ones from Miller-Rabin.  The admissible r-tuple is the first r primes
+above r, which always ends at or below 2r^2.
 """
 
-from math import isqrt
+from math import isqrt, log
 
 import numpy as np
 
 SEGMENT_SIZE = 1 << 20
 
 
-def sieve_interval(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi] via a segmented sieve of the odd numbers; the odd
-    base primes up to isqrt(hi) come from the same sieve, and 2 is emitted
-    when lo <= 2."""
-    if hi < max(lo, 2):
-        return np.empty(0, dtype=np.int64)
-    out = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+def _odd_segments(lo: int, hi: int):
+    """(seg_lo, flags) for each segment of the odd numbers in [lo, hi], in
+    order: flags[k] is True iff seg_lo + 2k is prime.  The odd base primes up
+    to isqrt(hi) come from sieve_interval."""
     base = sieve_interval(3, isqrt(hi)).tolist()
-    # entry k of a segment is the odd number seg_lo + 2k
     for seg_lo in range(max(lo, 1) | 1, hi + 1, 2 * SEGMENT_SIZE):
         seg_hi = min(seg_lo + 2 * SEGMENT_SIZE - 2, hi)
         flags = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)
@@ -37,7 +34,17 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
             flags[(start - seg_lo) // 2 :: p] = False
         if seg_lo == 1:
             flags[0] = False
-        out.append(np.flatnonzero(flags).astype(np.int64, copy=False) * 2 + seg_lo)
+        yield seg_lo, flags
+
+
+def sieve_interval(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi] via a segmented sieve of the odd numbers; 2 is
+    emitted when lo <= 2."""
+    if hi < max(lo, 2):
+        return np.empty(0, dtype=np.int64)
+    out = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    out += [np.flatnonzero(flags).astype(np.int64, copy=False) * 2 + seg_lo
+            for seg_lo, flags in _odd_segments(lo, hi)]
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
@@ -95,15 +102,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def sieve_pays(count: int, lo: int, hi: int) -> bool:
+    """Whether prime_mask reads count values in [lo, hi] from the sieve.
+
+    The sieve's cost is the span plus 64 per strided write, one write per
+    odd base prime up to m = isqrt(hi) per segment (2 * SEGMENT_SIZE
+    integers); the base primes are counted by pi(m) < 1.25506 m / ln m
+    (Rosser-Schoenfeld).  It pays when that is within 2**20 plus 64 per
+    value, the cost charged to Miller-Rabin, so time and memory stay linear
+    in the number of values either way.
+    """
+    span = hi - lo + 1
+    segments = -(-span // (2 * SEGMENT_SIZE))
+    m = isqrt(max(hi, 0))
+    base = 1.25506 * m / log(m) if m > 1 else 0.0
+    return span + 64 * base * segments <= SEGMENT_SIZE + 64 * count
+
+
 def prime_mask(values) -> np.ndarray:
     """Exact primality of each integer in values, as a bool array in input order.
 
-    Dense inputs are read from one segmented sieve over their span [lo, hi];
-    sparse or huge ones go through is_prime value by value.  The sieve is
-    taken when its cost, the span plus 64 table writes per base-prime
-    candidate up to isqrt(hi) per segment (one segment spans
-    2 * SEGMENT_SIZE integers, its odd numbers), is within 2**20 plus 64
-    per value, so time and memory stay linear in the number of values.
+    When `sieve_pays`, the values are taken in increasing order and each is
+    looked up in the flags of its segment of one sieve over the odd numbers
+    of their span; no table of the span is built.  Otherwise, and for values
+    beyond int64, is_prime tests each value.
     """
     try:
         values = np.asarray(values, dtype=np.int64)  # an int64 array is read in place
@@ -112,14 +134,31 @@ def prime_mask(values) -> np.ndarray:
         return np.fromiter(map(is_prime, values), dtype=bool, count=len(values))
     if not len(values):
         return np.zeros(0, dtype=bool)
-    lo, hi = int(values.min()), int(values.max())
-    span = hi - lo + 1
-    segments = -(-span // (2 * SEGMENT_SIZE))
-    if span + 64 * isqrt(max(hi, 0)) * segments > SEGMENT_SIZE + 64 * len(values):
+    if not sieve_pays(len(values), int(values.min()), int(values.max())):
         return np.fromiter(map(is_prime, values.tolist()), dtype=bool, count=len(values))
-    table = np.zeros(span, dtype=bool)
-    table[sieve_interval(lo, hi) - lo] = True
-    return table[values - lo]
+    if (values[1:] < values[:-1]).any():
+        order = np.argsort(values, kind="stable")
+        mask = np.empty(len(values), dtype=bool)
+        mask[order] = _sieved_mask(values[order])
+        return mask
+    return _sieved_mask(values)
+
+
+def _sieved_mask(values) -> np.ndarray:
+    """prime_mask of increasing int64 values, read from _odd_segments."""
+    mask = values == 2
+    i = int(np.searchsorted(values, 3))
+    if i == len(values):
+        return mask
+    # segments start at an odd number <= values[i]; each takes every value
+    # below the next one's start, so an even value indexes the odd number
+    # just below it and is masked out by its parity
+    for seg_lo, flags in _odd_segments((int(values[i]) - 1) | 1, int(values[-1])):
+        j = int(np.searchsorted(values, seg_lo + 2 * len(flags) - 1, side="right"))
+        v = values[i:j]
+        mask[i:j] = flags[(v - seg_lo) // 2] & (v % 2 == 1)
+        i = j
+    return mask
 
 
 def is_admissible(offsets: tuple) -> bool:

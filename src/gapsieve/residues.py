@@ -19,7 +19,7 @@ import numpy as np
 from .primes import prime_mask
 
 PREFIX_SCAN_LIMIT = 10**7
-SIFT_CHUNK = 1 << 16  # most positions one scatter of sift writes
+SIFT_CHUNK = 1 << 16  # bytes of int64 moduli that sift reads at a time
 
 
 class CoverageError(Exception):
@@ -126,91 +126,124 @@ def _set_sorted(sys, p, a):
 
 @dataclass
 class SiftedInterval:
-    """Integers of [lo, hi] that avoided every class of the generating system."""
+    """Integers of [lo, hi] that avoided every class of the generating system.
+
+    bits[k] is the survivor bit of n = first + step * k.  When the system
+    has a class mod 2, only the other parity is stored (its parity 2
+    leaves): step is 2 and first is the first position of [lo, hi] outside
+    2's class.  Otherwise step is 1 and first is lo.
+    """
 
     lo: int
     hi: int
-    survivors: np.ndarray  # bool, indexed by n - lo
+    first: int
+    step: int
+    bits: np.ndarray  # bool
 
     def count(self) -> int:
-        return int(np.count_nonzero(self.survivors))
+        return int(np.count_nonzero(self.bits))
+
+    def positions(self) -> np.ndarray:
+        """The survivors, increasing, as int64."""
+        out = np.flatnonzero(self.bits)
+        out *= self.step
+        out += self.first
+        return out
 
     def survivor_list(self) -> list:
-        return (np.flatnonzero(self.survivors) + self.lo).tolist()
+        return [self.first + self.step * k for k in np.flatnonzero(self.bits).tolist()]
 
     def first_survivor(self):
-        idx = np.flatnonzero(self.survivors)
-        return int(idx[0]) + self.lo if len(idx) else None
+        idx = np.flatnonzero(self.bits)
+        return self.first + self.step * int(idx[0]) if len(idx) else None
+
+    @property
+    def survivors(self) -> np.ndarray:
+        """A new bool array over all of [lo, hi], indexed by n - lo."""
+        out = np.zeros(self.hi - self.lo + 1, dtype=bool)
+        out[self.first - self.lo :: self.step] = self.bits
+        return out
 
 
-def sift(sys: ResidueSystem, lo: int, hi: int, survivors=None) -> SiftedInterval:
-    """Survivor bit for n in [lo, hi] iff n mod p != a_p for every entry.
+def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
+    """Survivor bits of n in [lo, hi]: n survives iff n mod p != a_p for
+    every entry.
 
-    survivors, when given, holds the bits of [lo, hi] left by another system
-    and is cleared in place, so sifting two systems in turn gives the bits
-    of their union.
+    into, when given, is a SiftedInterval of the same [lo, hi] left by
+    another system; its bits are cleared in place and it is returned, so
+    sifting two systems in turn gives the bits of their union.
 
-    A system with a class mod 2 clears that class with one strided slice,
-    and its odd moduli then act only on the parity 2 leaves: the view of
-    every other bit, whose k-th entry is n = lo' + 2k with lo' the first
-    position outside 2's class.  Classes are sliced SIFT_CHUNK // 64 at a
-    time from the int64 arrays, so the memory beyond the bits stays bounded
-    whatever the system's size.  With n positions in the view, a modulus
-    p < n/64 clears its more than 64 hits with one strided slice; every
-    other modulus hits at most 64 positions, which are computed in numpy and
-    cleared with one scatter of at most SIFT_CHUNK positions per slice.  The
-    bits are exact for any Python ints: when the system is held in object
-    arrays or lo does not fit int64, every class takes the strided slice
-    over all of [lo, hi], in Python ints.
+    A new interval of a system with a class mod 2 holds only the parity 2
+    leaves (see SiftedInterval), so 2's class costs nothing and the odd
+    moduli act on ceil(n/2) or floor(n/2) contiguous bits.  On bits that
+    hold every position, 2's class is one strided slice and the odd moduli
+    act on the other parity's view.  With n bits to clear, a modulus
+    p < n/64 takes one strided slice; a modulus p >= n hits at most once;
+    the moduli in between are cleared together, one whole-array step per
+    multiple (at most 64), until fewer than 64 are left, which take a
+    strided slice each.  Classes are read SIFT_CHUNK // 8 at a time from the
+    int64 arrays, so the memory beyond the bits stays bounded whatever the
+    system's size.  The bits are exact for any Python ints: when the system
+    is held in object arrays or the first position does not fit int64, every
+    class takes the strided slice in Python ints.
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
-    n = hi - lo + 1
-    if survivors is None:
-        flags = np.ones(n, dtype=bool)
-    elif len(survivors) == n:
-        flags = survivors
-    else:
-        raise ValueError(f"survivors hold {len(survivors)} bits, not {n}")
     moduli, classes = sys.moduli, sys.classes
-    # a lo beyond int64 would overflow the kernel's int64 arithmetic
-    if moduli.dtype == np.int64 and -(2**63) <= lo < 2**63:
-        view, shift = flags, None
-        if len(moduli) and moduli[0] == 2:
-            c = (int(classes[0]) - lo) % 2  # the first position in 2's class
-            flags[c::2] = False
-            view, shift = flags[1 - c :: 2], 1 - c
-            moduli, classes = moduli[1:], classes[1:]
-        step = SIFT_CHUNK // 64
-        for i in range(0, len(moduli), step):
-            _clear(view, lo, shift, moduli[i : i + step], classes[i : i + step])
-        return SiftedInterval(lo=lo, hi=hi, survivors=flags)
-    for p, a in zip(moduli.tolist(), classes.tolist()):
-        flags[(a - lo) % p :: p] = False
-    return SiftedInterval(lo=lo, hi=hi, survivors=flags)
+    has2 = bool(len(moduli)) and moduli[0] == 2
+    if into is None:
+        first, step = (lo + (int(classes[0]) - lo + 1) % 2, 2) if has2 else (lo, 1)
+        into = SiftedInterval(lo=lo, hi=hi, first=first, step=step,
+                              bits=np.ones(max(hi - first, -1) // step + 1, dtype=bool))
+    elif (into.lo, into.hi) != (lo, hi):
+        raise ValueError(f"interval mismatch: sifting [{lo}, {hi}] into [{into.lo}, {into.hi}]")
+    bits, first, step = into.bits, into.first, into.step
+    if has2:
+        c = int(classes[0])
+        if step == 2:
+            if (first - c) % 2 == 0:  # the leaves are 2's class
+                bits[:] = False
+                return into
+        else:
+            off = (c - first) % 2
+            bits[off::2] = False
+            bits, first, step = bits[1 - off :: 2], first + 1 - off, 2
+        moduli, classes = moduli[1:], classes[1:]
+    # a first position beyond int64 would overflow the kernel's int64 arithmetic
+    if moduli.dtype == np.int64 and -(2**63) <= first < 2**63:
+        chunk = SIFT_CHUNK // 8
+        for i in range(0, len(moduli), chunk):
+            _clear(bits, first, step, moduli[i : i + chunk], classes[i : i + chunk])
+    else:
+        for p, a in zip(moduli.tolist(), classes.tolist()):  # every p odd when step is 2
+            bits[(a - first) * pow(step, -1, p) % p :: p] = False
+    return into
 
 
-def _clear(flags, lo, shift, p, a):
+def _clear(flags, first, step, p, a):
     """Clear the entries of flags in the classes a mod p, for int64 arrays
-    p, a.  With shift None, entry k of flags is n = lo + k; otherwise entry
-    k is n = lo + shift + 2k and every p is odd."""
+    p, a, where entry k of flags is n = first + step * k, step 1 or 2, and
+    every p is odd when step is 2."""
     n = len(flags)
-    if shift is None:
-        start = (a - lo % p) % p
+    r = (a - first % p) % p
+    if step == 1:
+        start = r
     else:  # 2k = r (mod p), with the inverse (p + 1) / 2 of 2 taken without overflow
-        r = (a - lo % p - shift) % p
         start = r // 2 + (r & 1) * (p // 2 + 1)
     strided = p < (n + 63) // 64  # p < n/64
     for s, q in zip(start[strided].tolist(), p[strided].tolist()):
         flags[s::q] = False
-    scattered = ~strided & (start < n)
-    flags[start[scattered & (p >= n)]] = False
-    scattered &= p < n
-    if scattered.any():  # here n/64 <= p < n: at most 64 hits each
-        step = p[scattered]
-        pos = step[:, None] * np.arange((n - 1) // step.min() + 1)
-        pos += start[scattered, None]  # in place: one array of positions at a time
-        flags[pos[pos < n]] = False
+    flags[start[(p >= n) & (start < n)]] = False
+    # here n/64 <= p < n, so each steps at most 64 times; s + q < 2n never wraps
+    live = ~strided & (p < n) & (start < n)
+    s, q = start[live], p[live]
+    while len(s) >= 64:
+        flags[s] = False
+        s += q
+        live = s < n
+        s, q = s[live], q[live]
+    for s, q in zip(s.tolist(), q.tolist()):
+        flags[s::q] = False
 
 
 def covered_prefix_length(sys: ResidueSystem) -> int:
@@ -326,11 +359,14 @@ def _classes_text(p, a) -> str:
     modulus, which a < p fits too) fill one byte column each of an
     n x (2W + 4) matrix, from W rounds of % 10 and // 10 per number, and
     one boolean gather drops the leading zeros.  The same arithmetic runs
-    on int64 and on object arrays of Python ints.
+    on int64 and on object arrays of Python ints, and on uint32 copies when
+    the largest modulus is below 2**32.
     """
     if not len(p):
         return ""
     w = len(str(int(p[-1])))
+    if p.dtype == np.int64 and p[-1] < 2**32:
+        p, a = p.astype(np.uint32), a.astype(np.uint32)
     cols = np.empty((2 * w + 4, len(p)), dtype=np.uint8)  # the matrix, transposed
     keep = np.ones(cols.shape, dtype=bool)
     cols[[0, w + 1, 2 * w + 2, 2 * w + 3]] = np.frombuffer(b"[,],", dtype=np.uint8)[:, None]

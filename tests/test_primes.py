@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapsieve import primes
 from gapsieve.primes import (
     SEGMENT_SIZE,
     admissible_tuple,
@@ -179,3 +180,34 @@ def test_prime_mask_sparse_values_use_is_prime(monkeypatch):
 
     monkeypatch.setattr(primes, "sieve_interval", refuse)
     assert prime_mask(values).tolist() == expected
+
+
+def test_sieve_pays_picks_the_sieve_for_dense_spans_only():
+    # the survivors of construct 100000000 --stage3 none: 12,677,170 values
+    # over 576,102,985 integers above 1e8 (this charges 6.3e8 to the sieve
+    # and 8.1e8 to Miller-Rabin)
+    assert primes.sieve_pays(12_677_170, 10**8 + 1, 10**8 + 576_102_985)
+    assert not primes.sieve_pays(4, 3, 10**12 + 39)
+    assert not primes.sieve_pays(1, 2**61 + 1, 2**61 + 1)
+    # the dense run of test_prime_mask_dense_run_uses_one_sieve
+    assert primes.sieve_pays(85_716, 2, 1_100_000)
+
+
+def test_prime_mask_reads_segment_flags_in_input_order(monkeypatch):
+    # segments of 8 odd numbers (16 integers), counted from the smallest odd
+    # value >= 3, so values fall on both edges of many segments
+    rng = random.Random(26)
+    for first in (3, 1001):
+        edges = [first + 16 * k + d for k in range(20) for d in (0, 14, 16)]
+        values = edges + [0, 1, 2, 2, -1, -2, -7, 4, 100, 97, 97, first + 14, first + 996]
+        values += rng.sample(range(-20, first + 400), 150)
+        rng.shuffle(values)
+        expected = [trial_division_is_prime(v) for v in values]
+        with monkeypatch.context() as mp:
+            mp.setattr(primes, "SEGMENT_SIZE", 8)
+            mp.setattr(primes, "sieve_pays", lambda count, lo, hi: True)
+            mp.setattr(primes, "is_prime", lambda n: pytest.fail("went through is_prime"))
+            assert prime_mask(values).tolist() == expected
+            order = sorted(range(len(values)), key=values.__getitem__)
+            assert prime_mask([values[i] for i in order]).tolist() == [expected[i] for i in order]
+            assert prime_mask([0, 1, 2, -3, 4]).tolist() == [False, False, True, False, False]

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from gapsieve import residues
 from gapsieve.oracle import exact_Y
-from gapsieve.primes import sieve_interval
+from gapsieve.primes import is_prime, sieve_interval
 from gapsieve.residues import (
     CoverageError,
     ResidueSystem,
@@ -215,7 +216,7 @@ def test_sift_kernel_matches_naive_double_loop(data):
                              st.integers(-(2**63), -(2**63) + 2000),  # int64's edges
                              st.integers(2**63 - 2000, 2**63 + 2000)))
     hi = lo + data.draw(st.integers(0, 700))  # includes lo == hi
-    # SIFT_CHUNK = 64 reads one class at a time
+    # SIFT_CHUNK = 64 reads eight classes at a time
     chunk = data.draw(st.sampled_from([64, residues.SIFT_CHUNK]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residues, "SIFT_CHUNK", chunk)
@@ -227,15 +228,15 @@ def test_sift_kernel_matches_naive_double_loop(data):
         half = dict(list(entries.items())[: len(entries) // 2])
         rest = {p: a for p, a in entries.items() if p not in half}
         first = sift(ResidueSystem(half), lo, hi)
-        again = sift(ResidueSystem(rest), lo, hi, first.survivors)
+        again = sift(ResidueSystem(rest), lo, hi, first)
     assert got.survivors.tolist() == naive_survivors(entries, lo, hi)
-    assert again.survivors is first.survivors
+    assert again is first
     assert again.survivors.tolist() == got.survivors.tolist()
 
 
 def test_sift_kernel_edge_cases(monkeypatch):
     # a modulus beyond int64 sends every class through Python ints, also
-    # when it comes after classes already cleared (one class per read)
+    # when it comes after classes already cleared (eight classes per read)
     entries = {2: 1, 3: 0, 2**61 - 1: 5, 2**89 - 1: 7}
     assert sift(ResidueSystem(entries), 1, 20).survivors.tolist() == naive_survivors(entries, 1, 20)
     with monkeypatch.context() as mp:
@@ -245,7 +246,7 @@ def test_sift_kernel_edge_cases(monkeypatch):
     # p >= n hits once or not at all (start >= n)
     assert sift(ResidueSystem({101: 7}), 1, 10).survivor_list() == [n for n in range(1, 11) if n != 7]
     assert sift(ResidueSystem({101: 50}), 1, 10).count() == 10
-    # p = n/64 exactly is scattered and hits 64 positions; p just below is strided
+    # p = n/64 exactly is stepped and hits 64 positions; p just below is strided
     for p in (61, 67):
         got = sift(ResidueSystem({p: 3}), 0, 64 * 67 - 1)
         assert got.survivors.tolist() == naive_survivors({p: 3}, 0, 64 * 67 - 1)
@@ -259,7 +260,7 @@ def test_sift_kernel_edge_cases(monkeypatch):
                     assert got.survivors.tolist() == naive_survivors(entries, lo, lo + n - 1)
     # with 2 the odd moduli see a view of m = ceil(n/2) or floor(n/2) entries,
     # which sets the cuts: here m = 64 * 67, so 61 is strided, 67 and 131
-    # (strided over all n positions) are scattered, 701 too, and 4289 >= m hits once
+    # (strided over all n positions) are stepped, 701 too, and 4289 >= m hits once
     n = 2 * 64 * 67
     for a2 in (0, 1):
         entries = {2: a2, 61: 5, 67: 66, 131: 0, 701: 350, 4289: 4000}
@@ -272,8 +273,8 @@ def test_sift_kernel_edge_cases(monkeypatch):
                     # in place: 2 and half the odd moduli cleared on bits another system left
                     first = sift(ResidueSystem({61: 5, 67: 66}), lo, lo + n - 1)
                     rest = {p: a for p, a in entries.items() if p not in (61, 67)}
-                    again = sift(ResidueSystem(rest), lo, lo + n - 1, first.survivors)
-                    assert again.survivors is first.survivors
+                    again = sift(ResidueSystem(rest), lo, lo + n - 1, first)
+                    assert again is first
                     assert again.survivors.tolist() == got.survivors.tolist()
     # the view's first position lo' = lo + 1 may be 2^63, beyond int64
     for a2 in (0, 1):
@@ -283,14 +284,16 @@ def test_sift_kernel_edge_cases(monkeypatch):
             assert got.survivors.tolist() == naive_survivors(entries, lo, lo + 40)
     with pytest.raises(ValueError, match="lo must be <= hi"):
         sift(ResidueSystem({2: 0}), 3, 2)
-    with pytest.raises(ValueError, match="survivors hold 3 bits, not 4"):
-        sift(ResidueSystem({2: 0}), 1, 4, np.ones(3, dtype=bool))
+    with pytest.raises(ValueError, match="interval mismatch"):
+        sift(ResidueSystem({2: 0}), 1, 4, sift(ResidueSystem({}), 1, 3))
 
 
-def test_sift_kernel_across_many_blocks():
+def test_sift_kernel_across_many_blocks(monkeypatch):
     # every prime up to 30,000 over 20,000 positions, read 1,024 classes at
-    # a time: 64 strided classes, 2,198 scattered ones and 983 with p >= n;
-    # the reference tests each class by division
+    # a time: 2 leaves 10,000 odd positions, on which 35 classes are
+    # strided, 1,193 stepped and 2,016 have p >= n; the reference tests each
+    # class by division
+    monkeypatch.setattr(residues, "SIFT_CHUNK", 8 * 1024)
     rng = random.Random(8)
     entries = {int(p): rng.randrange(p) for p in sieve_interval(2, 30_000)}
     lo, hi = 10**12 + 7, 10**12 + 20_006
@@ -298,8 +301,95 @@ def test_sift_kernel_across_many_blocks():
     expected = np.ones(len(ns), dtype=bool)
     for p, a in entries.items():
         expected &= ns % p != a
-    assert len(entries) > 3 * (residues.SIFT_CHUNK // 64)
+    assert len(entries) > 3 * (residues.SIFT_CHUNK // 8)
     assert (sift(ResidueSystem(entries), lo, hi).survivors == expected).all()
+
+
+def assert_sifts_naively(got, entries, lo, hi):
+    """got holds the bits of [lo, hi] under entries, read every way."""
+    naive = naive_survivors(entries, lo, hi)
+    listed = [n for n, keep in zip(range(lo, hi + 1), naive) if keep]
+    assert got.survivors.tolist() == naive
+    assert got.survivor_list() == listed
+    assert got.count() == len(listed)
+    assert got.first_survivor() == (listed[0] if listed else None)
+    if -(2**63) <= lo and hi < 2**63:
+        positions = got.positions()
+        assert positions.dtype == np.int64 and positions.tolist() == listed
+
+
+def test_sift_step_kernel_against_naive():
+    rng = random.Random(26)
+
+    def primes_in(a, b, k):
+        return rng.sample(sieve_interval(a, b).tolist(), k)
+
+    n = 3840  # n/64 = 60: 59 is strided, 61 is stepped
+    cases = [
+        # 60 moduli with 10 to 63 hits and 40 with 4 to 9 keep 64 or more
+        # live for at least 4 steps; fewer than 64 are left by step 10 and
+        # sliced
+        primes_in(61, 400, 60) + primes_in(400, 960, 40),
+        # n/64 - 1 and n/64 + 1, beside 70 stepped moduli
+        [59, 61] + primes_in(62, n // 2, 70),
+        # 80 moduli >= n: each hits at most once
+        primes_in(n, 5 * n, 80),
+        # the three kinds in one read, with strided ones below n/64
+        primes_in(3, 59, 10) + primes_in(61, n - 1, 100) + primes_in(n, 3 * n, 40),
+    ]
+    for moduli in cases:
+        for lo in (1, 10**12 + 1, -(10**6)):
+            hi = lo + n - 1
+            # classes whose first hit is inside [lo, hi]
+            entries = {p: (lo + rng.randrange(min(p, n))) % p for p in moduli}
+            assert_sifts_naively(sift(ResidueSystem(entries), lo, hi), entries, lo, hi)
+            # with 2, the same moduli act on n/2 leaves
+            for a2 in (0, 1):
+                both = {2: a2, **entries}
+                assert_sifts_naively(sift(ResidueSystem(both), lo, hi), both, lo, hi)
+    # 64 or more int64 moduli within 2^12 of 2^63, each >= n: starts near
+    # 2^63 never step on, so nothing wraps
+    huge = [p for p in range(2**63 - 4095, 2**63, 2) if is_prime(p)]
+    assert len(huge) >= 64
+    for lo in (0, 2**63 - 5000, 2**63 - 701, -(2**63)):
+        hi = lo + 700
+        entries = {p: (lo + rng.randrange(701)) % p for p in huge}
+        for extra in ({}, {2: 1}, {3: 2}):
+            system = ResidueSystem({**entries, **extra})
+            assert system.moduli.dtype == np.int64
+            assert_sifts_naively(sift(system, lo, hi), {**entries, **extra}, lo, hi)
+
+
+def test_sift_in_place_on_leaves():
+    rng = random.Random(27)
+    odd = {p: rng.randrange(p) for p in (3, 5, 7, 61, 67, 131, 701, 4289)}
+    for lo in (0, 1, -(10**6) - 1, 2**63 - 3000):
+        hi = lo + 2 * 64 * 67 - 1 - (lo & 1)  # odd and even lengths
+        for a2 in (0, 1):
+            leaves = {2: a2, 13: 1}
+            first = sift(ResidueSystem(leaves), lo, hi)
+            assert first.step == 2 and len(first.bits) == len(range(first.first, hi + 1, 2))
+            # a second system with 2's class on the other side of the
+            # leaves, on them (so every bit clears), or with no class mod 2
+            for second in ({2: a2, **odd}, {2: 1 - a2, **odd}, odd,
+                           {2: a2, 2**89 - 1: 5, 7: 3},  # object arrays
+                           {2: 1 - a2, 2**89 - 1: 5, 7: 3},
+                           {2**89 - 1: 5, 2**63 + 29: (lo + 4) % (2**63 + 29)}):
+                system = ResidueSystem(second)
+                got = sift(system, lo, hi, replace(first, bits=first.bits.copy()))
+                union = {**second, 13: 1}
+                union[2] = a2 if 2 not in second or second[2] == a2 else None
+                if union[2] is None:  # both parities cleared
+                    assert got.count() == 0
+                else:
+                    assert_sifts_naively(got, union, lo, hi)
+                    assert got.count() == sift(ResidueSystem(union), lo, hi).count()
+        # full bits (no class mod 2) sifted in place by a system with one
+        full = sift(ResidueSystem(odd), lo, hi)
+        assert full.step == 1 and full.first == lo
+        again = sift(ResidueSystem({2: 1, 11: 4, 2**89 - 1: 9}), lo, hi, full)
+        assert again is full
+        assert_sifts_naively(again, {**odd, 2: 1, 11: 4, 2**89 - 1: 9}, lo, hi)
 
 
 def test_covered_prefix_length_examples():
@@ -484,8 +574,12 @@ def test_system_file_bytes_equal_json_dumps():
 
     rng = random.Random(4)
     primes = sieve_interval(2, 5000).tolist()
+    # the writer runs on uint32 up to the largest prime below 2^32 and on
+    # int64 from the first prime above it
     for sys in (ResidueSystem({}), ResidueSystem({2: 1}),
-                ResidueSystem({p: rng.randrange(p) for p in rng.sample(primes, 300)})):
+                ResidueSystem({p: rng.randrange(p) for p in rng.sample(primes, 300)}),
+                ResidueSystem({3: 2, 4_294_967_291: 4_294_967_290}),
+                ResidueSystem({3: 0, 4_294_967_291: 0, 4_294_967_311: 4_294_967_310})):
         for interval in (None, (14, 20), (10**6 + 1, 5_250_000)):
             assert system_to_json(10**6, sys, interval) == dumps(10**6, sys, interval)
 
