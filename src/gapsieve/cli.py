@@ -15,11 +15,12 @@ from pathlib import Path
 
 from . import __version__
 from . import nibble as nib
-from .oracle import EXACT_Y_CUTOFF, InfeasibleError, exact_Y, jacobsthal
+from .oracle import EXACT_Y_CUTOFF, exact_Y, jacobsthal
 from .pipeline import StagedConfig, VerificationError, run_pipeline
 from .primes import admissible_tuple, primorial, sieve_interval
 from .residues import (
     CoverageError,
+    InfeasibleError,
     assemble_gap,
     covered_prefix_length,
     read_system_file,
@@ -28,13 +29,7 @@ from .residues import (
     write_system_file,
 )
 from .rng import stream_seed
-from .weights import (
-    FormSystem,
-    WeightSystem,
-    check_scale,
-    integrals_IJ,
-    tau_u,
-)
+from .weights import FormSystem, WeightSystem, cap_integrals, tau_u
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -204,24 +199,19 @@ def cmd_nibble_bench(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    check_scale(args.x)  # before the Monte Carlo, not after it
     offsets = admissible_tuple(args.k)
     system = FormSystem(offsets, B=args.B)
     ws = WeightSystem(system, R=args.R)
     doc = {
-        "manifest": _manifest(
-            "weights", {"k": args.k, "R": args.R, "x": args.x, "B": args.B, "seed": args.seed}
-        ),
+        "manifest": _manifest("weights", {"k": args.k, "R": args.R, "x": args.x, "B": args.B}),
         "k": args.k,
         "offsets": list(offsets),
         "R": args.R,
         "singular_series": ws.S,
         "table_size": len(ws.table),
     }
-    ij = integrals_IJ(ws.F, args.k, args.samples, args.seed)
-    tau, u = tau_u(ws, args.x, ij)
-    doc["I_k"] = ij.I
-    doc["J_k"] = ij.J
+    tau, u = tau_u(ws, args.x)
+    doc["I_k"], doc["J_k"] = cap_integrals(args.k)
     doc["tau_F_relative"] = tau
     doc["u_F_relative"] = u
     if args.dump:
@@ -293,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("R", type=float)
     p.add_argument("x", type=int)
     p.add_argument("--B", type=int, default=1)
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump", help="write the lambda table to this file")
     p.add_argument("--out")
     p.set_defaults(func=cmd_weights)

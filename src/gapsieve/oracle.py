@@ -13,16 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .primes import factorize, primes_up_to
-from .residues import ResidueSystem
+from .residues import InfeasibleError, ResidueSystem
 
 EXACT_Y_CUTOFF = 23
 EXACT_Y_SPAN = 64  # bits of the first search; doubled while a choice covers them all
 JACOBSTHAL_CUTOFF = 10**9
 JACOBSTHAL_SEGMENT = 1 << 16  # scan entries per segment; small enough to stay in cache
-
-
-class InfeasibleError(ValueError):
-    """Requested computation is beyond the configured exhaustive-search range."""
 
 
 @dataclass(frozen=True)

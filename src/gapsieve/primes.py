@@ -15,6 +15,9 @@ from math import isqrt, log
 import numpy as np
 
 SEGMENT_SIZE = 1 << 20
+# psi_12, the least strong pseudoprime to the 12 bases 2..37, is
+# 399,165,290,221 * 798,330,580,441 (Sorenson and Webster, 2017)
+MR_LIMIT = 318_665_857_834_031_151_167_461
 
 
 def _odd_segments(lo: int, hi: int):
@@ -79,7 +82,15 @@ def factorize(n: int) -> dict:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24 (covers 64-bit)."""
+    """Miller-Rabin to the bases 2..37, a proof for every n < MR_LIMIT.
+
+    MR_LIMIT = psi_12 (about 3.2e23, every int64 value lies below it) is the
+    least composite that passes all 12 bases; for n >= MR_LIMIT a pass would
+    prove nothing, so ValueError is raised.
+    """
+    if n >= MR_LIMIT:
+        raise ValueError(f"primality of {n} is not proven: Miller-Rabin to the bases "
+                         f"2..37 is a proof only below {MR_LIMIT}")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -22,6 +22,10 @@ PREFIX_SCAN_LIMIT = 10**7
 SIFT_CHUNK = 1 << 16  # bytes of int64 moduli that sift reads at a time
 
 
+class InfeasibleError(ValueError):
+    """Requested computation is beyond a configured limit (a scan or search range)."""
+
+
 class CoverageError(Exception):
     """A position that was supposed to be covered is not."""
 
@@ -250,8 +254,8 @@ def covered_prefix_length(sys: ResidueSystem) -> int:
     """Largest y with no survivor in [1, y]; 0 if 1 itself survives.
 
     Scans in blocks, stopping at the first survivor, so no arbitrary bound
-    has to be guessed ahead of time.  PREFIX_SCAN_LIMIT guards against
-    systems whose first survivor is absurdly far out.
+    has to be guessed ahead of time.  A system with no survivor up to
+    PREFIX_SCAN_LIMIT raises InfeasibleError.
     """
     block = 1024
     lo = 1
@@ -262,7 +266,7 @@ def covered_prefix_length(sys: ResidueSystem) -> int:
             return first - 1
         lo = hi + 1
         block *= 2
-    raise RuntimeError(f"no survivor found below {PREFIX_SCAN_LIMIT}")
+    raise InfeasibleError(f"no survivor found below {PREFIX_SCAN_LIMIT}")
 
 
 def crt_merge(a, b):

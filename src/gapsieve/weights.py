@@ -11,11 +11,12 @@ the support tuples, exactly as the defining formulas read; the enumeration
 is cheap because desk-scale truncation levels R keep the support tiny, and
 it doubles as the oracle for any faster path.
 
-The singular series are Euler products truncated at SERIES_CUTOFF.
+The singular series are Euler products truncated at SERIES_CUTOFF; the
+integrals I_k and J_k of the cap, which the normalizations read, are exact.
 """
 
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
@@ -32,20 +33,14 @@ class InadmissibleError(ValueError):
     """Some prime divides every value of the form product."""
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    for p in factorize(n):
-        out = out // p * (p - 1)
-    return out
-
-
 class FormSystem:
     """The forms n + h_i of admissible offsets, with exceptional modulus B and level W.
 
     W is the product of primes up to 2k^2 not dividing B; B is 1 (default)
-    or a prime standing in for a possible exceptional modulus.  Offsets
-    that cover every class mod some prime raise InadmissibleError, and
-    repeated offsets ValueError.
+    or a prime standing in for a possible exceptional modulus, so
+    phi_WB = phi(W*B) is the product of p - 1 over the primes of W and B.
+    Offsets that cover every class mod some prime raise InadmissibleError,
+    and repeated offsets ValueError.
     """
 
     def __init__(self, offsets, B: int = 1):
@@ -59,9 +54,11 @@ class FormSystem:
             raise InadmissibleError(f"offsets {self.offsets} cover every class mod a prime")
         self.B = B
         self.W = 1
+        self.phi_WB = max(B - 1, 1)
         for p in primes_up_to(2 * self.k * self.k):
             if B % p != 0:
                 self.W *= p
+                self.phi_WB *= p - 1
 
     def omega(self, p: int) -> int:
         """The number of roots of prod (n + h_i) mod p: form j has the one root -h_j."""
@@ -171,7 +168,7 @@ class WeightSystem:
         """y_r = (WB / phi(WB))^k S_WB F(log r_1 / log R, ..., log r_k / log R)."""
         sysm = self.system
         WB = sysm.W * sysm.B
-        scale = WB**sysm.k / _euler_phi(WB) ** sysm.k
+        scale = WB**sysm.k / sysm.phi_WB**sysm.k
         log_R = math.log(self.R)
         return {r: scale * self.Swb
                 * float(self.F([math.log(x) / log_R if self.R > 1 else 0.0 for x in r]))
@@ -302,65 +299,40 @@ class PairWeightContext:
         return self.weight(p, 0, y)
 
 
-# -- numeric integrals over the simplex ----------------------------------------
+# -- integrals of the cap and normalizations ------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegralEstimates:
-    I: float
-    J: float
-    se_I: float
-    se_J: float
-    samples: int
+def cap_integrals(k: int):
+    """(I_k, J_k) of the cap F = (1 - t_1 - ... - t_k)^(k+1), exactly.
 
-
-def integrals_IJ(F, k: int, samples: int, seed: int) -> IntegralEstimates:
-    """Monte Carlo estimates of I = int F^2 and J = int (int F dt_k)^2.
-
-    Both integrals are over the unit simplex; sampling is uniform over the
-    unit cube with F vanishing outside the simplex.  J uses the identity
-    (int F dt_k)^2 = E[F(t, a) F(t, b)] with a, b independent uniform.
-    F takes an (N, k) array of points and returns their N values; it is
-    called three times, whatever the number of samples.
+    I_k = int F^2 and J_k = int (int F dt_k)^2 over the unit simplex.  A
+    power of 1 - sum t integrates to int (1 - sum t)^a dt = a!/(a+k)! over
+    the k-simplex, and int F dt_k = (1 - t_1 - ... - t_(k-1))^(k+2)/(k+2),
+    so I_k = (2k+2)!/(3k+2)! and J_k = (2k+4)!/((k+2)^2 (3k+3)!).  Each is
+    a Fraction rounded once to a float.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    rng = np.random.default_rng(seed)
-    vals_sq = F(rng.random((samples, k))) ** 2
-    I = float(vals_sq.mean())
-    se_I = float(vals_sq.std(ddof=1) / math.sqrt(samples))
-
-    outer = rng.random((samples, k - 1)) if k > 1 else np.zeros((samples, 0))
-    a = rng.random((samples, 1))
-    b = rng.random((samples, 1))
-    prods = F(np.hstack((outer, a))) * F(np.hstack((outer, b)))
-    J = float(prods.mean())
-    se_J = float(prods.std(ddof=1) / math.sqrt(samples))
-    return IntegralEstimates(I=I, J=J, se_I=se_I, se_J=se_J, samples=samples)
+    f = math.factorial
+    I = Fraction(f(2 * k + 2), f(3 * k + 2))
+    J = Fraction(f(2 * k + 4), (k + 2) ** 2 * f(3 * k + 3))
+    return float(I), float(J)
 
 
-def check_scale(x: int) -> None:
-    """Reject a scale x below 2: tau and u divide by log x."""
-    if x < 2:
-        raise ValueError(f"x must be >= 2 (tau and u divide by log x), got {x}")
-
-
-def tau_u(ws: WeightSystem, x: int, ij: IntegralEstimates):
-    """The normalization pair (tau, u) for a weight system at scale x.
+def tau_u(ws: WeightSystem, x: int):
+    """The normalization pair (tau, u) for a weight system at scale x >= 2.
 
     tau = 2 (B/phi(B))^k S (log R)^k (log x)^k I_k and
-    u = (phi(B)/B) (log R / log x) k J_k / (2 I_k); both are relative to the
-    chosen cap F, which the report labels.
+    u = (phi(B)/B) (log R / log x) k J_k / (2 I_k), with I_k and J_k the
+    exact integrals of the cap F (`cap_integrals`), which the report
+    labels.  x below 2 raises ValueError: both divide by log x.
     """
-    check_scale(x)
-    if ij.I == 0:
-        raise ValueError(f"the Monte Carlo estimate of I_k is 0 (no sample of {ij.samples} "
-                         "fell in the simplex); raise --samples")
+    if x < 2:
+        raise ValueError(f"x must be >= 2 (tau and u divide by log x), got {x}")
     sysm = ws.system
     k = sysm.k
-    phi_B = _euler_phi(sysm.B)
+    I, J = cap_integrals(k)
+    phi_B = max(sysm.B - 1, 1)  # B is 1 or a prime
     logR = math.log(ws.R)
     logx = math.log(x)
-    tau = 2 * (sysm.B / phi_B) ** k * ws.S * logR**k * logx**k * ij.I
-    u = (phi_B / sysm.B) * (logR / logx) * k * ij.J / (2 * ij.I)
+    tau = 2 * (sysm.B / phi_B) ** k * ws.S * logR**k * logx**k * I
+    u = (phi_B / sysm.B) * (logR / logx) * k * J / (2 * I)
     return tau, u

@@ -27,7 +27,7 @@ from gapsieve.primes import (
 )
 from gapsieve.residues import assemble_gap, read_system_file
 from gapsieve.rng import stream, stream_seed
-from gapsieve.weights import integrals_IJ
+from gapsieve.weights import cap_integrals
 
 F = Fraction
 
@@ -321,16 +321,19 @@ def test_criterion_10_admissibility_and_integrals():
     for r in range(1, 201):
         assert is_admissible(admissible_tuple(r)), f"r={r} not admissible"
 
-    def cap(t):
-        u = t[..., 0]
-        return np.where((0 <= u) & (u <= 1), (1 - u) ** 2, 0.0)
-
-    ij = integrals_IJ(cap, 1, 10**6, 20240101)
-    ok_I = abs(ij.I - 0.2) <= 3 * ij.se_I
-    ok_J = abs(ij.J - 1 / 9) <= 3 * ij.se_J
-    report(10, ok_I and ok_J,
-           f"first-r-primes admissible for r <= 200; I1={ij.I:.6f} "
-           f"(1/5 +- {3 * ij.se_I:.1e}), J1={ij.J:.6f} (1/9 +- {3 * ij.se_J:.1e}) "
+    # the package's exact I_1 and J_1 against a Monte Carlo estimate of
+    # int (1 - u)^4 and (int (1 - u)^2 du)^2 = E[(1 - a)^2 (1 - b)^2]
+    I, J = cap_integrals(1)
+    rng = np.random.default_rng(20240101)
+    sq = (1 - rng.random(10**6)) ** 4
+    prods = (1 - rng.random(10**6)) ** 2 * (1 - rng.random(10**6)) ** 2
+    se_I = sq.std(ddof=1) / 10**3
+    se_J = prods.std(ddof=1) / 10**3
+    ok_I = abs(sq.mean() - I) <= 3 * se_I
+    ok_J = abs(prods.mean() - J) <= 3 * se_J
+    report(10, ok_I and ok_J and (I, J) == (1 / 5, 1 / 9),
+           f"first-r-primes admissible for r <= 200; I1={I} (MC {sq.mean():.6f} "
+           f"+- {3 * se_I:.1e}), J1={J:.6f} (MC {prods.mean():.6f} +- {3 * se_J:.1e}) "
            f"at 1e6 samples")
 
 

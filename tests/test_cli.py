@@ -2,16 +2,18 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gapsieve
-from gapsieve import cli
+from gapsieve import cli, residues
 from gapsieve import nibble as nib
 from gapsieve.cli import main
 from gapsieve.oracle import exact_Y
@@ -81,11 +83,11 @@ def test_construct_outputs_pinned(tmp_path, args, digest, residual, report_diges
 # sha256 of the summary and of the --dump table of two `weights` runs; the
 # summary names its dump file, so both are written relative to one directory
 PINNED_WEIGHTS = [
-    ("2 35 100000 --samples 20000", 15,
-     "298509e7618ec5fa99ba983507a18e6c15536565057e59edc4b7cbb9b6813f85",
+    ("2 35 100000", 15,
+     "16438fa017a3b35d370311decefea03fb4845c3613148aeced280c6901ead5f4",
      "5e9d18baee08bce976a098efbed3cbd40b056255f3eef9d0b636a44c6acccfa4"),
-    ("3 120 1000000 --B 19 --samples 20000", 67,
-     "03d6b188fe3eed121f8069fe08d181225fea92929eec3106e6433c5857a219ea",
+    ("3 120 1000000 --B 19", 67,
+     "ab2a0f63d2119a4a34f73a61ddc969d3714d1d0db9983d95d55fbd8e7bf1f82b",
      "a0bfe0096c4846839d2e39404fe168009b22145556bf855e88976ee0eed5b784"),
 ]
 
@@ -344,8 +346,7 @@ def test_nibble_bench_underflowed_targets_stay_quiet(tmp_path):
 def test_weights_dump_schema(tmp_path):
     dump = tmp_path / "table.json"
     out = tmp_path / "w.json"
-    assert main(["weights", "2", "35", "100000", "--dump", str(dump),
-                 "--out", str(out), "--samples", "5000"]) == 0
+    assert main(["weights", "2", "35", "100000", "--dump", str(dump), "--out", str(out)]) == 0
     doc = json.loads(dump.read_text())
     assert set(doc) == {"k", "forms", "B", "R", "lambda"}
     assert doc["k"] == 2
@@ -361,33 +362,62 @@ def test_weights_dump_schema(tmp_path):
 
 @pytest.mark.parametrize("x", ["0", "1"])
 def test_weights_scale_below_two_is_usage_error(capsys, x):
-    assert main(["weights", "2", "35", x, "--samples", "2"]) == 2
+    assert main(["weights", "2", "35", x]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"got {x}" in err
 
 
-def test_weights_scale_checked_before_monte_carlo(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrals_IJ ran before x was checked")
-
-    monkeypatch.setattr(cli, "integrals_IJ", refuse)
-    assert main(["weights", "2", "35", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "got 1" in err
-
-
 @pytest.mark.parametrize("R", ["inf", "1e400", "nan"])
 def test_weights_R_not_finite_is_usage_error(capsys, R):
-    assert main(["weights", "2", R, "1000", "--samples", "2"]) == 2
+    assert main(["weights", "2", R, "1000"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "R must be a finite number >= 1" in err
 
 
-def test_weights_zero_I_estimate_is_usage_error(capsys):
-    # the simplex has volume 1/12!, so both samples miss it and I_k reads 0
-    assert main(["weights", "12", "35", "1000", "--samples", "2"]) == 2
+@pytest.mark.parametrize("k", range(1, 13))
+def test_weights_integrals_are_the_exact_fractions(tmp_path, k):
+    out = tmp_path / "w.json"
+    assert main(["weights", str(k), "35", "1000", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    f = math.factorial
+    assert doc["I_k"] == float(Fraction(f(2 * k + 2), f(3 * k + 2)))
+    assert doc["J_k"] == float(Fraction(f(2 * k + 4), (k + 2) ** 2 * f(3 * k + 3)))
+    assert doc["tau_F_relative"] > 0 and doc["u_F_relative"] > 0
+    if k == 12:  # the simplex has volume 1/12!, yet I_12 = 26!/38! exactly
+        assert doc["I_k"] == float(Fraction(f(26), f(38)))
+
+
+def test_weights_u_at_k6_is_exact(tmp_path):
+    out = tmp_path / "w.json"
+    assert main(["weights", "6", "1000", "100000", "--out", str(out)]) == 0
+    # u = (log R / log x) k J/(2I) = 0.6 * 6 * (5/28) / 2 = 9/28
+    assert json.loads(out.read_text())["u_F_relative"] == pytest.approx(9 / 28, rel=1e-12)
+
+
+def test_weights_large_prime_B_needs_no_trial_division(tmp_path):
+    # B = 2^61 - 1: phi(W*B) = phi(W) (B - 1), with no factorisation up to sqrt(B)
+    src = str(Path(gapsieve.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapsieve.cli", "weights", "2", "35", "1000",
+         "--B", str(2**61 - 1), "--out", str(tmp_path / "w.json")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "w.json").read_text())["table_size"] == 15
+
+
+def test_weights_B_beyond_psi_12_is_usage_error(capsys):
+    assert main(["weights", "2", "35", "1000", "--B", "318665857834031151167461"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--samples" in err
+    assert err.count("\n") == 1 and "not proven" in err
+
+
+@pytest.mark.parametrize("option", ["--samples", "--seed"])
+def test_weights_has_no_monte_carlo_options(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "2", "35", "1000", option, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("x", [0, 1, 2, 13])
@@ -447,6 +477,28 @@ def test_missing_system_file_is_usage_error(tmp_path, capsys, command):
     assert main([command, str(tmp_path / "absent.json")]) == 2
     err = capsys.readouterr().err
     assert "absent.json" in err and len(err.strip().splitlines()) == 1
+
+
+def test_modulus_beyond_psi_12_is_usage_error(tmp_path, capsys):
+    # psi_12 = 399,165,290,221 * 798,330,580,441 passes Miller-Rabin to every
+    # base 2..37; read as a prime it would leave 3 uncovered (exit 3)
+    f = tmp_path / "psi12.json"
+    f.write_text('{"x":5,"classes":[[2,0],[3,1],[318665857834031151167461,1]]}\n')
+    assert main(["verify", str(f), "--interval", "1", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "318665857834031151167461 is not proven" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "gap"])
+def test_prefix_scan_limit_is_infeasible(tmp_path, capsys, monkeypatch, command):
+    # the oracle 13 witness, written without an interval, covers [1, 21]:
+    # past a scan limit of 10 there is no survivor to stop the prefix scan
+    f = tmp_path / "w.json"
+    f.write_text(system_to_json(13, exact_Y(13).witness, None))
+    monkeypatch.setattr(residues, "PREFIX_SCAN_LIMIT", 10)
+    assert main([command, str(f)]) == 4
+    err = capsys.readouterr().err
+    assert err == "infeasible: no survivor found below 10\n"
 
 
 def test_non_prime_modulus_is_usage_error(tmp_path, capsys):

@@ -143,6 +143,24 @@ def test_is_prime_matches_trial_division():
     assert not is_prime(2**61 + 1)
 
 
+# psi_12 and psi_13, the least strong pseudoprimes to the first 12 and 13
+# prime bases, with their factors
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_is_prime_refuses_values_beyond_its_bases():
+    assert PSI_12 == primes.MR_LIMIT == 399_165_290_221 * 798_330_580_441
+    assert PSI_13 == 1_287_836_182_261 * 2_575_672_364_521
+    assert is_prime(2**78 - 11) and not is_prime(2**78 + 1)  # both below psi_12
+    assert not is_prime(PSI_12 - 1)
+    for n in (PSI_12, PSI_13, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"primality of {n} is not proven"):
+            is_prime(n)
+        with pytest.raises(ValueError, match=f"primality of {n} is not proven"):
+            prime_mask([3, n])
+
+
 def test_prime_mask_matches_is_prime():
     for values in (range(-5, 5000), [3, 2**61 - 1, 2**61 + 1, 10**12 + 39]):
         mask = prime_mask(values)

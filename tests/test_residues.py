@@ -70,7 +70,7 @@ def test_merged_equals_the_checked_constructor(monkeypatch):
 # primes and composites of every size class: int64 and beyond, below and
 # inside the span of the others
 ROUTE_MODULI = [2, 3, 5, 7, 11, 13, 4, 9, 561, 7919, 2**61 - 1, 2**61 + 1,
-                2**63 + 29, 2**89 - 1, 2**89 + 1]
+                2**63 + 29, 2**78 - 11, 2**78 + 1]
 
 
 def expected_fault(pairs):
@@ -82,7 +82,7 @@ def expected_fault(pairs):
     if twice:
         return f"moduli assigned twice: {twice}"
     for p, a in sorted(pairs):
-        if p in (4, 9, 561, 2**61 + 1, 2**89 + 1):
+        if p in (4, 9, 561, 2**61 + 1, 2**78 + 1):
             return f"modulus {p} is not prime"
     for p, a in sorted(pairs):
         if not 0 <= a < p:
@@ -151,9 +151,9 @@ def test_residue_system_equality_and_view():
     assert a != ResidueSystem({2: 0, 3: 2}) and a != ResidueSystem({2: 0})
     assert a != {2: 0, 3: 1}  # a system is not its mapping
     # dtype-agnostic: the same classes held as Python ints compare equal
-    wide = ResidueSystem({2: 0, 3: 1, 2**89 - 1: 5})
+    wide = ResidueSystem({2: 0, 3: 1, 2**78 - 11: 5})
     assert wide.moduli.dtype == object
-    assert ResidueSystem({2: 0, 3: 1}).merged(ResidueSystem({2**89 - 1: 5})) == wide
+    assert ResidueSystem({2: 0, 3: 1}).merged(ResidueSystem({2**78 - 11: 5})) == wide
     assert ResidueSystem(moduli=np.array([2, 3], dtype=object),
                          classes=np.array([0, 1], dtype=object)) == a
     with pytest.raises(TypeError):
@@ -200,7 +200,7 @@ def test_sift_matches_naive_double_loop():
 # moduli of every kind relative to an interval of n <= 700 positions: below
 # the strided cut n/64, between it and n, at least n, and beyond 2^63
 KERNEL_MODULI = (SMALL_PRIMES + [53, 211, 691, 701, 997, 7919]
-                 + [2**61 - 1, 2**63 + 29, 2**89 - 1])
+                 + [2**61 - 1, 2**63 + 29, 2**78 - 11])
 
 
 def naive_survivors(entries, lo, hi):
@@ -237,7 +237,7 @@ def test_sift_kernel_matches_naive_double_loop(data):
 def test_sift_kernel_edge_cases(monkeypatch):
     # a modulus beyond int64 sends every class through Python ints, also
     # when it comes after classes already cleared (eight classes per read)
-    entries = {2: 1, 3: 0, 2**61 - 1: 5, 2**89 - 1: 7}
+    entries = {2: 1, 3: 0, 2**61 - 1: 5, 2**78 - 11: 7}
     assert sift(ResidueSystem(entries), 1, 20).survivors.tolist() == naive_survivors(entries, 1, 20)
     with monkeypatch.context() as mp:
         mp.setattr(residues, "SIFT_CHUNK", 64)
@@ -372,9 +372,9 @@ def test_sift_in_place_on_leaves():
             # a second system with 2's class on the other side of the
             # leaves, on them (so every bit clears), or with no class mod 2
             for second in ({2: a2, **odd}, {2: 1 - a2, **odd}, odd,
-                           {2: a2, 2**89 - 1: 5, 7: 3},  # object arrays
-                           {2: 1 - a2, 2**89 - 1: 5, 7: 3},
-                           {2**89 - 1: 5, 2**63 + 29: (lo + 4) % (2**63 + 29)}):
+                           {2: a2, 2**78 - 11: 5, 7: 3},  # object arrays
+                           {2: 1 - a2, 2**78 - 11: 5, 7: 3},
+                           {2**78 - 11: 5, 2**63 + 29: (lo + 4) % (2**63 + 29)}):
                 system = ResidueSystem(second)
                 got = sift(system, lo, hi, replace(first, bits=first.bits.copy()))
                 union = {**second, 13: 1}
@@ -387,9 +387,9 @@ def test_sift_in_place_on_leaves():
         # full bits (no class mod 2) sifted in place by a system with one
         full = sift(ResidueSystem(odd), lo, hi)
         assert full.step == 1 and full.first == lo
-        again = sift(ResidueSystem({2: 1, 11: 4, 2**89 - 1: 9}), lo, hi, full)
+        again = sift(ResidueSystem({2: 1, 11: 4, 2**78 - 11: 9}), lo, hi, full)
         assert again is full
-        assert_sifts_naively(again, {**odd, 2: 1, 11: 4, 2**89 - 1: 9}, lo, hi)
+        assert_sifts_naively(again, {**odd, 2: 1, 11: 4, 2**78 - 11: 9}, lo, hi)
 
 
 def test_covered_prefix_length_examples():
@@ -607,9 +607,9 @@ def test_system_to_json_matches_the_fstring_join():
         {1000003: 0},
         {2**61 - 1: 2**61 - 2},  # int64, 19 digits
         {2**61 - 1: 0, 2: 1},
-        {3: 2, 2**61 - 1: 5, 2**63 + 29: 2**63 + 28, 2**89 - 1: 0},  # object arrays
+        {3: 2, 2**61 - 1: 5, 2**63 + 29: 2**63 + 28, 2**78 - 11: 0},  # object arrays
         {2**63 + 29: 7},
-        {2**89 - 1: 2**89 - 2, 5: 0},
+        {2**78 - 11: 2**78 - 12, 5: 0},
     ]
     rng = random.Random(6)
     primes = sieve_interval(2, 2_000_000).tolist()
@@ -653,10 +653,18 @@ def test_residue_system_proves_huge_moduli():
         ResidueSystem({2**61 + 1: 0})
 
 
+def test_residue_system_refuses_moduli_beyond_psi_12():
+    # Miller-Rabin to the bases 2..37 proves nothing from psi_12 on, where a
+    # composite (psi_12 itself) passes every base
+    for p in (318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"primality of {p} is not proven"):
+            ResidueSystem({2: 0, 3: 1, p: 1})
+
+
 def test_residue_system_range_checks_any_ints():
-    assert ResidueSystem({2**89 - 1: 2**89 - 2}).entries == {2**89 - 1: 2**89 - 2}
+    assert ResidueSystem({2**78 - 11: 2**78 - 12}).entries == {2**78 - 11: 2**78 - 12}
     for p, a in ((53, 53), (5, -1), (2**61 - 1, 2**61 - 1), (5, 2**70), (5, -(2**70)),
-                 (2**89 - 1, 2**89 - 1)):
+                 (2**78 - 11, 2**78 - 11)):
         with pytest.raises(ValueError, match=f"residue {a} out of range for modulus {p}$"):
             ResidueSystem({2: 1, 3: 0, p: a, 7: 6})
 

@@ -21,11 +21,10 @@ from gapsieve.weights import (
     SERIES_CUTOFF,
     FormSystem,
     InadmissibleError,
-    IntegralEstimates,
     PairWeightContext,
     WeightSystem,
+    cap_integrals,
     in_Dk,
-    integrals_IJ,
     simplex_power_cap,
     singular_series,
     tau_u,
@@ -486,47 +485,27 @@ def test_pair_weight_omega_invariant_small():
 # -- integrals and normalizations --------------------------------------------------------
 
 
-def cap_k1(t):
-    x = t[..., 0]
-    return np.where((0 <= x) & (x <= 1), (1 - x) ** 2, 0.0)
+@pytest.mark.parametrize("k, one_over_I, one_over_J", [(1, 5, 9), (2, 56, 144)])
+def test_cap_integrals_hand_values(k, one_over_I, one_over_J):
+    # k = 1: int_0^1 (1 - t)^4 = 1/5 and (int_0^1 (1 - t)^2 dt)^2 = 1/9
+    # k = 2: int (1 - s)^6 over the triangle = 6!/8! = 1/56 and
+    # int_0^1 ((1 - t)^4 / 4)^2 dt = 1/144
+    assert cap_integrals(k) == (1 / one_over_I, 1 / one_over_J)
 
 
-def test_integrals_closed_form_k1():
-    ij = integrals_IJ(cap_k1, 1, 10**6, 424242)
-    assert abs(ij.I - 1 / 5) <= 3 * ij.se_I
-    assert abs(ij.J - 1 / 9) <= 3 * ij.se_J
-    assert ij.se_I > 0 and ij.se_J > 0
-
-
-def test_integrals_zero_function():
-    ij = integrals_IJ(lambda t: np.zeros(len(t)), 2, 1000, 7)
-    assert ij.I == 0.0 and ij.J == 0.0
-
-
-def test_integrals_default_cap_positive():
-    F = simplex_power_cap(2)
-    assert F((0.2, 0.3)) == pytest.approx(0.5**3)
-    assert F((0.8, 0.4)) == 0.0
-    assert F((-0.1, 0.2)) == 0.0
-    ij = integrals_IJ(F, 2, 50_000, 11)
-    assert ij.I > 0 and ij.J > 0
-
-
-def test_integrals_call_F_a_fixed_number_of_times():
-    F = simplex_power_cap(2)
-    calls = []
-
-    def counting(t):
-        calls.append(len(t))
-        return F(t)
-
-    counts = []
-    for samples in (50, 5000):
-        calls.clear()
-        integrals_IJ(counting, 2, samples, 1)
-        assert sum(calls) == 3 * samples  # I's points and J's two stacks
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cap_integrals_match_monte_carlo(k):
+    # uniform points in the unit cube, F zero outside the simplex; J by
+    # (int F dt_k)^2 = E[F(t, a) F(t, b)] over independent last coordinates
+    F = simplex_power_cap(k)
+    n = 10**6
+    rng = np.random.default_rng(1000 + k)
+    sq = F(rng.random((n, k))) ** 2
+    outer = rng.random((n, k - 1))
+    prods = F(np.hstack((outer, rng.random((n, 1))))) * F(np.hstack((outer, rng.random((n, 1)))))
+    I, J = cap_integrals(k)
+    assert abs(sq.mean() - I) <= 4 * sq.std(ddof=1) / math.sqrt(n)
+    assert abs(prods.mean() - J) <= 4 * prods.std(ddof=1) / math.sqrt(n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -549,13 +528,25 @@ def test_simplex_power_cap_on_arrays(k):
 
 def test_tau_u_structure():
     ws = WeightSystem(twin_system(), R=35)
-    ij = IntegralEstimates(I=0.01, J=0.002, se_I=0.0, se_J=0.0, samples=1)
-    tau, u = tau_u(ws, 10**5, ij)
+    tau, u = tau_u(ws, 10**5)
     assert tau > 0
-    # B = 1 leaves no (B/phi(B))^k factor
-    expected_tau = 2 * ws.S * math.log(ws.R) ** 2 * math.log(10**5) ** 2 * ij.I
+    # B = 1 leaves no (B/phi(B))^k factor; I_2 = 1/56 and J_2 = 1/144
+    expected_tau = 2 * ws.S * math.log(ws.R) ** 2 * math.log(10**5) ** 2 / 56
     assert tau == pytest.approx(expected_tau)
-    # u is linear in J/I at fixed k, R, x
-    ij2 = IntegralEstimates(I=0.01, J=0.004, se_I=0.0, se_J=0.0, samples=1)
-    _, u2 = tau_u(ws, 10**5, ij2)
-    assert u2 == pytest.approx(2 * u)
+    assert u == pytest.approx(math.log(35) / math.log(10**5) * 2 * (56 / 144) / 2)
+    # a prime B scales tau by (B/(B-1))^k and u by (B-1)/B
+    wb = WeightSystem(FormSystem([0, 2], B=5), R=35)
+    tau_b, u_b = tau_u(wb, 10**5)
+    assert tau_b == pytest.approx(tau * (5 / 4) ** 2 * wb.S / ws.S)
+    assert u_b == pytest.approx(u * 4 / 5)
+    with pytest.raises(ValueError, match="x must be >= 2"):
+        tau_u(ws, 1)
+
+
+def test_form_system_phi_from_its_primes():
+    # phi(W*B) is the product of p - 1 over the primes of W and B
+    assert twin_system().phi_WB == 1 * 2 * 4 * 6  # W = 2*3*5*7
+    fs = FormSystem([0, 2], B=3)
+    assert (fs.W, fs.phi_WB) == (2 * 5 * 7, 1 * 4 * 6 * 2)
+    big = FormSystem([0, 2], B=2**61 - 1)
+    assert big.phi_WB == 48 * (2**61 - 2)
