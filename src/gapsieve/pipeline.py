@@ -223,10 +223,11 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
     An anchor n yields the edge {n + h_i p} intersected with the surviving
     primes.  In uniform mode anchors with nonempty edges are equally likely.
     In sieve mode anchor probabilities are proportional to the pair weight
-    w(p, n), which is one constant on [-y, y] and 0 outside it
-    (`PairWeightContext.constant_weight`), so each anchor with |n| <= y gets
-    w / (sum of w over [-y, y]) and the mass on empty-edge anchors becomes an
-    explicit remainder: one weight evaluation per sieving prime.  The law is
+    w(p, n), which is one constant on [-y, y] and 0 outside it, so each
+    anchor with |n| <= y gets w / (sum of w over [-y, y]) and the mass on
+    empty-edge anchors becomes an explicit remainder; one array pass
+    (`PairWeightContext.units`) gives that mass for every sieving prime,
+    with no weight evaluated per prime or per anchor.  The law is
     kept in closed form (`PairLaw`), from one pair count per prime; anchors
     with equal edges merge into one atom only when an index is read as an
     EdgeDist.
@@ -238,11 +239,7 @@ def build_edge_distributions(cfg: StagedConfig, split: SurvivorSplit) -> Pipelin
         raise ValueError("no surviving primes to cover")
     primes = _sieving_primes(cfg)
     if cfg.weights == "sieve":
-        weight_ctx = PairWeightContext(offsets, cfg.x)
-        units = []
-        for p in primes.tolist():  # Python ints for the CRT inside the weights
-            total = weight_ctx.sum_over_support(p, th.y)
-            units.append(weight_ctx.constant_weight(p, th.y) / total)
+        units = PairWeightContext(offsets, cfg.x).units(primes, th.y)
         law = PairLaw(values, offsets, primes, units=units, window=th.y)
     else:
         law = PairLaw(values, offsets, primes)

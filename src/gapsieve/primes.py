@@ -55,7 +55,7 @@ def primes_up_to(x: int) -> tuple:
     """All primes <= x (x >= 0), increasing."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return tuple(int(p) for p in sieve_interval(2, x))
+    return tuple(sieve_interval(2, x).tolist())
 
 
 def primorial(x: int) -> int:

@@ -117,12 +117,15 @@ def _object_array(values):
 
 
 def _set_sorted(sys, p, a):
-    """Store p and a on sys sorted by p (stable), refusing a modulus twice."""
-    order = np.argsort(p, kind="stable")
-    p, a = p[order], a[order]
-    twice = p[1:][p[1:] == p[:-1]]
-    if len(twice):
-        raise ValueError(f"moduli assigned twice: {sorted(set(twice.tolist()))}")
+    """Store p and a, arrays no caller keeps, on sys sorted by p (stable),
+    refusing a modulus twice.  Strictly increasing moduli, as every
+    producer gives, are stored as they are."""
+    if not (p[1:] > p[:-1]).all():
+        order = np.argsort(p, kind="stable")
+        p, a = p[order], a[order]
+        twice = p[1:][p[1:] == p[:-1]]
+        if len(twice):
+            raise ValueError(f"moduli assigned twice: {sorted(set(twice.tolist()))}")
     p.flags.writeable = a.flags.writeable = False
     object.__setattr__(sys, "moduli", p)
     object.__setattr__(sys, "classes", a)

@@ -18,12 +18,12 @@ integrals I_k and J_k of the cap, which the normalizations read, are exact.
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from math import gcd
 
 import numpy as np
 
-from .primes import factorize, is_admissible, is_prime, primes_up_to
+from .primes import factorize, is_admissible, is_prime, primes_up_to, sieve_interval
 from .residues import crt_merge
 
 SERIES_CUTOFF = 10**4  # the primes in every truncated singular series
@@ -60,9 +60,17 @@ class FormSystem:
                 self.W *= p
                 self.phi_WB *= p - 1
 
-    def omega(self, p: int) -> int:
-        """The number of roots of prod (n + h_i) mod p: form j has the one root -h_j."""
-        return len({-h % p for h in self.offsets})
+    def omega(self, p):
+        """The number of roots of prod (n + h_i) mod p: form j has the one root -h_j.
+
+        p is an int (the count is an int) or an int64 array of primes (an
+        int64 array of counts): the k x n matrix of roots mod p, sorted down
+        each column, has one root more than changes in that column.
+        """
+        if np.ndim(p) == 0:
+            return len({-h % p for h in self.offsets})
+        roots = np.sort(-np.array(self.offsets)[:, None] % p, axis=0)
+        return 1 + np.count_nonzero(roots[1:] != roots[:-1], axis=0)
 
     def allowed_positions(self, p: int) -> set:
         """Form indices j (1-based) that a prime p not dividing WB may enter: each root's least."""
@@ -80,12 +88,20 @@ def singular_series(sys: FormSystem, cutoff: int, exclude: int = None) -> float:
     """
     if exclude is None:
         exclude = sys.B
-    value = 1.0
-    for p in primes_up_to(cutoff):
-        if exclude % p == 0:
-            continue
-        value *= (1 - sys.omega(p) / p) * (1 - 1 / p) ** (-sys.k)
-    return value
+    p = sieve_interval(2, cutoff)
+    p = p[~_divides(p, exclude)]
+    # each factor rounds as the float expression (1 - w/p) * (1 - 1/p) ** -k
+    # does; the power goes through libm per prime, since numpy's power may
+    # differ in the last bit, and the product runs left to right
+    power = np.fromiter(map(math.pow, (1 - 1 / p).tolist(), repeat(-sys.k)), float, len(p))
+    return math.prod(((1 - sys.omega(p) / p) * power).tolist(), start=1.0)
+
+
+def _divides(p, n: int) -> np.ndarray:
+    """p | n for each entry of the int64 array p; n is an int, beyond int64 too."""
+    if n.bit_length() < 64:
+        return n % p == 0
+    return np.array([n % q == 0 for q in p.ravel().tolist()], dtype=bool).reshape(p.shape)
 
 
 def in_Dk(sys: FormSystem, d) -> bool:
@@ -260,9 +276,9 @@ class PairWeightContext:
     Sieve mode covers almost nothing at desk scale: k = default_r(x) = 2 for
     x < e^243, so W = 210 and coordinates need primes in [11, R], none of
     which exist below x = 4 * 11^9 (about 9.4e9).  The table is then
-    {(1, 1)}, w(p, .) is constant on [-y, y] (`constant_weight`), and each
-    sieving prime draws a nonempty edge with probability
-    (#nonempty anchors) / (2y + 1), about 0.083 at x = 2000.
+    {(1, 1)}, w(p, .) is constant on [-y, y] (`units`, for all sieving
+    primes at once), and each sieving prime draws a nonempty edge with
+    probability (#nonempty anchors) / (2y + 1), about 0.083 at x = 2000.
     """
 
     def __init__(self, offsets, x: int):
@@ -270,33 +286,43 @@ class PairWeightContext:
         self.R = (x / 4) ** (1.0 / 9.0)
         self.ws = WeightSystem(FormSystem(self.offsets), R=max(self.R, 1.0))
 
-    def _euler_ratio(self, p: int) -> float:
-        """Squared ratio of the per-p singular series to the shared one."""
-        if p <= self.R:
-            raise ValueError(f"sieving prime {p} must exceed R = {self.R:.3g}")
-        if p > SERIES_CUTOFF or self.ws.system.W % p == 0:
-            return 1.0
-        ratio = (1 - 1 / p) / (1 - self.ws.system.omega(p) / p)
-        return ratio * ratio
+    def _euler_ratio(self, p):
+        """Squared ratio of the per-p singular series to the shared one.
+
+        p is an int or an int64 array of sieving primes, each above R.
+        """
+        p = np.asarray(p, dtype=np.int64)
+        if p.size and p.min() <= self.R:
+            raise ValueError(f"sieving prime {p.min()} must exceed R = {self.R:.3g}")
+        sysm = self.ws.system
+        ratio = (1 - 1 / p) / (1 - sysm.omega(p) / p)
+        return np.where((p > SERIES_CUTOFF) | _divides(p, sysm.W), 1.0, ratio * ratio)
 
     def weight(self, p: int, n: int, y: int) -> float:
         if abs(n) > y:
             return 0.0
-        return self.ws.weight(n, p) * self._euler_ratio(p)
+        return self.ws.weight(n, p) * float(self._euler_ratio(p))
 
     def sum_over_support(self, p: int, y: int) -> float:
-        return self.ws.sum_over_interval(-y, y, p) * self._euler_ratio(p)
+        return self.ws.sum_over_interval(-y, y, p) * float(self._euler_ratio(p))
 
-    def constant_weight(self, p: int, y: int) -> float:
-        """w(p, n), the same for every n in [-y, y] while the table is {(1, ..., 1)}.
+    def units(self, primes, y: int) -> np.ndarray:
+        """Each anchor's mass w(p, n) / sum over [-y, y] of w(p, .), for every
+        sieving prime p of an int64 array, while the table is {(1, ..., 1)}.
 
-        Raises ValueError for a larger table, where w(p, .) depends on n.
+        With lam the one table entry and r the Euler ratio at p, w(p, n) is
+        lam^2 r on [-y, y] and the sum is (lam^2 (2y + 1)) r: the operations
+        of weight(p, n, y) / sum_over_support(p, y), rounded alike.  Raises
+        ValueError for a larger table, where w(p, .) depends on n.
         """
         if len(self.ws.table) != 1:
             raise ValueError(
                 f"lambda table has {len(self.ws.table)} entries, so w(p, n) is not constant"
             )
-        return self.weight(p, 0, y)
+        (lam,) = self.ws.table.values()
+        square = lam * lam
+        r = self._euler_ratio(primes)
+        return (square * r) / ((square * (2 * y + 1)) * r)
 
 
 # -- integrals of the cap and normalizations ------------------------------------

@@ -50,6 +50,12 @@ def test_primes_up_to_small():
     assert primes_up_to(2) == (2,)
 
 
+def test_primes_up_to_gives_python_ints():
+    table = primes_up_to(10**4)
+    assert len(table) == 1229
+    assert {type(p) for p in table} == {int}
+
+
 def test_primes_up_to_million_cross_checked():
     table = primes_up_to(10**6)
     assert len(table) == 78498

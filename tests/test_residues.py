@@ -67,6 +67,34 @@ def test_merged_equals_the_checked_constructor(monkeypatch):
         ResidueSystem({**union.entries, 53: 53})
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_constructor_keeps_private_arrays_sorted_or_not(dtype, monkeypatch):
+    big = 2**78 - 11 if dtype is object else 13  # object arrays need a value past int64
+    moduli, classes = [3, 5, 7, 11, big], [2, 4, 6, 10, big - 1]
+    for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
+        p = np.array([moduli[i] for i in order], dtype=dtype)
+        a = np.array([classes[i] for i in order], dtype=dtype)
+        system = ResidueSystem(moduli=p, classes=a)
+        assert system.moduli.dtype == dtype
+        p[:] = 17
+        a[:] = 0
+        assert system.moduli.tolist() == moduli and system.classes.tolist() == classes
+        assert not (system.moduli.flags.writeable or system.classes.flags.writeable)
+    for twice in ([3, 5, 5, big], [big, 5, 3, 5], [3, 7, big, big], [big, 3, big, 7]):
+        repeated = 5 if 5 in twice else big
+        with pytest.raises(ValueError, match=rf"moduli assigned twice: \[{repeated}\]"):
+            ResidueSystem(moduli=np.array(twice, dtype=dtype),
+                          classes=np.array([1, 1, 1, 1], dtype=dtype))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted moduli sorted again")
+
+    monkeypatch.setattr(np, "argsort", refuse)  # strictly increasing moduli skip the sort
+    sorted_system = ResidueSystem(moduli=np.array(moduli, dtype=dtype),
+                                  classes=np.array(classes, dtype=dtype))
+    assert ResidueSystem({2: 1}).merged(sorted_system).moduli.tolist() == [2] + moduli
+
+
 # primes and composites of every size class: int64 and beyond, below and
 # inside the span of the others
 ROUTE_MODULI = [2, 3, 5, 7, 11, 13, 4, 9, 561, 7919, 2**61 - 1, 2**61 + 1,

@@ -16,7 +16,7 @@ import pytest
 
 from gapsieve import weights
 from gapsieve.pipeline import StagedConfig, default_r, thresholds
-from gapsieve.primes import admissible_tuple, primes_up_to, sieve_interval
+from gapsieve.primes import admissible_tuple, is_admissible, primes_up_to, sieve_interval
 from gapsieve.weights import (
     SERIES_CUTOFF,
     FormSystem,
@@ -75,7 +75,51 @@ def test_omega_shifted_system_counts_offsets():
         assert fs.omega(s) == len({h % s for h in offsets})
 
 
+def test_omega_on_arrays_is_the_set_count():
+    # random admissible offsets, negatives included; primes up to 600 divide
+    # many of their differences, so roots coincide
+    rng = np.random.default_rng(28)
+    primes = sieve_interval(2, 600)
+    systems = merged = 0
+    while systems < 40:
+        offsets = rng.choice(np.arange(-300, 300), size=rng.integers(1, 7), replace=False)
+        if not is_admissible(offsets.tolist()):
+            continue
+        systems += 1
+        fs = FormSystem(offsets.tolist())
+        counts = fs.omega(primes)
+        assert counts.dtype == np.int64 and counts.shape == primes.shape
+        want = [len({-h % p for h in fs.offsets}) for p in primes.tolist()]
+        assert counts.tolist() == want
+        merged += sum(c < fs.k for c in want[3:])
+    assert merged > 0  # roots coincided mod some prime above 5
+    assert type(fs.omega(7)) is int
+    assert fs.omega(np.empty(0, dtype=np.int64)).shape == (0,)
+
+
 # -- singular series ------------------------------------------------------------
+
+
+def singular_series_loop(fs, cutoff, exclude=None):
+    """The truncated Euler product as one float loop over the primes."""
+    if exclude is None:
+        exclude = fs.B
+    value = 1.0
+    for p in primes_up_to(cutoff):
+        if exclude % p == 0:
+            continue
+        value *= (1 - len({-h % p for h in fs.offsets}) / p) * (1 - 1 / p) ** (-fs.k)
+    return value
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 19, 2**61 - 1])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_singular_series_is_the_loop_bit_for_bit(k, B):
+    fs = FormSystem(admissible_tuple(k), B=B)
+    for cutoff in (0, 1, 2, 10, 10**4):
+        for exclude in (None, fs.W * fs.B):
+            assert singular_series(fs, cutoff, exclude) == singular_series_loop(fs, cutoff, exclude)
+    assert (fs.W * fs.B).bit_length() > 63 or k < 6  # W*B beyond int64 from k = 6 on
 
 
 def test_singular_series_trivial_system():
@@ -406,26 +450,36 @@ def test_pair_weight_support_clamp():
         ctx.weight(3, 0, y)
 
 
-@pytest.mark.parametrize("x", [500, 2000])
-def test_constant_weight_is_the_weight_on_the_support(x):
+@pytest.mark.parametrize("x", [500, 2000, 200000])
+def test_units_are_the_per_prime_arithmetic(x):
     y = thresholds(StagedConfig(x=x)).y
     ctx = PairWeightContext(admissible_tuple(default_r(x)), x)
-    sieving = sieve_interval(x // 2 + 1, x).tolist()
+    sieving = sieve_interval(x // 2 + 1, x)
+    units = ctx.units(sieving, y)
+    assert units.dtype == np.float64 and units.shape == sieving.shape
+    want = [ctx.weight(p, 0, y) / ctx.sum_over_support(p, y) for p in sieving.tolist()]
+    assert units.tolist() == want  # bit for bit
+    assert (units > 0).all()
+    # the weight one unit stands for is the same at every anchor of [-y, y]
     ns = sorted({-y, -1, 0, 1, y, *range(-y, y + 1, 97)})
-    for p in sieving[:: max(1, len(sieving) // 12)] + sieving[-1:]:
-        w = ctx.constant_weight(p, y)
-        assert w > 0
-        for n in ns:
-            assert ctx.weight(p, n, y) == w
-        assert ctx.weight(p, y + 1, y) == 0.0
-        assert ctx.weight(p, -(y + 1), y) == 0.0
+    some = sieving.tolist()
+    for p in some[:: max(1, len(some) // 12)] + some[-1:]:
+        w = ctx.weight(p, 0, y)
+        assert all(ctx.weight(p, n, y) == w for n in ns)
+        assert ctx.weight(p, y + 1, y) == ctx.weight(p, -(y + 1), y) == 0.0
 
 
-def test_constant_weight_refuses_a_nontrivial_table():
+def test_units_refuse_a_nontrivial_table():
     ctx = PairWeightContext(admissible_tuple(2), 10**10)
     assert len(ctx.ws.table) > 1  # R = 11.07 admits the coordinate prime 11
     with pytest.raises(ValueError, match="not constant"):
-        ctx.constant_weight(50021, 1000)
+        ctx.units(np.array([50021]), 1000)
+
+
+def test_units_refuse_a_prime_at_most_R():
+    ctx = PairWeightContext(admissible_tuple(2), x=10**5)  # R = 3.08
+    with pytest.raises(ValueError, match="sieving prime 3 must exceed R"):
+        ctx.units(np.array([50021, 3, 99991]), 1000)
 
 
 def test_pair_context_builds_only_what_weights_read(monkeypatch):
@@ -435,7 +489,12 @@ def test_pair_context_builds_only_what_weights_read(monkeypatch):
         asked.append(x)
         return primes_up_to(x)
 
+    def recording_interval(lo, hi):
+        asked.append(hi)
+        return sieve_interval(lo, hi)
+
     monkeypatch.setattr(weights, "primes_up_to", recording)
+    monkeypatch.setattr(weights, "sieve_interval", recording_interval)
     ctx = PairWeightContext((3, 5), 2000)
     # no sieve beyond the series cutoff (no tail estimate) and no S, which
     # only tau_u reads; S is computed on its first read
