@@ -71,7 +71,7 @@ def cmd_construct(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     system_path = out / "system.json"
-    write_system_file(system_path, cfg.x, system, (cfg.x + 1, report.achieved_y))
+    written = write_system_file(system_path, cfg.x, system, (cfg.x + 1, report.achieved_y))
     manifest = _manifest(
         "construct",
         {
@@ -83,9 +83,7 @@ def cmd_construct(args) -> int:
             "weights": cfg.weights,
         },
     )
-    manifest["system_sha256"] = hashlib.sha256(
-        system_path.read_bytes()
-    ).hexdigest()
+    manifest["system_sha256"] = hashlib.sha256(written).hexdigest()
     doc = {"manifest": manifest, "report": report.__dict__}
     _dump(doc, out / "report.json")
     print(f"wrote {system_path} and {out / 'report.json'}")

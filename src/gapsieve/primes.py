@@ -1,12 +1,18 @@
 """Prime generation, batch primality, primorials, admissible tuples.
 
-All sieving is done with a segmented sieve of Eratosthenes over the odd
+Up to TABLE_LIMIT = 2**16 nothing is sieved: one exact table over
+[0, TABLE_LIMIT], the flags and the primes, is built once at import by a
+plain sieve of Eratosthenes (about 115 KiB), and sieve_interval and
+prime_mask read windows and values up to the limit from it.  Above it,
+sieving is done with a segmented sieve of Eratosthenes over the odd
 numbers (numpy bool segments of SEGMENT_SIZE = 2**20 entries, each entry
 one odd number, so a segment spans 2**21 integers) so intervals up to 1e8
-stay cheap and memory-local.  `_odd_segments` yields those segments;
-`sieve_interval` lists their primes, and prime_mask, the one batch
-primality test, reads dense inputs straight from their flags and sparse
-ones from Miller-Rabin.  The admissible r-tuple is the first r primes
+stay cheap and memory-local.  `_odd_segments` yields those segments, with
+its base primes read from the table whenever hi < 2**32; `sieve_interval`
+lists their primes, and prime_mask, the one batch primality test, reads
+dense inputs straight from their flags and sparse ones from Miller-Rabin.
+Setting TABLE_LIMIT = 0 turns the table off (nonpositive values aside,
+which no path calls prime).  The admissible r-tuple is the first r primes
 above r, which always ends at or below 2r^2.
 """
 
@@ -18,13 +24,37 @@ SEGMENT_SIZE = 1 << 20
 # psi_12, the least strong pseudoprime to the 12 bases 2..37, is
 # 399,165,290,221 * 798,330,580,441 (Sorenson and Webster, 2017)
 MR_LIMIT = 318_665_857_834_031_151_167_461
+TABLE_LIMIT = 1 << 16
+
+
+def _eratosthenes(limit: int) -> np.ndarray:
+    """flags[n] is True iff n is prime, for 0 <= n <= limit."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+_TABLE_FLAGS = _eratosthenes(TABLE_LIMIT)
+_TABLE_PRIMES = np.flatnonzero(_TABLE_FLAGS).astype(np.int64)
+
+
+def _table_primes(lo: int, hi: int) -> np.ndarray:
+    """The table's primes in [lo, hi], for hi <= TABLE_LIMIT: a view."""
+    return _TABLE_PRIMES[np.searchsorted(_TABLE_PRIMES, lo):
+                         np.searchsorted(_TABLE_PRIMES, hi, side="right")]
 
 
 def _odd_segments(lo: int, hi: int):
     """(seg_lo, flags) for each segment of the odd numbers in [lo, hi], in
     order: flags[k] is True iff seg_lo + 2k is prime.  The odd base primes up
-    to isqrt(hi) come from sieve_interval."""
-    base = sieve_interval(3, isqrt(hi)).tolist()
+    to m = isqrt(hi) are the table's when m <= TABLE_LIMIT (hi < 65537**2 with
+    the table on), else sieve_interval's, whose own base primes are then the
+    table's."""
+    m = isqrt(hi)
+    base = (_table_primes(3, m) if m <= TABLE_LIMIT else sieve_interval(3, m)).tolist()
     for seg_lo in range(max(lo, 1) | 1, hi + 1, 2 * SEGMENT_SIZE):
         seg_hi = min(seg_lo + 2 * SEGMENT_SIZE - 2, hi)
         flags = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)
@@ -41,10 +71,12 @@ def _odd_segments(lo: int, hi: int):
 
 
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi] via a segmented sieve of the odd numbers; 2 is
-    emitted when lo <= 2."""
+    """Primes in [lo, hi]: a copy of the table's slice when hi <= TABLE_LIMIT,
+    else via a segmented sieve of the odd numbers; 2 is emitted when lo <= 2."""
     if hi < max(lo, 2):
         return np.empty(0, dtype=np.int64)
+    if hi <= TABLE_LIMIT:
+        return _table_primes(lo, hi).copy()
     out = [np.array([2], dtype=np.int64)] if lo <= 2 else []
     out += [np.flatnonzero(flags).astype(np.int64, copy=False) * 2 + seg_lo
             for seg_lo, flags in _odd_segments(lo, hi)]
@@ -133,10 +165,12 @@ def sieve_pays(count: int, lo: int, hi: int) -> bool:
 def prime_mask(values) -> np.ndarray:
     """Exact primality of each integer in values, as a bool array in input order.
 
-    When `sieve_pays`, the values are taken in increasing order and each is
-    looked up in the flags of its segment of one sieve over the odd numbers
-    of their span; no table of the span is built.  Otherwise, and for values
-    beyond int64, is_prime tests each value.
+    When every value is at most TABLE_LIMIT, each is read from the table
+    (0, 1 and negatives are not prime).  Otherwise, when `sieve_pays`, the
+    values are taken in increasing order and each is looked up in the flags
+    of its segment of one sieve over the odd numbers of their span; no table
+    of the span is built.  Otherwise, and for values beyond int64, is_prime
+    tests each value.
     """
     try:
         values = np.asarray(values, dtype=np.int64)  # an int64 array is read in place
@@ -145,7 +179,10 @@ def prime_mask(values) -> np.ndarray:
         return np.fromiter(map(is_prime, values), dtype=bool, count=len(values))
     if not len(values):
         return np.zeros(0, dtype=bool)
-    if not sieve_pays(len(values), int(values.min()), int(values.max())):
+    hi = int(values.max())
+    if hi <= TABLE_LIMIT:
+        return _TABLE_FLAGS[np.maximum(values, 0)]
+    if not sieve_pays(len(values), int(values.min()), hi):
         return np.fromiter(map(is_prime, values.tolist()), dtype=bool, count=len(values))
     if (values[1:] < values[:-1]).any():
         order = np.argsort(values, kind="stable")

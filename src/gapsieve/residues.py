@@ -414,9 +414,12 @@ def system_from_json(text: str):
     return x, ResidueSystem(moduli=flat[::2], classes=flat[1::2]), interval
 
 
-def write_system_file(path, x: int, sys: ResidueSystem, interval=None) -> None:
-    with open(path, "w") as fh:
-        fh.write(system_to_json(x, sys, interval))
+def write_system_file(path, x: int, sys: ResidueSystem, interval=None) -> bytes:
+    """Write the system document to path; returns the bytes written."""
+    data = system_to_json(x, sys, interval).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data
 
 
 def read_system_file(path):

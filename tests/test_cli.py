@@ -64,6 +64,14 @@ PINNED_CONSTRUCTS = [
     ("1000000 --stage3 none",
      "843ae937ed865cc9a1aaa57aad02a0efdb73c367e081ad9133eeccebec2fefcf", 143731,
      "ab20821b0cc7017d71636c87c9c78ef4350442cec97f5bf14f9957b713de9967"),
+    # moduli on both sides of the prime table's limit 2^16 (to 110,729 and
+    # 103,643), so both the table and the segmented sieve make these bytes
+    ("50000 --stage3 nibble",
+     "21338d42ba90f75e6d180fdfc5c165c3825e318852c7a0f1735b1c1585bd127d", 5377,
+     "c9db2b6b4f74286180f2f4f235b67a121773e0bb047e830de82419c0bc4c0fe0"),
+    ("50000 --stage3 greedy",
+     "b75c88580ac601446d46fe00b1f43ae8ff86efcf56a812e1467cb1c2bd753920", 4770,
+     "752d20698ce5c8325d254b34c3579081500d66b8aa54dc0ba49344a55ceb813c"),
 ]
 
 
@@ -114,6 +122,18 @@ def test_construct_report_schema(tmp_path):
     assert doc["manifest"]["command"] == "construct"
     assert "system_sha256" in doc["manifest"]
     assert doc["report"]["achieved_y"] > 500
+
+
+def test_construct_hashes_the_bytes_it_wrote(tmp_path, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(Path, "read_bytes", lambda self: pytest.fail(f"read back {self}"))
+        assert main(["construct", "500", "--seed", "1", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    data = (tmp_path / "system.json").read_bytes()
+    assert doc["manifest"]["system_sha256"] == hashlib.sha256(data).hexdigest()
+    # the writer returns exactly what it wrote
+    assert write_system_file(tmp_path / "again.json", 7, exact_Y(7).witness, (1, 5)) == (
+        (tmp_path / "again.json").read_bytes())
 
 
 def test_verify_witness_and_tampered(tmp_path):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,60 @@ def trial_division_is_prime(n):
     return True
 
 
+def table_settings(monkeypatch):
+    """Run the loop body once with the prime table and once with
+    TABLE_LIMIT = 0, so the segmented sieve keeps its coverage below 2^16."""
+    for limit in (primes.TABLE_LIMIT, 0):
+        with monkeypatch.context() as mp:
+            mp.setattr(primes, "TABLE_LIMIT", limit)
+            yield
+
+
+def test_table_is_a_naive_sieve_to_2_16():
+    limit = primes.TABLE_LIMIT
+    assert limit == 2**16
+    ref = naive_sieve(limit)
+    assert primes._TABLE_FLAGS.shape == (limit + 1,)
+    assert primes._TABLE_FLAGS.nonzero()[0].tolist() == ref
+    assert primes._TABLE_PRIMES.dtype == np.int64
+    assert primes._TABLE_PRIMES.tolist() == ref
+
+
+def test_sieve_interval_windows_around_the_table(monkeypatch):
+    limit = primes.TABLE_LIMIT
+    # 65537 is prime, so 65537^2 is struck out only by the first base prime
+    # past the table; the last window straddles 2^32 and reaches it
+    windows = [(lo, limit + d) for lo in (0, 2, 3, limit - 2000, limit - 1, limit, limit + 1)
+               for d in (-1, 0, 1)]
+    windows += [(limit - 1, limit - 1), (limit + 1, limit + 1), (2**32 - 200, 65537**2 + 200)]
+    for _ in table_settings(monkeypatch):
+        for lo, hi in windows:
+            got = sieve_interval(lo, hi)
+            assert got.dtype == np.int64
+            assert got.tolist() == [n for n in range(lo, hi + 1) if is_prime(n)]
+        assert 65537**2 not in sieve_interval(2**32 - 200, 65537**2 + 200).tolist()
+    # a caller may write into what it gets: the table is not shared
+    got = sieve_interval(2, 100)
+    got[:] = 0
+    assert sieve_interval(2, 100).tolist() == naive_sieve(100)
+
+
+def test_base_primes_need_at_most_one_more_sieve(monkeypatch):
+    calls = []
+    original = primes.sieve_interval
+
+    def recording(lo, hi):
+        calls.append(hi)
+        return original(lo, hi)
+
+    monkeypatch.setattr(primes, "sieve_interval", recording)
+    for hi, depth in ((primes.TABLE_LIMIT, 1), (10**8, 1), (65537**2 - 1, 1), (65537**2, 2)):
+        calls.clear()
+        primes.sieve_interval(hi - 100, hi)
+        assert len(calls) == depth, (hi, calls)
+    assert calls[1] == 65537  # the one base sieve past the table reads the table
+
+
 def test_primes_up_to_small():
     assert primes_up_to(10) == (2, 3, 5, 7)
     assert primes_up_to(1) == ()
@@ -69,7 +124,7 @@ def test_primes_up_to_million_cross_checked():
         assert (n in prime_set) == trial_division_is_prime(n)
 
 
-def test_segmented_interval_matches_naive():
+def test_segmented_interval_matches_naive(monkeypatch):
     top = 2 * SEGMENT_SIZE + 50_000
     ref = naive_sieve(top)
     # a segment holds the odd numbers of 2 * SEGMENT_SIZE integers from the
@@ -82,17 +137,19 @@ def test_segmented_interval_matches_naive():
     assert {boundary - 2, boundary} <= set(ref)
     for lo in (1019, 1018):
         windows += [(lo, boundary + d) for d in (-3, -2, -1, 0, 1, 2)]
-    for lo, hi in windows:
-        expect = [p for p in ref if lo <= p <= hi]
-        got = [int(p) for p in sieve_interval(lo, hi)]
-        assert got == expect
+    for _ in table_settings(monkeypatch):
+        for lo, hi in windows:
+            expect = [p for p in ref if lo <= p <= hi]
+            got = [int(p) for p in sieve_interval(lo, hi)]
+            assert got == expect
 
 
-def test_every_short_interval_matches_naive():
+def test_every_short_interval_matches_naive(monkeypatch):
     ref = naive_sieve(400)
-    for lo in range(0, 401):
-        for hi in range(lo - 3, 401):  # hi below lo gives no primes
-            assert sieve_interval(lo, hi).tolist() == [p for p in ref if lo <= p <= hi]
+    for _ in table_settings(monkeypatch):
+        for lo in range(0, 401):
+            for hi in range(lo - 3, 401):  # hi below lo gives no primes
+                assert sieve_interval(lo, hi).tolist() == [p for p in ref if lo <= p <= hi]
 
 
 def test_primorial_values():
@@ -227,11 +284,33 @@ def test_prime_mask_reads_segment_flags_in_input_order(monkeypatch):
         values += rng.sample(range(-20, first + 400), 150)
         rng.shuffle(values)
         expected = [trial_division_is_prime(v) for v in values]
-        with monkeypatch.context() as mp:
-            mp.setattr(primes, "SEGMENT_SIZE", 8)
-            mp.setattr(primes, "sieve_pays", lambda count, lo, hi: True)
-            mp.setattr(primes, "is_prime", lambda n: pytest.fail("went through is_prime"))
-            assert prime_mask(values).tolist() == expected
-            order = sorted(range(len(values)), key=values.__getitem__)
-            assert prime_mask([values[i] for i in order]).tolist() == [expected[i] for i in order]
-            assert prime_mask([0, 1, 2, -3, 4]).tolist() == [False, False, True, False, False]
+        for _ in table_settings(monkeypatch):
+            with monkeypatch.context() as mp:
+                mp.setattr(primes, "SEGMENT_SIZE", 8)
+                mp.setattr(primes, "sieve_pays", lambda count, lo, hi: True)
+                mp.setattr(primes, "is_prime", lambda n: pytest.fail("went through is_prime"))
+                assert prime_mask(values).tolist() == expected
+                order = sorted(range(len(values)), key=values.__getitem__)
+                assert (prime_mask([values[i] for i in order]).tolist()
+                        == [expected[i] for i in order])
+                assert prime_mask([0, 1, 2, -3, 4]).tolist() == [False, False, True, False, False]
+
+
+def test_prime_mask_around_the_table_limit(monkeypatch):
+    limit = primes.TABLE_LIMIT
+    rng = random.Random(29)
+    near = [limit + d for d in range(-40, 41)] + [65521, 65537, 65539, 65543, 65536]
+    values = near + [0, 1, 2, 3, -1, -2, -65537, 4, 97, 65535] + rng.sample(range(-10, limit), 200)
+    below = [v for v in values if v <= limit]
+    for vals in (values, below):
+        expected = [is_prime(v) for v in vals]
+        shuffled = list(range(len(vals)))
+        rng.shuffle(shuffled)
+        for order in (shuffled, sorted(shuffled, key=vals.__getitem__)):
+            got = prime_mask(np.array([vals[i] for i in order]))
+            assert got.dtype == bool
+            assert got.tolist() == [expected[i] for i in order]
+    # values up to the limit are read from the table: no sieve, no Miller-Rabin
+    monkeypatch.setattr(primes, "_odd_segments", lambda lo, hi: pytest.fail("sieved"))
+    monkeypatch.setattr(primes, "is_prime", lambda n: pytest.fail("went through is_prime"))
+    assert prime_mask(below).tolist() == [trial_division_is_prime(v) for v in below]
