@@ -50,11 +50,9 @@ def _table_primes(lo: int, hi: int) -> np.ndarray:
 def _odd_segments(lo: int, hi: int):
     """(seg_lo, flags) for each segment of the odd numbers in [lo, hi], in
     order: flags[k] is True iff seg_lo + 2k is prime.  The odd base primes up
-    to m = isqrt(hi) are the table's when m <= TABLE_LIMIT (hi < 65537**2 with
-    the table on), else sieve_interval's, whose own base primes are then the
-    table's."""
-    m = isqrt(hi)
-    base = (_table_primes(3, m) if m <= TABLE_LIMIT else sieve_interval(3, m)).tolist()
+    to isqrt(hi) come from sieve_interval, which reads them from the table
+    when hi < 65537**2."""
+    base = sieve_interval(3, isqrt(hi)).tolist()
     for seg_lo in range(max(lo, 1) | 1, hi + 1, 2 * SEGMENT_SIZE):
         seg_hi = min(seg_lo + 2 * SEGMENT_SIZE - 2, hi)
         flags = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)

@@ -49,46 +49,14 @@ def _mix(z):
     z ^= z >> _S31
 
 
-_MASK = (1 << 64) - 1
-
-
-def _u64(c) -> int:
-    """An int c as the uint64 cast reads it: c mod 2^64, for c in [-2^63, 2^64)."""
-    c = int(c)
-    if not -(1 << 63) <= c <= _MASK:
-        raise OverflowError(f"{c} is out of the int64 and uint64 ranges")
-    return c & _MASK
-
-
-def _round_int(h: int, c: int) -> int:
-    """One hash round mix((h ^ c) + gamma) of _mix's arithmetic on Python
-    ints, each step reduced mod 2^64 as the uint64 arrays wrap."""
-    z = ((h ^ c) + int(_GAMMA)) & _MASK
-    z ^= z >> 30
-    z = z * int(_M1) & _MASK
-    z ^= z >> 27
-    z = z * int(_M2) & _MASK
-    return z ^ z >> 31
-
-
 def uniforms(key, *counters):
     """Floats in [0, 1) with 53 random bits, one per broadcast counter tuple.
 
     The key and each counter may be an int or an int array; they broadcast
     together.  Each counter enters with its own hash round,
     h <- mix((h ^ c) + gamma) from h = key, so distinct tuples differ as
-    64-bit hashes do, not by arithmetic such as p * c + attempt.  A leading
-    int key and the int counters that follow it are folded in Python ints
-    first, so the array rounds start at the first array.
+    64-bit hashes do, not by arithmetic such as p * c + attempt.
     """
-    if isinstance(key, (int, np.integer)):
-        h, i = _u64(key), 0
-        while i < len(counters) and isinstance(counters[i], (int, np.integer)):
-            h = _round_int(h, _u64(counters[i]))
-            i += 1
-        if i == len(counters):
-            return np.array((h >> 11) * 2.0**-53)
-        key, counters = np.uint64(h), counters[i:]
     parts = [np.asarray(a).astype(np.uint64, copy=False) for a in (key, *counters)]
     shape = np.broadcast(*parts).shape
     h = np.array(np.broadcast_to(parts[0], shape), ndmin=1)

@@ -289,21 +289,12 @@ class PairWeightContext:
     def _euler_ratio(self, p):
         """Squared ratio of the per-p singular series to the shared one.
 
-        p is an int or an int64 array of sieving primes, each above R.  An
-        int goes through the same float operations in Python floats, which
-        round as numpy's float64 do.
+        p is an int or an int64 array of sieving primes, each above R.
         """
-        sysm = self.ws.system
-        if isinstance(p, int):
-            if p <= self.R:
-                raise ValueError(f"sieving prime {p} must exceed R = {self.R:.3g}")
-            if p > SERIES_CUTOFF or sysm.W % p == 0:
-                return 1.0
-            ratio = (1 - 1 / p) / (1 - sysm.omega(p) / p)
-            return ratio * ratio
         p = np.asarray(p, dtype=np.int64)
         if p.size and p.min() <= self.R:
             raise ValueError(f"sieving prime {p.min()} must exceed R = {self.R:.3g}")
+        sysm = self.ws.system
         ratio = (1 - 1 / p) / (1 - sysm.omega(p) / p)
         return np.where((p > SERIES_CUTOFF) | _divides(p, sysm.W), 1.0, ratio * ratio)
 

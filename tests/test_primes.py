@@ -91,11 +91,13 @@ def test_base_primes_need_at_most_one_more_sieve(monkeypatch):
         return original(lo, hi)
 
     monkeypatch.setattr(primes, "sieve_interval", recording)
-    for hi, depth in ((primes.TABLE_LIMIT, 1), (10**8, 1), (65537**2 - 1, 1), (65537**2, 2)):
+    # each call past the first lists base primes; only the last is a table slice
+    for hi, his in ((primes.TABLE_LIMIT, [primes.TABLE_LIMIT]), (10**8, [10**8, 10**4]),
+                    (65537**2 - 1, [65537**2 - 1, 65536]),
+                    (65537**2, [65537**2, 65537, 256])):
         calls.clear()
         primes.sieve_interval(hi - 100, hi)
-        assert len(calls) == depth, (hi, calls)
-    assert calls[1] == 65537  # the one base sieve past the table reads the table
+        assert calls == his
 
 
 def test_primes_up_to_small():

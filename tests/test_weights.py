@@ -469,22 +469,6 @@ def test_units_are_the_per_prime_arithmetic(x):
         assert ctx.weight(p, y + 1, y) == ctx.weight(p, -(y + 1), y) == 0.0
 
 
-@pytest.mark.parametrize("k, x", [(3, 2000), (2, 10**5)])
-def test_euler_ratio_of_an_int_is_the_array_value(k, x):
-    # every prime above R to past the series cutoff, the level primes of W
-    # above R among them
-    ctx = PairWeightContext(admissible_tuple(k), x)
-    ps = sieve_interval(int(ctx.R) + 1, SERIES_CUTOFF + 200)
-    assert any(ctx.ws.system.W % p == 0 for p in ps.tolist())
-    arr = ctx._euler_ratio(ps)
-    scalar = [ctx._euler_ratio(p) for p in ps.tolist()]
-    assert {type(r) for r in scalar} == {float}
-    assert scalar == arr.tolist()  # bit for bit
-    if ctx.R >= 2:
-        with pytest.raises(ValueError, match="sieving prime 2 must exceed R"):
-            ctx._euler_ratio(2)
-
-
 def test_units_refuse_a_nontrivial_table():
     ctx = PairWeightContext(admissible_tuple(2), 10**10)
     assert len(ctx.ws.table) > 1  # R = 11.07 admits the coordinate prime 11
