@@ -10,6 +10,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -198,6 +199,11 @@ def cmd_nibble_bench(args) -> int:
 
 def cmd_weights(args) -> int:
     offsets = admissible_tuple(args.k)
+    # I_k and J_k round to 0.0 from k = 129 on, and u divides by I_k: such
+    # a k is refused before the weight system is built
+    integrals = cap_integrals(args.k)
+    if 0.0 in integrals:
+        raise InfeasibleError(f"I_k or J_k of the cap rounds to 0.0 at k = {args.k}")
     system = FormSystem(offsets, B=args.B)
     ws = WeightSystem(system, R=args.R)
     doc = {
@@ -209,9 +215,12 @@ def cmd_weights(args) -> int:
         "table_size": len(ws.table),
     }
     tau, u = tau_u(ws, args.x)
-    doc["I_k"], doc["J_k"] = cap_integrals(args.k)
+    doc["I_k"], doc["J_k"] = integrals
     doc["tau_F_relative"] = tau
     doc["u_F_relative"] = u
+    for key in ("singular_series", "tau_F_relative", "u_F_relative"):
+        if not math.isfinite(doc[key]):  # JSON has no Infinity or NaN
+            raise InfeasibleError(f"{key} is {doc[key]} at k = {args.k}, not a finite number")
     if args.dump:
         table_doc = {
             "k": args.k,

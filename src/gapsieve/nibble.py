@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .residues import _is_int
+from .residues import _is_int, strict_json
 from .rng import uniforms
 
 
@@ -77,8 +77,7 @@ class EdgeLaw:
       P(v in e_i) and the largest sum over the round of P(u, v in e_i),
       which the hypothesis check reads.
 
-    Each also answers `i in law` and iterates over its index ids without
-    building any EdgeDist.
+    Each also iterates over its index ids without building any EdgeDist.
     Stage 3's independent method draws from round_law's first round
     (W = V, P = 1), which is the raw law; its greedy method is
     pairlaw.PairLaw.greedy, which returns rows in the same form.
@@ -133,9 +132,6 @@ class DistLaw(EdgeLaw):
         self.dist = dist
         self.n_vertices = n_vertices
         self._read = {}  # id(EdgeDist) -> _Atoms
-
-    def __contains__(self, i):
-        return i in self.dist
 
     def __iter__(self):
         return iter(self.dist)
@@ -276,18 +272,18 @@ class CoverInstance:
 
 
 class DegreeProfile:
-    """Normalized degrees d[j] and survival targets P[j] as float arrays.
+    """Normalized degrees d[j] and survival targets P[j] over n_vertices
+    vertices as float arrays, from the degree rows of rounds 1..m.
 
     d[j][v] for j = 1..m (d[0] is zeros); P[j][v] for j = 0..m with
     P[0] = 1 and P[j+1] = P[j] * exp(-d[j+1] / P[j]).  A target that has
     underflowed to 0 stays 0.
     """
 
-    def __init__(self, d_rows):
-        n = len(d_rows[0]) if d_rows else 0
+    def __init__(self, d_rows, n_vertices: int):
         self.m = len(d_rows)
-        self.d = [np.zeros(n)] + [np.asarray(row, dtype=float) for row in d_rows]
-        self.P = [np.ones(n)]
+        self.d = [np.zeros(n_vertices)] + [np.asarray(row, dtype=float) for row in d_rows]
+        self.P = [np.ones(n_vertices)]
         for j in range(1, self.m + 1):
             prev = self.P[j - 1]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -295,9 +291,11 @@ class DegreeProfile:
             self.P.append(np.where(prev > 0, step, 0.0))
 
 
-def degree_profile(inst: CoverInstance) -> DegreeProfile:
-    """Exact degree sums, as the instance's law gives them, and the P recursion."""
-    return DegreeProfile([inst.law.degrees(block, inst.n_vertices) for block in inst.rounds])
+def degree_profile(inst: CoverInstance, m=None) -> DegreeProfile:
+    """Exact degree sums of the first m rounds (default all), as the
+    instance's law gives them, and the P recursion."""
+    return DegreeProfile([inst.law.degrees(block, inst.n_vertices) for block in inst.rounds[:m]],
+                         inst.n_vertices)
 
 
 @dataclass
@@ -379,14 +377,15 @@ def nibble_round(inst: CoverInstance, profile, state: CoverResult, j: int, key: 
 
 def run_cover(inst: CoverInstance, key: int, tol=None) -> CoverResult:
     """Run all m rounds, drawing with rng.uniforms keyed by key; m = 0 leaves
-    every vertex uncovered (vacuous case)."""
+    every vertex uncovered (vacuous case).  Round j reads P_{j-1} alone, so
+    rounds 1..m-1 are profiled and a one-round run sums no degrees."""
     inst.validate()
     if tol is None:
         tol = default_tol(inst.params, inst.m)
     if not 0 <= tol < 1:
         raise ValueError(f"tol must be in [0, 1) so that X = 0 always fails the drift test "
                          f"and X = 1 passes it, got {tol}")
-    profile = degree_profile(inst)
+    profile = degree_profile(inst, max(inst.m - 1, 0))
     state = CoverResult(np.ones(inst.n_vertices, dtype=bool))
     for j in range(1, inst.m + 1):
         nibble_round(inst, profile, state, j, key, tol)
@@ -549,18 +548,12 @@ def _number(v, what) -> float:
     return float(v)
 
 
-def _object(pairs) -> dict:
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        raise ValueError("cover instance: a key appears twice in one object")
-    return doc
-
-
 def instance_from_json(text: str) -> CoverInstance:
     """Parse an instance file; a missing key, a wrong shape, an id that is
-    not an integer, a probability or param that is not a finite JSON number
-    or a key that is repeated or not in canonical form is a ValueError."""
-    doc = json.loads(text, object_pairs_hook=_object)
+    not an integer, a probability or param that is not a finite JSON number,
+    a key that is repeated or not in canonical form, or JSON nested too
+    deeply is a ValueError."""
+    doc = strict_json(text, "cover instance")
     try:
         raw = doc["params"]
         params = NibbleParams(r_max=_ints([raw["r_max"]], "r_max")[0], **{

@@ -183,16 +183,15 @@ def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
     A new interval of a system with a class mod 2 holds only the parity 2
     leaves (see SiftedInterval), so 2's class costs nothing and the odd
     moduli act on ceil(n/2) or floor(n/2) contiguous bits.  On bits that
-    hold every position, 2's class is one strided slice and the odd moduli
-    act on the other parity's view.  With n bits to clear, a modulus
-    p < n/64 takes one strided slice; a modulus p >= n hits at most once;
-    the moduli in between are cleared together, one whole-array step per
-    multiple (at most 64), until fewer than 64 are left, which take a
-    strided slice each.  Classes are read SIFT_CHUNK // 8 at a time from the
-    int64 arrays, so the memory beyond the bits stays bounded whatever the
-    system's size.  The bits are exact for any Python ints: when the system
-    is held in object arrays or the first position does not fit int64, every
-    class takes the strided slice in Python ints.
+    hold every position, 2 is cleared like any other modulus.  With n bits
+    to clear, a modulus p < n/64 takes one strided slice; a modulus p >= n
+    hits at most once; the moduli in between are cleared together, one
+    whole-array step per multiple (at most 64), until fewer than 64 are
+    left, which take a strided slice each.  Classes are read SIFT_CHUNK // 8
+    at a time from the int64 arrays, so the memory beyond the bits stays
+    bounded whatever the system's size.  The bits are exact for any Python
+    ints: when the system is held in object arrays or the first position
+    does not fit int64, every class takes the strided slice in Python ints.
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
@@ -208,16 +207,10 @@ def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
     elif (into.lo, into.hi) != (lo, hi):
         raise ValueError(f"interval mismatch: sifting [{lo}, {hi}] into [{into.lo}, {into.hi}]")
     bits, first, step = into.bits, into.first, into.step
-    if has2:
-        c = int(classes[0])
-        if step == 2:
-            if (first - c) % 2 == 0:  # the leaves are 2's class
-                bits[:] = False
-                return into
-        else:
-            off = (c - first) % 2
-            bits[off::2] = False
-            bits, first, step = bits[1 - off :: 2], first + 1 - off, 2
+    if has2 and step == 2:  # 2's class holds all of the leaves or none of them
+        if (first - int(classes[0])) % 2 == 0:
+            bits[:] = False
+            return into
         moduli, classes = moduli[1:], classes[1:]
     # a first position beyond int64 would overflow the kernel's int64 arithmetic
     if moduli.dtype == np.int64 and -(2**63) <= first < 2**63:
@@ -394,9 +387,26 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def strict_json(text: str, what: str):
+    """json.loads that refuses a key repeated in one object and nesting too
+    deep to parse, each as a ValueError that names what the text is."""
+
+    def unique(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            raise ValueError(f"{what}: a key appears twice in one object")
+        return doc
+
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except RecursionError:
+        raise ValueError(f"{what}: JSON nested too deeply") from None
+
+
 def system_from_json(text: str):
-    """(x, system, interval) from a system file; interval is None when absent."""
-    doc = json.loads(text)
+    """(x, system, interval) from a system file; interval is None when absent.
+    A key repeated in one object or JSON nested too deeply is a ValueError."""
+    doc = strict_json(text, "system file")
     if not isinstance(doc, dict) or "x" not in doc or "classes" not in doc:
         raise ValueError("expected {\"x\": ..., \"classes\": [[p, a], ...]}")
     x, classes = doc["x"], doc["classes"]

@@ -349,7 +349,8 @@ def tau_u(ws: WeightSystem, x: int):
     tau = 2 (B/phi(B))^k S (log R)^k (log x)^k I_k and
     u = (phi(B)/B) (log R / log x) k J_k / (2 I_k), with I_k and J_k the
     exact integrals of the cap F (`cap_integrals`), which the report
-    labels.  x below 2 raises ValueError: both divide by log x.
+    labels.  x below 2 raises ValueError: both divide by log x.  A tau
+    beyond the float range is inf.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2 (tau and u divide by log x), got {x}")
@@ -359,6 +360,9 @@ def tau_u(ws: WeightSystem, x: int):
     phi_B = max(sysm.B - 1, 1)  # B is 1 or a prime
     logR = math.log(ws.R)
     logx = math.log(x)
-    tau = 2 * (sysm.B / phi_B) ** k * ws.S * logR**k * logx**k * I
+    try:
+        tau = 2 * (sysm.B / phi_B) ** k * ws.S * logR**k * logx**k * I
+    except OverflowError:  # a float power raises where a product gives inf
+        tau = math.inf
     u = (phi_B / sysm.B) * (logR / logx) * k * J / (2 * I)
     return tau, u

@@ -236,7 +236,7 @@ def test_criterion_6_nibble_calibration():
 
 def test_criterion_7_degree_profile_fixture():
     rows = [[5 ** (1 - j) * math.log(5)] for j in range(1, 7)]
-    prof = nib.DegreeProfile(rows)
+    prof = nib.DegreeProfile(rows, 1)
     worst = max(abs(prof.P[j][0] - 5.0 ** (-j)) for j in range(7))
     report(7, worst < 1e-9, f"P_j = 5^-j for j <= 6, max deviation {worst:.2e}")
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -432,6 +433,30 @@ def test_weights_B_beyond_psi_12_is_usage_error(capsys):
     assert err.count("\n") == 1 and "not proven" in err
 
 
+# k = 129 exited 1 with a ZeroDivisionError in tau_u after 1.4 s, and
+# k = 260 with an OverflowError in the weight system after 31 s: I_k rounds
+# to 0.0 from k = 129 on
+@pytest.mark.parametrize("k", [129, 260])
+def test_weights_integrals_rounding_to_zero_are_infeasible(tmp_path, capsys, k):
+    start = time.perf_counter()
+    assert main(["weights", str(k), "35", "1000", "--out", str(tmp_path / "w.json")]) == 4
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "w.json").exists()
+
+
+# at x = 10^300 the product for tau overflowed to inf, which was written as
+# Infinity, not JSON; at x = 10^4000 the power (log x)^80 raised OverflowError
+@pytest.mark.parametrize("x", [10**300, 10**4000], ids=["product", "power"])
+def test_weights_tau_beyond_floats_is_infeasible(tmp_path, capsys, x):
+    out, dump = tmp_path / "w.json", tmp_path / "table.json"
+    assert main(["weights", "80", "35", str(x), "--dump", str(dump), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: tau_F_relative is inf") and err.count("\n") == 1
+    assert not out.exists() and not dump.exists()
+
+
 @pytest.mark.parametrize("option", ["--samples", "--seed"])
 def test_weights_has_no_monte_carlo_options(capsys, option):
     with pytest.raises(SystemExit) as exc:
@@ -536,6 +561,34 @@ def test_malformed_classes_is_usage_error(tmp_path, capsys, command, classes):
     assert main([command, str(f)]) == 2
     err = capsys.readouterr().err
     assert "classes" in err and len(err.strip().splitlines()) == 1
+
+
+# 1,000 nested lists exited 1 with a RecursionError traceback
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("command", ["verify", "gap", "nibble-bench"])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, command, depth):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * depth + "]" * depth)
+    assert main([command, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "nested too deeply" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# a repeated key was read silently, the last value winning: verify reported
+# x = 1000000 for the first text
+@pytest.mark.parametrize("text", [
+    '{"x": 3, "x": 1000000, "classes": [[2, 1], [3, 2]]}',
+    '{"x": 3, "classes": [[2, 1]], "classes": [[2, 1], [3, 2]]}',
+], ids=["x", "classes"])
+@pytest.mark.parametrize("command", ["verify", "gap"])
+def test_system_file_repeated_key_is_usage_error(tmp_path, capsys, command, text):
+    f = tmp_path / "rep.json"
+    f.write_text(text + "\n")
+    assert main([command, str(f), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: system file: a key appears twice in one object\n"
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_nibble_bench_malformed_instance_is_usage_error(tmp_path, capsys):

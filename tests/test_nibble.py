@@ -138,7 +138,7 @@ def test_profile_single_certain_edge():
 def test_profile_geometric_fixture():
     # uniform d_j = 5^(1-j) log 5 makes the recursion collapse to P_j = 5^-j
     rows = [[5 ** (1 - j) * math.log(5)] for j in range(1, 7)]
-    prof = nib.DegreeProfile(rows)
+    prof = nib.DegreeProfile(rows, 1)
     for j in range(7):
         assert abs(prof.P[j][0] - 5.0 ** (-j)) < 1e-9
 

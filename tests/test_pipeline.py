@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 from law_oracle import edge
+from test_cli import pinned_bench_instance
 
 from gapsieve import nibble as nib
 from gapsieve import pipeline
@@ -432,6 +433,37 @@ def test_stage3_nibble_round_recipe_covers_all_when_scaled():
     assert len(rows) == len(pinst.cover.law)  # one row per index; skipped primes have none
     assigned = sum(1 for e in map(edge, rows) if e)
     assert assigned > 0
+
+
+def count_degree_passes(monkeypatch, law):
+    """A list that grows by one entry per degrees call on law's class."""
+    calls, degrees = [], type(law).degrees
+
+    def counting(self, block, n_vertices):
+        calls.append(len(block))
+        return degrees(self, block, n_vertices)
+
+    monkeypatch.setattr(type(law), "degrees", counting)
+    return calls
+
+
+def test_degree_passes_are_only_those_read(monkeypatch):
+    # round j draws against P_{j-1}, so run_cover sums the degrees of rounds
+    # 1..m-1 alone and stage 3's one round sums none; the hypothesis check
+    # reads d_m and P_m, so it sums every round's
+    cfg = StagedConfig(x=5000, seed=4, stage3_method="nibble")
+    pinst = build_edge_distributions(cfg, _split(cfg))
+    calls = count_degree_passes(monkeypatch, pinst.cover.law)
+    stage3_select(cfg, pinst)
+    assert calls == []
+    inst = pinned_bench_instance("uniform-shared")
+    assert inst.m == 3
+    calls = count_degree_passes(monkeypatch, inst.law)
+    nib.run_cover(inst, stream_seed(1, "degree-passes"))
+    assert len(calls) == 2
+    calls.clear()
+    nib.check_hypotheses(inst)
+    assert len(calls) == 3
 
 
 def test_final_matching_cases():

@@ -304,7 +304,7 @@ def test_sift_kernel_edge_cases(monkeypatch):
                     again = sift(ResidueSystem(rest), lo, lo + n - 1, first)
                     assert again is first
                     assert again.survivors.tolist() == got.survivors.tolist()
-    # the view's first position lo' = lo + 1 may be 2^63, beyond int64
+    # the parity 2 leaves' first position lo + 1 may be 2^63, beyond int64
     for a2 in (0, 1):
         entries = {2: a2, 3: 2, 2**61 - 1: 12345}
         for lo in (2**63 - 2, 2**63 - 1):
