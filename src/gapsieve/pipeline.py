@@ -162,6 +162,7 @@ def stage2_random_small(cfg: StagedConfig) -> ResidueSystem:
 class SurvivorSplit:
     after_stage1: int  # survivors of (x, y] after stage 1 alone
     interval: object  # SiftedInterval over (x, y] after stages 1-2
+    survivors: np.ndarray  # int64, increasing: the positions of interval
     primes: np.ndarray  # int64, increasing
     smooth: np.ndarray
     other: np.ndarray
@@ -190,6 +191,7 @@ def survivors_after_small(cfg: StagedConfig, s1: ResidueSystem,
     return SurvivorSplit(
         after_stage1=after_stage1,
         interval=interval,
+        survivors=survivors,
         primes=survivors[is_q],
         smooth=composite[smooth],
         other=composite[~smooth],
@@ -306,9 +308,11 @@ def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
     Survivors and primes are paired in increasing order; a fresh prime p'
     covers its survivor through the class n mod p'.
     """
-    residual = np.sort(np.asarray(residual_survivors, dtype=np.int64))
+    residual = np.asarray(residual_survivors, dtype=np.int64)
     if not len(residual):
         return ResidueSystem({})
+    if not (residual[1:] >= residual[:-1]).all():  # every pipeline residual is increasing
+        residual = np.sort(residual)
     # sieve above x block by block, only as far as the primes it spends; a
     # block is SEGMENT_SIZE positions (half a sieve segment), or 9x positions
     # at small x, so that a few hundred primes do not cost a whole segment
@@ -391,11 +395,14 @@ def run_pipeline(cfg: StagedConfig):
         q = law.Q[member[member >= 0]]
         sys3 = ResidueSystem(moduli=p, classes=q % p)
 
-    # only the stage-3 classes are sifted here; stages 1-2 are in split
-    leaves = split.interval
-    after3 = sift(sys3, cfg.x + 1, th.y, replace(leaves, bits=leaves.bits.copy()))
-    residual = after3.positions()
-    del after3  # free the stage-3 bits before the check allocates its own
+    # only the stage-3 classes are sifted here, into a copy of the stage 1-2
+    # leaves; the residual is the stage 1-2 survivors whose bit is still set
+    residual = split.survivors
+    if len(sys3):
+        leaves = split.interval
+        bits = sift(sys3, cfg.x + 1, th.y, replace(leaves, bits=leaves.bits.copy())).bits
+        residual = residual[bits[(residual - leaves.first) // leaves.step]]
+        del bits  # free the stage-3 bits before the check allocates its own
     ext = final_matching(cfg, residual)
     combined = sys12.merged(sys3).merged(ext)
 

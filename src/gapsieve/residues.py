@@ -20,6 +20,7 @@ from .primes import prime_mask
 
 PREFIX_SCAN_LIMIT = 10**7
 SIFT_CHUNK = 1 << 16  # bytes of int64 moduli that sift reads at a time
+SYSTEM_TEXT_CHUNK = 2**14  # classes the system writer formats at a time
 
 
 class InfeasibleError(ValueError):
@@ -347,40 +348,55 @@ def assemble_gap(sys: ResidueSystem, x: int) -> GapCertificate:
 
 def system_to_json(x: int, sys: ResidueSystem, interval=None) -> str:
     """The compact json.dumps form of the document, with the class list
-    written as one join rather than through one list per class."""
-    head = f'{{"x":{int(x)}'
+    written a chunk of classes at a time rather than through one list per
+    class."""
+    return _system_bytes(x, sys, interval).decode("ascii")
+
+
+def _system_bytes(x: int, sys: ResidueSystem, interval) -> bytes:
+    """The document as bytes: the head, the class chunks and the tail,
+    joined once."""
+    head = b'{"x":%d' % int(x)
     if interval is not None:
-        head += f',"interval":[{int(interval[0])},{int(interval[1])}]'
-    return f'{head},"classes":[{_classes_text(sys.moduli, sys.classes)}]}}\n'
+        head += b',"interval":[%d,%d]' % (int(interval[0]), int(interval[1]))
+    return b"".join((head, b',"classes":[', *_classes_bytes(sys.moduli, sys.classes), b"]}\n"))
 
 
-def _classes_text(p, a) -> str:
-    """'[p,a],[p,a],...' in array order.
+def _classes_bytes(p, a):
+    """b'[p,a],[p,a],...' in array order, as one bytes object per
+    SYSTEM_TEXT_CHUNK classes.
 
-    One numpy kernel writes them: the bytes '[', W digits of p, ',', W
-    digits of a, ']', ',' of each class (W the width of the largest
-    modulus, which a < p fits too) fill one byte column each of an
-    n x (2W + 4) matrix, from W rounds of % 10 and // 10 per number, and
-    one boolean gather drops the leading zeros.  The same arithmetic runs
-    on int64 and on object arrays of Python ints, and on uint32 copies when
-    the largest modulus is below 2**32.
+    One numpy kernel writes each chunk: the bytes '[', W digits of p, ',',
+    W digits of a, ']', ',' of each class (W the width of the largest
+    modulus of the whole system, which a < p fits too) fill one byte column
+    each of an n x (2W + 4) matrix, from W rounds of % 10 and // 10 per
+    number, and one boolean gather drops the leading zeros and, after the
+    last class, the comma.  The same arithmetic runs on int64 and on object
+    arrays of Python ints, and on uint32 copies when the largest modulus is
+    below 2**32.  The memory beyond the output stays bounded by the chunk.
     """
     if not len(p):
-        return ""
+        return
     w = len(str(int(p[-1])))
-    if p.dtype == np.int64 and p[-1] < 2**32:
-        p, a = p.astype(np.uint32), a.astype(np.uint32)
-    cols = np.empty((2 * w + 4, len(p)), dtype=np.uint8)  # the matrix, transposed
-    keep = np.ones(cols.shape, dtype=bool)
-    cols[[0, w + 1, 2 * w + 2, 2 * w + 3]] = np.frombuffer(b"[,],", dtype=np.uint8)[:, None]
-    for col, v in ((1, p), (w + 2, a)):
-        for k in range(col + w - 1, col - 1, -1):  # last digit first
-            keep[k] = v > 0  # else a leading zero, unless it is the last digit
-            q = v // 10
-            cols[k] = v - 10 * q + ord("0")
-            v = q
-        keep[col + w - 1] = True
-    return cols.T[keep.T][:-1].tobytes().decode("ascii")
+    narrow = p.dtype == np.int64 and p[-1] < 2**32
+    chunk = SYSTEM_TEXT_CHUNK
+    for i in range(0, len(p), chunk):
+        pc, ac = p[i : i + chunk], a[i : i + chunk]
+        if narrow:
+            pc, ac = pc.astype(np.uint32), ac.astype(np.uint32)
+        cols = np.empty((2 * w + 4, len(pc)), dtype=np.uint8)  # the matrix, transposed
+        keep = np.ones(cols.shape, dtype=bool)
+        cols[[0, w + 1, 2 * w + 2, 2 * w + 3]] = np.frombuffer(b"[,],", dtype=np.uint8)[:, None]
+        for col, v in ((1, pc), (w + 2, ac)):
+            for k in range(col + w - 1, col - 1, -1):  # last digit first
+                keep[k] = v > 0  # else a leading zero, unless it is the last digit
+                q = v // 10
+                cols[k] = v - 10 * q + ord("0")
+                v = q
+            keep[col + w - 1] = True
+        if i + chunk >= len(p):
+            keep[-1, -1] = False  # no comma after the last class
+        yield cols.T[keep.T].tobytes()
 
 
 def _is_int(v) -> bool:
@@ -429,7 +445,7 @@ def system_from_json(text: str):
 
 def write_system_file(path, x: int, sys: ResidueSystem, interval=None) -> bytes:
     """Write the system document to path; returns the bytes written."""
-    data = system_to_json(x, sys, interval).encode()
+    data = _system_bytes(x, sys, interval)
     with open(path, "wb") as fh:
         fh.write(data)
     return data

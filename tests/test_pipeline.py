@@ -31,7 +31,7 @@ from gapsieve.pipeline import (
     thresholds,
 )
 from gapsieve.primes import admissible_tuple, primes_up_to, sieve_interval
-from gapsieve.residues import ResidueSystem, sift
+from gapsieve.residues import ResidueSystem, SiftedInterval, sift
 from gapsieve.rng import stream, stream_seed
 from gapsieve.weights import PairWeightContext
 
@@ -392,6 +392,57 @@ def test_residual_after_stage3_matches_full_sift(method):
     assert report.max_modulus == max(system.entries) == fresh[-1]
 
 
+RESIDUAL_CASES = [StagedConfig(x=x, mode=mode, seed=seed, stage3_method=method)
+                  for x, mode in ((50_000, "desk-preset"), (3000, "paper-formula"))
+                  for method in ("none", "independent", "greedy", "nibble")
+                  for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("cfg", RESIDUAL_CASES,
+                         ids=lambda c: f"{c.mode}-{c.x}-{c.stage3_method}-{c.seed}")
+def test_residual_handed_to_matching_equals_a_fresh_sift(monkeypatch, cfg):
+    # run_pipeline reads the residual off the stage 1-2 survivors; it must be
+    # the positions a from-scratch sift of stages 1-3 leaves, which are the
+    # classes of the combined system below the fresh primes (all above x)
+    handed = []
+
+    def recording_matching(cfg, residual):
+        handed.append(residual)
+        return final_matching(cfg, residual)
+
+    monkeypatch.setattr(pipeline, "final_matching", recording_matching)
+    report, system = run_pipeline(cfg)
+    low = system.moduli <= cfg.x
+    sys123 = ResidueSystem(moduli=system.moduli[low], classes=system.classes[low])
+    [residual] = handed
+    assert residual.dtype == np.int64
+    assert np.array_equal(residual, sift(sys123, cfg.x + 1, report.y).positions())
+    assert len(residual) == report.residual_after_stage3
+
+
+@pytest.mark.parametrize("method, sifts", [("none", 3), ("independent", 4), ("greedy", 4),
+                                           ("nibble", 4)])
+def test_run_pipeline_extracts_the_survivors_once(monkeypatch, method, sifts):
+    # stage 1, stage 2 in place, stage 3 (only when it assigns a class) and
+    # the check; the survivor positions are read once, by the split
+    calls = {"sift": 0, "positions": 0}
+    positions = SiftedInterval.positions
+
+    def counting_sift(*args):
+        calls["sift"] += 1
+        return sift(*args)
+
+    def counting_positions(self):
+        calls["positions"] += 1
+        return positions(self)
+
+    monkeypatch.setattr(pipeline, "sift", counting_sift)
+    monkeypatch.setattr(SiftedInterval, "positions", counting_positions)
+    report, _ = run_pipeline(StagedConfig(x=50_000, seed=1, stage3_method=method))
+    assert (report.stage3_assigned > 0) == (method != "none")
+    assert calls == {"sift": sifts, "positions": 1}
+
+
 def pair_instance(values, primes):
     """A PipelineInstance over the uniform PairLaw(values, (3, 5), primes)."""
     return PipelineInstance.of(PairLaw(values, (3, 5), primes), primes)
@@ -480,6 +531,9 @@ def test_final_matching_cases():
     assert all(1000 < p <= 10_000 for p in ext5.entries)
     for n in residuals:
         assert any(n % p == a for p, a in ext5.entries.items())
+    # an unsorted residual is paired in increasing order all the same
+    assert final_matching(cfg, residuals[::-1]) == ext5
+    assert final_matching(cfg, np.array([1303, 1101, 1505, 1202, 1404])) == ext5
 
 
 def test_final_matching_sieves_only_the_primes_it_spends(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from gapsieve import residues
 from gapsieve.oracle import exact_Y
+from gapsieve.pipeline import StagedConfig, run_pipeline
 from gapsieve.primes import is_prime, sieve_interval
 from gapsieve.residues import (
     CoverageError,
@@ -23,6 +25,7 @@ from gapsieve.residues import (
     sift,
     system_from_json,
     system_to_json,
+    write_system_file,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -591,15 +594,17 @@ def test_system_file_roundtrip():
     assert (x, back.entries, interval) == (13, sys.entries, (14, 20))
 
 
-def test_system_file_bytes_equal_json_dumps():
-    # the document json.dumps writes from one list per class, byte for byte
-    def dumps(x, sys, interval=None):
-        doc = {"x": int(x)}
-        if interval is not None:
-            doc["interval"] = [int(interval[0]), int(interval[1])]
-        doc["classes"] = [[int(p), int(a)] for p, a in sorted(sys.entries.items())]
-        return json.dumps(doc, separators=(",", ":")) + "\n"
+def dumps_reference(x, sys, interval=None):
+    """The document json.dumps writes from one list per class: the byte
+    reference for system_to_json."""
+    doc = {"x": int(x)}
+    if interval is not None:
+        doc["interval"] = [int(interval[0]), int(interval[1])]
+    doc["classes"] = [[int(p), int(a)] for p, a in sorted(sys.entries.items())]
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
+
+def test_system_file_bytes_equal_json_dumps():
     rng = random.Random(4)
     primes = sieve_interval(2, 5000).tolist()
     # the writer runs on uint32 up to the largest prime below 2^32 and on
@@ -609,7 +614,64 @@ def test_system_file_bytes_equal_json_dumps():
                 ResidueSystem({3: 2, 4_294_967_291: 4_294_967_290}),
                 ResidueSystem({3: 0, 4_294_967_291: 0, 4_294_967_311: 4_294_967_310})):
         for interval in (None, (14, 20), (10**6 + 1, 5_250_000)):
-            assert system_to_json(10**6, sys, interval) == dumps(10**6, sys, interval)
+            assert system_to_json(10**6, sys, interval) == dumps_reference(10**6, sys, interval)
+
+
+# 22 primes in chunks of 7: the digit width grows inside the first three
+# chunks (7 | 11, 997 | 1009, 99991 | 100003) and across each chunk
+# boundary (97 | 101, 9973 | 10007, 1000003 | 2^61 - 1)
+CHUNKED_PRIMES = [2, 3, 5, 7, 11, 13, 97,
+                  101, 103, 107, 997, 1009, 1013, 9973,
+                  10007, 10009, 99991, 100003, 100019, 999983, 1000003,
+                  2**61 - 1]
+
+
+def chunked_systems():
+    """Systems of 0, 1, 6, 7, 8, 14, 15 and 22 classes over CHUNKED_PRIMES,
+    and for each nonempty one an object-array system whose last modulus is
+    beyond int64 (for 8, 15 and 22 classes, the first of a chunk)."""
+    rng = random.Random(9)
+
+    def system(moduli):
+        return ResidueSystem(moduli=moduli, classes=[
+            (0, p - 1, rng.randrange(p))[i % 3] for i, p in enumerate(moduli)])
+
+    for k in (0, 1, 6, 7, 8, 14, 15, 22):
+        yield system(CHUNKED_PRIMES[:k])
+        if k:
+            yield system(CHUNKED_PRIMES[: k - 1] + [(2**63 + 29, 2**78 - 11)[k % 2]])
+
+
+def test_chunked_writer_matches_json_dumps(monkeypatch, tmp_path):
+    monkeypatch.setattr(residues, "SYSTEM_TEXT_CHUNK", 7)
+    systems = list(chunked_systems())
+    assert [len(s) for s in systems] == [0, 1, 1, 6, 6, 7, 7, 8, 8, 14, 14, 15, 15, 22, 22]
+    assert sum(s.moduli.dtype == object for s in systems) == 7
+    path = tmp_path / "system.json"
+    for sys in systems:
+        for interval in (None, (14, 20), (2**70, 2**70 + 5)):
+            text = system_to_json(10**6, sys, interval)
+            assert text == dumps_reference(10**6, sys, interval)
+            data = write_system_file(path, 10**6, sys, interval)
+            assert type(data) is bytes and data == path.read_bytes() == text.encode()
+            assert system_from_json(text)[1] == sys
+
+
+def test_system_writer_memory_is_bounded(tmp_path):
+    # the 185,269-class system of construct 1000000 --stage3 none --seed 1:
+    # beside the file's bytes, the writer holds one copy of them (the
+    # chunks it joins) and one chunk's matrices
+    cfg = StagedConfig(x=10**6, seed=1, stage3_method="none")
+    report, system = run_pipeline(cfg)
+    assert len(system) == 185_269
+    tracemalloc.start()
+    try:
+        data = write_system_file(tmp_path / "system.json", cfg.x, system,
+                                 (cfg.x + 1, report.achieved_y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(data) + 2**20
 
 
 def fstring_json(x, sys, interval=None):
