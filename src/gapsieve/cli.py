@@ -18,7 +18,7 @@ from . import __version__
 from . import nibble as nib
 from .oracle import EXACT_Y_CUTOFF, exact_Y, jacobsthal
 from .pipeline import StagedConfig, VerificationError, run_pipeline
-from .primes import admissible_tuple, primorial, sieve_interval
+from .primes import admissible_tuple, is_prime, primorial
 from .residues import (
     CoverageError,
     InfeasibleError,
@@ -133,18 +133,12 @@ def cmd_gap(args) -> int:
         doc["gap_scan"] = f"skipped: primorial({x}) exceeds {GAP_SCAN_LIMIT}"
     elif cert.m < 2:
         doc["gap_scan"] = f"skipped: no prime <= m = {cert.m}"
-    else:
-        window = 2 * max(cert.run_length, 10)
-        below = above = None
-        while below is None or above is None:
-            lo_scan = max(2, cert.m - window)
-            hi_scan = cert.m + window
-            ps = [int(p) for p in sieve_interval(lo_scan, hi_scan)]
-            lower = [p for p in ps if p <= cert.m]
-            upper = [p for p in ps if p > cert.m + cert.run_length]
-            below = lower[-1] if lower else None
-            above = upper[0] if upper else None
-            window *= 2
+    else:  # step out of the run to its nearest primes; m >= 2 bounds the scan down
+        below, above = cert.m, cert.m + cert.run_length + 1
+        while not is_prime(below):
+            below -= 1
+        while not is_prime(above):
+            above += 1
         gap_len = above - below
         doc["enclosing_gap"] = [below, above]
         doc["enclosing_gap_length"] = gap_len
@@ -198,12 +192,12 @@ def cmd_nibble_bench(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    offsets = admissible_tuple(args.k)
     # I_k and J_k round to 0.0 from k = 129 on, and u divides by I_k: such
-    # a k is refused before the weight system is built
+    # a k is refused before the tuple is sieved or the weight system built
     integrals = cap_integrals(args.k)
     if 0.0 in integrals:
         raise InfeasibleError(f"I_k or J_k of the cap rounds to 0.0 at k = {args.k}")
+    offsets = admissible_tuple(args.k)
     system = FormSystem(offsets, B=args.B)
     ws = WeightSystem(system, R=args.R)
     doc = {

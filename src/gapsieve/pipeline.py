@@ -161,14 +161,11 @@ def stage2_random_small(cfg: StagedConfig) -> ResidueSystem:
 @dataclass
 class SurvivorSplit:
     after_stage1: int  # survivors of (x, y] after stage 1 alone
-    interval: object  # SiftedInterval over (x, y] after stages 1-2
+    interval: object  # SiftedInterval over (x, y] after stages 1-2; run_pipeline sets None
     survivors: np.ndarray  # int64, increasing: the positions of interval
     primes: np.ndarray  # int64, increasing
     smooth: np.ndarray
     other: np.ndarray
-
-    def total(self) -> int:
-        return self.interval.count()
 
 
 def survivors_after_small(cfg: StagedConfig, s1: ResidueSystem,
@@ -395,14 +392,13 @@ def run_pipeline(cfg: StagedConfig):
         q = law.Q[member[member >= 0]]
         sys3 = ResidueSystem(moduli=p, classes=q % p)
 
-    # only the stage-3 classes are sifted here, into a copy of the stage 1-2
-    # leaves; the residual is the stage 1-2 survivors whose bit is still set
+    # stage 3 clears its classes on the stage 1-2 leaves in place; the
+    # residual is the survivors whose bit is still set
     residual = split.survivors
     if len(sys3):
-        leaves = split.interval
-        bits = sift(sys3, cfg.x + 1, th.y, replace(leaves, bits=leaves.bits.copy())).bits
-        residual = residual[bits[(residual - leaves.first) // leaves.step]]
-        del bits  # free the stage-3 bits before the check allocates its own
+        leaves = sift(sys3, cfg.x + 1, th.y, split.interval)
+        residual = residual[leaves.bits[(residual - leaves.first) // leaves.step]]
+    split.interval = leaves = None  # released before the check sift allocates its own bits
     ext = final_matching(cfg, residual)
     combined = sys12.merged(sys3).merged(ext)
 
@@ -426,7 +422,7 @@ def run_pipeline(cfg: StagedConfig):
         sigma=sigma,
         interval_size=th.y - cfg.x,
         survivors_after_stage1=split.after_stage1,
-        survivors_after_stage12=split.total(),
+        survivors_after_stage12=len(split.survivors),
         prime_survivors=len(split.primes),
         smooth_survivors=len(split.smooth),
         other_survivors=len(split.other),

@@ -335,12 +335,20 @@ def cap_integrals(k: int):
     power of 1 - sum t integrates to int (1 - sum t)^a dt = a!/(a+k)! over
     the k-simplex, and int F dt_k = (1 - t_1 - ... - t_(k-1))^(k+2)/(k+2),
     so I_k = (2k+2)!/(3k+2)! and J_k = (2k+4)!/((k+2)^2 (3k+3)!).  Each is
-    a Fraction rounded once to a float.
+    a Fraction rounded once to a float, or 0.0 at once where `math.lgamma`
+    puts it 16 nats, far beyond its error, below the smallest subnormal
+    (both are from k = 132 on): a large k builds no factorial.
     """
-    f = math.factorial
-    I = Fraction(f(2 * k + 2), f(3 * k + 2))
-    J = Fraction(f(2 * k + 4), (k + 2) ** 2 * f(3 * k + 3))
-    return float(I), float(J)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    f, lg = math.factorial, math.lgamma
+    zero = math.log(5e-324) - 16
+    I = J = 0.0
+    if lg(2 * k + 3) - lg(3 * k + 3) > zero:
+        I = float(Fraction(f(2 * k + 2), f(3 * k + 2)))
+    if lg(2 * k + 5) - lg(3 * k + 4) - 2 * math.log(k + 2) > zero:
+        J = float(Fraction(f(2 * k + 4), (k + 2) ** 2 * f(3 * k + 3)))
+    return I, J
 
 
 def tau_u(ws: WeightSystem, x: int):

@@ -194,6 +194,30 @@ def test_gap_x13_certificate(tmp_path):
     assert doc["gap_at_least_run"]
 
 
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_gap_encloses_the_run_between_its_nearest_primes(tmp_path, x):
+    def prime(n):  # trial division
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    f, out = tmp_path / "w.json", tmp_path / "gap.json"
+    write_system_file(f, x, exact_Y(x).witness)
+    assert main(["gap", str(f), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    m, run = doc["m"], doc["run_length"]
+    assert not any(prime(n) for n in range(m + 1, m + run + 1))
+    if x == 23 or m < 2:  # primorial(23) passes GAP_SCAN_LIMIT; x = 0 has m = 1
+        assert doc["gap_scan"].startswith("skipped: ") and "enclosing_gap" not in doc
+        return
+    below, above = m, m + run + 1
+    while not prime(below):
+        below -= 1
+    while not prime(above):
+        above += 1
+    assert doc["enclosing_gap"] == [below, above]
+    assert doc["enclosing_gap_length"] == above - below
+    assert doc["gap_at_least_run"] is (above - below >= run + (1 if run else 0))
+
+
 def test_gap_scan_skipped_beyond_limit(tmp_path):
     f = tmp_path / "w29.json"
     f.write_text('{"x": 29, "classes": []}\n')
@@ -435,8 +459,9 @@ def test_weights_B_beyond_psi_12_is_usage_error(capsys):
 
 # k = 129 exited 1 with a ZeroDivisionError in tau_u after 1.4 s, and
 # k = 260 with an OverflowError in the weight system after 31 s: I_k rounds
-# to 0.0 from k = 129 on
-@pytest.mark.parametrize("k", [129, 260])
+# to 0.0 from k = 129 on.  Later the exact factorials took 47 s at k = 10^5,
+# and the admissible tuple at k = 10^8 sieves to about 2e9
+@pytest.mark.parametrize("k", [129, 260, 10**5, 10**6, 10**8])
 def test_weights_integrals_rounding_to_zero_are_infeasible(tmp_path, capsys, k):
     start = time.perf_counter()
     assert main(["weights", str(k), "35", "1000", "--out", str(tmp_path / "w.json")]) == 4

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -151,7 +152,8 @@ def test_survivor_split_cross_checked_against_smooth_oracle():
     assert split.primes.tolist() == [n for n in split.interval.survivor_list() if n in prime_set]
     assert split.smooth.tolist() == [n for n in composite if smooth(n)]
     assert split.other.tolist() == [n for n in composite if not smooth(n)]
-    assert split.total() == len(split.primes) + len(split.smooth) + len(split.other)
+    assert len(split.survivors) == len(split.primes) + len(split.smooth) + len(split.other)
+    assert len(split.survivors) == split.interval.count()
 
 
 def test_prime_survivor_count_concentrates():
@@ -420,6 +422,29 @@ def test_residual_handed_to_matching_equals_a_fresh_sift(monkeypatch, cfg):
     assert len(residual) == report.residual_after_stage3
 
 
+@pytest.mark.parametrize("method", ["none", "independent", "greedy", "nibble"])
+def test_run_pipeline_releases_the_leaves_before_matching(monkeypatch, method):
+    # stage 3 clears its classes on the split's own leaves, and run_pipeline
+    # drops them once the residual is read, so no stage 1-2 bits of (x, y]
+    # are alive through final matching and the check sift
+    refs, alive = [], []
+
+    def recording_split(cfg, s1, s2):
+        split = survivors_after_small(cfg, s1, s2)
+        refs.extend([weakref.ref(split.interval), weakref.ref(split.interval.bits)])
+        return split
+
+    def recording_matching(cfg, residual):
+        alive.append([ref() is not None for ref in refs])
+        return final_matching(cfg, residual)
+
+    monkeypatch.setattr(pipeline, "survivors_after_small", recording_split)
+    monkeypatch.setattr(pipeline, "final_matching", recording_matching)
+    report, _ = run_pipeline(StagedConfig(x=50_000, seed=1, stage3_method=method))
+    assert alive == [[False, False]]
+    assert (report.stage3_assigned > 0) == (method != "none")
+
+
 @pytest.mark.parametrize("method, sifts", [("none", 3), ("independent", 4), ("greedy", 4),
                                            ("nibble", 4)])
 def test_run_pipeline_extracts_the_survivors_once(monkeypatch, method, sifts):
@@ -574,7 +599,7 @@ def test_stage1_is_sifted_once(monkeypatch):
     split = survivors_after_small(cfg, s1, s2)
     assert split.after_stage1 == report.survivors_after_stage1
     assert (split.interval.survivors == sift(s1.merged(s2), lo, hi).survivors).all()
-    assert split.total() == report.survivors_after_stage12
+    assert len(split.survivors) == report.survivors_after_stage12
 
 
 def test_run_pipeline_x500_always_covers():

@@ -8,7 +8,9 @@ this file only.
 
 import gc
 import math
+import time
 import weakref
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -550,6 +552,22 @@ def test_cap_integrals_hand_values(k, one_over_I, one_over_J):
     # k = 2: int (1 - s)^6 over the triangle = 6!/8! = 1/56 and
     # int_0^1 ((1 - t)^4 / 4)^2 dt = 1/144
     assert cap_integrals(k) == (1 / one_over_I, 1 / one_over_J)
+
+
+def test_cap_integrals_shortcut_is_the_exact_rounding():
+    # around the boundary where I_k and J_k underflow, the lgamma shortcut
+    # gives the float of the exact Fraction, and both are 0.0 from k = 129 on
+    f = math.factorial
+    for k in range(100, 161):
+        I = float(Fraction(f(2 * k + 2), f(3 * k + 2)))
+        J = float(Fraction(f(2 * k + 4), (k + 2) ** 2 * f(3 * k + 3)))
+        assert cap_integrals(k) == (I, J)
+        assert (I == 0.0) == (J == 0.0) == (k >= 129)
+    start = time.perf_counter()
+    assert cap_integrals(10**12) == (0.0, 0.0)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        cap_integrals(0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
