@@ -26,7 +26,6 @@ from .residues import (
     covered_prefix_length,
     read_system_file,
     sift,
-    system_to_json,
     write_system_file,
 )
 from .rng import stream_seed
@@ -159,10 +158,10 @@ def cmd_oracle(args) -> int:
         "nodes_explored": res.nodes_explored,
     }
     if args.witness:
-        text = system_to_json(args.x, res.witness, (1, res.Y) if res.Y else None)
-        Path(args.witness).write_text(text)
+        written = write_system_file(args.witness, args.x, res.witness,
+                                    (1, res.Y) if res.Y else None)
         doc["witness_file"] = str(args.witness)
-        doc["witness_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        doc["witness_sha256"] = hashlib.sha256(written).hexdigest()
     if args.cross_check:
         doc["jacobsthal_primorial"] = jac
         doc["cross_check_ok"] = doc["jacobsthal_primorial"] - 1 == res.Y

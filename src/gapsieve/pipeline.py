@@ -28,7 +28,7 @@ import numpy as np
 from . import nibble as nib
 from .oracle import smooth_mask
 from .pairlaw import PairLaw
-from .primes import SEGMENT_SIZE, admissible_tuple, prime_mask, primes_up_to, sieve_interval
+from .primes import admissible_tuple, first_primes, prime_mask, primes_up_to, sieve_interval
 from .residues import ResidueSystem, sift
 from .rng import stream, stream_seed, uniforms
 from .weights import PairWeightContext
@@ -310,16 +310,7 @@ def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
         return ResidueSystem({})
     if not (residual[1:] >= residual[:-1]).all():  # every pipeline residual is increasing
         residual = np.sort(residual)
-    # sieve above x block by block, only as far as the primes it spends; a
-    # block is SEGMENT_SIZE positions (half a sieve segment), or 9x positions
-    # at small x, so that a few hundred primes do not cost a whole segment
-    size = min(SEGMENT_SIZE, 9 * cfg.x)
-    blocks, available, lo = [], 0, cfg.x + 1
-    while available < len(residual):
-        blocks.append(sieve_interval(lo, lo + size - 1))
-        available += len(blocks[-1])
-        lo += size
-    fresh = np.concatenate(blocks)[: len(residual)]
+    fresh = first_primes(cfg.x + 1, len(residual))
     return ResidueSystem(moduli=fresh, classes=residual % fresh)
 
 

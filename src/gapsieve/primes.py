@@ -7,13 +7,13 @@ prime_mask read windows and values up to the limit from it.  Above it,
 sieving is done with a segmented sieve of Eratosthenes over the odd
 numbers (numpy bool segments of SEGMENT_SIZE = 2**20 entries, each entry
 one odd number, so a segment spans 2**21 integers) so intervals up to 1e8
-stay cheap and memory-local.  `_odd_segments` yields those segments, with
-its base primes read from the table whenever hi < 2**32; `sieve_interval`
-lists their primes, and prime_mask, the one batch primality test, reads
-dense inputs straight from their flags and sparse ones from Miller-Rabin.
-Setting TABLE_LIMIT = 0 turns the table off (nonpositive values aside,
-which no path calls prime).  The admissible r-tuple is the first r primes
-above r, which always ends at or below 2r^2.
+stay cheap and memory-local.  `_odd_segments` yields those segments, cleared
+by `clear_classes`, the kernel `sift` runs, with base primes from the table
+whenever hi < 2**32; `sieve_interval` and `first_primes` list their primes,
+and prime_mask, the one batch primality test, reads dense inputs straight
+from their flags and sparse ones from Miller-Rabin.  Setting TABLE_LIMIT = 0
+turns the table off (nonpositive values aside, which no path calls prime).
+The admissible r-tuple, the first r primes above r, ends at or below 2r^2.
 """
 
 from math import isqrt, log
@@ -47,22 +47,48 @@ def _table_primes(lo: int, hi: int) -> np.ndarray:
                          np.searchsorted(_TABLE_PRIMES, hi, side="right")]
 
 
+def clear_classes(flags, first, step, p, a):
+    """Clear the entries of flags in the classes a mod p, for int64 arrays
+    p, a, where entry k of flags is n = first + step * k, step 1 or 2, and
+    every p is odd when step is 2.  With n entries, p < n/64 takes one
+    strided slice, p >= n hits at most once, and the moduli in between step
+    together over the whole array, one step per multiple (at most 64), until
+    fewer than 64 are left, which take a strided slice each."""
+    n = len(flags)
+    r = (a - first % p) % p
+    if step == 1:
+        start = r
+    else:  # 2k = r (mod p), with the inverse (p + 1) / 2 of 2 taken without overflow
+        start = r // 2 + (r & 1) * (p // 2 + 1)
+    strided = p < (n + 63) // 64  # p < n/64
+    for s, q in zip(start[strided].tolist(), p[strided].tolist()):
+        flags[s::q] = False
+    flags[start[(p >= n) & (start < n)]] = False
+    # here n/64 <= p < n, so each steps at most 64 times; s + q < 2n never wraps
+    live = ~strided & (p < n) & (start < n)
+    s, q = start[live], p[live]
+    while len(s) >= 64:
+        flags[s] = False
+        s += q
+        live = s < n
+        s, q = s[live], q[live]
+    for s, q in zip(s.tolist(), q.tolist()):
+        flags[s::q] = False
+
+
 def _odd_segments(lo: int, hi: int):
     """(seg_lo, flags) for each segment of the odd numbers in [lo, hi], in
-    order: flags[k] is True iff seg_lo + 2k is prime.  The odd base primes up
-    to isqrt(hi) come from sieve_interval, which reads them from the table
-    when hi < 65537**2."""
-    base = sieve_interval(3, isqrt(hi)).tolist()
+    order: flags[k] is True iff seg_lo + 2k is prime.  clear_classes clears
+    class 0 of the odd base primes up to isqrt(seg_hi), which sieve_interval
+    reads from the table when hi < 65537**2, and the base primes inside the
+    segment are set back to prime."""
+    base = sieve_interval(3, isqrt(hi))
     for seg_lo in range(max(lo, 1) | 1, hi + 1, 2 * SEGMENT_SIZE):
         seg_hi = min(seg_lo + 2 * SEGMENT_SIZE - 2, hi)
         flags = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)
-        for p in base:
-            start = max(p * p, -(-seg_lo // p) * p)
-            if start % 2 == 0:  # the next odd multiple
-                start += p
-            if start > seg_hi:
-                continue
-            flags[(start - seg_lo) // 2 :: p] = False
+        ps = base[: np.searchsorted(base, isqrt(seg_hi), side="right")]
+        clear_classes(flags, seg_lo, 2, ps, np.zeros_like(ps))
+        flags[(ps[ps >= seg_lo] - seg_lo) // 2] = True
         if seg_lo == 1:
             flags[0] = False
         yield seg_lo, flags
@@ -70,15 +96,32 @@ def _odd_segments(lo: int, hi: int):
 
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi]: a copy of the table's slice when hi <= TABLE_LIMIT,
-    else via a segmented sieve of the odd numbers; 2 is emitted when lo <= 2."""
+    else via a segmented sieve of the odd numbers; 2 is emitted when lo <= 2.
+    MemoryError when hi >= 2**63: int64 cannot hold the window's primes."""
     if hi < max(lo, 2):
         return np.empty(0, dtype=np.int64)
+    if hi >= 2**63:
+        raise MemoryError("a sieve window reaching 2**63 holds primes that do not fit int64")
     if hi <= TABLE_LIMIT:
         return _table_primes(lo, hi).copy()
     out = [np.array([2], dtype=np.int64)] if lo <= 2 else []
     out += [np.flatnonzero(flags).astype(np.int64, copy=False) * 2 + seg_lo
             for seg_lo, flags in _odd_segments(lo, hi)]
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+
+
+def first_primes(lo: int, count: int) -> np.ndarray:
+    """The first count primes >= lo, as int64, sieved window by window up to
+    the window holding the count-th: SEGMENT_SIZE integers (half a sieve
+    segment), or 9 lo at small lo, so a few hundred primes do not cost a
+    whole segment."""
+    size = min(SEGMENT_SIZE, 9 * max(lo, 1))
+    windows, found = [], 0
+    while found < count:
+        windows.append(sieve_interval(lo, lo + size - 1))
+        found += len(windows[-1])
+        lo += size
+    return np.concatenate(windows)[:count] if windows else np.empty(0, dtype=np.int64)
 
 
 def primes_up_to(x: int) -> tuple:
@@ -230,10 +273,4 @@ def admissible_tuple(r: int) -> tuple:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    # primes > r; generous sieve bound r*(log r + log log r) + slack
-    hi = max(4 * r, 64)
-    while True:
-        ps = [int(p) for p in sieve_interval(r + 1, hi)]
-        if len(ps) >= r:
-            return tuple(ps[:r])
-        hi *= 2
+    return tuple(first_primes(r + 1, r).tolist())

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .primes import prime_mask
+from .primes import clear_classes, prime_mask
 
 PREFIX_SCAN_LIMIT = 10**7
 SIFT_CHUNK = 1 << 16  # bytes of int64 moduli that sift reads at a time
@@ -184,11 +184,8 @@ def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
     A new interval of a system with a class mod 2 holds only the parity 2
     leaves (see SiftedInterval), so 2's class costs nothing and the odd
     moduli act on ceil(n/2) or floor(n/2) contiguous bits.  On bits that
-    hold every position, 2 is cleared like any other modulus.  With n bits
-    to clear, a modulus p < n/64 takes one strided slice; a modulus p >= n
-    hits at most once; the moduli in between are cleared together, one
-    whole-array step per multiple (at most 64), until fewer than 64 are
-    left, which take a strided slice each.  Classes are read SIFT_CHUNK // 8
+    hold every position, 2 is cleared like any other modulus.  The classes
+    are cleared by primes.clear_classes, the sieve's kernel, SIFT_CHUNK // 8
     at a time from the int64 arrays, so the memory beyond the bits stays
     bounded whatever the system's size.  The bits are exact for any Python
     ints: when the system is held in object arrays or the first position
@@ -217,37 +214,11 @@ def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
     if moduli.dtype == np.int64 and -(2**63) <= first < 2**63:
         chunk = SIFT_CHUNK // 8
         for i in range(0, len(moduli), chunk):
-            _clear(bits, first, step, moduli[i : i + chunk], classes[i : i + chunk])
+            clear_classes(bits, first, step, moduli[i : i + chunk], classes[i : i + chunk])
     else:
         for p, a in zip(moduli.tolist(), classes.tolist()):  # every p odd when step is 2
             bits[(a - first) * pow(step, -1, p) % p :: p] = False
     return into
-
-
-def _clear(flags, first, step, p, a):
-    """Clear the entries of flags in the classes a mod p, for int64 arrays
-    p, a, where entry k of flags is n = first + step * k, step 1 or 2, and
-    every p is odd when step is 2."""
-    n = len(flags)
-    r = (a - first % p) % p
-    if step == 1:
-        start = r
-    else:  # 2k = r (mod p), with the inverse (p + 1) / 2 of 2 taken without overflow
-        start = r // 2 + (r & 1) * (p // 2 + 1)
-    strided = p < (n + 63) // 64  # p < n/64
-    for s, q in zip(start[strided].tolist(), p[strided].tolist()):
-        flags[s::q] = False
-    flags[start[(p >= n) & (start < n)]] = False
-    # here n/64 <= p < n, so each steps at most 64 times; s + q < 2n never wraps
-    live = ~strided & (p < n) & (start < n)
-    s, q = start[live], p[live]
-    while len(s) >= 64:
-        flags[s] = False
-        s += q
-        live = s < n
-        s, q = s[live], q[live]
-    for s, q in zip(s.tolist(), q.tolist()):
-        flags[s::q] = False
 
 
 def covered_prefix_length(sys: ResidueSystem) -> int:

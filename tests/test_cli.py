@@ -235,6 +235,9 @@ def test_oracle_command(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["Y"] == 9
     assert doc["cross_check_ok"]
+    written = system_to_json(7, exact_Y(7).witness, (1, 9)).encode()
+    assert wfile.read_bytes() == written
+    assert doc["witness_sha256"] == hashlib.sha256(written).hexdigest()
     assert main(["verify", str(wfile), "--interval", "1", "9"]) == 0
     verdict = tmp_path / "v.json"
     assert main(["verify", str(wfile), "--out", str(verdict)]) == 0
@@ -772,6 +775,22 @@ def test_construct_interval_beyond_numpy_is_infeasible(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("infeasible:") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "system.json").exists()
+
+
+# both sieved until a timeout killed them: stage 1 asks for the primes up
+# to x/2 = 5e19 and the weight system for the primes up to R, whose window
+# reaches 2^63, past int64
+@pytest.mark.parametrize("argv", [["construct", "100000000000000000000"],
+                                  ["weights", "2", "1e300", "1000"]], ids=["construct", "weights"])
+def test_sieve_window_past_int64_is_infeasible(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == 4
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible:") and len(err.strip().splitlines()) == 1
+    assert "2**63" in err and len(err) < 100
+    assert not out.exists()
 
 
 def test_gap_coverage_failure_is_verification_error(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from gapsieve import primes
 from gapsieve.primes import (
     SEGMENT_SIZE,
     admissible_tuple,
+    first_primes,
     is_admissible,
     is_prime,
     prime_mask,
@@ -98,6 +99,55 @@ def test_base_primes_need_at_most_one_more_sieve(monkeypatch):
         calls.clear()
         primes.sieve_interval(hi - 100, hi)
         assert calls == his
+
+
+def test_base_primes_past_n_over_64_take_whole_array_steps():
+    # a segment of 10^5 entries: the base primes from n/64 = 1563 up to
+    # isqrt(hi) = 22365 are cleared by the kernel's whole-array steps
+    lo = 5 * 10**8
+    got = sieve_interval(lo, lo + 2 * 10**5)
+    assert got.tolist() == [n for n in range(lo, lo + 2 * 10**5 + 1) if is_prime(n)]
+
+
+def test_sieve_window_past_int64_is_refused(monkeypatch):
+    # refused before any work: no segment is sieved, not even the base primes
+    monkeypatch.setattr(primes, "_odd_segments", lambda lo, hi: pytest.fail("sieved"))
+    with pytest.raises(MemoryError, match=r"2\*\*63"):
+        sieve_interval(2**63, 2**63 + 10)
+    with pytest.raises(MemoryError, match=r"2\*\*63"):
+        primes_up_to(10**300)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 2**21 - 1, 2**21 + 1,
+                                10**6 + 1])
+def test_first_primes_are_the_head_of_one_long_sieve(monkeypatch, lo):
+    size = min(SEGMENT_SIZE, 9 * max(lo, 1))  # lo = 0 steps like lo = 1
+    ref = sieve_interval(lo, lo + 3 * size).tolist()
+    spans, depth = [], [0]
+    original = primes.sieve_interval
+
+    def recording(a, b):  # only first_primes' own windows, not base-prime sieves
+        if not depth[0]:
+            spans.append((a, b))
+        depth[0] += 1
+        try:
+            return original(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(primes, "sieve_interval", recording)
+    beyond = len([p for p in ref if p < lo + size]) + 1  # its last prime is in window 2
+    for k in (0, 1, beyond):
+        spans.clear()
+        got = first_primes(lo, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == ref[:k]
+        assert spans == [(lo + i * size, lo + (i + 1) * size - 1) for i in range(len(spans))]
+        if k:  # the last window sieved holds the k-th prime
+            assert spans[-1][0] <= ref[k - 1] <= spans[-1][1]
+        else:
+            assert spans == []
+    assert len(spans) >= 2
 
 
 def test_primes_up_to_small():
