@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InfeasibleError, MemoryError) as exc:
-        print(f"infeasible: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"infeasible: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (VerificationError, CoverageError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

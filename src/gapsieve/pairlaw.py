@@ -8,9 +8,9 @@ anchors v - h1 p (when v + d p is not in Q) and v - h2 p (when v - d p is
 not); so a singleton has mass (2 - m_p(v)) unit_p, where m_p(v) counts which
 of v +- d p lie in Q.  Uniform mode gives each of the 2|Q| - pairs_p anchors
 the same mass, pairs_p = |Q & (Q + d p)|, and every pairs_p comes from one
-FFT autocorrelation of Q's indicator.  Sieve mode keeps only the anchors
-with |n| <= y; the few primes whose anchors the window cuts are counted
-directly.
+FFT autocorrelation of Q's indicator on its lattice Q[0] + g k, g the gcd of
+Q's gaps and d, at the lags d p / g.  Sieve mode keeps only the anchors with
+|n| <= y; the few primes whose anchors the window cuts are counted directly.
 
 Every vertex has the same degree sum_p 2 unit_p outside such cuts, so a
 nibble round has one survival target P, and X_p(W) is
@@ -60,9 +60,9 @@ def correlation(a, b, lags):
 class PairLaw(EdgeLaw, Mapping):
     """One sieving prime per index; vertex ids are positions in sorted Q.
 
-    Holds Q, a position index over [min Q, max Q], and per index the prime,
-    its mass per anchor, its number of anchors of positive mass and its
-    number of pair edges.  As a mapping it materializes an index's atoms on
+    Holds Q, its lattice step g, and per index the prime, its mass per
+    anchor, its number of anchors of positive mass and its number of pair
+    edges.  As a mapping it materializes an index's atoms on
     demand, listed by smallest anchor as the per-anchor construction lists
     them; the engine never does.
     """
@@ -73,19 +73,19 @@ class PairLaw(EdgeLaw, Mapping):
         with |n| <= y only (None: every anchor)."""
         if len(offsets) != 2:
             raise ValueError(f"the closed form needs a 2-tuple, got {len(offsets)} offsets")
+        if offsets[0] >= offsets[1]:
+            raise ValueError(f"the closed form needs increasing offsets, got {tuple(offsets)}")
         Q = np.asarray(values, dtype=np.int64)
         n = len(Q)
         self.Q = Q
         self.h1, self.h2 = offsets
         self.d = self.h2 - self.h1
+        self.g = int(np.gcd.reduce(np.diff(Q), initial=self.d))  # d p / g is a lag on the lattice
         self.window = y = math.inf if window is None else window
-        self.lo = int(Q[0])
-        self.pos = np.full(int(Q[-1]) - self.lo + 1, -1, dtype=np.int32)
-        self.pos[Q - self.lo] = np.arange(n)
 
         ps = np.asarray(primes, dtype=np.int64)
-        indicator = (self.pos >= 0).astype(float)
-        pairs = correlation(indicator, indicator, self.d * ps)
+        indicator = self._indicator(Q)
+        pairs = correlation(indicator, indicator, self.d // self.g * ps)
         # vertices whose h-anchor has positive mass: ids [lo_h, hi_h)
         bounds = [np.searchsorted(Q, h * ps + side * y, "left" if side < 0 else "right")
                   for h in offsets for side in (-1, 1)]
@@ -108,10 +108,13 @@ class PairLaw(EdgeLaw, Mapping):
 
     def _ids(self, values):
         """Vertex ids of values, -1 where a value is not in Q."""
-        k = values - self.lo
-        ok = (k >= 0) & (k < len(self.pos))
-        out = np.full(len(k), -1, dtype=np.int64)
-        out[ok] = self.pos[k[ok]]
+        ids = np.searchsorted(self.Q, values)
+        return np.where(self.Q[np.minimum(ids, len(self.Q) - 1)] == values, ids, -1)
+
+    def _indicator(self, values, pad=0, dtype=float):
+        """1 at each of values (members of Q) on Q's lattice, then pad zeros."""
+        out = np.zeros(int(self.Q[-1] - self.Q[0]) // self.g + 1 + pad, dtype=dtype)
+        out[(values - self.Q[0]) // self.g] = 1
         return out
 
     # -- the mapping: atoms on demand -----------------------------------------
@@ -240,10 +243,8 @@ class PairLaw(EdgeLaw, Mapping):
                 raise ValueError("a pair law conditions on W only where the window "
                                  "cuts no anchor")
             verts = np.flatnonzero(inside)
-            w = np.zeros(len(self.pos))
-            w[self.Q[verts] - self.lo] = 1.0
-            q = (self.pos >= 0).astype(float)
-            lags = self.d * self.ps[b]
+            w, q = self._indicator(self.Q[verts]), self._indicator(self.Q)
+            lags = self.d // self.g * self.ps[b]
             singles = 2 * len(verts) - correlation(w, q, lags) - correlation(q, w, lags)
             pairs = correlation(w, w, lags)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -260,36 +261,34 @@ class PairLaw(EdgeLaw, Mapping):
         """The atom greedy without atoms, one member row per index of order:
         a pair with both members uncovered if one exists (the first); else
         the smallest anchor whose edge holds an uncovered vertex; else the
-        smallest anchor."""
-        Q, n = self.Q, len(self.Q)
-        uncovered = np.ones(n + 1, dtype=bool)
-        uncovered[n] = False  # what a missing member (-1) reads
+        smallest anchor.  Partners are read off uncovered bits on Q's lattice."""
+        Q, n, lag = self.Q, len(self.Q), self.d // self.g
+        at = (Q - Q[0]) // self.g  # each vertex's place on the lattice
+        uncovered = self._indicator(Q, lag * int(self.ps.max(initial=0)), bool)
         first = 0  # every vertex below is covered
 
         def first_uncovered(lo, hi):
             if lo <= first:
                 return first if first < hi else None
-            k = lo + int(np.argmax(uncovered[lo:hi])) if lo < hi else hi
-            return k if k < hi and uncovered[k] else None
+            k = lo + int(np.argmax(uncovered[at[lo:hi]])) if lo < hi else hi
+            return k if k < hi and uncovered[at[k]] else None
 
         rows = np.full((len(order), 2), -1, dtype=np.int64)
         for k, i in enumerate(order):
             p = int(self.ps[i])
             lo1, hi1, lo2, hi2 = (int(b[i]) for b in self.bounds)
-            while first < n and not uncovered[first]:
+            while first < n and not uncovered[at[first]]:
                 first += 1
-            e = None
+            anchor = None
             if self.pairs[i]:
                 start, size = max(first, lo1), 256
-                while e is None and start < hi1:
+                while anchor is None and start < hi1:
                     stop = min(hi1, start + size)
-                    partner = self._ids(Q[start:stop] + self.d * p)
-                    hit = uncovered[start:stop] & uncovered[partner]
+                    hit = uncovered[at[start:stop]] & uncovered[at[start:stop] + lag * p]
                     if hit.any():
-                        at = int(np.argmax(hit))
-                        e = start + at, partner[at]
+                        anchor = int(Q[start + int(np.argmax(hit))]) - self.h1 * p
                     start, size = stop, 2 * size
-            if e is None:
+            if anchor is None:
                 anchors = []
                 for h, lo, hi in ((self.h2, lo2, hi2), (self.h1, lo1, hi1)):
                     v = first_uncovered(lo, hi)
@@ -299,7 +298,7 @@ class PairLaw(EdgeLaw, Mapping):
                     anchors = [int(Q[lo]) - h * p
                                for h, lo, hi in ((self.h2, lo2, hi2), (self.h1, lo1, hi1))
                                if lo < hi]
-                e = self._ids(min(anchors) + np.array([self.h1, self.h2]) * p)
-            rows[k] = e
-            uncovered[rows[k]] = False
+                anchor = min(anchors)
+            rows[k] = e = self._ids(anchor + np.array([self.h1, self.h2]) * p)
+            uncovered[at[e[e >= 0]]] = False
         return rows

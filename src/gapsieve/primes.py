@@ -11,7 +11,8 @@ stay cheap and memory-local.  `_odd_segments` yields those segments, cleared
 by `clear_classes`, the kernel `sift` runs, with base primes from the table
 whenever hi < 2**32; `sieve_interval` and `first_primes` list their primes,
 and prime_mask, the one batch primality test, reads dense inputs straight
-from their flags and sparse ones from Miller-Rabin.  Setting TABLE_LIMIT = 0
+from their flags and sparse ones from Miller-Rabin, by `sieve_pays`; a short
+sieve_interval window far out takes the same rule.  Setting TABLE_LIMIT = 0
 turns the table off (nonpositive values aside, which no path calls prime).
 The admissible r-tuple, the first r primes above r, ends at or below 2r^2.
 """
@@ -96,8 +97,10 @@ def _odd_segments(lo: int, hi: int):
 
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi]: a copy of the table's slice when hi <= TABLE_LIMIT,
-    else via a segmented sieve of the odd numbers; 2 is emitted when lo <= 2.
-    MemoryError when hi >= 2**63: int64 cannot hold the window's primes."""
+    else via a segmented sieve of the odd numbers, or, where `sieve_pays`
+    says the sieve does not pay for them, the odd numbers that prime_mask
+    finds prime; 2 is emitted when lo <= 2.  MemoryError when hi >= 2**63:
+    int64 cannot hold the window's primes."""
     if hi < max(lo, 2):
         return np.empty(0, dtype=np.int64)
     if hi >= 2**63:
@@ -105,8 +108,14 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
     if hi <= TABLE_LIMIT:
         return _table_primes(lo, hi).copy()
     out = [np.array([2], dtype=np.int64)] if lo <= 2 else []
-    out += [np.flatnonzero(flags).astype(np.int64, copy=False) * 2 + seg_lo
-            for seg_lo, flags in _odd_segments(lo, hi)]
+    first = max(lo, 3) | 1
+    count = (hi - first) // 2 + 1  # odd numbers in [first, hi]
+    if sieve_pays(count, first, hi):
+        out += [np.flatnonzero(flags).astype(np.int64, copy=False) * 2 + seg_lo
+                for seg_lo, flags in _odd_segments(lo, hi)]
+    else:  # built from first, as hi + 1 may be 2**63
+        odd = first + 2 * np.arange(count, dtype=np.int64)
+        out.append(odd[prime_mask(odd)])
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 

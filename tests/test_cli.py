@@ -574,6 +574,15 @@ def test_prefix_scan_limit_is_infeasible(tmp_path, capsys, monkeypatch, command)
     assert err == "infeasible: no survivor found below 10\n"
 
 
+def test_bare_memory_error_is_infeasible_out_of_memory(tmp_path, capsys, monkeypatch):
+    def no_memory(cfg):
+        raise MemoryError()  # as numpy's FFT raises it, with no message
+
+    monkeypatch.setattr(cli, "run_pipeline", no_memory)
+    assert main(["construct", "1000", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "infeasible: out of memory\n"
+
+
 def test_non_prime_modulus_is_usage_error(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text('{"x": 10, "classes": [[2, 0], [9, 1]]}\n')

@@ -6,7 +6,9 @@ reference).  Here the closed form's draws, round normalizations and greedy
 choices are checked against those atoms: draws, and X_p(W) in a later
 round, against law_oracle.py's exact law; X_p(W) against nibble.DistLaw
 reading the law's own EdgeDists; and greedy against a first-maximum greedy
-over the rows of PairLaw.atoms.
+over the rows of PairLaw.atoms.  Vertex ids and pair counts, which the law
+reads off Q's lattice, are checked against a dense index and a brute-force
+count.
 Draws of both laws are also checked not to depend on which other block
 positions are drawn with them, or in what order.
 """
@@ -18,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from law_oracle import edge, oracle_X, oracle_distribution
 
 from gapsieve import nibble as nib
@@ -70,6 +74,64 @@ def test_correlation_counts_exactly():
     assert correlation(a, b, lags).tolist() == direct
     assert correlation(a, a, lags).tolist() == [int(np.dot(a[: max(500 - lag, 0)], a[lag:]))
                                                 for lag in lags]
+
+
+def dense_ids(Q, values):
+    """Vertex ids read off a dense index over [min Q, max Q], -1 off Q."""
+    pos = np.full(Q[-1] - Q[0] + 1, -1)
+    pos[np.asarray(Q) - Q[0]] = np.arange(len(Q))
+    return [int(pos[v - Q[0]]) if Q[0] <= v <= Q[-1] else -1 for v in values]
+
+
+@given(st.sampled_from([1, 2, 6]), st.integers(-100, 100),
+       st.lists(st.integers(0, 80), min_size=1, unique=True),
+       st.lists(st.integers(-10**6, 10**6)))
+@example(2, 7, [0], [])  # one survivor
+@settings(max_examples=100, deadline=None)
+def test_ids_match_a_dense_index(step, start, ks, extra):
+    Q = [start + step * k for k in sorted(ks)]
+    law = PairLaw(Q, (1, 7), [3, 5])
+    # every value of the span, between lattice entries too, and values
+    # below min Q, above max Q and negative
+    values = list(range(Q[0] - 2 * step - 1, Q[-1] + 2 * step + 2)) + [-3, -10**7] + extra
+    assert law._ids(np.array(values)).tolist() == dense_ids(Q, values)
+
+
+Q_1001_9000 = sieve_interval(1001, 9000).tolist()
+
+
+@pytest.mark.parametrize("Q, offsets, g", [
+    (sorted(random.Random(1).sample(range(1000, 3000), 400)), (3, 5), 1),  # mixed parity
+    (Q_1001_9000, (3, 5), 2),
+    ([q for q in Q_1001_9000 if q % 6 == 1], (1, 7), 6),
+], ids=["g1", "g2", "g6"])
+def test_pair_counts_match_brute_force(Q, offsets, g):
+    ps = sieve_interval(3, 1000)  # the largest lags d p reach past max Q - min Q
+    law = PairLaw(Q, offsets, ps)
+    assert law.g == g and len(law) == len(ps)
+    d, S = offsets[1] - offsets[0], set(Q)
+    assert law.pairs.tolist() == [sum(q + d * p in S for q in Q) for p in ps.tolist()]
+
+
+def test_offsets_must_increase():
+    ps = sieve_interval(501, 1000)
+    assert PairLaw(Q_1001_9000, (3, 5), ps).pairs[0] == 125
+    for offsets in ((5, 3), (3, 3)):
+        with pytest.raises(ValueError, match=rf"increasing offsets, got \({offsets[0]}, 3\)"):
+            PairLaw(Q_1001_9000, offsets, ps)
+
+
+def test_law_holds_no_array_over_the_span_of_q():
+    # a few hundred survivors over about 10^7 integers, where a dense index
+    # of the span would hold 4 bytes per integer
+    Q = np.concatenate((sieve_interval(10**6, 10**6 + 2000),
+                        sieve_interval(11 * 10**6, 11 * 10**6 + 2000)))
+    ps = sieve_interval(3, 200)
+    law = PairLaw(Q, (3, 5), ps)
+    held = [v for v in vars(law).values() if isinstance(v, np.ndarray)] + list(law.bounds)
+    assert sum(a.nbytes for a in held) <= 16 * 8 * (len(Q) + len(ps))
+    S = set(Q.tolist())
+    assert law.pairs.tolist() == [sum(q + 2 * p in S for q in S) for p in ps.tolist()]
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["uniform", "window"])
@@ -225,7 +287,10 @@ def test_closed_form_greedy_matches_atom_greedy(cfg):
     order = list(range(len(law)))
     stream(cfg.seed, "stage3-order").shuffle(order)
     want = dict(zip(order, atom_greedy(law, order)))
+    ids, calls = law._ids, []
+    law._ids = lambda values: calls.append(len(values)) or ids(values)
     rows = stage3_select(cfg, pinst)  # one row per index, in index order
+    assert calls == [2] * len(law)  # the members of the chosen edge only
     assert list(map(edge, rows)) == [want[i] for i in range(len(law))]
     if cfg.weights == "sieve":  # the window cuts anchors of some primes
         assert law.cut.any()

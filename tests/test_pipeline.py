@@ -329,8 +329,8 @@ def test_edge_build_matches_per_anchor_reference(cfg):
 
 
 def test_pipeline_instance_holds_no_atom_arrays():
-    # the closed-form law keeps arrays per index, per vertex or per position
-    # of (min Q, max Q]; none grows with the atoms
+    # the closed-form law keeps arrays per index or per vertex; none grows
+    # with the atoms or with the span of Q
     cfg = StagedConfig(x=1000, mode="paper-formula", seed=2)
     pinst = build_edge_distributions(cfg, _split(cfg))
     law = pinst.cover.law
@@ -338,7 +338,7 @@ def test_pipeline_instance_holds_no_atom_arrays():
     assert [f.name for f in dataclasses.fields(pinst)] == ["cover", "C_measured",
                                                           "skipped_primes"]
     n_atoms = sum(len(law[i].atoms) for i in range(len(law)))
-    sizes = {len(law.ps), len(law.Q), len(law.pos)}
+    sizes = {len(law.ps), len(law.Q)}
     assert n_atoms > 10 * max(sizes)
     arrays = [v for v in vars(law).values() if isinstance(v, np.ndarray)]
     arrays += [b for b in law.bounds]

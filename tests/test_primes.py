@@ -1,6 +1,7 @@
 """Tests for prime generation, primorials, admissible tuples."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_sieve_window_past_int64_is_refused(monkeypatch):
         sieve_interval(2**63, 2**63 + 10)
     with pytest.raises(MemoryError, match=r"2\*\*63"):
         primes_up_to(10**300)
+
+
+def test_short_window_far_out_tests_each_odd_number(monkeypatch):
+    # sieving 100 numbers below 2**63 would first list the base primes up to
+    # 3.04e9; sieve_pays says Miller-Rabin is cheaper, as prime_mask would
+    monkeypatch.setattr(primes, "_odd_segments", lambda lo, hi: pytest.fail("sieved"))
+    tracemalloc.start()
+    try:
+        got = sieve_interval(2**63 - 100, 2**63 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int64 and got.tolist() == [2**63 - 25]
+    assert peak < 2**20
+    lo = 10**12 - 1000  # an even lo and hi, and the same numbers by the sieve
+    assert sieve_interval(lo, lo + 2000).tolist() \
+        == [n for n in range(lo, lo + 2001) if is_prime(n)]
 
 
 @pytest.mark.parametrize("lo", [0, 1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 2**21 - 1, 2**21 + 1,
