@@ -257,7 +257,7 @@ class PairLaw(EdgeLaw, Mapping):
 
         return Xs, draw
 
-    def greedy(self, order, n_vertices):
+    def greedy(self, order):
         """The atom greedy without atoms, one member row per index of order:
         a pair with both members uncovered if one exists (the first); else
         the smallest anchor whose edge holds an uncovered vertex; else the

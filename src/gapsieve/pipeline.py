@@ -20,6 +20,7 @@ reachable sizes.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -282,7 +283,7 @@ def stage3_select(cfg: StagedConfig, pinst: PipelineInstance) -> np.ndarray:
     if method == "greedy":
         order = indices.tolist()
         stream(cfg.seed, "stage3-order").shuffle(order)
-        return law.greedy(order, pinst.cover.n_vertices)[np.argsort(order)]
+        return law.greedy(order)[np.argsort(order)]
 
     # nibble: round membership via the geometric interval recipe; indices
     # outside every membership interval keep no edge
@@ -315,6 +316,15 @@ def final_matching(cfg: StagedConfig, residual_survivors) -> ResidueSystem:
 
 
 # -- orchestration ---------------------------------------------------------------
+
+
+def memory_floor(x: int, y: int) -> int:
+    """A lower bound on the bytes a run over (x, y] holds at once: 16 per
+    prime up to x/2 (stage 1's moduli and classes, int64), counted by
+    pi(n) > n / ln n for n >= 17 (Rosser-Schoenfeld; x >= 100 gives
+    n >= 50), and the floor((y - x) / 2) bytes of the stage 1-2 leaves."""
+    n = x // 2
+    return int(16 * n / math.log(n)) + (y - x) // 2
 
 
 @dataclass
@@ -353,10 +363,17 @@ class PipelineReport:
 def run_pipeline(cfg: StagedConfig):
     """Execute all stages; returns (report, combined ResidueSystem).
 
-    The combined system is re-verified from scratch: a full sift of
+    A run whose `memory_floor` exceeds physical memory is refused with
+    MemoryError before stage 1.  The combined system is re-verified from scratch: a full sift of
     (x, achieved_y] must leave zero survivors.
     """
     th = thresholds(cfg)
+    if cfg.x // 2 < 2**63:  # beyond, stage 1's sieve refuses the window itself
+        need = memory_floor(cfg.x, th.y)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise MemoryError(f"x = {cfg.x} holds at least {need / 2**30:,.1f} GiB at once, "
+                              f"more than the {have / 2**30:.1f} GiB of memory")
     l1, l2, _ = _iterated_logs(cfg.x)
 
     s1 = stage1_zero_classes(cfg)
@@ -388,7 +405,7 @@ def run_pipeline(cfg: StagedConfig):
     residual = split.survivors
     if len(sys3):
         leaves = sift(sys3, cfg.x + 1, th.y, split.interval)
-        residual = residual[leaves.bits[(residual - leaves.first) // leaves.step]]
+        residual = residual[leaves.holds(residual)]
     split.interval = leaves = None  # released before the check sift allocates its own bits
     ext = final_matching(cfg, residual)
     combined = sys12.merged(sys3).merged(ext)

@@ -7,16 +7,17 @@ prime_mask read windows and values up to the limit from it.  Above it,
 sieving is done with a segmented sieve of Eratosthenes over the odd
 numbers (numpy bool segments of SEGMENT_SIZE = 2**20 entries, each entry
 one odd number, so a segment spans 2**21 integers) so intervals up to 1e8
-stay cheap and memory-local.  `_odd_segments` yields those segments, cleared
-by `clear_classes`, the kernel `sift` runs, with base primes from the table
+stay cheap and memory-local.  `_odd_segments` yields those segments,
+`SiftedInterval`s as `residues.sift` does, with base primes from the table
 whenever hi < 2**32; `sieve_interval` and `first_primes` list their primes,
 and prime_mask, the one batch primality test, reads dense inputs straight
-from their flags and sparse ones from Miller-Rabin, by `sieve_pays`; a short
+from their bits and sparse ones from Miller-Rabin, by `sieve_pays`; a short
 sieve_interval window far out takes the same rule.  Setting TABLE_LIMIT = 0
 turns the table off (nonpositive values aside, which no path calls prime).
 The admissible r-tuple, the first r primes above r, ends at or below 2r^2.
 """
 
+from dataclasses import dataclass
 from math import isqrt, log
 
 import numpy as np
@@ -48,51 +49,107 @@ def _table_primes(lo: int, hi: int) -> np.ndarray:
                          np.searchsorted(_TABLE_PRIMES, hi, side="right")]
 
 
-def clear_classes(flags, first, step, p, a):
-    """Clear the entries of flags in the classes a mod p, for int64 arrays
-    p, a, where entry k of flags is n = first + step * k, step 1 or 2, and
-    every p is odd when step is 2.  With n entries, p < n/64 takes one
-    strided slice, p >= n hits at most once, and the moduli in between step
-    together over the whole array, one step per multiple (at most 64), until
-    fewer than 64 are left, which take a strided slice each."""
-    n = len(flags)
-    r = (a - first % p) % p
-    if step == 1:
-        start = r
-    else:  # 2k = r (mod p), with the inverse (p + 1) / 2 of 2 taken without overflow
-        start = r // 2 + (r & 1) * (p // 2 + 1)
-    strided = p < (n + 63) // 64  # p < n/64
-    for s, q in zip(start[strided].tolist(), p[strided].tolist()):
-        flags[s::q] = False
-    flags[start[(p >= n) & (start < n)]] = False
-    # here n/64 <= p < n, so each steps at most 64 times; s + q < 2n never wraps
-    live = ~strided & (p < n) & (start < n)
-    s, q = start[live], p[live]
-    while len(s) >= 64:
-        flags[s] = False
-        s += q
-        live = s < n
-        s, q = s[live], q[live]
-    for s, q in zip(s.tolist(), q.tolist()):
-        flags[s::q] = False
+@dataclass
+class SiftedInterval:
+    """Bits over [lo, hi]: bits[k] is the bit of the position first + step * k,
+    step 1 or 2, with first lo or lo + 1.  The sieve's segments hold the odd
+    numbers, set on the primes; `residues.sift` gives the integers that avoid
+    every class of a system."""
+
+    lo: int
+    hi: int
+    first: int
+    step: int
+    bits: np.ndarray  # bool
+
+    @classmethod
+    def of(cls, lo: int, hi: int, first: int, step: int) -> "SiftedInterval":
+        """Every position set; MemoryError at 2**63 bits or more."""
+        size = max(hi - first, -1) // step + 1
+        if size >= 2**63:  # no memory holds it, and numpy cannot even index it
+            raise MemoryError(f"an interval of {size} bits is more than numpy can index")
+        return cls(lo, hi, first, step, np.ones(size, dtype=bool))
+
+    def clear(self, p, a) -> None:
+        """Clear the positions in the classes a mod p (arrays of one length,
+        every p odd when step is 2).  Fewer than 64 classes, object arrays
+        and a first position beyond int64 take one strided slice per class
+        in Python ints.  Otherwise, with n bits, p < n/64 takes one strided
+        slice, p >= n hits at most once, and the moduli in between step
+        together over the whole array, one step per multiple (at most 64),
+        until fewer than 64 are left, which take a strided slice each."""
+        bits, first, step, n = self.bits, self.first, self.step, len(self.bits)
+        if len(p) < 64 or p.dtype != np.int64 or not -(2**63) <= first < 2**63:
+            for q, c in zip(p.tolist(), a.tolist()):
+                bits[(c - first) * pow(step, -1, q) % q :: q] = False
+            return
+        r = (a - first % p) % p
+        if step == 1:
+            start = r
+        else:  # 2k = r (mod p), with the inverse (p + 1) / 2 of 2 taken without overflow
+            start = r // 2 + (r & 1) * (p // 2 + 1)
+        strided = p < (n + 63) // 64  # p < n/64
+        for s, q in zip(start[strided].tolist(), p[strided].tolist()):
+            bits[s::q] = False
+        bits[start[(p >= n) & (start < n)]] = False
+        # here n/64 <= p < n, so each steps at most 64 times; s + q < 2n never wraps
+        live = ~strided & (p < n) & (start < n)
+        s, q = start[live], p[live]
+        while len(s) >= 64:
+            bits[s] = False
+            s += q
+            live = s < n
+            s, q = s[live], q[live]
+        for s, q in zip(s.tolist(), q.tolist()):
+            bits[s::q] = False
+
+    def restore(self, values) -> None:
+        """Set the bits of the positions values."""
+        self.bits[(values - self.first) // self.step] = True
+
+    def holds(self, values) -> np.ndarray:
+        """Whether each int64 value of [lo, hi] is a position with its bit set."""
+        if not len(self.bits):  # [lo, hi] is lo alone, off the progression
+            return np.zeros(len(values), dtype=bool)
+        # off the progression, odd k masks the bit below (the last bit at k = -1)
+        k, shift = values - self.first, self.step // 2
+        return self.bits[k >> shift] & ((k & shift) == 0)
+
+    def count(self) -> int:
+        return int(np.count_nonzero(self.bits))
+
+    def positions(self) -> np.ndarray:
+        """The positions whose bit is set, increasing, as int64."""
+        out = np.flatnonzero(self.bits)
+        out *= self.step
+        out += self.first
+        return out
+
+    def first_survivor(self):
+        idx = np.flatnonzero(self.bits)
+        return self.first + self.step * int(idx[0]) if len(idx) else None
+
+    @property
+    def survivors(self) -> np.ndarray:
+        """A new bool array over all of [lo, hi], indexed by n - lo."""
+        out = np.zeros(self.hi - self.lo + 1, dtype=bool)
+        out[self.first - self.lo :: self.step] = self.bits
+        return out
 
 
 def _odd_segments(lo: int, hi: int):
-    """(seg_lo, flags) for each segment of the odd numbers in [lo, hi], in
-    order: flags[k] is True iff seg_lo + 2k is prime.  clear_classes clears
-    class 0 of the odd base primes up to isqrt(seg_hi), which sieve_interval
-    reads from the table when hi < 65537**2, and the base primes inside the
-    segment are set back to prime."""
+    """The sieve's segments of the odd numbers from lo (odd, >= 3) to hi, in
+    order: step-2 SiftedIntervals set on the primes, each spanning every
+    integer below the next one's lo.  Each clears class 0 of the odd base primes
+    up to isqrt(seg.hi), which sieve_interval reads from the table when
+    hi < 65537**2, and restores the base primes inside it."""
     base = sieve_interval(3, isqrt(hi))
-    for seg_lo in range(max(lo, 1) | 1, hi + 1, 2 * SEGMENT_SIZE):
-        seg_hi = min(seg_lo + 2 * SEGMENT_SIZE - 2, hi)
-        flags = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)
-        ps = base[: np.searchsorted(base, isqrt(seg_hi), side="right")]
-        clear_classes(flags, seg_lo, 2, ps, np.zeros_like(ps))
-        flags[(ps[ps >= seg_lo] - seg_lo) // 2] = True
-        if seg_lo == 1:
-            flags[0] = False
-        yield seg_lo, flags
+    for seg_lo in range(lo, hi + 1, 2 * SEGMENT_SIZE):
+        seg = SiftedInterval.of(seg_lo, min(seg_lo + 2 * SEGMENT_SIZE - 1, hi), seg_lo, 2)
+        ps = base[: np.searchsorted(base, isqrt(seg.hi), side="right")]
+        seg.clear(ps, np.zeros_like(ps))
+        seg.restore(ps[ps >= seg_lo])
+        yield seg
 
 
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
@@ -111,8 +168,7 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
     first = max(lo, 3) | 1
     count = (hi - first) // 2 + 1  # odd numbers in [first, hi]
     if sieve_pays(count, first, hi):
-        out += [np.flatnonzero(flags).astype(np.int64, copy=False) * 2 + seg_lo
-                for seg_lo, flags in _odd_segments(lo, hi)]
+        out += [seg.positions() for seg in _odd_segments(first, hi)]
     else:  # built from first, as hi + 1 may be 2**63
         odd = first + 2 * np.arange(count, dtype=np.int64)
         out.append(odd[prime_mask(odd)])
@@ -217,7 +273,7 @@ def prime_mask(values) -> np.ndarray:
 
     When every value is at most TABLE_LIMIT, each is read from the table
     (0, 1 and negatives are not prime).  Otherwise, when `sieve_pays`, the
-    values are taken in increasing order and each is looked up in the flags
+    values are taken in increasing order and each is looked up in the bits
     of its segment of one sieve over the odd numbers of their span; no table
     of the span is built.  Otherwise, and for values beyond int64, is_prime
     tests each value.
@@ -248,13 +304,11 @@ def _sieved_mask(values) -> np.ndarray:
     i = int(np.searchsorted(values, 3))
     if i == len(values):
         return mask
-    # segments start at an odd number <= values[i]; each takes every value
-    # below the next one's start, so an even value indexes the odd number
-    # just below it and is masked out by its parity
-    for seg_lo, flags in _odd_segments((int(values[i]) - 1) | 1, int(values[-1])):
-        j = int(np.searchsorted(values, seg_lo + 2 * len(flags) - 1, side="right"))
-        v = values[i:j]
-        mask[i:j] = flags[(v - seg_lo) // 2] & (v % 2 == 1)
+    # segments start at an odd number <= values[i] and each spans every value
+    # below the next one's start
+    for seg in _odd_segments((int(values[i]) - 1) | 1, int(values[-1])):
+        j = int(np.searchsorted(values, seg.hi, side="right"))
+        mask[i:j] = seg.holds(values[i:j])
         i = j
     return mask
 

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .primes import clear_classes, prime_mask
+from .primes import SiftedInterval, prime_mask
 
 PREFIX_SCAN_LIMIT = 10**7
 SIFT_CHUNK = 1 << 16  # bytes of int64 moduli that sift reads at a time
@@ -132,47 +132,6 @@ def _set_sorted(sys, p, a):
     object.__setattr__(sys, "classes", a)
 
 
-@dataclass
-class SiftedInterval:
-    """Integers of [lo, hi] that avoided every class of the generating system.
-
-    bits[k] is the survivor bit of n = first + step * k.  When the system
-    has a class mod 2, only the other parity is stored (its parity 2
-    leaves): step is 2 and first is the first position of [lo, hi] outside
-    2's class.  Otherwise step is 1 and first is lo.
-    """
-
-    lo: int
-    hi: int
-    first: int
-    step: int
-    bits: np.ndarray  # bool
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-    def positions(self) -> np.ndarray:
-        """The survivors, increasing, as int64."""
-        out = np.flatnonzero(self.bits)
-        out *= self.step
-        out += self.first
-        return out
-
-    def survivor_list(self) -> list:
-        return [self.first + self.step * k for k in np.flatnonzero(self.bits).tolist()]
-
-    def first_survivor(self):
-        idx = np.flatnonzero(self.bits)
-        return self.first + self.step * int(idx[0]) if len(idx) else None
-
-    @property
-    def survivors(self) -> np.ndarray:
-        """A new bool array over all of [lo, hi], indexed by n - lo."""
-        out = np.zeros(self.hi - self.lo + 1, dtype=bool)
-        out[self.first - self.lo :: self.step] = self.bits
-        return out
-
-
 def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
     """Survivor bits of n in [lo, hi]: n survives iff n mod p != a_p for
     every entry.
@@ -182,14 +141,11 @@ def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
     sifting two systems in turn gives the bits of their union.
 
     A new interval of a system with a class mod 2 holds only the parity 2
-    leaves (see SiftedInterval), so 2's class costs nothing and the odd
-    moduli act on ceil(n/2) or floor(n/2) contiguous bits.  On bits that
-    hold every position, 2 is cleared like any other modulus.  The classes
-    are cleared by primes.clear_classes, the sieve's kernel, SIFT_CHUNK // 8
-    at a time from the int64 arrays, so the memory beyond the bits stays
-    bounded whatever the system's size.  The bits are exact for any Python
-    ints: when the system is held in object arrays or the first position
-    does not fit int64, every class takes the strided slice in Python ints.
+    leaves (step 2), so 2's class costs nothing and the odd moduli act on
+    ceil(n/2) or floor(n/2) contiguous bits; otherwise it holds every
+    position (step 1), and 2 is cleared like any other modulus.  The
+    classes are cleared SIFT_CHUNK // 8 at a time, so the memory beyond the
+    bits stays bounded whatever the system's size.
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
@@ -197,27 +153,17 @@ def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
     has2 = bool(len(moduli)) and moduli[0] == 2
     if into is None:
         first, step = (lo + (int(classes[0]) - lo + 1) % 2, 2) if has2 else (lo, 1)
-        size = max(hi - first, -1) // step + 1
-        if size >= 2**63:  # no memory holds it, and numpy cannot even index it
-            raise MemoryError(f"an interval of {size} bits is more than numpy can index")
-        into = SiftedInterval(lo=lo, hi=hi, first=first, step=step,
-                              bits=np.ones(size, dtype=bool))
+        into = SiftedInterval.of(lo, hi, first, step)
     elif (into.lo, into.hi) != (lo, hi):
         raise ValueError(f"interval mismatch: sifting [{lo}, {hi}] into [{into.lo}, {into.hi}]")
-    bits, first, step = into.bits, into.first, into.step
-    if has2 and step == 2:  # 2's class holds all of the leaves or none of them
-        if (first - int(classes[0])) % 2 == 0:
-            bits[:] = False
+    if has2 and into.step == 2:  # 2's class holds all of the leaves or none of them
+        if (into.first - int(classes[0])) % 2 == 0:
+            into.bits[:] = False
             return into
         moduli, classes = moduli[1:], classes[1:]
-    # a first position beyond int64 would overflow the kernel's int64 arithmetic
-    if moduli.dtype == np.int64 and -(2**63) <= first < 2**63:
-        chunk = SIFT_CHUNK // 8
-        for i in range(0, len(moduli), chunk):
-            clear_classes(bits, first, step, moduli[i : i + chunk], classes[i : i + chunk])
-    else:
-        for p, a in zip(moduli.tolist(), classes.tolist()):  # every p odd when step is 2
-            bits[(a - first) * pow(step, -1, p) % p :: p] = False
+    chunk = SIFT_CHUNK // 8
+    for i in range(0, len(moduli), chunk):
+        into.clear(moduli[i : i + chunk], classes[i : i + chunk])
     return into
 
 

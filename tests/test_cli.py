@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gapsieve
-from gapsieve import cli, residues
+from gapsieve import cli, pipeline, residues
 from gapsieve import nibble as nib
 from gapsieve.cli import main
 from gapsieve.oracle import exact_Y
@@ -779,7 +779,7 @@ def test_verify_interval_beyond_memory_is_infeasible(tmp_path, capsys):
 
 
 def test_construct_interval_beyond_numpy_is_infeasible(tmp_path, capsys):
-    # --c 1e17 gives y = 3.6e20: its interval has more bits than numpy can index
+    # --c 1e17 gives y = 3.6e20: its leaves alone would need 1.8e20 bytes
     assert main(["construct", "1000", "--c", "1e17", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("infeasible:") and len(err.strip().splitlines()) == 1
@@ -799,6 +799,20 @@ def test_sieve_window_past_int64_is_infeasible(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("infeasible:") and len(err.strip().splitlines()) == 1
     assert "2**63" in err and len(err) < 100
+    assert not out.exists()
+
+
+def test_construct_beyond_memory_is_refused_before_stage_1(tmp_path, capsys, monkeypatch):
+    # x = 10^13 would hold the 1.7e11 primes up to x/2 and 4.9e13 bytes of
+    # leaves: 48,065 GiB, refused before the sieve lists a prime
+    monkeypatch.setattr(pipeline, "stage1_zero_classes", lambda cfg: pytest.fail("stage 1 ran"))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["construct", "10000000000000", "--out", str(out)]) == 4
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible:") and len(err.strip().splitlines()) == 1
+    assert "48,065.1 GiB" in err
     assert not out.exists()
 
 

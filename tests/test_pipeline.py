@@ -22,6 +22,7 @@ from gapsieve.pipeline import (
     default_r,
     default_rounds,
     final_matching,
+    memory_floor,
     paper_thresholds_log,
     run_pipeline,
     sigma_of,
@@ -148,8 +149,8 @@ def test_survivor_split_cross_checked_against_smooth_oracle():
                 n //= p
         return n == 1
 
-    composite = [n for n in split.interval.survivor_list() if n not in prime_set]
-    assert split.primes.tolist() == [n for n in split.interval.survivor_list() if n in prime_set]
+    composite = [n for n in split.interval.positions().tolist() if n not in prime_set]
+    assert split.primes.tolist() == [n for n in split.interval.positions().tolist() if n in prime_set]
     assert split.smooth.tolist() == [n for n in composite if smooth(n)]
     assert split.other.tolist() == [n for n in composite if not smooth(n)]
     assert len(split.survivors) == len(split.primes) + len(split.smooth) + len(split.other)
@@ -381,12 +382,22 @@ def test_instance_file_round_trip_of_pipeline_instance():
                for i, e in zip(c.index, map(edge, c.rows)))
 
 
+def test_memory_floor_is_below_what_a_run_holds():
+    # stage 1's primes up to x/2, 16 bytes each, and the leaves' bits
+    for x in (100, 10_007, 10**6):
+        y = thresholds(StagedConfig(x=x)).y
+        held = 16 * len(sieve_interval(2, x // 2)) + len(range(x + 1, y + 1, 2))
+        assert 0 < memory_floor(x, y) <= held
+    # desk 1e8 is kept on a host of 1 GiB
+    assert memory_floor(10**8, thresholds(StagedConfig(x=10**8)).y) < 2**30
+
+
 @pytest.mark.parametrize("method", ["none", "independent", "greedy", "nibble"])
 def test_residual_after_stage3_matches_full_sift(method):
     cfg = StagedConfig(x=2000, seed=3, stage3_method=method)
     report, system = run_pipeline(cfg)
     stages123 = ResidueSystem({p: a for p, a in system.entries.items() if p <= cfg.x})
-    residual = sift(stages123, cfg.x + 1, report.y).survivor_list()
+    residual = sift(stages123, cfg.x + 1, report.y).positions().tolist()
     fresh = sorted(p for p in system.entries if p > cfg.x)
     assert len(residual) == report.residual_after_stage3 == len(fresh)
     # the final matching pairs the residual with fresh primes in order
@@ -449,16 +460,18 @@ def test_run_pipeline_releases_the_leaves_before_matching(monkeypatch, method):
                                            ("nibble", 4)])
 def test_run_pipeline_extracts_the_survivors_once(monkeypatch, method, sifts):
     # stage 1, stage 2 in place, stage 3 (only when it assigns a class) and
-    # the check; the survivor positions are read once, by the split
+    # the check; the survivor positions are read once, by the split (the
+    # sieve's segments are SiftedIntervals too, and are not counted)
     calls = {"sift": 0, "positions": 0}
-    positions = SiftedInterval.positions
+    positions, sifted = SiftedInterval.positions, []
 
     def counting_sift(*args):
         calls["sift"] += 1
-        return sift(*args)
+        sifted.append(sift(*args))
+        return sifted[-1]
 
     def counting_positions(self):
-        calls["positions"] += 1
+        calls["positions"] += any(self is s for s in sifted)
         return positions(self)
 
     monkeypatch.setattr(pipeline, "sift", counting_sift)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gapsieve import primes
 from gapsieve.primes import (
     SEGMENT_SIZE,
+    SiftedInterval,
     admissible_tuple,
     first_primes,
     is_admissible,
@@ -220,6 +221,112 @@ def test_every_short_interval_matches_naive(monkeypatch):
         for lo in range(0, 401):
             for hi in range(lo - 3, 401):  # hi below lo gives no primes
                 assert sieve_interval(lo, hi).tolist() == [p for p in ref if lo <= p <= hi]
+
+
+def test_segments_join_to_the_naive_sieve(monkeypatch):
+    # segments of 8 or 64 odd numbers, so every window crosses many
+    # boundaries: the segments tile [lo, hi], their positions join to the
+    # odd primes, and holds reads the primes off every integer of the window
+    ref = naive_sieve(3000)
+    for _ in table_settings(monkeypatch):
+        for size in (8, 64):
+            monkeypatch.setattr(primes, "SEGMENT_SIZE", size)
+            for lo, hi in ((3, 3), (3, 2000), (1001, 1016), (1001, 1017), (2001, 3000)):
+                segs = list(primes._odd_segments(lo, hi))
+                assert [s.lo for s in segs[1:]] == [s.hi + 1 for s in segs[:-1]]
+                assert segs[0].lo == lo and segs[-1].hi == hi
+                assert all(s.first == s.lo and s.step == 2 for s in segs)
+                got = np.concatenate([s.positions() for s in segs]).tolist()
+                assert got == [p for p in ref if lo <= p <= hi]
+                for s in segs:
+                    ns = np.arange(s.lo, s.hi + 1, dtype=np.int64)
+                    assert s.holds(ns).tolist() == [n in set(ref) for n in ns.tolist()]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_holds_matches_membership(data):
+    step = data.draw(st.sampled_from([1, 2]))
+    lo = data.draw(st.one_of(st.integers(-1000, 1000), st.integers(2**62, 2**62 + 1000)))
+    hi = lo + data.draw(st.integers(0, 100))
+    first = lo + (data.draw(st.integers(0, 1)) if step == 2 else 0)
+    interval = SiftedInterval.of(lo, hi, first, step)
+    interval.bits[:] = data.draw(st.lists(st.booleans(), min_size=len(interval.bits),
+                                          max_size=len(interval.bits)))
+    held = set(interval.positions().tolist())
+    assert held == {first + step * k for k, b in enumerate(interval.bits.tolist()) if b}
+    values = data.draw(st.lists(st.integers(lo, hi), max_size=50))
+    got = interval.holds(np.array(values, dtype=np.int64))
+    assert got.dtype == bool and got.tolist() == [v in held for v in values]
+
+
+def naive_clear(first, step, size, entries):
+    return [all((first + step * k) % p != a for p, a in entries) for k in range(size)]
+
+
+def test_clear_in_python_ints_matches_a_naive_loop():
+    rng = random.Random(36)
+    odd = [3, 5, 7, 61, 67, 701, 2**61 - 1]
+    # a first position at or beyond 2^63, with int64 moduli: 64 and more
+    # classes too, which would take the kernel from an int64 first position
+    many = sieve_interval(3, 600).tolist()
+    for lo in (2**63, 2**63 + 1, 2**64 + 5, -(2**63) - 3):
+        for moduli in (odd, many):
+            entries = [(p, rng.randrange(p)) for p in moduli]
+            interval = SiftedInterval.of(lo, lo + 800, lo | 1, 2)
+            interval.clear(np.array(moduli, dtype=np.int64), np.array([a for _, a in entries]))
+            assert interval.bits.tolist() == naive_clear(lo | 1, 2, len(interval.bits), entries)
+    # object-array moduli, one beyond int64, on both layouts from an int64 first position
+    moduli = np.empty(4, dtype=object)
+    moduli[:] = [3, 7, 2**61 - 1, 2**78 - 11]
+    for first, step in ((10, 1), (-(10**6) - 1, 2), (2**63 - 801, 2)):
+        entries = [(p, (first + rng.randrange(400)) % p) for p in moduli.tolist()]
+        classes = np.empty(4, dtype=object)
+        classes[:] = [a for _, a in entries]
+        interval = SiftedInterval.of(first, first + 800, first, step)
+        interval.clear(moduli, classes)
+        assert interval.bits.tolist() == naive_clear(first, step, len(interval.bits), entries)
+    interval.clear(moduli[:0], classes[:0])  # no class: nothing changes
+    assert interval.bits.tolist() == naive_clear(first, step, len(interval.bits), entries)
+
+
+# every kind of modulus for bits of up to 700 entries: below the strided cut
+# n/64, between it and n, at least n, and near 2^63
+KERNEL_PRIMES = sieve_interval(3, 8000).tolist() + [2**61 - 1, 2**63 - 25]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_clear_kernel_matches_a_naive_loop(data):
+    # 64 classes or more on int64 arrays take the kernel
+    step = data.draw(st.sampled_from([1, 2]))
+    first = data.draw(st.one_of(st.integers(-(10**6), 10**6), st.integers(2**63 - 2000, 2**63 - 1),
+                                st.integers(-(2**63), -(2**63) + 2000)))
+    size = data.draw(st.integers(1, 700))
+    moduli = data.draw(st.lists(st.sampled_from(KERNEL_PRIMES), min_size=64, max_size=120,
+                                unique=True))
+    if step == 1:
+        moduli += data.draw(st.sampled_from([[], [2]]))
+    entries = [(p, data.draw(st.integers(0, p - 1))) for p in moduli]
+    interval = SiftedInterval.of(first, first + step * (size - 1), first, step)
+    interval.clear(np.array(moduli, dtype=np.int64), np.array([a for _, a in entries]))
+    assert interval.bits.tolist() == naive_clear(first, step, size, entries)
+
+
+def test_clear_kernel_cuts_match_a_naive_loop():
+    # the kernel's cuts on m = 64 * 67 bits: 61 < m/64 is strided, 67 = m/64
+    # and 131, 701 and 64 more between m/64 and m step together (67 hits 64
+    # times), and 4289 >= m hits once or not at all
+    rng = random.Random(37)
+    m = 64 * 67
+    filler = rng.sample([p for p in sieve_interval(137, m - 1).tolist() if p != 701], 64)
+    for step in (1, 2):
+        for first in (0, 1, -(10**6) - 1):
+            entries = [(61, 5), (67, 66), (131, 0), (701, 350), (4289, 4000), (4289, 4288)]
+            entries += [(p, rng.randrange(p)) for p in filler]
+            interval = SiftedInterval.of(first, first + step * (m - 1), first, step)
+            interval.clear(np.array([p for p, _ in entries]), np.array([a for _, a in entries]))
+            assert interval.bits.tolist() == naive_clear(first, step, m, entries)
 
 
 def test_primorial_values():

@@ -206,10 +206,10 @@ def test_residue_system_equality_and_view():
 
 
 def test_sift_examples():
-    assert sift(ResidueSystem({2: 0}), 1, 10).survivor_list() == [1, 3, 5, 7, 9]
-    assert sift(ResidueSystem({2: 1, 3: 0}), 1, 10).survivor_list() == [2, 4, 8, 10]
-    assert sift(ResidueSystem({2: 1, 3: 2}), 1, 3).survivor_list() == []
-    assert all(type(v) is int for v in sift(ResidueSystem({2: 0}), 1, 10).survivor_list())
+    assert sift(ResidueSystem({2: 0}), 1, 10).positions().tolist() == [1, 3, 5, 7, 9]
+    assert sift(ResidueSystem({2: 1, 3: 0}), 1, 10).positions().tolist() == [2, 4, 8, 10]
+    assert sift(ResidueSystem({2: 1, 3: 2}), 1, 3).positions().tolist() == []
+    assert all(type(v) is int for v in sift(ResidueSystem({2: 0}), 1, 10).positions().tolist())
 
 
 def test_sift_matches_naive_double_loop():
@@ -273,11 +273,12 @@ def test_sift_kernel_edge_cases(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(residues, "SIFT_CHUNK", 64)
         assert sift(ResidueSystem(entries), 1, 20).survivors.tolist() == naive_survivors(entries, 1, 20)
-    assert sift(ResidueSystem({}), 5, 5).survivor_list() == [5]
+    assert sift(ResidueSystem({}), 5, 5).positions().tolist() == [5]
     # p >= n hits once or not at all (start >= n)
-    assert sift(ResidueSystem({101: 7}), 1, 10).survivor_list() == [n for n in range(1, 11) if n != 7]
+    assert sift(ResidueSystem({101: 7}), 1, 10).positions().tolist() == [n for n in range(1, 11) if n != 7]
     assert sift(ResidueSystem({101: 50}), 1, 10).count() == 10
-    # p = n/64 exactly is stepped and hits 64 positions; p just below is strided
+    # p = n/64 exactly hits 64 positions (the kernel's cuts, with 64 classes
+    # or more, are in tests/test_primes.py)
     for p in (61, 67):
         got = sift(ResidueSystem({p: 3}), 0, 64 * 67 - 1)
         assert got.survivors.tolist() == naive_survivors({p: 3}, 0, 64 * 67 - 1)
@@ -289,9 +290,9 @@ def test_sift_kernel_edge_cases(monkeypatch):
                 for n in (1, 2, 3):
                     got = sift(ResidueSystem(entries), lo, lo + n - 1)
                     assert got.survivors.tolist() == naive_survivors(entries, lo, lo + n - 1)
-    # with 2 the odd moduli see a view of m = ceil(n/2) or floor(n/2) entries,
-    # which sets the cuts: here m = 64 * 67, so 61 is strided, 67 and 131
-    # (strided over all n positions) are stepped, 701 too, and 4289 >= m hits once
+    # with 2 the odd moduli see a view of m = ceil(n/2) or floor(n/2) entries:
+    # here m = 64 * 67, so 61 < m/64, 67 = m/64, 131 and 701 lie between m/64
+    # and m, and 4289 >= m hits once
     n = 2 * 64 * 67
     for a2 in (0, 1):
         entries = {2: a2, 61: 5, 67: 66, 131: 0, 701: 350, 4289: 4000}
@@ -341,7 +342,6 @@ def assert_sifts_naively(got, entries, lo, hi):
     naive = naive_survivors(entries, lo, hi)
     listed = [n for n, keep in zip(range(lo, hi + 1), naive) if keep]
     assert got.survivors.tolist() == naive
-    assert got.survivor_list() == listed
     assert got.count() == len(listed)
     assert got.first_survivor() == (listed[0] if listed else None)
     if -(2**63) <= lo and hi < 2**63:
