@@ -1,4 +1,4 @@
-"""Exhaustive ground-truth engines and smooth-number tests.
+"""Exhaustive ground-truth engines and the smooth-number enumerator.
 
 exact_Y finds, by one exhaustive depth-first search, the longest prefix
 [1, y] coverable by one residue class per prime up to x.  jacobsthal scans
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import factorize, primes_up_to
+from .primes import factorize, prime_mask, primes_up_to
 from .residues import InfeasibleError, ResidueSystem
 
 EXACT_Y_CUTOFF = 23
@@ -143,20 +143,24 @@ def jacobsthal(n: int) -> int:
     return max(max_gap, n - 2 * (1 + step * prev))
 
 
-def smooth_mask(values, z: int) -> np.ndarray:
-    """True where every prime factor of the value is <= z (1 is smooth).
+def smooth_numbers(primes, lo: int, hi: int) -> np.ndarray:
+    """The integers of [lo, hi] whose every prime factor is in primes (1,
+    with none, among them when lo <= 1), increasing, as int64.
 
-    Divides out each prime up to z from the values it divides; a value is
-    smooth exactly when its remaining cofactor is 1.  Values must be
-    positive integers.
+    Every such integer up to hi is built from 1 by multiplying in one prime
+    and all its powers at a time, largest prime first, so each is made once,
+    from its factorization, and the sets stay small until the smallest
+    primes; those below lo are dropped at the end.  primes must be distinct
+    primes, and hi below 2**63.
     """
-    rem = np.array(values, dtype=np.int64)
-    if rem.size and rem.min() < 1:
-        raise ValueError("values must be positive")
-    for p in primes_up_to(max(z, 1)):
-        hit = np.flatnonzero(rem % p == 0)
-        while len(hit):
-            rem[hit] //= p
-            hit = hit[rem[hit] % p == 0]
-    return rem == 1
-
+    primes = np.asarray(primes, dtype=np.int64)
+    if len(np.unique(primes)) < len(primes) or not prime_mask(primes).all():
+        raise ValueError("primes must be distinct primes")
+    out = np.ones(1 if hi >= 1 else 0, dtype=np.int64)
+    for p in sorted(primes.tolist(), reverse=True):
+        parts, power = [out], out
+        while len(power := power[power <= hi // p] * p):
+            parts.append(power)
+        out = np.concatenate(parts)
+    out.sort()
+    return out[np.searchsorted(out, lo):]

@@ -27,10 +27,10 @@ from itertools import accumulate
 import numpy as np
 
 from . import nibble as nib
-from .oracle import smooth_mask
+from .oracle import smooth_numbers
 from .pairlaw import PairLaw
-from .primes import admissible_tuple, first_primes, prime_mask, primes_up_to, sieve_interval
-from .residues import ResidueSystem, sift
+from .primes import SEGMENT_SIZE, admissible_tuple, first_primes, primes_up_to, sieve_interval
+from .residues import InfeasibleError, ResidueSystem, fresh_interval, sift
 from .rng import stream, stream_seed, uniforms
 from .weights import PairWeightContext
 
@@ -71,6 +71,10 @@ class StagedConfig:
         y = t.y
         if y <= self.x:
             raise ValueError(f"--c {self.c} gives y = {y} <= x = {self.x}, an empty interval")
+        if y >= (self.x // 2 + 1) ** 2:
+            raise InfeasibleError(f"--c {self.c} gives y = {y} >= (x//2 + 1)^2 = "
+                                  f"{(self.x // 2 + 1) ** 2}, where stage 1 can leave a "
+                                  "product of two primes above x/2")
 
 
 def _iterated_logs(x: float):
@@ -171,28 +175,65 @@ class SurvivorSplit:
 
 def survivors_after_small(cfg: StagedConfig, s1: ResidueSystem,
                           s2: ResidueSystem) -> SurvivorSplit:
-    """Sift (x, y] by stage 1, count, clear stage 2's classes in place, and
-    classify the survivors.
+    """Generate stage 1's survivors of (x, y], keep those stage 2 leaves,
+    and classify them.
 
-    Survivors are split into primes of (x, y] (`prime_mask` on the survivors
-    themselves), z-smooth numbers (every prime factor <= z, tested exactly on
-    the non-prime survivors only), and the rest.
+    Stage 1 gives class 0 to its moduli, so its survivors are the integers
+    with no prime factor among them.  With B the largest modulus and the
+    free primes those up to B that stage 1 leaves without a class, a
+    survivor is free-smooth (`smooth_numbers`), a prime, or m P with m > 1
+    free-smooth and P a prime above B, as y < P^2 for every such P.  Stage 2
+    is sifted on a fresh interval laid out as a sift of stage 1 would be.
+    The free-smooth numbers and the products m P (P from `sieve_interval`,
+    one sieve segment at a time) keep their bits where set; `keep_primes`
+    then clears every composite, and those kept bits are set again.  Every
+    candidate counts towards after_stage1.  The kinds are the split: primes
+    of (x, y], free-smooth numbers (z-smooth, as every free prime is at
+    most z) and the products m P.
     """
     th = thresholds(cfg)
-    interval = sift(s1, cfg.x + 1, th.y)
-    after_stage1 = interval.count()
-    sift(s2, cfg.x + 1, th.y, interval)
-    survivors = interval.positions()
-    is_q = prime_mask(survivors)
-    composite = survivors[~is_q]
-    smooth = smooth_mask(composite, int(th.z))
+    lo, hi = cfg.x + 1, th.y
+    if not len(s1) or s1.classes.any():
+        raise ValueError("stage 1 must give class 0 to one prime or more")
+    B = int(s1.moduli[-1])
+    below = sieve_interval(2, max(B, math.isqrt(hi)))
+    if below[-1] > B:
+        P = below[np.searchsorted(below, B, "right")]
+        raise ValueError(f"y = {hi} reaches {P}^2, the square of a prime above B = {B}")
+    staged = np.zeros(B + 1, dtype=bool)
+    staged[s1.moduli] = True
+    free = below[~staged[below]]
+    del below, staged
+    if len(free) and free[-1] > th.z:
+        raise ValueError(f"{free[-1]} has no stage-1 class but exceeds z = {th.z}")
+
+    interval = sift(s2, lo, hi, fresh_interval(s1, lo, hi))
+    smooth = smooth_numbers(free, lo, hi)
+    after_stage1 = len(smooth)
+    smooth = smooth[interval.holds(smooth)]
+    cofactors = smooth_numbers(free, 2, hi // (B + 1)).tolist()
+    other = []
+    top = hi // cofactors[0] if cofactors else B  # the largest P of a product
+    for wlo in range(B + 1, top + 1, 2 * SEGMENT_SIZE):
+        P = sieve_interval(wlo, min(wlo + 2 * SEGMENT_SIZE - 1, top))
+        for m in cofactors:
+            q = m * P[np.searchsorted(P, -(-lo // m)): np.searchsorted(P, hi // m, "right")]
+            after_stage1 += len(q)
+            other.append(q[interval.holds(q)])
+    other = np.sort(np.concatenate((np.empty(0, dtype=np.int64), *other)))
+    after_stage1 += interval.keep_primes()
+    primes = interval.positions()
+    interval.restore(smooth)
+    interval.restore(other)
+    survivors = np.concatenate((primes, smooth, other))
+    survivors.sort(kind="stable")  # timsort merges the three increasing runs
     return SurvivorSplit(
         after_stage1=after_stage1,
         interval=interval,
         survivors=survivors,
-        primes=survivors[is_q],
-        smooth=composite[smooth],
-        other=composite[~smooth],
+        primes=primes,
+        smooth=smooth,
+        other=other,
     )
 
 

@@ -125,6 +125,33 @@ class SiftedInterval:
         out += self.first
         return out
 
+    def keep_primes(self) -> int:
+        """Clear the bit of every position that is not prime, reading the
+        sieve's segments of [lo, hi], which must lie above 2; returns how
+        many primes [lo, hi] holds, set or not."""
+        if self.lo < 3:
+            raise ValueError("keep_primes needs lo >= 3")
+        count = 0
+        for seg in _odd_segments(self.lo, self.hi):
+            count += seg.count()
+            i = -(-(seg.lo - self.first) // self.step)  # the first position in seg's span
+            n = (seg.hi - self.first) // self.step + 1 - i
+            if n <= 0:
+                continue
+            k = self.first + self.step * i - seg.first  # its offset among seg's numbers
+            d = k % 2  # 1 when it is even, off seg's odd numbers
+            if self.step == 2:
+                bits = self.bits[i : i + n]
+                if d:
+                    bits[:] = False
+                else:
+                    bits &= seg.bits[k // 2 : k // 2 + n]
+            else:
+                self.bits[i + 1 - d : i + n : 2] = False  # the even positions
+                odd = self.bits[i + d : i + n : 2]
+                odd &= seg.bits[(k + d) // 2 : (k + d) // 2 + len(odd)]
+        return count
+
     def first_survivor(self):
         idx = np.flatnonzero(self.bits)
         return self.first + self.step * int(idx[0]) if len(idx) else None
@@ -138,14 +165,15 @@ class SiftedInterval:
 
 
 def _odd_segments(lo: int, hi: int):
-    """The sieve's segments of the odd numbers from lo (odd, >= 3) to hi, in
-    order: step-2 SiftedIntervals set on the primes, each spanning every
-    integer below the next one's lo.  Each clears class 0 of the odd base primes
-    up to isqrt(seg.hi), which sieve_interval reads from the table when
-    hi < 65537**2, and restores the base primes inside it."""
+    """The sieve's segments of the odd numbers from lo (>= 3) to hi, in
+    order: step-2 SiftedIntervals set on the primes, the first from lo and
+    each spanning every integer below the next one's lo.  Each clears class
+    0 of the odd base primes up to isqrt(seg.hi), which sieve_interval reads
+    from the table when hi < 65537**2, and restores the base primes inside
+    it."""
     base = sieve_interval(3, isqrt(hi))
     for seg_lo in range(lo, hi + 1, 2 * SEGMENT_SIZE):
-        seg = SiftedInterval.of(seg_lo, min(seg_lo + 2 * SEGMENT_SIZE - 1, hi), seg_lo, 2)
+        seg = SiftedInterval.of(seg_lo, min(seg_lo + 2 * SEGMENT_SIZE - 1, hi), seg_lo | 1, 2)
         ps = base[: np.searchsorted(base, isqrt(seg.hi), side="right")]
         seg.clear(ps, np.zeros_like(ps))
         seg.restore(ps[ps >= seg_lo])

@@ -132,6 +132,15 @@ def _set_sorted(sys, p, a):
     object.__setattr__(sys, "classes", a)
 
 
+def fresh_interval(sys: ResidueSystem, lo: int, hi: int) -> SiftedInterval:
+    """The interval a new sift of sys over [lo, hi] starts from, every bit
+    set: the parity that sys's class mod 2 leaves (step 2), or every
+    position (step 1) when sys has no class mod 2."""
+    if len(sys.moduli) and sys.moduli[0] == 2:
+        return SiftedInterval.of(lo, hi, lo + (int(sys.classes[0]) - lo + 1) % 2, 2)
+    return SiftedInterval.of(lo, hi, lo, 1)
+
+
 def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
     """Survivor bits of n in [lo, hi]: n survives iff n mod p != a_p for
     every entry.
@@ -152,8 +161,7 @@ def sift(sys: ResidueSystem, lo: int, hi: int, into=None) -> SiftedInterval:
     moduli, classes = sys.moduli, sys.classes
     has2 = bool(len(moduli)) and moduli[0] == 2
     if into is None:
-        first, step = (lo + (int(classes[0]) - lo + 1) % 2, 2) if has2 else (lo, 1)
-        into = SiftedInterval.of(lo, hi, first, step)
+        into = fresh_interval(sys, lo, hi)
     elif (into.lo, into.hi) != (lo, hi):
         raise ValueError(f"interval mismatch: sifting [{lo}, {hi}] into [{into.lo}, {into.hi}]")
     if has2 and into.step == 2:  # 2's class holds all of the leaves or none of them

@@ -786,6 +786,15 @@ def test_construct_interval_beyond_numpy_is_infeasible(tmp_path, capsys):
     assert not (tmp_path / "system.json").exists()
 
 
+def test_construct_y_past_the_square_of_x_half_is_infeasible(tmp_path, capsys):
+    # --c 10 gives y = 3,016 >= 51^2 = 2,601: stage 1 could leave 53 * 53 = 2,809
+    assert main(["construct", "100", "--c", "10", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: --c 10.0 gives y = 3016 >= (x//2 + 1)^2 = 2601")
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
 # both sieved until a timeout killed them: stage 1 asks for the primes up
 # to x/2 = 5e19 and the weight system for the primes up to R, whose window
 # reaches 2^63, past int64

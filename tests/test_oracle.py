@@ -1,4 +1,4 @@
-"""Tests for the exhaustive oracles and smooth-number tests."""
+"""Tests for the exhaustive oracles and the smooth-number enumerator."""
 
 import hashlib
 import math
@@ -14,9 +14,9 @@ from gapsieve.oracle import (
     _longest_prefix,
     exact_Y,
     jacobsthal,
-    smooth_mask,
+    smooth_numbers,
 )
-from gapsieve.primes import primorial
+from gapsieve.primes import primes_up_to, primorial
 from gapsieve.residues import ResidueSystem, covered_prefix_length, sift, system_to_json
 
 
@@ -227,17 +227,17 @@ def count_5_smooth(limit):
     return count
 
 
-def mask_count(y, z):
-    """#{1 <= n <= y : every prime factor of n is <= z}, read off smooth_mask."""
-    return int(smooth_mask(np.arange(1, y + 1), z).sum())
+def smooth_count(y, z):
+    """#{1 <= n <= y : every prime factor of n is <= z}, read off smooth_numbers."""
+    return len(smooth_numbers(primes_up_to(z), 1, y))
 
 
 def test_smooth_count_examples():
-    assert mask_count(10, 2) == 4  # {1, 2, 4, 8}
-    assert mask_count(100, 5) == 34
+    assert smooth_count(10, 2) == 4  # {1, 2, 4, 8}
+    assert smooth_count(100, 5) == 34
     assert count_5_smooth(100) == 34  # double-checked by power enumeration
-    assert mask_count(50, 50) == 50
-    assert mask_count(0, 10) == 0
+    assert smooth_count(50, 50) == 50
+    assert smooth_count(0, 10) == 0
 
 
 def test_smooth_count_matches_trial_division():
@@ -245,30 +245,33 @@ def test_smooth_count_matches_trial_division():
     for _ in range(25):
         y = rng.randrange(1, 3000)
         z = rng.randrange(2, 60)
-        assert mask_count(y, z) == smooth_by_trial_division(y, z)
+        assert smooth_count(y, z) == smooth_by_trial_division(y, z)
 
 
 def test_smooth_count_monotone():
     for z in (2, 3, 7, 20):
-        vals = [mask_count(y, z) for y in range(1, 200)]
+        vals = [smooth_count(y, z) for y in range(1, 200)]
         assert vals == sorted(vals)
     for y in (100, 500):
-        vals = [mask_count(y, z) for z in range(2, 40)]
+        vals = [smooth_count(y, z) for z in range(2, 40)]
         assert vals == sorted(vals)
-        assert mask_count(y, y) == y
+        assert smooth_count(y, y) == y
 
 
-def test_smooth_mask_consistent_with_count():
-    flags = smooth_mask(np.arange(1, 501), 7)
-    assert int(flags.sum()) == smooth_by_trial_division(500, 7)
-    flags_interval = smooth_mask(np.arange(101, 501), 7)
-    assert int(flags_interval.sum()) == (smooth_by_trial_division(500, 7)
-                                         - smooth_by_trial_division(100, 7))
-    # arbitrary, unordered values, each checked by trial division
-    values = np.array([1, 97 * 2, 2**40, 3**20 * 5, 11, 7 * 7 * 7, 1000003])
-    expect = [is_smooth_by_trial_division(int(v), 7) for v in values]
+def test_smooth_numbers_consistent_with_count():
+    small = primes_up_to(7)
+    got = smooth_numbers(small, 1, 500)
+    assert got.dtype == np.int64 and (got[1:] > got[:-1]).all()
+    assert got.tolist() == [n for n in range(1, 501) if is_smooth_by_trial_division(n, 7)]
+    assert len(smooth_numbers(small, 101, 500)) == (smooth_by_trial_division(500, 7)
+                                                    - smooth_by_trial_division(100, 7))
+    # single values far apart, each checked by trial division
+    values = [1, 97 * 2, 2**40, 3**20 * 5, 11, 7 * 7 * 7, 1000003]
+    expect = [is_smooth_by_trial_division(v, 7) for v in values]
     assert expect == [True, False, True, True, False, True, False]
-    assert smooth_mask(values, 7).tolist() == expect
-    with pytest.raises(ValueError):
-        smooth_mask(np.array([0, 4]), 7)
-
+    assert [len(smooth_numbers(small, v, v)) == 1 for v in values] == expect
+    # any set of primes, not only a prefix: the pipeline's free primes
+    assert smooth_numbers([13, 5], 1, 200).tolist() == [1, 5, 13, 25, 65, 125, 169]
+    for bad in ([2, 4], [3, 3]):
+        with pytest.raises(ValueError, match="distinct primes"):
+            smooth_numbers(bad, 1, 10)

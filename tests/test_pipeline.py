@@ -33,7 +33,7 @@ from gapsieve.pipeline import (
     thresholds,
 )
 from gapsieve.primes import admissible_tuple, primes_up_to, sieve_interval
-from gapsieve.residues import ResidueSystem, SiftedInterval, sift
+from gapsieve.residues import InfeasibleError, ResidueSystem, SiftedInterval, sift
 from gapsieve.rng import stream, stream_seed
 from gapsieve.weights import PairWeightContext
 
@@ -55,6 +55,11 @@ def test_config_validation():
     assert thresholds(StagedConfig(x=100, c=0.34)).y > 100
     with pytest.raises(ValueError, match=r"--c 0\.3 gives y = 91 <= x = 100"):
         StagedConfig(x=100, c=0.3)
+    # y >= (x//2 + 1)^2 could leave a product of two primes above x/2
+    # after stage 1, which the split does not generate
+    assert thresholds(StagedConfig(x=100, c=8.5)).y == 2_564
+    with pytest.raises(InfeasibleError, match=r"y = 2714 >= \(x//2 \+ 1\)\^2 = 2601"):
+        StagedConfig(x=100, c=9)
 
 
 def test_desk_thresholds_examples():
@@ -155,6 +160,71 @@ def test_survivor_split_cross_checked_against_smooth_oracle():
     assert split.other.tolist() == [n for n in composite if not smooth(n)]
     assert len(split.survivors) == len(split.primes) + len(split.smooth) + len(split.other)
     assert len(split.survivors) == split.interval.count()
+
+
+def reference_split(cfg, s1, s2):
+    """The split as a sift of both stages: sift stage 1, count, clear stage
+    2 in place, prime_mask on the survivors, then trial division by the
+    primes up to z of the composite ones.  Returns (after_stage1, leaves,
+    survivors, primes, smooth, other)."""
+    th = thresholds(cfg)
+    leaves = sift(s1, cfg.x + 1, th.y)
+    after_stage1 = leaves.count()
+    sift(s2, cfg.x + 1, th.y, leaves)
+    survivors = leaves.positions()
+    is_q = primes.prime_mask(survivors)
+    composite = survivors[~is_q]
+    rem = composite.copy()
+    for p in primes_up_to(int(th.z)):
+        hit = np.flatnonzero(rem % p == 0)
+        while len(hit):
+            rem[hit] //= p
+            hit = hit[rem[hit] % p == 0]
+    return (after_stage1, leaves, survivors, survivors[is_q], composite[rem == 1],
+            composite[rem != 1])
+
+
+SPLIT_CASES = [StagedConfig(x=x, mode=mode, seed=seed)
+               for x, mode in [*((x, "desk-preset") for x in (100, 150, 500, 1001, 5000, 50_000)),
+                               *((x, "paper-formula") for x in (150, 3000, 20_000))]
+               for seed in range(4)]
+
+
+@pytest.mark.parametrize("cfg", SPLIT_CASES, ids=lambda c: f"{c.mode}-{c.x}-s{c.seed}")
+def test_generated_split_matches_the_sifted_one(monkeypatch, cfg):
+    # desk x < 1024 (v = x^0.1 < 2) draws stage-2 classes of 2 and 3, so the
+    # leaves hold every position there; paper-formula x = 150 has no stage 2
+    s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
+    for limit in (primes.TABLE_LIMIT, 0):
+        monkeypatch.setattr(primes, "TABLE_LIMIT", limit)
+        split = survivors_after_small(cfg, s1, s2)
+        after_stage1, leaves, *kinds = reference_split(cfg, s1, s2)
+        assert split.after_stage1 == after_stage1
+        for got, want in zip((split.survivors, split.primes, split.smooth, split.other), kinds):
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        got = split.interval
+        assert (got.lo, got.hi, got.first, got.step) == (leaves.lo, leaves.hi, leaves.first,
+                                                         leaves.step)
+        assert np.array_equal(got.bits, leaves.bits)
+    assert (split.interval.step == 2) == (cfg.x >= 1024 or cfg.mode == "paper-formula")
+
+
+def test_split_refuses_a_stage1_it_cannot_generate():
+    cfg = StagedConfig(x=1000, seed=1)
+    s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
+    nonzero = ResidueSystem(moduli=s1.moduli, classes=np.ones_like(s1.classes))
+    with pytest.raises(ValueError, match="class 0"):
+        survivors_after_small(cfg, nonzero, s2)
+    # without the primes from 13 to 31 they are free, but above z = 11.2
+    high = s1.moduli >= 37
+    with pytest.raises(ValueError, match="31 has no stage-1 class but exceeds z"):
+        survivors_after_small(cfg, ResidueSystem(moduli=s1.moduli[high],
+                                                 classes=s1.classes[high]), s2)
+    # without the primes above 50, y = 3,575 reaches 53^2
+    low = s1.moduli <= 50
+    with pytest.raises(ValueError, match=r"reaches 53\^2, the square of a prime above B = 47"):
+        survivors_after_small(cfg, ResidueSystem(moduli=s1.moduli[low],
+                                                 classes=s1.classes[low]), s2)
 
 
 def test_prime_survivor_count_concentrates():
@@ -456,12 +526,13 @@ def test_run_pipeline_releases_the_leaves_before_matching(monkeypatch, method):
     assert (report.stage3_assigned > 0) == (method != "none")
 
 
-@pytest.mark.parametrize("method, sifts", [("none", 3), ("independent", 4), ("greedy", 4),
-                                           ("nibble", 4)])
+@pytest.mark.parametrize("method, sifts", [("none", 2), ("independent", 3), ("greedy", 3),
+                                           ("nibble", 3)])
 def test_run_pipeline_extracts_the_survivors_once(monkeypatch, method, sifts):
-    # stage 1, stage 2 in place, stage 3 (only when it assigns a class) and
-    # the check; the survivor positions are read once, by the split (the
-    # sieve's segments are SiftedIntervals too, and are not counted)
+    # stage 2 (stage 1's survivors are generated, not sifted), stage 3 in
+    # place (only when it assigns a class) and the check; the leaves'
+    # positions are read once, by the split (the sieve's segments are
+    # SiftedIntervals too, and are not counted)
     calls = {"sift": 0, "positions": 0}
     positions, sifted = SiftedInterval.positions, []
 
@@ -605,9 +676,10 @@ def test_stage1_is_sifted_once(monkeypatch):
     cfg = StagedConfig(x=5000, seed=3, stage3_method="greedy")
     report, combined = run_pipeline(cfg)
     s1, s2 = stage1_zero_classes(cfg), stage2_random_small(cfg)
-    # stage 1, stage 2 in place, stage 3, and the independent check of the whole
-    assert [s.entries for s in sifted[:2]] == [s1.entries, s2.entries]
-    assert [len(s) for s in sifted] == [len(s1), len(s2), report.stage3_assigned, len(combined)]
+    # stage 2, stage 3 in place, and the independent check of the whole,
+    # the one sift by stage 1's classes: the split generates their survivors
+    assert sifted[0].entries == s2.entries
+    assert [len(s) for s in sifted] == [len(s2), report.stage3_assigned, len(combined)]
     lo, hi = cfg.x + 1, report.y
     assert report.survivors_after_stage1 == sift(s1, lo, hi).count()
     split = survivors_after_small(cfg, s1, s2)

@@ -225,17 +225,20 @@ def test_every_short_interval_matches_naive(monkeypatch):
 
 def test_segments_join_to_the_naive_sieve(monkeypatch):
     # segments of 8 or 64 odd numbers, so every window crosses many
-    # boundaries: the segments tile [lo, hi], their positions join to the
-    # odd primes, and holds reads the primes off every integer of the window
+    # boundaries: the segments tile [lo, hi], odd or even lo, their
+    # positions join to the odd primes, and holds reads the primes off every
+    # integer of the window
     ref = naive_sieve(3000)
     for _ in table_settings(monkeypatch):
         for size in (8, 64):
             monkeypatch.setattr(primes, "SEGMENT_SIZE", size)
-            for lo, hi in ((3, 3), (3, 2000), (1001, 1016), (1001, 1017), (2001, 3000)):
+            for lo, hi in ((3, 3), (3, 2000), (1001, 1016), (1001, 1017), (2001, 3000),
+                           (4, 4), (1000, 1016), (2000, 3000)):
                 segs = list(primes._odd_segments(lo, hi))
                 assert [s.lo for s in segs[1:]] == [s.hi + 1 for s in segs[:-1]]
                 assert segs[0].lo == lo and segs[-1].hi == hi
-                assert all(s.first == s.lo and s.step == 2 for s in segs)
+                # from an even lo, each segment's odd numbers start one above it
+                assert all(s.first == s.lo + 1 - s.lo % 2 and s.step == 2 for s in segs)
                 got = np.concatenate([s.positions() for s in segs]).tolist()
                 assert got == [p for p in ref if lo <= p <= hi]
                 for s in segs:
@@ -258,6 +261,29 @@ def test_holds_matches_membership(data):
     values = data.draw(st.lists(st.integers(lo, hi), max_size=50))
     got = interval.holds(np.array(values, dtype=np.int64))
     assert got.dtype == bool and got.tolist() == [v in held for v in values]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_keep_primes_matches_a_naive_filter(data):
+    # segments of 8 odd numbers cross [lo, hi] many times; either layout,
+    # either parity of lo and of the first position, random bits
+    ref = set(naive_sieve(4000))
+    step = data.draw(st.sampled_from([1, 2]))
+    lo = data.draw(st.integers(3, 3000))
+    hi = lo + data.draw(st.integers(0, 600))
+    first = lo + (data.draw(st.integers(0, 1)) if step == 2 else 0)
+    interval = SiftedInterval.of(lo, hi, first, step)
+    bits = data.draw(st.lists(st.booleans(), min_size=len(interval.bits),
+                              max_size=len(interval.bits)))
+    interval.bits[:] = bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT_SIZE", data.draw(st.sampled_from([8, SEGMENT_SIZE])))
+        mp.setattr(primes, "TABLE_LIMIT", data.draw(st.sampled_from([primes.TABLE_LIMIT, 0])))
+        assert interval.keep_primes() == len([p for p in ref if lo <= p <= hi])
+    assert interval.bits.tolist() == [b and first + step * k in ref for k, b in enumerate(bits)]
+    with pytest.raises(ValueError, match="lo >= 3"):
+        SiftedInterval.of(2, hi, 2, 1).keep_primes()
 
 
 def naive_clear(first, step, size, entries):
